@@ -118,23 +118,6 @@ MshrFile::inFlight(Cycle now)
 }
 
 Cycle
-MshrFile::nextEventCycle(Cycle now) const
-{
-    // The cached minimum answers directly while it lies in the
-    // future; when it is stale (some entry became prunable but no
-    // mutating call has pruned yet) fall back to the scan, which
-    // must skip the already-completed entries the cache counts.
-    if (nextReady_ > now)
-        return nextReady_;
-    Cycle next = ~static_cast<Cycle>(0);
-    for (const auto &e : entries_) {
-        if (!e.reserved && e.ready > now)
-            next = std::min(next, e.ready);
-    }
-    return next;
-}
-
-Cycle
 MshrFile::oldestAge(Cycle now)
 {
     prune(now);

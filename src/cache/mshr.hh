@@ -60,18 +60,6 @@ class MshrFile
     unsigned inFlight(Cycle now);
 
     /**
-     * Earliest cycle after @p now at which an in-flight miss
-     * completes, or ~0 when none is pending. Purely observational
-     * (no pruning — the fast-forward path must not perturb the
-     * lazily pruned entry list the checkpoint serializes): the run
-     * loop uses it to bound how far it may fast-forward while every
-     * core is stalled. Reserved entries (completion still being
-     * computed inside the current access walk) carry no time and
-     * contribute nothing.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /**
      * Age in cycles of the oldest entry still present at @p now
      * (after pruning), or 0 when the file is empty. The
      * forward-progress watchdog bounds this: a healthy entry retires
@@ -126,8 +114,7 @@ class MshrFile
      * Exact minimum ready cycle over the completed (non-reserved)
      * entries, ~0 when there is none. Derived state — kept exact by
      * every mutation, recomputed on restore, never checkpointed.
-     * Lets prune() skip its scan while no entry is retirable and
-     * nextEventCycle() answer without walking the file.
+     * Lets prune() skip its scan while no entry is retirable.
      */
     Cycle nextReady_ = ~static_cast<Cycle>(0);
 

@@ -59,20 +59,6 @@ class StridePrefetcher
     Counter trainings() const { return trainings_.value(); }
     Counter predictions() const { return predictions_.value(); }
 
-    /**
-     * The prefetcher is purely reactive — it only acts inside
-     * observe(), i.e. inside a demand access — so it never schedules
-     * a wake-up of its own: ~0 always. The in-flight prefetch fills
-     * it triggered live in the L2 MSHR file, whose nextEventCycle()
-     * reports them. Present so the fast-forward event-horizon scan
-     * can treat every memory-side component uniformly.
-     */
-    Cycle
-    nextEventCycle(Cycle) const
-    {
-        return ~static_cast<Cycle>(0);
-    }
-
     /** Checkpoint the PC table, zone table, and allocation filter. */
     void checkpoint(Serializer &s) const;
     /** Restore a checkpoint of an identically sized prefetcher. */

@@ -161,18 +161,6 @@ MemorySystem::flushDirtyBlock(Addr addr, Cycle now)
 }
 
 Cycle
-MemorySystem::nextEventCycle(Cycle now) const
-{
-    Cycle next = l1i_.nextEventCycle(now);
-    next = std::min(next, l1d_.nextEventCycle(now));
-    next = std::min(next, l2i_.nextEventCycle(now));
-    next = std::min(next, l2d_.nextEventCycle(now));
-    if (prefetcher_)
-        next = std::min(next, prefetcher_->nextEventCycle(now));
-    return next;
-}
-
-Cycle
 MemorySystem::instFetch(Addr addr, Cycle now)
 {
     const Cycle start = now + itlb_.translate(addr);

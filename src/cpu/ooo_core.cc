@@ -94,7 +94,7 @@ OooCore::nextWakeCycle(Cycle now) const
     // least `soonest`, so a stage that can make progress next cycle
     // makes computing the others pointless. A busy core leaves
     // through one of these two checks, which keeps the per-tick cost
-    // of the fast-forward probe negligible.
+    // of the wake-horizon probe negligible.
     //
     // Dispatch: a non-empty fetch queue either dispatches next
     // cycle (the head was fetched at `now` at the latest) or is

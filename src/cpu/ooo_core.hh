@@ -65,14 +65,14 @@ class OooCore
     static constexpr Cycle neverWakes = ~static_cast<Cycle>(0);
 
     /**
-     * Event horizon of the idle-cycle fast-forward: given tick(now)
-     * has just run, the earliest cycle at which another tick could
-     * do anything beyond the exactly predictable per-cycle
-     * bookkeeping that skipStalledCycles() folds in. Every tick at a
-     * cycle in (now, nextWakeCycle(now)) is guaranteed to commit,
-     * issue, dispatch and fetch nothing, touch no cache or memory
-     * state, and mutate only the per-cycle statistics — so the run
-     * loop may jump straight to the wake-up and stay bit-identical
+     * This core's wake horizon: given tick(now) has just run, the
+     * earliest cycle at which another tick could do anything beyond
+     * the exactly predictable per-cycle bookkeeping that
+     * skipStalledCycles() folds in. Every tick at a cycle in
+     * (now, nextWakeCycle(now)) is guaranteed to commit, issue,
+     * dispatch and fetch nothing, touch no cache or memory state,
+     * and mutate only the per-cycle statistics — so the run loop may
+     * skip this core straight to the wake-up and stay bit-identical
      * to the cycle-by-cycle reference. Returns now + 1 when the core
      * is runnable next cycle and neverWakes when only an external
      * event could restart it.

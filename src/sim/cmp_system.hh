@@ -2,12 +2,12 @@
  * @file
  * Assembly of the full chip multiprocessor: four out-of-order cores
  * with private L1/L2 hierarchies, one of the four last-level cache
- * organizations, and the shared memory channel. The default run loop
- * is a decoupled per-core event scheduler (a wake heap orders core
- * ticks by (cycle, coreId) and batches a lone runnable core's ticks
- * without re-entering the loop); a legacy whole-machine fast-forward
- * loop and the cycle-by-cycle reference loop are retained behind
- * REPRO_DECOUPLE=0 / REPRO_FASTFWD=0 and are bit-identical to it.
+ * organizations, and the shared memory channel. The run loop is a
+ * decoupled per-core event scheduler: a wake heap orders core ticks
+ * by (cycle, coreId), skips each stalled core's ticks individually,
+ * and batches a lone runnable core's ticks without re-entering the
+ * loop. The cycle-by-cycle reference loop (REPRO_FASTFWD=0) is kept
+ * as its test oracle; the two are bit-identical.
  */
 
 #ifndef NUCA_SIM_CMP_SYSTEM_HH
@@ -76,37 +76,24 @@ class CmpSystem
     const RobustnessConfig &robustness() const { return robust_; }
 
     /**
-     * Enable or disable event-horizon fast-forwarding (constructors
-     * install REPRO_FASTFWD, default on). When enabled, run() skips
-     * each core's ticks individually while that core is provably
-     * stalled (and jumps now_ over windows in which every core is),
-     * folding the skipped ticks into the per-cycle statistics before
-     * anything observes them, so every counter, distribution,
-     * telemetry record and checkpoint stays bit-identical to the
-     * reference loop (asserted by the differential tests). See
+     * Select the run loop (constructors install REPRO_FASTFWD,
+     * default on). Enabled: the decoupled per-core event scheduler.
+     * It keeps a min-heap of (nextWakeCycle, coreId), pops ticks in
+     * exactly the reference loop's (cycle, coreId) order, skips each
+     * core's ticks while that core is provably stalled, and hands a
+     * core that is provably the only actor until the next heap entry
+     * / telemetry sample / robustness event to OooCore::advance as
+     * one batch. Skipped ticks are folded into the per-cycle
+     * statistics before anything observes them. Disabled: the
+     * cycle-by-cycle reference loop. Every counter, distribution,
+     * telemetry record and checkpoint is bit-identical between the
+     * two (asserted by the differential tests). See
      * docs/PERFORMANCE.md.
      */
     void setFastForward(bool enabled);
 
-    /** True when run() may skip fully-stalled windows. */
+    /** True when run() uses the decoupled scheduler. */
     bool fastForwardEnabled() const { return fastForward_; }
-
-    /**
-     * Select the decoupled per-core event scheduler (constructors
-     * install REPRO_DECOUPLE, default on; only consulted while
-     * fast-forward is enabled — REPRO_FASTFWD=0 always selects the
-     * cycle-by-cycle reference loop). The scheduler keeps a min-heap
-     * of (nextWakeCycle, coreId), pops ticks in exactly the
-     * reference loop's (cycle, coreId) order, and hands a core that
-     * is provably the only actor until the next heap entry /
-     * telemetry sample / robustness event to OooCore::advance as one
-     * batch. Bit-identical to both other loops (asserted by the
-     * differential tests); see docs/PERFORMANCE.md.
-     */
-    void setDecoupled(bool enabled);
-
-    /** True when run() uses the decoupled per-core scheduler. */
-    bool decoupledEnabled() const { return decoupled_; }
 
     /**
      * Host-side scheduler diagnostics (like the fast-forward
@@ -137,11 +124,15 @@ class CmpSystem
     }
 
     /**
-     * Host-side fast-forward diagnostics: cycles run() skipped and
-     * jumps it took. Deliberately *not* statistics and *not*
-     * checkpointed — they describe how the simulation was executed,
-     * not what it simulated, and folding them into either would
-     * break the bit-identity contract between the two loop modes.
+     * Host-side fast-forward diagnostics. fastForwardedCycles counts
+     * the cycles of run() windows in which no core executed a tick;
+     * fastForwardJumps counts the idle gaps between executed ticks
+     * that the scheduler crossed (cycles a lone core's advance batch
+     * folds count as skipped cycles but not as jumps). Both are 0
+     * under the reference loop. Deliberately *not* statistics and
+     * *not* checkpointed — they describe how the simulation was
+     * executed, not what it simulated, and folding them into either
+     * would break the bit-identity contract between the two loops.
      */
     Counter fastForwardedCycles() const { return ffSkipped_; }
     Counter fastForwardJumps() const { return ffJumps_; }
@@ -259,9 +250,9 @@ class CmpSystem
     std::vector<Counter> committedZero_;
     std::vector<Counter> l3AccessZero_;
 
-    /** The legacy whole-machine fast-forward loop (REPRO_DECOUPLE=0)
-     * and the cycle-by-cycle reference loop (REPRO_FASTFWD=0). */
-    void runLegacy(Cycle end);
+    /** The cycle-by-cycle reference loop (REPRO_FASTFWD=0): every
+     * core ticks every cycle, in ascending coreId order. */
+    void runReference(Cycle end);
 
     /**
      * The decoupled per-core event scheduler. Repeats: compute the
@@ -295,7 +286,7 @@ class CmpSystem
     void advanceSole(std::uint32_t c, Cycle start, Cycle cap);
 
     /** Rebuild the wake heap from coreWake_ (every run() entry:
-     * restore/setFastForward/setDecoupled re-anchor the horizons). */
+     * restore/setFastForward re-anchor the horizons). */
     void rebuildWakeHeap();
 
     /** Record a new horizon for @p c and re-insert it in the heap
@@ -308,28 +299,6 @@ class CmpSystem
     /** Account the machine-idle window [frontier_, to) against the
      * fast-forward counters and trace events. */
     void accountIdleGap(Cycle to);
-
-    /**
-     * Event horizon across the whole machine: the earliest cycle
-     * after @p last (the cycle just ticked) at which any core can
-     * make progress or any memory-side component (MSHR files, the
-     * stride prefetchers, the memory channel) has a completion
-     * pending. Only consulted when every core reports a wake-up
-     * beyond last + 1.
-     */
-    Cycle nextWakeCycle(Cycle last) const;
-
-    /**
-     * Jump now_ forward to the event horizon, capped by the run
-     * window end, the next telemetry sample, and the next robustness
-     * event. Called with the tick at now_ - 1 just executed; a no-op
-     * unless every core is quiescent past now_ (read off the cached
-     * coreWake_ horizons, which stay exact while a core sleeps
-     * because a stalled core's state cannot change). The skipped
-     * ticks' bookkeeping is not folded here — each core's pending
-     * span settles lazily (settleCores / its next real tick).
-     */
-    void fastForwardNow(Cycle end);
 
     /**
      * Fold every core's pending skipped-tick span into its per-cycle
@@ -372,7 +341,7 @@ class CmpSystem
     Cycle watchdogLastProgress_ = 0;
     bool faultPlanted_ = false;
 
-    /** REPRO_FASTFWD: skip provably stalled windows in run(). */
+    /** REPRO_FASTFWD: run() uses the decoupled scheduler. */
     bool fastForward_ = true;
     Counter ffSkipped_ = 0;
     Counter ffJumps_ = 0;
@@ -390,8 +359,6 @@ class CmpSystem
     std::vector<Cycle> coreWake_;
     std::vector<Cycle> corePendingStart_;
 
-    /** REPRO_DECOUPLE: per-core event scheduling in run(). */
-    bool decoupled_ = true;
     /** REPRO_DECOUPLE_BATCH: advance-batch span cap (0 = none). */
     Cycle batchCap_ = 0;
     /**

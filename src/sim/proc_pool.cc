@@ -186,20 +186,24 @@ writeAll(int fd, const std::string &text)
  * on @p fd, and _exit. _exit (not exit) on every path: the child is
  * a fork of a possibly multi-threaded parent and must not run the
  * parent's atexit hooks — those would re-write trace files and
- * profiler reports the parent still owns.
+ * profiler reports the parent still owns. The child starts with
+ * SIGTERM blocked; @p mask is the signal mask to run the body under.
  */
 [[noreturn]] void
 childMain(int fd, const ProcIsolation &iso,
-          const std::function<MixResult()> &body)
+          const std::function<MixResult()> &body, const sigset_t &mask)
 {
     applyLimits(iso);
     // Preemptible children turn SIGTERM into a yield request; the
     // job saves a snapshot at its next checkpoint boundary and the
     // settlement below ships "preempted". Non-preemptible children
     // keep the default disposition so the deadline escalation
-    // (SIGTERM -> grace -> SIGKILL) kills them as before.
+    // (SIGTERM -> grace -> SIGKILL) kills them as before. A SIGTERM
+    // sent before this point stayed pending and is delivered to the
+    // chosen disposition once the mask is restored.
     if (iso.preemptible)
         std::signal(SIGTERM, procPreemptHandler);
+    ::pthread_sigmask(SIG_SETMASK, &mask, nullptr);
     json::Value record = json::Value::object();
     try {
         const MixResult result = body();
@@ -355,7 +359,17 @@ runMixSandboxed(const ProcIsolation &iso,
         return body();
     }
 
+    // Block SIGTERM across the fork, so a preempt that reaches the
+    // child before it has installed its handler stays pending
+    // instead of killing it with the default disposition.
+    sigset_t term;
+    sigset_t mask;
+    sigemptyset(&term);
+    sigaddset(&term, SIGTERM);
+    ::pthread_sigmask(SIG_BLOCK, &term, &mask);
     const pid_t pid = ::fork();
+    if (pid != 0)
+        ::pthread_sigmask(SIG_SETMASK, &mask, nullptr);
     if (pid < 0) {
         ::close(fds[0]);
         ::close(fds[1]);
@@ -367,7 +381,7 @@ runMixSandboxed(const ProcIsolation &iso,
         // Child. Only this fork's own pipe end stays open; the read
         // end (and anything else) is surplus.
         ::close(fds[0]);
-        childMain(fds[1], iso, body); // never returns
+        childMain(fds[1], iso, body, mask); // never returns
     }
 
     // Parent.

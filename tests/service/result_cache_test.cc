@@ -1,5 +1,7 @@
 #include "service/result_cache.hh"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -21,11 +23,14 @@ class ResultCacheTest : public ::testing::Test
     void
     SetUp() override
     {
+        // The pid keeps concurrent test processes (one per test
+        // under parallel ctest) out of each other's directories.
         dir_ = (std::filesystem::temp_directory_path() /
                 ("nuca_result_cache_" +
                  std::to_string(::testing::UnitTest::GetInstance()
                                     ->random_seed()) +
-                 "_" + std::to_string(counter_++)))
+                 "_" + std::to_string(::getpid()) + "_" +
+                 std::to_string(counter_++)))
                    .string();
         std::filesystem::remove_all(dir_);
     }

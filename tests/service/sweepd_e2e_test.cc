@@ -17,6 +17,8 @@
 
 #include "service/sweepd.hh"
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -62,11 +64,15 @@ class SweepdE2eTest : public ::testing::Test
     void
     SetUp() override
     {
+        // The pid keeps concurrent test processes (one per test
+        // under parallel ctest) out of each other's state dirs and
+        // sockets; the name stays short enough for sun_path.
         state_ = (std::filesystem::temp_directory_path() /
                   ("nuca_sweepd_" +
                    std::to_string(::testing::UnitTest::GetInstance()
                                       ->random_seed()) +
-                   "_" + std::to_string(counter_++)))
+                   "_" + std::to_string(::getpid()) + "_" +
+                   std::to_string(counter_++)))
                      .string();
         std::filesystem::remove_all(state_);
     }
@@ -298,7 +304,7 @@ TEST_F(SweepdE2eTest, SandboxedPreemptionAlsoResumesBitIdentical)
     }
 
     const json::Value done = await(daemon, id);
-    ASSERT_TRUE(done.at("ok").asBool());
+    ASSERT_TRUE(done.at("ok").asBool()) << done.dump();
     EXPECT_EQ(done.at("result").dump(),
               mixResultToJson(directRun(spec)).dump());
 

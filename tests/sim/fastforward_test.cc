@@ -1,9 +1,8 @@
 /**
  * @file
- * Differential tests for the skipping run loops: both the legacy
- * whole-machine fast-forward (REPRO_FASTFWD=1 REPRO_DECOUPLE=0) and
- * the decoupled per-core event scheduler (the default) must be
- * bit-identical to the cycle-by-cycle reference loop — same
+ * Differential tests for the skipping run loop: the decoupled
+ * per-core event scheduler (the default) must be bit-identical to
+ * the cycle-by-cycle reference loop (REPRO_FASTFWD=0) — same
  * statistics, same telemetry records, same checkpoint bytes — for
  * every L3 scheme, with tracing and the robustness machinery active,
  * and across a checkpoint/restore boundary (including restoring into
@@ -123,25 +122,13 @@ class ProfileGuard
     bool prev_;
 };
 
-/** Which of the three run loops a differential run uses. */
-enum class LoopMode { Reference, Legacy, Decoupled };
-
-const char *
-to_string(LoopMode mode)
-{
-    switch (mode) {
-      case LoopMode::Reference: return "reference";
-      case LoopMode::Legacy: return "legacy";
-      case LoopMode::Decoupled: return "decoupled";
-    }
-    return "?";
-}
+/** Which of the two run loops a differential run uses. */
+enum class LoopMode { Reference, Decoupled };
 
 void
 selectLoop(CmpSystem &system, LoopMode mode)
 {
-    system.setFastForward(mode != LoopMode::Reference);
-    system.setDecoupled(mode == LoopMode::Decoupled);
+    system.setFastForward(mode == LoopMode::Decoupled);
 }
 
 RunArtifacts
@@ -180,29 +167,19 @@ TEST(FastForward, BitIdenticalToReferenceForEveryScheme)
         const RunArtifacts ref =
             runOnce(scheme, LoopMode::Reference, 60000);
         EXPECT_EQ(ref.skipped, 0u);
-        for (const auto mode :
-             {LoopMode::Legacy, LoopMode::Decoupled}) {
-            const RunArtifacts ff = runOnce(scheme, mode, 60000);
+        const RunArtifacts ff =
+            runOnce(scheme, LoopMode::Decoupled, 60000);
 
-            // The point of the test: a skipping and a non-skipping
-            // run are indistinguishable from every observable
-            // surface.
-            EXPECT_EQ(ff.stats, ref.stats)
-                << "scheme " << to_string(scheme) << " mode "
-                << to_string(mode);
-            EXPECT_EQ(ff.machine, ref.machine)
-                << "scheme " << to_string(scheme) << " mode "
-                << to_string(mode);
-            EXPECT_EQ(ff.trace, ref.trace)
-                << "scheme " << to_string(scheme) << " mode "
-                << to_string(mode);
-            EXPECT_FALSE(ff.trace.empty());
+        // The point of the test: a skipping and a non-skipping run
+        // are indistinguishable from every observable surface.
+        EXPECT_EQ(ff.stats, ref.stats) << "scheme " << to_string(scheme);
+        EXPECT_EQ(ff.machine, ref.machine)
+            << "scheme " << to_string(scheme);
+        EXPECT_EQ(ff.trace, ref.trace) << "scheme " << to_string(scheme);
+        EXPECT_FALSE(ff.trace.empty());
 
-            // ...and the fast path genuinely exercised itself.
-            EXPECT_GT(ff.skipped, 0u)
-                << "scheme " << to_string(scheme) << " mode "
-                << to_string(mode);
-        }
+        // ...and the fast path genuinely exercised itself.
+        EXPECT_GT(ff.skipped, 0u) << "scheme " << to_string(scheme);
     }
 }
 
@@ -211,27 +188,18 @@ TEST(FastForward, BitIdenticalOnComputeBoundMix)
     // The busy-core counterpart of the scheme sweep above: with
     // nearly every cycle active, any divergence here points at the
     // issue/commit hot path itself (ready-set walk order, parked
-    // load wakeup, completion-ring reuse) or, for the decoupled
-    // scheduler, at its dense-cohort lockstep sub-loop, rather than
-    // at the jump logic.
+    // load wakeup, completion-ring reuse) or at the scheduler's
+    // dense-cohort lockstep sub-loop, rather than at the skip logic.
     for (const auto scheme : {L3Scheme::Adaptive, L3Scheme::Shared}) {
         const RunArtifacts ref = runOnce(scheme, LoopMode::Reference,
                                          60000, computeMix());
-        for (const auto mode :
-             {LoopMode::Legacy, LoopMode::Decoupled}) {
-            const RunArtifacts ff =
-                runOnce(scheme, mode, 60000, computeMix());
-            EXPECT_EQ(ff.stats, ref.stats)
-                << "scheme " << to_string(scheme) << " mode "
-                << to_string(mode);
-            EXPECT_EQ(ff.machine, ref.machine)
-                << "scheme " << to_string(scheme) << " mode "
-                << to_string(mode);
-            EXPECT_EQ(ff.trace, ref.trace)
-                << "scheme " << to_string(scheme) << " mode "
-                << to_string(mode);
-            EXPECT_FALSE(ff.trace.empty());
-        }
+        const RunArtifacts ff = runOnce(scheme, LoopMode::Decoupled,
+                                        60000, computeMix());
+        EXPECT_EQ(ff.stats, ref.stats) << "scheme " << to_string(scheme);
+        EXPECT_EQ(ff.machine, ref.machine)
+            << "scheme " << to_string(scheme);
+        EXPECT_EQ(ff.trace, ref.trace) << "scheme " << to_string(scheme);
+        EXPECT_FALSE(ff.trace.empty());
     }
 }
 
@@ -291,7 +259,7 @@ TEST(FastForward, SurvivesCheckpointRestoreCrossover)
         SystemConfig::baseline(L3Scheme::Adaptive);
     constexpr Cycle before = 30000, after = 30000;
 
-    // Phase 1 in every mode; the snapshots must already agree.
+    // Phase 1 in both loops; the snapshots must already agree.
     auto firstHalf = [&](LoopMode mode) {
         CmpSystem system(config, memoryMix(), kSeed);
         selectLoop(system, mode);
@@ -302,12 +270,12 @@ TEST(FastForward, SurvivesCheckpointRestoreCrossover)
         return s.bytes();
     };
     const auto refBytes = firstHalf(LoopMode::Reference);
-    for (const auto mode : {LoopMode::Legacy, LoopMode::Decoupled})
-        ASSERT_EQ(firstHalf(mode), refBytes) << to_string(mode);
+    ASSERT_EQ(firstHalf(LoopMode::Decoupled), refBytes);
 
-    // Phase 2: restore the snapshot into a system running each loop
-    // mode — a mid-run mode crossover. All resume from identical
-    // state, so any divergence is the skipping path's fault alone.
+    // Phase 2: restore the reference snapshot into a system running
+    // each loop — a mid-run crossover for the decoupled one. Both
+    // resume from identical state, so any divergence is the skipping
+    // path's fault alone.
     auto secondHalf = [&](LoopMode mode) {
         CmpSystem system(config, memoryMix(), kSeed);
         Deserializer d(refBytes.data(), refBytes.size());
@@ -324,11 +292,9 @@ TEST(FastForward, SurvivesCheckpointRestoreCrossover)
     };
     const auto [refFinal, refStats] =
         secondHalf(LoopMode::Reference);
-    for (const auto mode : {LoopMode::Legacy, LoopMode::Decoupled}) {
-        const auto [bytes, stats] = secondHalf(mode);
-        EXPECT_EQ(bytes, refFinal) << to_string(mode);
-        EXPECT_EQ(stats, refStats) << to_string(mode);
-    }
+    const auto [bytes, stats] = secondHalf(LoopMode::Decoupled);
+    EXPECT_EQ(bytes, refFinal);
+    EXPECT_EQ(stats, refStats);
 }
 
 TEST(FastForward, BatchCapPreservesBitIdentity)
@@ -353,27 +319,16 @@ TEST(FastForward, EnvEscapeHatchesSelectTheLoop)
     const SystemConfig config =
         SystemConfig::baseline(L3Scheme::Shared);
 
-    // Default: decoupled fast-forward.
+    // Default: the decoupled scheduler.
     {
         CmpSystem system(config, memoryMix(), kSeed);
         EXPECT_TRUE(system.fastForwardEnabled());
-        EXPECT_TRUE(system.decoupledEnabled());
     }
-    // REPRO_DECOUPLE=0 keeps fast-forward but selects the legacy
-    // whole-machine loop.
-    ASSERT_EQ(::setenv("REPRO_DECOUPLE", "0", 1), 0);
-    {
-        CmpSystem system(config, memoryMix(), kSeed);
-        EXPECT_TRUE(system.fastForwardEnabled());
-        EXPECT_FALSE(system.decoupledEnabled());
-    }
-    ASSERT_EQ(::unsetenv("REPRO_DECOUPLE"), 0);
-    // REPRO_FASTFWD=0 selects the reference loop regardless.
+    // REPRO_FASTFWD=0 selects the reference loop.
     ASSERT_EQ(::setenv("REPRO_FASTFWD", "0", 1), 0);
     {
         CmpSystem system(config, memoryMix(), kSeed);
         EXPECT_FALSE(system.fastForwardEnabled());
-        EXPECT_TRUE(system.decoupledEnabled());
         system.run(2000);
         EXPECT_EQ(system.fastForwardedCycles(), 0u);
     }

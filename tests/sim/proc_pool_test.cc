@@ -250,6 +250,32 @@ TEST(ProcPoolSandbox, WallClockDeadlineBecomesJobTimedOut)
     EXPECT_LT(elapsed.count(), 10000);
 }
 
+TEST(ProcPoolSandbox, PreemptRacingTheForkStillYields)
+{
+    if (!procIsolationSupported())
+        GTEST_SKIP() << "no fork on this platform";
+    ProcIsolation iso = enabledIsolation();
+    iso.preemptible = true;
+    // Raised before the fork: the parent signals the child the
+    // moment it exists, before the child has installed its SIGTERM
+    // handler. The signal must wait for the handler, not kill it.
+    ProcJobHandle handle;
+    handle.preempt.store(true);
+    EXPECT_THROW(runMixSandboxed(
+                     iso,
+                     []() -> MixResult {
+                         for (int i = 0; i < 10000; ++i) {
+                             if (procPreemptSignalled())
+                                 throw JobPreempted("yielded");
+                             std::this_thread::sleep_for(
+                                 std::chrono::milliseconds(1));
+                         }
+                         return MixResult{};
+                     },
+                     &handle),
+                 JobPreempted);
+}
+
 TEST(ProcPoolSandbox, MemoryLimitTurnsOomIntoJobCrashed)
 {
     if (!procIsolationSupported())

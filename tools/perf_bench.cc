@@ -1,19 +1,18 @@
 /**
  * @file
  * perf_bench: the host-performance trajectory for the skipping run
- * loops (docs/PERFORMANCE.md). Runs three fixed mixes under every
- * L3 scheme through all three loop modes — the cycle-by-cycle
- * reference loop, the legacy whole-machine fast-forward, and the
- * decoupled per-core event scheduler (the default; the "fastforward"
- * rows) — and writes BENCH_perf.json with wall seconds, simulated
- * kilocycles per second, committed MIPS, per-core executed-tick
- * fractions, the decoupled scheduler's batch-span histogram, and the
- * measured speedups. Every row also asserts the three runs produced
- * bit-identical stats dumps and checkpoint bytes; a mismatch fails
- * the benchmark (exit 1), which is what lets CI gate on loop
- * equivalence without a separate harness. CI uploads the file and
- * fails when throughput regresses >20% against the committed
- * baseline or a per-mix speedup floor is missed.
+ * loop (docs/PERFORMANCE.md). Runs three fixed mixes under every
+ * L3 scheme through both run loops — the cycle-by-cycle reference
+ * loop and the decoupled per-core event scheduler (the default; the
+ * "fastforward" rows) — and writes BENCH_perf.json with wall
+ * seconds, simulated kilocycles per second, committed MIPS, per-core
+ * executed-tick fractions, the decoupled scheduler's batch-span
+ * histogram, and the measured speedup. Every row also asserts the
+ * two runs produced bit-identical stats dumps and checkpoint bytes;
+ * a mismatch fails the benchmark (exit 1), which is what lets CI
+ * gate on loop equivalence without a separate harness. CI uploads
+ * the file and fails when throughput regresses >20% against the
+ * committed baseline or a per-mix speedup floor is missed.
  *
  * Mixes:
  *  - "pchase_latency": four pointer-chasing cores with ~1 MSHR of
@@ -112,8 +111,8 @@ computeProfile()
     return p;
 }
 
-/** The three run-loop modes a row is timed under. */
-enum class LoopMode { Reference, Legacy, Decoupled };
+/** The two run loops a row is timed under. */
+enum class LoopMode { Reference, Decoupled };
 
 struct RunResult
 {
@@ -141,8 +140,7 @@ timeRun(const SystemConfig &config,
     // from a bad REPRO_BENCH_*_CYCLES override, so refuse loudly.
     panic_if(cycles == 0, "perf_bench run with a zero-cycle window");
     CmpSystem system(config, apps, /*seed=*/20070201);
-    system.setFastForward(mode != LoopMode::Reference);
-    system.setDecoupled(mode == LoopMode::Decoupled);
+    system.setFastForward(mode == LoopMode::Decoupled);
     TraceEventLog &events = traceEventsFromEnv();
     if (events.enabled())
         system.attachTraceEvents(&events, label);
@@ -175,7 +173,7 @@ timeRun(const SystemConfig &config,
 
     // Captured outside the timed window: the stats dump and the
     // checkpoint image are what the loop-equivalence check below
-    // compares across the three modes.
+    // compares across the two loops.
     std::ostringstream os;
     system.statsRoot().dump(os);
     r.stats = os.str();
@@ -192,7 +190,7 @@ runJson(const RunResult &r, LoopMode mode)
     v.set("wall_seconds", r.wallSeconds);
     v.set("kcycles_per_sec", r.kcyclesPerSec);
     v.set("mips", r.mips);
-    if (mode != LoopMode::Reference) {
+    if (mode == LoopMode::Decoupled) {
         v.set("skipped_frac", r.skippedFrac);
         v.set("jumps", r.jumps);
     }
@@ -278,29 +276,18 @@ main()
             const RunResult ref =
                 timeRun(config, *spec.apps, LoopMode::Reference,
                         spec.cycles, runLabel + ".ref");
-            const RunResult legacy =
-                timeRun(config, *spec.apps, LoopMode::Legacy,
-                        spec.cycles, runLabel + ".legacy");
             const RunResult ff =
                 timeRun(config, *spec.apps, LoopMode::Decoupled,
                         spec.cycles, runLabel + ".ff");
             const double speedup = ref.wallSeconds / ff.wallSeconds;
-            const double speedupLegacy =
-                ref.wallSeconds / legacy.wallSeconds;
             const bool bitIdentical =
-                legacy.stats == ref.stats &&
-                legacy.machine == ref.machine &&
                 ff.stats == ref.stats && ff.machine == ref.machine;
             if (!bitIdentical) {
                 allBitIdentical = false;
                 std::fprintf(stderr,
                              "BIT-IDENTITY MISMATCH on %s: "
-                             "legacy stats %s machine %s, "
                              "decoupled stats %s machine %s\n",
                              runLabel.c_str(),
-                             legacy.stats == ref.stats ? "ok" : "DIFF",
-                             legacy.machine == ref.machine ? "ok"
-                                                           : "DIFF",
                              ff.stats == ref.stats ? "ok" : "DIFF",
                              ff.machine == ref.machine ? "ok"
                                                        : "DIFF");
@@ -312,20 +299,15 @@ main()
             row.set("config", spec.configName);
             row.set("cycles", spec.cycles);
             row.set("reference", runJson(ref, LoopMode::Reference));
-            row.set("legacy_fastforward",
-                    runJson(legacy, LoopMode::Legacy));
             row.set("fastforward", runJson(ff, LoopMode::Decoupled));
             row.set("speedup", speedup);
-            row.set("speedup_legacy", speedupLegacy);
             row.set("bit_identical", bitIdentical);
             mixes.append(std::move(row));
 
-            std::printf("%-15s %-18s ref %6.2fs  legacy %6.2fs  "
-                        "ff %6.2fs  speedup %.2fx (legacy %.2fx)  "
-                        "skipped %.1f%%  %s\n",
+            std::printf("%-15s %-18s ref %6.2fs  ff %6.2fs  "
+                        "speedup %.2fx  skipped %.1f%%  %s\n",
                         spec.name, to_string(scheme).c_str(),
-                        ref.wallSeconds, legacy.wallSeconds,
-                        ff.wallSeconds, speedup, speedupLegacy,
+                        ref.wallSeconds, ff.wallSeconds, speedup,
                         100.0 * ff.skippedFrac,
                         bitIdentical ? "bit-identical"
                                      : "MISMATCH");
@@ -410,7 +392,7 @@ main()
                 "min spec speedup %.2fx)\n",
                 outPath.c_str(), minCriterionSpeedup, minSpecSpeedup);
     if (!allBitIdentical) {
-        std::fprintf(stderr, "perf_bench: loop modes are NOT "
+        std::fprintf(stderr, "perf_bench: the run loops are NOT "
                              "bit-identical; failing\n");
         return 1;
     }
