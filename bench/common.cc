@@ -123,10 +123,9 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
             };
             // Under REPRO_ISOLATE=proc the fault (and the job) runs
             // inside the forked child, so a crash fault proves the
-            // sandbox contains exactly what it claims to.
-            if (isolate.enabled)
-                return runMixSandboxed(isolate, runOne);
-            return runOne();
+            // sandbox contains exactly what it claims to. Without
+            // isolation this is runOne() in-process.
+            return runMixSandboxed(isolate, runOne);
         },
         pool, &progress, policy,
         [&](std::size_t k, const JobOutcome<MixResult> &outcome) {

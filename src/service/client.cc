@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <thread>
 
+#include "sim/job_status.hh"
+
 #if defined(__unix__) || defined(__APPLE__)
 #define NUCA_SERVICE_HAVE_SOCKETS 1
 #include <sys/socket.h>
@@ -173,9 +175,12 @@ SweepClient::waitResult(std::uint64_t id, std::uint64_t timeoutMs,
         const std::string state =
             resp.contains("state") ? resp.at("state").asString()
                                    : "unknown";
-        if (state == "ok" || state == "cache_hit")
+        // A refusal carries no state ("no such job"); it parses as
+        // failed, which is terminal, rather than polling forever.
+        const JobStatus status = jobStatusFromString(state);
+        if (status == JobStatus::Ok || status == JobStatus::CacheHit)
             return resp;
-        if (state == "failed" || state == "cancelled")
+        if (isTerminal(status))
             throw ClientError("job " + std::to_string(id) + " " +
                               state + ": " + responseError(resp));
         if (timeoutMs != 0) {

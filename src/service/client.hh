@@ -51,8 +51,9 @@ class SweepClient
 
     /**
      * Poll until job @p id reaches a terminal state and return the
-     * final result response. @throws ClientError when the job failed,
-     * was cancelled, or @p timeoutMs elapsed (0 = wait forever).
+     * final result response. @throws ClientError when the job settled
+     * anything but ok / cache_hit, the daemon refused the request, or
+     * @p timeoutMs elapsed (0 = wait forever).
      */
     json::Value waitResult(std::uint64_t id,
                            std::uint64_t timeoutMs = 0,

@@ -14,8 +14,6 @@
 namespace nuca {
 namespace service {
 
-namespace {
-
 std::string
 hex16(std::uint64_t key)
 {
@@ -23,8 +21,6 @@ hex16(std::uint64_t key)
     std::snprintf(buf, sizeof(buf), "%016" PRIx64, key);
     return buf;
 }
-
-} // namespace
 
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {}
 
@@ -55,16 +51,23 @@ ResultCache::get(std::uint64_t key) const
                         doc->at("key").type() ==
                             json::Value::Type::String &&
                         doc->contains("result");
-    if (!shaped || doc->at("key").asString() != hex16(key)) {
+    std::optional<MixResult> result;
+    if (shaped && doc->at("key").asString() == hex16(key)) {
+        try {
+            result = mixResultFromJson(doc->at("result"));
+        } catch (const SimulationError &) {
+            // a mistyped payload is as corrupt as a torn one
+        }
+    }
+    if (!result) {
         std::fprintf(stderr,
                      "warning: result cache entry %s is corrupt or "
                      "mismatched; dropping it\n",
                      path.c_str());
         std::error_code ec;
         std::filesystem::remove(path, ec);
-        return std::nullopt;
     }
-    return mixResultFromJson(doc->at("result"));
+    return result;
 }
 
 void

@@ -1,11 +1,11 @@
 #include "service/sweepd.hh"
 
-#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <system_error>
 
 #include "sim/checkpoint.hh"
+#include "sim/parallel_runner.hh"
 #include "sim/robustness.hh"
 #include "workload/miss_curve.hh"
 #include "workload/spec_profiles.hh"
@@ -44,14 +44,6 @@ msSince(std::chrono::steady_clock::time_point t0)
             .count());
 }
 
-std::string
-hex16(std::uint64_t key)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, key);
-    return buf;
-}
-
 json::Value
 errorResponse(const std::string &message)
 {
@@ -61,47 +53,31 @@ errorResponse(const std::string &message)
     return resp;
 }
 
-JobStatus
-journalStatus(JobState state)
+/**
+ * The "id" of a status/result/preempt/cancel request. Only a
+ * non-negative integral number names a job; anything else throws,
+ * and handle() answers {ok: false, error}.
+ */
+std::uint64_t
+requestId(const json::Value &request, const std::string &op)
 {
-    switch (state) {
-      case JobState::Queued: return JobStatus::Queued;
-      case JobState::Running: return JobStatus::Queued;
-      case JobState::Preempted: return JobStatus::Preempted;
-      case JobState::Ok: return JobStatus::Ok;
-      case JobState::CacheHit: return JobStatus::CacheHit;
-      case JobState::Failed: return JobStatus::Failed;
-      case JobState::Cancelled: return JobStatus::Cancelled;
+    if (request.contains("id")) {
+        if (const auto id = request.at("id").asCount())
+            return *id;
     }
-    return JobStatus::Failed;
+    throw SimulationError(op + " needs a non-negative integer \"id\"");
 }
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-} // namespace
-
-const char *
-to_string(JobState state)
-{
-    switch (state) {
-      case JobState::Queued: return "queued";
-      case JobState::Running: return "running";
-      case JobState::Preempted: return "preempted";
-      case JobState::Ok: return "ok";
-      case JobState::CacheHit: return "cache_hit";
-      case JobState::Failed: return "failed";
-      case JobState::Cancelled: return "cancelled";
-    }
-    return "unknown";
-}
-
+/** Runnable: queued, or preempted and waiting to resume. */
 bool
-isTerminal(JobState state)
+waiting(JobStatus state)
 {
-    return state == JobState::Ok || state == JobState::CacheHit ||
-           state == JobState::Failed ||
-           state == JobState::Cancelled;
+    return state == JobStatus::Queued || state == JobStatus::Preempted;
 }
+
+} // namespace
 
 DaemonOptions
 DaemonOptions::fromEnv()
@@ -152,10 +128,10 @@ SweepDaemon::journal(const Job &job)
     SweepRecord record;
     record.label = "job" + std::to_string(job.id) + ":" +
                    job.spec.displayLabel();
-    record.status = journalStatus(job.state);
+    record.status = job.state;
     record.error = job.error;
-    if (job.state == JobState::Ok ||
-        job.state == JobState::CacheHit)
+    if (job.state == JobStatus::Ok ||
+        job.state == JobStatus::CacheHit)
         record.result = job.result;
     record.queueMs = job.queueMs;
     record.preempts = job.preempts;
@@ -202,35 +178,20 @@ SweepDaemon::execute(const JobSpec &spec, ProcJobHandle *handle)
                       spec.displayLabel(), policy);
     };
 
-    if (iso_.enabled)
-        return runMixSandboxed(iso_, body, handle);
-    return body();
+    return runMixSandboxed(iso_, body, handle);
 }
 
 void
 SweepDaemon::workerLoop()
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        cv_.wait(lock, [&] {
-            if (stop_)
-                return true;
-            for (const auto &[id, job] : jobs_) {
-                if (job.state == JobState::Queued ||
-                    job.state == JobState::Preempted)
-                    return true;
-            }
-            return false;
-        });
-        if (stop_)
-            return;
-
-        // Fair-share pick among everything runnable.
+    while (!stop_) {
+        // Fair-share pick among everything runnable; with nothing
+        // runnable, sleep until a submit, requeue or stop notifies.
         std::vector<SchedJob> runnable;
         std::vector<std::uint64_t> ids;
         for (const auto &[id, job] : jobs_) {
-            if (job.state == JobState::Queued ||
-                job.state == JobState::Preempted) {
+            if (waiting(job.state)) {
                 runnable.push_back(
                     {id, job.spec.tenant, job.spec.priority});
                 ids.push_back(id);
@@ -238,12 +199,14 @@ SweepDaemon::workerLoop()
         }
         const std::size_t pick =
             pickNextIndex(runnable, tenantService_);
-        if (pick == kNone)
+        if (pick == kNone) {
+            cv_.wait(lock);
             continue;
+        }
 
         Job &job = jobs_.at(ids[pick]);
         job.queueMs += msSince(job.enqueuedAt);
-        job.state = JobState::Running;
+        job.state = JobStatus::Running;
         job.startedAt = std::chrono::steady_clock::now();
         job.handle = std::make_shared<ProcJobHandle>();
         const auto handle = job.handle;
@@ -254,55 +217,39 @@ SweepDaemon::workerLoop()
         ++executed_;
         lock.unlock();
 
-        enum class Outcome { Ok, Preempted, Failed };
-        Outcome outcome = Outcome::Ok;
-        MixResult result;
-        std::string error;
-        try {
-            result = execute(spec, handle.get());
-        } catch (const JobPreempted &e) {
-            outcome = Outcome::Preempted;
-            error = e.what();
-        } catch (const std::exception &e) {
-            outcome = Outcome::Failed;
-            error = e.what();
-        }
+        // One attempt, no retry: re-running is the scheduler's call
+        // (a preempted job requeues), so the default policy applies.
+        const auto attempt = [&](const JobSpec &s) {
+            return execute(s, handle.get());
+        };
+        const JobOutcome<MixResult> outcome =
+            parallel_detail::settleJob<MixResult>(spec, id, attempt,
+                                                  SweepPolicy{});
 
         lock.lock();
         Job &settled = jobs_.at(id);
         tenantService_[spec.tenant] += msSince(settled.startedAt);
         --busyWorkers_;
         settled.handle.reset();
-        switch (outcome) {
-          case Outcome::Ok:
-            settled.state = JobState::Ok;
-            settled.result = result;
-            settled.error.clear();
-            cache_.put(key, spec, result);
-            journal(settled);
-            break;
-          case Outcome::Preempted:
+        settled.state = outcome.status;
+        settled.error = outcome.error;
+        if (outcome.ok()) {
+            settled.result = outcome.value;
+            cache_.put(key, spec, outcome.value);
+        } else if (outcome.status == JobStatus::Preempted) {
             if (settled.cancelRequested) {
-                settled.state = JobState::Cancelled;
+                settled.state = JobStatus::Cancelled;
                 settled.error = "cancelled";
-                journal(settled);
-                break;
+            } else {
+                // Requeue with the snapshot it just saved; the next
+                // attempt resumes from it (even after a daemon
+                // restart, since the snapshot is content-addressed
+                // on disk).
+                ++settled.preempts;
+                settled.enqueuedAt = std::chrono::steady_clock::now();
             }
-            // Requeue with the snapshot it just saved; the next
-            // attempt resumes from it (even after a daemon restart,
-            // since the snapshot is content-addressed on disk).
-            settled.state = JobState::Preempted;
-            settled.error = error;
-            ++settled.preempts;
-            settled.enqueuedAt = std::chrono::steady_clock::now();
-            journal(settled);
-            break;
-          case Outcome::Failed:
-            settled.state = JobState::Failed;
-            settled.error = error;
-            journal(settled);
-            break;
         }
+        journal(settled);
         cv_.notify_all();
     }
 }
@@ -326,8 +273,7 @@ SweepDaemon::preempterLoop()
 
         std::vector<SchedJob> waiting_jobs;
         for (const auto &[id, job] : jobs_) {
-            if (job.state == JobState::Queued ||
-                job.state == JobState::Preempted)
+            if (waiting(job.state))
                 waiting_jobs.push_back(
                     {id, job.spec.tenant, job.spec.priority});
         }
@@ -336,7 +282,7 @@ SweepDaemon::preempterLoop()
         // service) could never be preempted for a fresh waiter.
         TenantService charged = tenantService_;
         for (const auto &[id, job] : jobs_) {
-            if (job.state == JobState::Running)
+            if (job.state == JobStatus::Running)
                 charged[job.spec.tenant] += msSince(job.startedAt);
         }
         const std::size_t next =
@@ -347,7 +293,7 @@ SweepDaemon::preempterLoop()
         std::vector<SchedJob> running;
         std::vector<std::uint64_t> ids;
         for (const auto &[id, job] : jobs_) {
-            if (job.state == JobState::Running && job.handle &&
+            if (job.state == JobStatus::Running && job.handle &&
                 msSince(job.startedAt) >= quantum) {
                 running.push_back(
                     {id, job.spec.tenant, job.spec.priority});
@@ -379,10 +325,10 @@ SweepDaemon::opSubmit(const json::Value &request)
     job.key = key;
 
     if (auto cached = cache_.get(key)) {
-        job.state = JobState::CacheHit;
+        job.state = JobStatus::CacheHit;
         job.result = std::move(*cached);
     } else {
-        job.state = JobState::Queued;
+        job.state = JobStatus::Queued;
         job.enqueuedAt = std::chrono::steady_clock::now();
     }
 
@@ -393,7 +339,7 @@ SweepDaemon::opSubmit(const json::Value &request)
     resp.set("key", hex16(key));
     resp.set("label", spec.displayLabel());
 
-    const bool hit = job.state == JobState::CacheHit;
+    const bool hit = job.state == JobStatus::CacheHit;
     const Job &stored =
         jobs_.emplace(job.id, std::move(job)).first->second;
     if (hit)
@@ -406,13 +352,15 @@ SweepDaemon::opSubmit(const json::Value &request)
 json::Value
 SweepDaemon::opStatus(const json::Value &request)
 {
+    const bool filtered = request.contains("id");
+    const std::uint64_t only =
+        filtered ? requestId(request, "status") : 0;
+
     std::lock_guard<std::mutex> lock(mutex_);
     json::Value list = json::Value::array();
     std::uint64_t queued = 0, running = 0;
     for (const auto &[id, job] : jobs_) {
-        if (request.contains("id") &&
-            request.at("id").asNumber() !=
-                static_cast<double>(id))
+        if (filtered && id != only)
             continue;
         json::Value info = json::Value::object();
         info.set("id", id);
@@ -425,10 +373,9 @@ SweepDaemon::opStatus(const json::Value &request)
         if (!job.error.empty())
             info.set("error", job.error);
         list.append(std::move(info));
-        if (job.state == JobState::Queued ||
-            job.state == JobState::Preempted)
+        if (waiting(job.state))
             ++queued;
-        if (job.state == JobState::Running)
+        if (job.state == JobStatus::Running)
             ++running;
     }
     json::Value resp = json::Value::object();
@@ -443,11 +390,7 @@ SweepDaemon::opStatus(const json::Value &request)
 json::Value
 SweepDaemon::opResult(const json::Value &request)
 {
-    if (!request.contains("id") ||
-        request.at("id").type() != json::Value::Type::Number)
-        return errorResponse("result needs a numeric \"id\"");
-    const auto id = static_cast<std::uint64_t>(
-        request.at("id").asNumber());
+    const std::uint64_t id = requestId(request, "result");
 
     std::lock_guard<std::mutex> lock(mutex_);
     const Job *job = findJob(id);
@@ -458,12 +401,11 @@ SweepDaemon::opResult(const json::Value &request)
     resp.set("state", to_string(job->state));
     resp.set("preempts", job->preempts);
     resp.set("queue_ms", job->queueMs);
-    if (job->state == JobState::Ok ||
-        job->state == JobState::CacheHit) {
+    if (job->state == JobStatus::Ok ||
+        job->state == JobStatus::CacheHit) {
         resp.set("ok", true);
         resp.set("result", mixResultToJson(job->result));
-    } else if (job->state == JobState::Failed ||
-               job->state == JobState::Cancelled) {
+    } else if (isTerminal(job->state)) {
         resp.set("ok", false);
         resp.set("error", job->error.empty()
                               ? std::string(to_string(job->state))
@@ -477,17 +419,13 @@ SweepDaemon::opResult(const json::Value &request)
 json::Value
 SweepDaemon::opPreempt(const json::Value &request)
 {
-    if (!request.contains("id") ||
-        request.at("id").type() != json::Value::Type::Number)
-        return errorResponse("preempt needs a numeric \"id\"");
-    const auto id = static_cast<std::uint64_t>(
-        request.at("id").asNumber());
+    const std::uint64_t id = requestId(request, "preempt");
 
     std::lock_guard<std::mutex> lock(mutex_);
     Job *job = findJob(id);
     if (job == nullptr)
         return errorResponse("no such job " + std::to_string(id));
-    if (job->state != JobState::Running || !job->handle)
+    if (job->state != JobStatus::Running || !job->handle)
         return errorResponse("job " + std::to_string(id) +
                              " is not running (" +
                              to_string(job->state) + ")");
@@ -501,32 +439,25 @@ SweepDaemon::opPreempt(const json::Value &request)
 json::Value
 SweepDaemon::opCancel(const json::Value &request)
 {
-    if (!request.contains("id") ||
-        request.at("id").type() != json::Value::Type::Number)
-        return errorResponse("cancel needs a numeric \"id\"");
-    const auto id = static_cast<std::uint64_t>(
-        request.at("id").asNumber());
+    const std::uint64_t id = requestId(request, "cancel");
 
     std::lock_guard<std::mutex> lock(mutex_);
     Job *job = findJob(id);
     if (job == nullptr)
         return errorResponse("no such job " + std::to_string(id));
-    json::Value resp = json::Value::object();
-    if (isTerminal(job->state)) {
-        resp.set("ok", false);
-        resp.set("error", "job already " +
-                              std::string(to_string(job->state)));
-        return resp;
-    }
+    if (isTerminal(job->state))
+        return errorResponse("job already " +
+                             std::string(to_string(job->state)));
     job->cancelRequested = true;
-    if (job->state == JobState::Running && job->handle) {
+    if (job->state == JobStatus::Running && job->handle) {
         job->handle->requestPreempt(); // settles cancelled at the
                                        // next snapshot boundary
     } else {
-        job->state = JobState::Cancelled;
+        job->state = JobStatus::Cancelled;
         job->error = "cancelled";
         journal(*job);
     }
+    json::Value resp = json::Value::object();
     resp.set("ok", true);
     resp.set("state", to_string(job->state));
     return resp;
@@ -622,7 +553,7 @@ SweepDaemon::requestStop()
     // Running jobs yield at their next snapshot; the requeued state
     // plus the on-disk snapshot make them resumable.
     for (auto &[id, job] : jobs_) {
-        if (job.state == JobState::Running && job.handle)
+        if (job.state == JobStatus::Running && job.handle)
             job.handle->requestPreempt();
     }
     cv_.notify_all();

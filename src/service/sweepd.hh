@@ -24,9 +24,11 @@
  *    simulated settles as cache_hit at submit time, with no worker
  *    involved.
  *
- * Every settle is journaled to <state>/jobs.jsonl through the sweep
- * sidecar codec with scheduling telemetry (queue_ms, preempts), which
- * `trace_report --sweep` renders.
+ * A worker settles each attempt through the sweep pool's settleJob
+ * (job_status.hh), so a job settles `crashed`, `timed_out` or
+ * `stalled` exactly as in a classic sweep. Every settle is journaled
+ * to <state>/jobs.jsonl through the sweep sidecar codec with
+ * scheduling telemetry (queue_ms, preempts) for `trace_report`.
  *
  * Protocol ops: ping, submit, status, result, preempt, cancel, drain,
  * stats, shutdown — see docs/SERVICE.md for the wire format.
@@ -48,6 +50,7 @@
 #include "service/job_spec.hh"
 #include "service/result_cache.hh"
 #include "service/scheduler.hh"
+#include "sim/job_status.hh"
 #include "sim/json_writer.hh"
 #include "sim/proc_pool.hh"
 #include "sim/sweep_store.hh"
@@ -81,30 +84,13 @@ struct DaemonOptions
     static DaemonOptions fromEnv();
 };
 
-/** Where a job is in its life. */
-enum class JobState
-{
-    Queued,    ///< waiting for a worker
-    Running,   ///< a worker is executing it
-    Preempted, ///< yielded at a snapshot; requeued, resumes next pick
-    Ok,        ///< finished; result available
-    CacheHit,  ///< settled at submit time from the result cache
-    Failed,    ///< threw; error available
-    Cancelled, ///< cancelled before completing
-};
-
-const char *to_string(JobState state);
-
-/** True for states that will never change again. */
-bool isTerminal(JobState state);
-
 /** One submitted job and everything the daemon knows about it. */
 struct Job
 {
     std::uint64_t id = 0;
     JobSpec spec;
     std::uint64_t key = 0;
-    JobState state = JobState::Queued;
+    JobStatus state = JobStatus::Queued;
     MixResult result;
     std::string error;
     std::uint64_t preempts = 0;

@@ -25,6 +25,15 @@ Value::asNumber() const
     return number_;
 }
 
+std::optional<std::uint64_t>
+Value::asCount() const
+{
+    if (type_ != Type::Number || !(number_ >= 0) ||
+        number_ >= 0x1p64 || std::trunc(number_) != number_)
+        return std::nullopt;
+    return static_cast<std::uint64_t>(number_);
+}
+
 const std::string &
 Value::asString() const
 {

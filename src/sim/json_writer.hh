@@ -50,6 +50,9 @@ class Value
     bool asBool() const;
     double asNumber() const;
     const std::string &asString() const;
+    /** A non-negative integral number that fits std::uint64_t;
+     *  nullopt for anything else (including other types). */
+    std::optional<std::uint64_t> asCount() const;
 
     /** Array: append an element. @pre type() == Array */
     Value &append(Value element);

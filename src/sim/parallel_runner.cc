@@ -1,11 +1,9 @@
 #include "sim/parallel_runner.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
 #include "base/logging.hh"
-#include "base/random.hh"
 #include "sim/experiment.hh"
 
 namespace nuca {
@@ -18,87 +16,6 @@ jobsFromEnv()
         return static_cast<unsigned>(jobs);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
-}
-
-const char *
-to_string(JobStatus status)
-{
-    switch (status) {
-      case JobStatus::Ok:
-        return "ok";
-      case JobStatus::Failed:
-        return "failed";
-      case JobStatus::Stalled:
-        return "stalled";
-      case JobStatus::OverBudget:
-        return "over_budget";
-      case JobStatus::Crashed:
-        return "crashed";
-      case JobStatus::TimedOut:
-        return "timed_out";
-      case JobStatus::Quarantined:
-        return "quarantined";
-      case JobStatus::Queued:
-        return "queued";
-      case JobStatus::Preempted:
-        return "preempted";
-      case JobStatus::CacheHit:
-        return "cache_hit";
-      case JobStatus::Interrupted:
-        return "interrupted";
-      case JobStatus::Cancelled:
-        return "cancelled";
-    }
-    panic("unknown job status");
-}
-
-bool
-isRetryable(JobStatus status)
-{
-    switch (status) {
-      case JobStatus::Ok:
-      case JobStatus::OverBudget:
-      case JobStatus::Quarantined:
-      case JobStatus::CacheHit:
-      case JobStatus::Cancelled:
-        return false;
-      case JobStatus::Failed:
-      case JobStatus::Stalled:
-      case JobStatus::Crashed:
-      case JobStatus::TimedOut:
-      // The non-terminal lifecycle states: by definition another
-      // attempt (or the first) is still to come.
-      case JobStatus::Queued:
-      case JobStatus::Preempted:
-      case JobStatus::Interrupted:
-        return true;
-    }
-    panic("unknown job status");
-}
-
-unsigned
-retryBackoffMs(const SweepPolicy &policy, std::size_t job_index,
-               unsigned attempt)
-{
-    if (policy.backoffMs == 0 || attempt == 0)
-        return 0;
-    // Exponential in the retry ordinal, capped well before the shift
-    // can overflow and at 30 s overall — a sweep's backoff should
-    // yield the core, not park the worker for the night.
-    constexpr unsigned kCapMs = 30'000;
-    const unsigned doublings = std::min(attempt - 1, 20u);
-    const std::uint64_t base =
-        std::min<std::uint64_t>(std::uint64_t(policy.backoffMs)
-                                    << doublings,
-                                kCapMs);
-    // Deterministic jitter: seeded from (job, attempt) so two workers
-    // retrying simultaneously desynchronize, yet every run of the
-    // same sweep sleeps the same schedule.
-    Rng rng(0x9e3779b97f4a7c15ull ^
-            (std::uint64_t(job_index) * 0xdeadbeefull + attempt));
-    const std::uint64_t jitter = rng.below(base / 2 + 1);
-    return static_cast<unsigned>(
-        std::min<std::uint64_t>(base + jitter, kCapMs));
 }
 
 namespace parallel_detail {
@@ -142,27 +59,15 @@ ProgressReporter::redraw()
 }
 
 void
-ProgressReporter::completed()
+ProgressReporter::settled(JobStatus status)
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    ++done_;
-    redraw();
-}
-
-void
-ProgressReporter::failed()
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++failed_;
-    redraw();
-}
-
-void
-ProgressReporter::crashed()
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++failed_;
-    ++crashed_;
+    if (status == JobStatus::Ok) {
+        ++done_;
+    } else {
+        ++failed_;
+        crashed_ += isCrash(status) ? 1 : 0;
+    }
     redraw();
 }
 

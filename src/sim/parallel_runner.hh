@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "base/profiler.hh"
+#include "sim/job_status.hh"
 #include "sim/robustness.hh"
 #include "sim/trace_event.hh"
 
@@ -45,47 +46,6 @@ namespace nuca {
  * otherwise hardware_concurrency() (or 1 where that is unknown).
  */
 unsigned jobsFromEnv();
-
-/** How one sweep job settled (or, for the service daemon's journal,
- *  where it currently sits in its lifecycle). */
-enum class JobStatus
-{
-    Ok,          ///< the job returned a result
-    Failed,      ///< the job threw (result slot holds a default value)
-    Stalled,     ///< the watchdog raised SimulationStalled
-    OverBudget,  ///< the REPRO_MAX_CYCLES budget ran out
-    Crashed,     ///< the isolated child died (signal / nonzero exit)
-    TimedOut,    ///< wall-clock deadline or RLIMIT_CPU expired
-    Quarantined, ///< crashed repeatedly; retries stopped early
-    Queued,      ///< waiting in the daemon's job queue
-    Preempted,   ///< yielded at a snapshot boundary; will resume
-    CacheHit,    ///< served from the full-result cache, no worker ran
-    Interrupted, ///< sweep stopped by SIGINT/SIGTERM before this job
-    Cancelled,   ///< withdrawn by an explicit cancel request
-};
-
-/** Printable status name ("ok", "failed", "stalled", "over_budget",
- *  "crashed", "timed_out", "quarantined", "queued", "preempted",
- *  "cache_hit", "interrupted", "cancelled"). */
-const char *to_string(JobStatus status);
-
-/**
- * True when a re-run could plausibly settle differently. OverBudget
- * is deterministic — the same cycle budget runs out at the same
- * cycle every time — so retrying it burns the budget for nothing;
- * Quarantined exists precisely to stop further attempts.
- */
-bool isRetryable(JobStatus status);
-
-/**
- * Delay before retry number @p attempt of job @p job_index:
- * exponential in the attempt (policy.backoffMs doubling per retry,
- * capped at 30 s) plus deterministic jitter seeded from
- * (job, attempt) so concurrent retries desynchronize identically on
- * every run. 0 when the policy disables backoff.
- */
-unsigned retryBackoffMs(const SweepPolicy &policy,
-                        std::size_t job_index, unsigned attempt);
 
 /**
  * One job's settled outcome. Non-ok outcomes keep the error text (the
@@ -108,9 +68,9 @@ struct JobOutcome
 
 /**
  * Thread-safe completed/total progress line on stderr. Workers call
- * completed() or failed() as jobs settle (in any order, from any
- * thread); the reporter redraws a single `\r`-terminated line under
- * a mutex and finish() settles it with a newline — reporting
+ * settled() as jobs settle (in any order, from any thread); the
+ * reporter redraws a single `\r`-terminated line under a mutex and
+ * finish() settles it with a newline — reporting
  * "done/total (k failed)" when any job failed, so an abandoned
  * progress line can never masquerade as a clean sweep. Construction
  * with total == 0 or quiet == true suppresses all output.
@@ -121,18 +81,12 @@ class ProgressReporter
     ProgressReporter(std::string label, std::size_t total,
                      bool quiet = false);
 
-    /** Count one successfully finished job and redraw. */
-    void completed();
-
-    /** Count one failed job and redraw (the line still advances:
-     * failures are settled jobs, not missing ones). */
-    void failed();
-
-    /** Count one crashed/timed-out/quarantined job: a failure (it
-     * advances the failed count) that is also surfaced separately,
-     * since a dying child is operationally louder than a clean
-     * in-process error. */
-    void crashed();
+    /** Count one settled job and redraw. Every non-ok status is a
+     * failure (the line still advances: failures are settled jobs,
+     * not missing ones); an isCrash status is also surfaced
+     * separately, since a dying child is operationally louder than
+     * a clean in-process error. */
+    void settled(JobStatus status);
 
     /** Print the closing "done" line (idempotent). */
     void finish();
@@ -165,7 +119,9 @@ namespace parallel_detail {
 void backoffSleep(unsigned delay_ms);
 
 /**
- * Run one job, classify any failure, honor the retry budget.
+ * Run one job, classify any failure (classifyFailure), honor the
+ * retry budget. The service daemon settles each attempt here too,
+ * with a default (single-attempt) policy.
  *
  * The retry loop is hardened three ways. Non-retryable outcomes
  * (isRetryable) settle immediately instead of burning the budget on
@@ -197,44 +153,20 @@ settleJob(const Job &job, std::size_t index, Fn &fn,
             outcome.error.clear();
             outcome.exception = nullptr;
             return outcome;
-        } catch (const SimulationStalled &e) {
-            outcome.status = JobStatus::Stalled;
-            outcome.error = e.what();
-            outcome.exception = std::current_exception();
-        } catch (const CycleBudgetExceeded &e) {
-            outcome.status = JobStatus::OverBudget;
-            outcome.error = e.what();
-            outcome.exception = std::current_exception();
-        } catch (const JobCrashed &e) {
-            outcome.status = JobStatus::Crashed;
-            outcome.error = e.what();
-            outcome.exception = std::current_exception();
-        } catch (const JobTimedOut &e) {
-            outcome.status = JobStatus::TimedOut;
-            outcome.error = e.what();
-            outcome.exception = std::current_exception();
-        } catch (const JobPreempted &e) {
-            // Not a failure: the job yielded at a snapshot boundary
-            // on request. Settle immediately — rerunning it here
-            // would defeat the point of asking it to stop — and let
-            // the caller (the daemon's scheduler, or a resumed
-            // sweep) decide when it continues.
-            outcome.status = JobStatus::Preempted;
-            outcome.error = e.what();
-            outcome.exception = std::current_exception();
-            return outcome;
-        } catch (const std::exception &e) {
-            outcome.status = JobStatus::Failed;
-            outcome.error = e.what();
-            outcome.exception = std::current_exception();
         } catch (...) {
-            outcome.status = JobStatus::Failed;
-            outcome.error = "unknown exception";
             outcome.exception = std::current_exception();
         }
+        outcome.status = classifyFailure(outcome.exception);
+        outcome.error = failureMessage(outcome.exception);
 
-        if (outcome.status == JobStatus::Crashed ||
-            outcome.status == JobStatus::TimedOut)
+        // Not a failure: the job yielded at a snapshot boundary on
+        // request. Settle immediately — rerunning it here would
+        // defeat the point of asking it to stop — and let the caller
+        // (the daemon's scheduler, or a resumed sweep) decide when
+        // it continues.
+        if (outcome.status == JobStatus::Preempted)
+            return outcome;
+        if (isCrash(outcome.status))
             ++crashes;
 
         if (!isRetryable(outcome.status)) {
@@ -354,22 +286,12 @@ runParallelOutcomes(
             }
         }
         prof::add(prof::Counter::JobsFinished, 1);
-        const JobStatus status = outcomes[i].status;
-        const bool crashed = status == JobStatus::Crashed ||
-                             status == JobStatus::TimedOut ||
-                             status == JobStatus::Quarantined;
-        if (crashed)
+        if (isCrash(outcomes[i].status))
             prof::add(prof::Counter::JobCrashes, 1);
         if (!outcomes[i].ok() && policy.onFail == FailPolicy::Abort)
             stop.store(true, std::memory_order_relaxed);
-        if (progress) {
-            if (outcomes[i].ok())
-                progress->completed();
-            else if (crashed)
-                progress->crashed();
-            else
-                progress->failed();
-        }
+        if (progress)
+            progress->settled(outcomes[i].status);
         if (on_outcome) {
             std::lock_guard<std::mutex> guard(outcome_mutex);
             on_outcome(i, outcomes[i]);

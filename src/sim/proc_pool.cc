@@ -209,21 +209,10 @@ childMain(int fd, const ProcIsolation &iso,
         const MixResult result = body();
         record = mixResultToJson(result);
         record.set("status", "ok");
-    } catch (const SimulationStalled &e) {
-        record.set("status", "stalled");
-        record.set("error", std::string(e.what()));
-    } catch (const CycleBudgetExceeded &e) {
-        record.set("status", "over_budget");
-        record.set("error", std::string(e.what()));
-    } catch (const JobPreempted &e) {
-        record.set("status", "preempted");
-        record.set("error", std::string(e.what()));
-    } catch (const std::exception &e) {
-        record.set("status", "failed");
-        record.set("error", std::string(e.what()));
     } catch (...) {
-        record.set("status", "failed");
-        record.set("error", "unknown exception");
+        const std::exception_ptr failure = std::current_exception();
+        record.set("status", to_string(classifyFailure(failure)));
+        record.set("error", failureMessage(failure));
     }
     if (!writeAll(fd, record.dump() + "\n"))
         ::_exit(123);
@@ -320,26 +309,27 @@ awaitChild(pid_t pid)
 MixResult
 settleWire(const std::string &payload)
 {
+    using Type = json::Value::Type;
     const auto parsed = json::Value::tryParse(payload);
-    if (!parsed || parsed->type() != json::Value::Type::Object ||
-        !parsed->contains("status")) {
-        throw JobCrashed("isolated job exited cleanly but returned "
-                         "no parsable result");
+    if (parsed && parsed->contains("status") &&
+        parsed->at("status").type() == Type::String) {
+        const JobStatus status =
+            jobStatusFromString(parsed->at("status").asString());
+        if (status != JobStatus::Ok) {
+            const bool why = parsed->contains("error") &&
+                             parsed->at("error").type() == Type::String &&
+                             !parsed->at("error").asString().empty();
+            rethrowAs(status, why ? parsed->at("error").asString()
+                                  : "isolated job failed");
+        }
+        try {
+            return mixResultFromJson(*parsed);
+        } catch (const SimulationError &) {
+            // a mistyped payload is no result at all
+        }
     }
-    const std::string &status = parsed->at("status").asString();
-    const std::string error =
-        parsed->contains("error") ? parsed->at("error").asString()
-                                  : std::string();
-    if (status == "ok")
-        return mixResultFromJson(*parsed);
-    if (status == "stalled")
-        throw SimulationStalled(error);
-    if (status == "over_budget")
-        throw CycleBudgetExceeded(error);
-    if (status == "preempted")
-        throw JobPreempted(error);
-    throw SimulationError(error.empty() ? "isolated job failed"
-                                        : error);
+    throw JobCrashed("isolated job exited cleanly but returned no "
+                     "parsable result");
 }
 
 } // namespace

@@ -22,13 +22,13 @@
  *    mixResultToJson codec the results sidecar uses; doubles
  *    round-trip exactly, so a clean proc-isolated sweep produces
  *    byte-identical REPRO_JSON to the in-process pool. A job that
- *    fails *cleanly* in the child (throws) ships its typed failure
- *    back the same way and is rethrown in the parent, so the sweep
- *    supervisor classifies it exactly as if no sandbox existed.
+ *    throws in the child ships to_string(classifyFailure(...)) the
+ *    same way and the parent rebuilds it with rethrowAs, so every
+ *    executor classifies it exactly as if no sandbox existed.
  *
  *  - Abnormal deaths become typed exceptions: JobTimedOut for the
  *    deadline or SIGXCPU, JobCrashed for everything else (signal,
- *    nonzero exit, or an empty/unparsable result pipe).
+ *    nonzero exit, or an empty, unparsable or mistyped result).
  *
  * On platforms without fork the layer degrades gracefully: the knob
  * warns once and jobs run in-process, exactly as without it.

@@ -19,14 +19,54 @@ doubleArray(const std::vector<double> &values)
     return arr;
 }
 
+/** @throws SimulationError unless @p arr is an array of numbers. */
 std::vector<double>
-numberVector(const json::Value &arr)
+numberVector(const json::Value &arr, const char *key)
 {
+    if (arr.type() != json::Value::Type::Array)
+        throw SimulationError(std::string("result field \"") + key +
+                              "\" is not an array");
     std::vector<double> out;
     out.reserve(arr.size());
-    for (std::size_t i = 0; i < arr.size(); ++i)
+    for (std::size_t i = 0; i < arr.size(); ++i) {
+        if (arr.at(i).type() != json::Value::Type::Number)
+            throw SimulationError(std::string("result field \"") +
+                                  key + "\" holds a non-number");
         out.push_back(arr.at(i).asNumber());
+    }
     return out;
+}
+
+/** Decode one sidecar line. @throws SimulationError when a field
+ *  is mistyped. */
+SweepRecord
+recordFromJson(const json::Value &line)
+{
+    using Type = json::Value::Type;
+    const auto typed = [&](const char *key, Type type) {
+        return line.contains(key) && line.at(key).type() == type;
+    };
+    const auto countOrAbsent = [&](const char *key) {
+        return !line.contains(key) || line.at(key).asCount();
+    };
+    if (!typed("label", Type::String) || !typed("status", Type::String) ||
+        (line.contains("error") && !typed("error", Type::String)) ||
+        !countOrAbsent("queue_ms") || !countOrAbsent("preempts"))
+        throw SimulationError("mistyped sweep record");
+
+    SweepRecord record;
+    record.label = line.at("label").asString();
+    record.status = jobStatusFromString(line.at("status").asString());
+    if (line.contains("error"))
+        record.error = line.at("error").asString();
+    record.result = mixResultFromJson(line);
+    if (line.contains("queue_ms")) {
+        record.timed = true;
+        record.queueMs = *line.at("queue_ms").asCount();
+        if (line.contains("preempts"))
+            record.preempts = *line.at("preempts").asCount();
+    }
+    return record;
 }
 
 } // namespace
@@ -47,44 +87,18 @@ mixResultToJson(const MixResult &result)
 MixResult
 mixResultFromJson(const json::Value &obj)
 {
+    if (obj.type() != json::Value::Type::Object)
+        throw SimulationError("result is not a JSON object");
     MixResult result;
     if (obj.contains("ipc"))
-        result.ipc = numberVector(obj.at("ipc"));
+        result.ipc = numberVector(obj.at("ipc"), "ipc");
     if (obj.contains("l3apk")) {
         result.l3AccessesPerKilocycle =
-            numberVector(obj.at("l3apk"));
+            numberVector(obj.at("l3apk"), "l3apk");
     }
     if (obj.contains("curve"))
-        result.curve = numberVector(obj.at("curve"));
+        result.curve = numberVector(obj.at("curve"), "curve");
     return result;
-}
-
-JobStatus
-jobStatusFromString(const std::string &name)
-{
-    if (name == "ok")
-        return JobStatus::Ok;
-    if (name == "stalled")
-        return JobStatus::Stalled;
-    if (name == "over_budget")
-        return JobStatus::OverBudget;
-    if (name == "crashed")
-        return JobStatus::Crashed;
-    if (name == "timed_out")
-        return JobStatus::TimedOut;
-    if (name == "quarantined")
-        return JobStatus::Quarantined;
-    if (name == "queued")
-        return JobStatus::Queued;
-    if (name == "preempted")
-        return JobStatus::Preempted;
-    if (name == "cache_hit")
-        return JobStatus::CacheHit;
-    if (name == "interrupted")
-        return JobStatus::Interrupted;
-    if (name == "cancelled")
-        return JobStatus::Cancelled;
-    return JobStatus::Failed;
 }
 
 SweepStore::SweepStore(std::string path) : path_(std::move(path))
@@ -161,28 +175,14 @@ SweepStore::load(const std::string &path)
             continue;
         const auto parsed = json::Value::tryParse(line);
         // A torn trailing line is the expected signature of a killed
-        // run; skip it (and anything else unparsable) rather than die.
-        if (!parsed || parsed->type() != json::Value::Type::Object ||
-            !parsed->contains("label") || !parsed->contains("status"))
+        // run; skip it (and anything else unparsable or mistyped)
+        // rather than die.
+        if (!parsed)
             continue;
-
-        SweepRecord record;
-        record.label = parsed->at("label").asString();
-        record.status =
-            jobStatusFromString(parsed->at("status").asString());
-        if (parsed->contains("error"))
-            record.error = parsed->at("error").asString();
-        record.result = mixResultFromJson(*parsed);
-        if (parsed->contains("queue_ms")) {
-            record.timed = true;
-            record.queueMs = static_cast<std::uint64_t>(
-                parsed->at("queue_ms").asNumber());
-            if (parsed->contains("preempts")) {
-                record.preempts = static_cast<std::uint64_t>(
-                    parsed->at("preempts").asNumber());
-            }
+        try {
+            out.push_back(recordFromJson(*parsed));
+        } catch (const SimulationError &) {
         }
-        out.push_back(std::move(record));
     }
     return out;
 }

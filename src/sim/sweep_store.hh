@@ -24,7 +24,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/json_writer.hh"
-#include "sim/parallel_runner.hh"
+#include "sim/job_status.hh"
 
 namespace nuca {
 
@@ -38,12 +38,9 @@ namespace nuca {
 json::Value mixResultToJson(const MixResult &result);
 
 /** Parse the fields written by mixResultToJson (absent keys yield
- *  empty vectors). */
+ *  empty vectors). @throws SimulationError when @p obj is not an
+ *  object or a present field is not an array of numbers. */
 MixResult mixResultFromJson(const json::Value &obj);
-
-/** Inverse of to_string(JobStatus); unknown names parse as Failed so
- *  old or foreign sidecars still load (never reuses such a job). */
-JobStatus jobStatusFromString(const std::string &name);
 
 /** One settled sweep job as persisted in the sidecar. */
 struct SweepRecord
@@ -85,8 +82,9 @@ class SweepStore
 
     /**
      * Parse an existing sidecar into records, in file order. A
-     * missing file yields no records; unparsable lines (the torn
-     * tail of a killed run) are skipped.
+     * missing file yields no records; unparsable or mistyped lines
+     * (the torn tail of a killed run, a hand-edited record) are
+     * skipped.
      */
     static std::vector<SweepRecord> load(const std::string &path);
 

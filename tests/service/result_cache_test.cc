@@ -114,15 +114,27 @@ TEST_F(ResultCacheTest, CorruptEntryIsAMissAndIsDropped)
     const ResultCache cache(dir_);
     const JobSpec spec = sampleSpec();
     const std::uint64_t key = spec.resultKey();
-    cache.put(key, spec, sampleResult());
-
-    {
-        std::ofstream out(cache.pathFor(key),
-                          std::ios::trunc | std::ios::binary);
-        out << "{\"key\": \"truncated";
+    const std::string hex = std::filesystem::path(cache.pathFor(key))
+                                .filename()
+                                .string()
+                                .substr(0, 16);
+    // A torn file, and well-formed JSON whose payload is mistyped:
+    // each must be dropped rather than served (or abort the reader).
+    for (const std::string &corrupt :
+         {std::string("{\"key\": \"truncated"),
+          "{\"key\":\"" + hex + "\",\"result\":{\"ipc\":[\"x\"]}}",
+          "{\"key\":\"" + hex + "\",\"result\":{\"l3apk\":\"x\"}}",
+          "{\"key\":\"" + hex + "\",\"result\":7}"}) {
+        cache.put(key, spec, sampleResult());
+        {
+            std::ofstream out(cache.pathFor(key),
+                              std::ios::trunc | std::ios::binary);
+            out << corrupt;
+        }
+        EXPECT_FALSE(cache.get(key).has_value()) << corrupt;
+        EXPECT_FALSE(std::filesystem::exists(cache.pathFor(key)))
+            << corrupt;
     }
-    EXPECT_FALSE(cache.get(key).has_value());
-    EXPECT_FALSE(std::filesystem::exists(cache.pathFor(key)));
 }
 
 TEST_F(ResultCacheTest, KeyMismatchIsAMiss)

@@ -22,8 +22,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -81,6 +84,22 @@ class SweepdE2eTest : public ::testing::Test
     TearDown() override
     {
         std::filesystem::remove_all(state_);
+        for (const auto &[name, value] : savedEnv_) {
+            if (value)
+                ::setenv(name.c_str(), value->c_str(), 1);
+            else
+                ::unsetenv(name.c_str());
+        }
+    }
+
+    /** Set an environment knob for this test; TearDown restores it. */
+    void
+    setEnv(const std::string &name, const std::string &value)
+    {
+        const char *old = std::getenv(name.c_str());
+        savedEnv_.emplace_back(name, old ? std::optional<std::string>(old)
+                                         : std::nullopt);
+        ::setenv(name.c_str(), value.c_str(), 1);
     }
 
     DaemonOptions
@@ -114,16 +133,19 @@ class SweepdE2eTest : public ::testing::Test
         return daemon.handle(req);
     }
 
+    static JobStatus
+    stateOf(const json::Value &resp)
+    {
+        return jobStatusFromString(resp.at("state").asString());
+    }
+
     /** Poll the result op until the job reaches a terminal state. */
     static json::Value
     await(SweepDaemon &daemon, std::uint64_t id)
     {
         for (;;) {
             json::Value resp = idOp(daemon, "result", id);
-            const std::string state =
-                resp.at("state").asString();
-            if (state == "ok" || state == "cache_hit" ||
-                state == "failed" || state == "cancelled")
+            if (isTerminal(stateOf(resp)))
                 return resp;
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(5));
@@ -131,6 +153,8 @@ class SweepdE2eTest : public ::testing::Test
     }
 
     std::string state_;
+    std::vector<std::pair<std::string, std::optional<std::string>>>
+        savedEnv_;
     static int counter_;
 };
 
@@ -231,10 +255,10 @@ TEST_F(SweepdE2eTest, PreemptedJobResumesBitIdentical)
         if (resp.at("ok").asBool())
             break;
         const json::Value poll = idOp(daemon, "result", id);
-        const std::string state = poll.at("state").asString();
-        ASSERT_NE(state, "failed");
-        if (state == "ok")
+        const JobStatus state = stateOf(poll);
+        if (state == JobStatus::Ok)
             break; // finished before we could preempt (unlikely)
+        ASSERT_FALSE(isTerminal(state)) << poll.dump();
         std::this_thread::sleep_for(
             std::chrono::milliseconds(1));
     }
@@ -295,10 +319,10 @@ TEST_F(SweepdE2eTest, SandboxedPreemptionAlsoResumesBitIdentical)
         if (resp.at("ok").asBool())
             break;
         const json::Value poll = idOp(daemon, "result", id);
-        const std::string state = poll.at("state").asString();
-        ASSERT_NE(state, "failed");
-        if (state == "ok")
+        const JobStatus state = stateOf(poll);
+        if (state == JobStatus::Ok)
             break;
+        ASSERT_FALSE(isTerminal(state)) << poll.dump();
         std::this_thread::sleep_for(
             std::chrono::milliseconds(1));
     }
@@ -357,6 +381,55 @@ TEST_F(SweepdE2eTest, CancelQueuedJobSettlesImmediately)
     EXPECT_FALSE(idOp(daemon, "result", id).at("ok").asBool());
     // Cancelling again reports the terminal state as an error.
     EXPECT_FALSE(idOp(daemon, "cancel", id).at("ok").asBool());
+}
+
+// A malformed id is a protocol error answered {ok: false} by every
+// id op — never an abort that loses the queue.
+TEST_F(SweepdE2eTest, MalformedIdsAreRejectedWithoutAborting)
+{
+    SweepDaemon daemon(baseOptions()); // no workers: the job stays
+    const auto id = static_cast<std::uint64_t>(
+        submit(daemon, quickMix()).at("id").asNumber());
+
+    for (const char *op : {"status", "result", "preempt", "cancel"}) {
+        for (const json::Value &bad :
+             {json::Value("x"), json::Value(-1.0), json::Value(1.5)}) {
+            json::Value req = json::Value::object();
+            req.set("op", op);
+            req.set("id", bad);
+            const json::Value resp = daemon.handle(req);
+            EXPECT_FALSE(resp.at("ok").asBool())
+                << op << " " << bad.dump();
+            EXPECT_TRUE(resp.contains("error"))
+                << op << " " << bad.dump();
+        }
+    }
+    // The queued job is untouched.
+    EXPECT_EQ(stateOf(idOp(daemon, "result", id)), JobStatus::Queued);
+}
+
+// A watchdog trip inside a daemon job settles `stalled` — the same
+// status a classic sweep records — in the result op and the journal.
+TEST_F(SweepdE2eTest, WatchdogStallSettlesStalled)
+{
+    setEnv("REPRO_FAULT", "channel_stall");
+    setEnv("REPRO_WATCHDOG_WINDOW", "3000");
+    SweepDaemon daemon(baseOptions());
+    daemon.start();
+
+    const auto id = static_cast<std::uint64_t>(
+        submit(daemon, quickMix()).at("id").asNumber());
+    const json::Value done = await(daemon, id);
+    EXPECT_EQ(done.at("state").asString(), "stalled");
+    EXPECT_FALSE(done.at("ok").asBool());
+    EXPECT_FALSE(done.at("error").asString().empty());
+
+    daemon.requestStop();
+    daemon.join();
+
+    const auto records = SweepStore::load(state_ + "/jobs.jsonl");
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].status, JobStatus::Stalled);
 }
 
 TEST_F(SweepdE2eTest, FairShareSpreadsWorkersAcrossTenants)

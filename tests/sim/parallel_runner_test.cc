@@ -310,6 +310,30 @@ TEST(ParallelRunnerOutcomes, ClassifiesCrashAndTimeoutKinds)
     EXPECT_STREQ(to_string(JobStatus::Quarantined), "quarantined");
 }
 
+TEST(ParallelRunnerOutcomes, RethrowAsInvertsClassifyFailure)
+{
+    // The sandbox ships a status name and rebuilds the exception in
+    // the parent; every status the classifier produces must survive
+    // that round trip with its message intact.
+    for (const JobStatus status :
+         {JobStatus::Failed, JobStatus::Stalled, JobStatus::OverBudget,
+          JobStatus::Crashed, JobStatus::TimedOut,
+          JobStatus::Preempted}) {
+        std::exception_ptr failure;
+        try {
+            rethrowAs(status, "why");
+        } catch (...) {
+            failure = std::current_exception();
+        }
+        EXPECT_EQ(classifyFailure(failure), status) << to_string(status);
+        EXPECT_EQ(failureMessage(failure), "why");
+    }
+    EXPECT_EQ(classifyFailure(std::make_exception_ptr(42)),
+              JobStatus::Failed);
+    EXPECT_EQ(failureMessage(std::make_exception_ptr(42)),
+              "unknown exception");
+}
+
 TEST(ParallelRunnerOutcomes, BackoffScheduleIsDeterministic)
 {
     SweepPolicy policy;
@@ -344,7 +368,7 @@ TEST(ParallelRunnerOutcomes, BackoffScheduleIsDeterministic)
 
 TEST(ParallelRunnerProgress, ConcurrentAccountingIsExact)
 {
-    // 8 threads hammer completed()/failed()/crashed() concurrently;
+    // 8 threads hammer settled() with ok/failed/crashed concurrently;
     // the final accounting must balance exactly: done + failures ==
     // total, crashes <= failures.
     constexpr std::size_t kPerThread = 500;
@@ -356,12 +380,10 @@ TEST(ParallelRunnerProgress, ConcurrentAccountingIsExact)
     for (unsigned t = 0; t < kThreads; ++t) {
         threads.emplace_back([&progress, t]() {
             for (std::size_t i = 0; i < kPerThread; ++i) {
-                if ((i + t) % 3 == 0)
-                    progress.completed();
-                else if ((i + t) % 3 == 1)
-                    progress.failed();
-                else
-                    progress.crashed();
+                const JobStatus kinds[] = {JobStatus::Ok,
+                                           JobStatus::Failed,
+                                           JobStatus::Crashed};
+                progress.settled(kinds[(i + t) % 3]);
             }
         });
     }

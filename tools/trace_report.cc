@@ -534,23 +534,15 @@ sweepReport(const std::string &path)
         return 0;
     }
 
-    // Count by status in a fixed display order.
-    const nuca::JobStatus order[] = {
-        nuca::JobStatus::Ok,          nuca::JobStatus::Failed,
-        nuca::JobStatus::Stalled,     nuca::JobStatus::OverBudget,
-        nuca::JobStatus::Crashed,     nuca::JobStatus::TimedOut,
-        nuca::JobStatus::Quarantined, nuca::JobStatus::Queued,
-        nuca::JobStatus::Preempted,   nuca::JobStatus::CacheHit,
-        nuca::JobStatus::Interrupted, nuca::JobStatus::Cancelled,
-    };
+    // Count by status in the status table's (enum) order.
     std::printf("sweep sidecar: %s (%zu records)\n", path.c_str(),
                 records.size());
-    for (const nuca::JobStatus status : order) {
+    for (const auto &[status, name] : nuca::kJobStatusNames) {
         std::size_t n = 0;
         for (const auto &record : records)
             n += record.status == status ? 1 : 0;
         if (n != 0)
-            std::printf("  %-12s %zu\n", nuca::to_string(status), n);
+            std::printf("  %-12s %zu\n", name, n);
     }
 
     // Daemon journals (nuca_sweepd's jobs.jsonl) carry scheduling
@@ -575,8 +567,7 @@ sweepReport(const std::string &path)
                 continue;
             // Progress records (queued/preempted) show a job's
             // journey; only its last settle carries final numbers.
-            if (record.status == nuca::JobStatus::Queued ||
-                record.status == nuca::JobStatus::Preempted)
+            if (!nuca::isTerminal(record.status))
                 continue;
             std::printf("  %-32s %-10s %10llu %9llu\n",
                         record.label.c_str(),
@@ -605,8 +596,7 @@ sweepReport(const std::string &path)
             continue;
         // A preempted/queued progress record is a lifecycle event,
         // not a failure; the triage list keeps to genuine problems.
-        if (record.status == nuca::JobStatus::Queued ||
-            record.status == nuca::JobStatus::Preempted)
+        if (!nuca::isTerminal(record.status))
             continue;
         if (!anyBad) {
             std::printf("\nnon-ok jobs:\n");
