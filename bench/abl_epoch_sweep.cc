@@ -18,7 +18,7 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
+    const SimWindow window = windowFromEnv(3000000, 3000000);
     const unsigned num_mixes = mixCountFromEnv(8);
     printHeader("Ablation: re-evaluation period (misses per epoch)",
                 window, num_mixes);

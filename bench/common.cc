@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 
@@ -43,9 +42,11 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
         }
     }
 
-    const SweepPolicy policy = SweepPolicy::fromEnv();
-    const FaultSpec fault = FaultSpec::fromEnv();
-    const ProcIsolation isolate = ProcIsolation::fromEnv();
+    profilerFromEnv();
+    const SweepPolicy policy = sweepPolicyFromEnv();
+    const RunPolicy run = runPolicyFromEnv();
+    const FaultSpec &fault = run.robust.fault;
+    const ProcIsolation isolate = isolationFromEnv();
     // A crash fault kills whatever process runs the job; without a
     // sandboxed child that is the sweep itself, which would make the
     // injection test meaningless rather than prove isolation works.
@@ -53,16 +54,13 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
              "REPRO_FAULT=", to_string(fault.kind),
              " crashes the job process; it needs REPRO_ISOLATE=proc");
 
-    std::string jsonPath;
-    if (const char *path = std::getenv("REPRO_JSON");
-        path != nullptr && *path != '\0')
-        jsonPath = path;
+    const std::string jsonPath = envString("REPRO_JSON");
 
     // Resume: reuse the sidecar's ok results; everything else
     // (failed, torn, or absent records) is re-simulated.
     std::vector<JobOutcome<MixResult>> outcomes(sweep.size());
     std::vector<bool> resumed(sweep.size(), false);
-    if (!jsonPath.empty() && resumeFromEnv()) {
+    if (!jsonPath.empty() && run.resume) {
         std::map<std::string, SweepRecord> completed;
         for (auto &record :
              SweepStore::load(SweepStore::sidecarPathFor(jsonPath))) {
@@ -98,7 +96,8 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
     std::unique_ptr<SweepStore> store;
     if (!jsonPath.empty() && !pending.empty()) {
         store = std::make_unique<SweepStore>(
-            SweepStore::sidecarPathFor(jsonPath));
+            SweepStore::sidecarPathFor(jsonPath),
+            envOr("REPRO_SYNC", 0) != 0);
     }
 
     const unsigned pool = jobs == 0 ? jobsFromEnv() : jobs;
@@ -119,7 +118,7 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
                 // never share a trace writer.
                 const SweepJob &job = sweep[i];
                 return runMix(configs[job.scheme].second,
-                              mixes[job.mix], window, labels[i]);
+                              mixes[job.mix], window, labels[i], run);
             };
             // Under REPRO_ISOLATE=proc the fault (and the job) runs
             // inside the forked child, so a crash fault proves the
@@ -214,6 +213,7 @@ runAllSerial(
     const std::vector<ExperimentSpec> &mixes,
     const SimWindow &window)
 {
+    const RunPolicy run = runPolicyFromEnv();
     std::vector<SchemeResults> out;
     out.reserve(configs.size());
     for (const auto &[label, config] : configs) {
@@ -223,7 +223,7 @@ runAllSerial(
         for (std::size_t m = 0; m < mixes.size(); ++m) {
             results.mixes.push_back(
                 runMix(config, mixes[m], window,
-                       label + ".mix" + std::to_string(m)));
+                       label + ".mix" + std::to_string(m), run));
         }
         out.push_back(std::move(results));
     }

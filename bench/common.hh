@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/env_config.hh"
 #include "sim/experiment.hh"
 #include "sim/json_writer.hh"
 #include "sim/metrics.hh"

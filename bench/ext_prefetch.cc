@@ -22,7 +22,7 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
+    const SimWindow window = windowFromEnv(3000000, 3000000);
     const unsigned num_mixes = mixCountFromEnv(6);
     printHeader("Extension: L2 stride prefetching x partitioning",
                 window, num_mixes);

@@ -17,9 +17,10 @@
  */
 
 #include <cstdio>
+#include <memory>
 #include <vector>
 
-#include "sim/experiment.hh"
+#include "sim/env_config.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/telemetry.hh"
 #include "workload/miss_curve.hh"
@@ -36,11 +37,14 @@ constexpr unsigned maxWays = 16;
  *  sample hook. The replay is functional (no cycles), so the sample
  *  period is interpreted in instructions. */
 std::vector<Counter>
-missCurve(const WorkloadProfile &profile, std::uint64_t insts)
+missCurve(const WorkloadProfile &profile, std::uint64_t insts,
+          const TelemetryConfig &telemetry)
 {
-    const auto trace = sinkFromEnv("fig3." + profile.name);
-    const std::uint64_t period =
-        TelemetryConfig::fromEnv().samplePeriod;
+    std::unique_ptr<TraceSink> trace;
+    if (telemetry.enabled())
+        trace = std::make_unique<JsonlTraceSink>(tracePathFor(
+            telemetry.tracePath, "fig3." + profile.name));
+    const std::uint64_t period = telemetry.samplePeriod;
     if (trace) {
         json::Value meta = json::Value::object();
         meta.set("type", "meta");
@@ -78,6 +82,7 @@ main()
 
     const std::uint64_t insts =
         envOr("REPRO_FIG3_INSTS", 20000000);
+    const TelemetryConfig telemetry = telemetryFromEnv();
     const std::vector<std::string> apps = {"mcf", "gzip", "parser",
                                            "twolf", "ammp"};
 
@@ -95,8 +100,8 @@ main()
     ProgressReporter progress("replay", apps.size());
     const auto curves = runParallel(
         apps,
-        [insts](const std::string &app) {
-            return missCurve(specProfile(app), insts);
+        [&](const std::string &app) {
+            return missCurve(specProfile(app), insts, telemetry);
         },
         jobsFromEnv(), &progress);
     progress.finish();

@@ -27,7 +27,7 @@
 #include "serialize/checkpoint_io.hh"
 #include "sim/checkpoint.hh"
 #include "sim/cmp_system.hh"
-#include "sim/experiment.hh"
+#include "sim/env_config.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/telemetry.hh"
 #include "workload/spec_profiles.hh"
@@ -48,7 +48,8 @@ struct ClassRow
 };
 
 ClassRow
-characterize(const WorkloadProfile &profile, const SimWindow &window)
+characterize(const WorkloadProfile &profile, const SimWindow &window,
+             const RunPolicy &policy)
 {
     const SystemConfig config =
         SystemConfig::baseline(L3Scheme::Private);
@@ -60,7 +61,7 @@ characterize(const WorkloadProfile &profile, const SimWindow &window)
     // Characterization runs share the warmup cache with the sweep
     // benchmarks: the key covers the profile line-up, so a reused
     // artifact reproduces this exact warmup bit-for-bit.
-    const auto ckpt = CheckpointConfig::fromEnv();
+    const CheckpointConfig &ckpt = policy.ckpt;
     std::vector<std::string> names;
     for (const auto &app : apps)
         names.push_back(app.name);
@@ -82,8 +83,9 @@ characterize(const WorkloadProfile &profile, const SimWindow &window)
     }
 
     // One trace per characterization run when REPRO_TRACE is set.
-    const auto trace =
-        attachTelemetryFromEnv(*system, "fig5." + profile.name);
+    system->setRobustness(policy.robust);
+    const auto trace = attachTelemetry(*system, policy.telemetry,
+                                       "fig5." + profile.name);
     if (!restoredWarm) {
         system->run(window.warmupCycles);
         if (ckpt.enabled())
@@ -119,7 +121,8 @@ main()
 {
     using namespace nuca;
 
-    const SimWindow window = SimWindow::fromEnv(1000000, 2000000);
+    const SimWindow window = windowFromEnv(1000000, 2000000);
+    const RunPolicy policy = runPolicyFromEnv();
 
     std::printf("Figure 5: L3 data accesses per 1000 cycles "
                 "(threshold: 9)\n");
@@ -134,8 +137,8 @@ main()
     ProgressReporter progress("characterize", profiles.size());
     const auto rows = runParallel(
         profiles,
-        [&window](const WorkloadProfile &profile) {
-            return characterize(profile, window);
+        [&](const WorkloadProfile &profile) {
+            return characterize(profile, window, policy);
         },
         jobsFromEnv(), &progress);
     progress.finish();

@@ -20,7 +20,7 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
+    const SimWindow window = windowFromEnv(3000000, 3000000);
     const unsigned num_mixes = mixCountFromEnv(16);
     printHeader("Figure 8: per-application speedup vs private "
                 "caches (all SPEC2000)",
@@ -57,12 +57,13 @@ main()
                             424242};
     const std::vector<L3Scheme> schemes = {L3Scheme::Private,
                                            L3Scheme::Adaptive};
+    const RunPolicy policy = runPolicyFromEnv();
     const auto anecdote_runs = runParallel(
         schemes,
         [&](L3Scheme scheme) {
             return runMix(SystemConfig::baseline(scheme), anecdote,
-                          window,
-                          "anecdote." + to_string(scheme));
+                          window, "anecdote." + to_string(scheme),
+                          policy);
         },
         jobsFromEnv());
     const auto &priv = anecdote_runs[0];

@@ -21,7 +21,7 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
+    const SimWindow window = windowFromEnv(3000000, 3000000);
     const unsigned num_mixes = mixCountFromEnv(16);
     printHeader("Figure 9: speedup vs private caches with an 8 MB "
                 "L3 (2 MB per core)",

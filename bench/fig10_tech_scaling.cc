@@ -20,7 +20,7 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
+    const SimWindow window = windowFromEnv(3000000, 3000000);
     const unsigned num_mixes = mixCountFromEnv(12);
     printHeader("Figure 10: technology scaling (slower caches and "
                 "memory relative to the core)",

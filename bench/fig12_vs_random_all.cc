@@ -20,7 +20,7 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
+    const SimWindow window = windowFromEnv(3000000, 3000000);
     const unsigned num_mixes = mixCountFromEnv(16);
     printHeader("Figure 12: adaptive vs random-replacement (all "
                 "benchmarks)",

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "base/profiler.hh"
+#include "sim/env_config.hh"
 #include "sim/cmp_system.hh"
 #include "sim/metrics.hh"
 #include "sim/parallel_runner.hh"
@@ -39,16 +39,15 @@ struct SchemeRow
 
 SchemeRow
 runScheme(L3Scheme scheme, const std::vector<WorkloadProfile> &apps,
-          Cycle cycles)
+          Cycle cycles, const TelemetryConfig &telemetry)
 {
     CmpSystem system(SystemConfig::baseline(scheme), apps, 1);
     // REPRO_TRACE=<path> traces the adaptive run (the one with
     // repartition dynamics) to exactly <path>; only one of the four
     // parallel scheme runs writes, so the file never interleaves.
-    const auto trace =
-        scheme == L3Scheme::Adaptive
-            ? attachTelemetryFromEnv(system, "")
-            : nullptr;
+    const auto trace = scheme == L3Scheme::Adaptive
+                           ? attachTelemetry(system, telemetry, "")
+                           : nullptr;
     system.run(cycles / 2); // warm-up
     system.resetStats();
     const Counter fetches0 = system.memory().fetches();
@@ -71,7 +70,8 @@ int
 main(int argc, char **argv)
 {
     using namespace nuca;
-    prof::initFromEnv();
+    profilerFromEnv();
+    const TelemetryConfig telemetry = telemetryFromEnv();
 
     std::vector<std::string> names = {"mcf", "gzip", "ammp", "art"};
     Cycle cycles = 2000000;
@@ -102,7 +102,7 @@ main(int argc, char **argv)
         L3Scheme::RandomReplacement};
     const auto rows = runParallel(
         schemes,
-        [&](L3Scheme scheme) { return runScheme(scheme, apps, cycles); },
+        [&](L3Scheme s) { return runScheme(s, apps, cycles, telemetry); },
         jobsFromEnv());
 
     for (std::size_t s = 0; s < schemes.size(); ++s) {

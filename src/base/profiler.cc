@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <mutex>
@@ -213,13 +212,6 @@ phaseSampleShift(Phase p)
     return kPhases[static_cast<unsigned>(p)].sampleShift;
 }
 
-bool
-enabledFromEnv()
-{
-    const char *e = std::getenv("REPRO_PROFILE");
-    return e && *e && std::strcmp(e, "0") != 0;
-}
-
 void
 setEnabled(bool on)
 {
@@ -411,6 +403,9 @@ jsonReport()
 
 namespace {
 
+/** Where reportAtExit writes the JSON report; empty = nowhere. */
+std::string g_exitJsonPath;
+
 void
 reportAtExit()
 {
@@ -419,31 +414,29 @@ reportAtExit()
     std::ostringstream os;
     writeReport(os);
     std::fputs(os.str().c_str(), stderr);
-    if (const char *out = std::getenv("REPRO_PROFILE_OUT");
-        out && *out) {
-        std::ofstream f(out);
+    if (!g_exitJsonPath.empty()) {
+        std::ofstream f(g_exitJsonPath);
         if (f) {
             writeJsonReport(f);
             f << "\n";
         }
         if (!f)
-            warn("profiler: could not write REPRO_PROFILE_OUT=", out);
+            warn("profiler: could not write ", g_exitJsonPath);
     }
 }
 
 } // namespace
 
 void
-initFromEnv()
+enableWithExitReport(const std::string &json_path)
 {
     static bool done = false;
     if (done)
         return;
     done = true;
-    if (enabledFromEnv()) {
-        setEnabled(true);
-        std::atexit(reportAtExit);
-    }
+    g_exitJsonPath = json_path;
+    setEnabled(true);
+    std::atexit(reportAtExit);
 }
 
 } // namespace prof

@@ -113,8 +113,7 @@ Phase phaseParent(Phase p);
 /** log2 of the phase's sampling divisor (0 = every entry timed). */
 unsigned phaseSampleShift(Phase p);
 
-/** Master switch. Reads REPRO_PROFILE at startup; tests flip it. */
-bool enabledFromEnv();
+/** Master switch (off by default; harnesses and tests flip it). */
 void setEnabled(bool on);
 
 inline std::atomic<bool> &
@@ -326,13 +325,12 @@ void writeJsonReport(std::ostream &os);
 std::string jsonReport();
 
 /**
- * Install the REPRO_PROFILE / REPRO_PROFILE_OUT exit hook: when
- * profiling is enabled, print the text report to stderr at process
- * exit and, if REPRO_PROFILE_OUT names a file, write the JSON report
- * there. Harnesses call this once from main(); calling it again is
- * harmless.
+ * Enable profiling and install the exit hook: while profiling is
+ * enabled at process exit, print the text report to stderr and, if
+ * @p json_path is non-empty, write the JSON report there. Harnesses
+ * call this once (see profilerFromEnv); calling it again is harmless.
  */
-void initFromEnv();
+void enableWithExitReport(const std::string &json_path);
 
 } // namespace prof
 } // namespace nuca

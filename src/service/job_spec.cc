@@ -1,7 +1,10 @@
 #include "service/job_spec.hh"
 
-#include <cstdlib>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
 
+#include "base/parse_count.hh"
 #include "sim/checkpoint.hh"
 #include "workload/spec_profiles.hh"
 
@@ -85,10 +88,10 @@ getUnsignedOr(const json::Value &obj, const std::string &key,
 {
     if (obj.type() != json::Value::Type::Object || !obj.contains(key))
         return def;
-    const double n = getNumber(obj, key);
-    if (n < 0)
-        throw SpecError("field \"" + key + "\" must be non-negative");
-    return static_cast<std::uint64_t>(n);
+    if (const auto n = member(obj, key).asCount())
+        return *n;
+    throw SpecError("field \"" + key +
+                    "\" must be a non-negative integer below 2^64");
 }
 
 /**
@@ -103,24 +106,13 @@ getSeedOr(const json::Value &obj, const std::string &key,
     if (obj.type() != json::Value::Type::Object || !obj.contains(key))
         return def;
     const json::Value &v = obj.at(key);
-    if (v.type() == json::Value::Type::Number) {
-        if (v.asNumber() < 0)
-            throw SpecError("field \"" + key +
-                            "\" must be non-negative");
-        return static_cast<std::uint64_t>(v.asNumber());
+    if (v.type() != json::Value::Type::String)
+        return getUnsignedOr(obj, key, def);
+    try {
+        return parseCount("field \"" + key + "\"", v.asString());
+    } catch (const std::invalid_argument &e) {
+        throw SpecError(e.what());
     }
-    if (v.type() == json::Value::Type::String) {
-        const std::string &text = v.asString();
-        char *end = nullptr;
-        const unsigned long long parsed =
-            std::strtoull(text.c_str(), &end, 10);
-        if (text.empty() || end == nullptr || *end != '\0')
-            throw SpecError("field \"" + key +
-                            "\" is not a decimal integer");
-        return parsed;
-    }
-    throw SpecError("field \"" + key +
-                    "\" must be a number or decimal string");
 }
 
 } // namespace
@@ -251,11 +243,12 @@ JobSpec::fromJson(const json::Value &obj)
         getUnsignedOr(obj, "measure_cycles", 1000000);
     spec.insts = getUnsignedOr(obj, "insts", 20000000);
     spec.tenant = getStringOr(obj, "tenant", "default");
-    const double priority = [&] {
-        if (!obj.contains("priority"))
-            return 0.0;
-        return getNumber(obj, "priority");
-    }();
+    const double priority =
+        obj.contains("priority") ? getNumber(obj, "priority") : 0.0;
+    if (!(priority >= std::numeric_limits<int>::min() &&
+          priority <= std::numeric_limits<int>::max()) ||
+        std::trunc(priority) != priority)
+        throw SpecError("field \"priority\" must be an int");
     spec.priority = static_cast<int>(priority);
     spec.label = getStringOr(obj, "label", "");
 

@@ -79,41 +79,19 @@ waiting(JobStatus state)
 
 } // namespace
 
-DaemonOptions
-DaemonOptions::fromEnv()
-{
-    DaemonOptions opts;
-    opts.socketPath = envString("SWEEPD_SOCKET");
-    const std::string state = envString("SWEEPD_STATE");
-    if (!state.empty())
-        opts.stateDir = state;
-    opts.workers = static_cast<unsigned>(
-        envOr("SWEEPD_WORKERS", opts.workers));
-    if (opts.workers == 0)
-        opts.workers = 1;
-    opts.preemptPeriod = envOr("SWEEPD_PREEMPT_PERIOD",
-                               opts.preemptPeriod);
-    opts.quantumMs = envOr("SWEEPD_QUANTUM_MS", opts.quantumMs);
-    opts.isolate = envOr("SWEEPD_ISOLATE", 1) != 0;
-    return opts;
-}
-
 SweepDaemon::SweepDaemon(DaemonOptions options)
-    : opts_(std::move(options)),
-      iso_(ProcIsolation::fromEnv()),
-      cache_(opts_.stateDir + "/results")
+    : opts_(std::move(options)), cache_(opts_.stateDir + "/results")
 {
     std::error_code ec;
     std::filesystem::create_directories(opts_.stateDir, ec);
     if (ec)
         throw SimulationError("cannot create state dir " +
                               opts_.stateDir + ": " + ec.message());
-    // The daemon decides isolation itself; REPRO_ISOLATE only
-    // contributes the resource-limit knobs.
-    iso_.enabled = opts_.isolate && procIsolationSupported();
-    iso_.preemptible = true;
-    journal_ = std::make_unique<SweepStore>(opts_.stateDir +
-                                            "/jobs.jsonl");
+    opts_.isolation.enabled =
+        opts_.isolation.enabled && procIsolationSupported();
+    opts_.isolation.preemptible = true;
+    journal_ = std::make_unique<SweepStore>(
+        opts_.stateDir + "/jobs.jsonl", opts_.sync);
 }
 
 SweepDaemon::~SweepDaemon()
@@ -152,9 +130,11 @@ SweepDaemon::execute(const JobSpec &spec, ProcJobHandle *handle)
     RunPolicy policy;
     policy.ckpt.dir = opts_.stateDir + "/ckpt";
     policy.ckpt.period = opts_.preemptPeriod;
-    policy.ckpt.maxMb = CheckpointConfig::fromEnv().maxMb;
+    policy.ckpt.maxMb = opts_.ckptMaxMb;
     policy.resume = true;
     policy.preempt = &handle->preempt;
+    policy.robust = opts_.robust;
+    policy.telemetry = opts_.telemetry;
 
     const auto body = [spec, policy]() -> MixResult {
         if (spec.kind == JobKind::MissCurve) {
@@ -178,7 +158,7 @@ SweepDaemon::execute(const JobSpec &spec, ProcJobHandle *handle)
                       spec.displayLabel(), policy);
     };
 
-    return runMixSandboxed(iso_, body, handle);
+    return runMixSandboxed(opts_.isolation, body, handle);
 }
 
 void
@@ -235,7 +215,8 @@ SweepDaemon::workerLoop()
         settled.error = outcome.error;
         if (outcome.ok()) {
             settled.result = outcome.value;
-            cache_.put(key, spec, outcome.value);
+            if (!opts_.robust.fault.isSimFault())
+                cache_.put(key, spec, outcome.value);
         } else if (outcome.status == JobStatus::Preempted) {
             if (settled.cancelRequested) {
                 settled.state = JobStatus::Cancelled;

@@ -58,30 +58,37 @@
 namespace nuca {
 namespace service {
 
-/** Daemon knobs; each field's env default is named alongside it. */
+/** Daemon knobs; nuca_sweepd's main fills them from its flags
+ *  (named alongside) and its REPRO_* environment. */
 struct DaemonOptions
 {
     /** Unix-domain socket path; empty = no socket (tests drive
-     *  handle() directly). SWEEPD_SOCKET. */
+     *  handle() directly). --socket. */
     std::string socketPath;
     /** State directory: jobs.jsonl journal, ckpt/ snapshots,
-     *  results/ cache. SWEEPD_STATE (default ".sweepd"). */
+     *  results/ cache. --state. */
     std::string stateDir = ".sweepd";
-    /** Worker pool size. SWEEPD_WORKERS (default 2). */
+    /** Worker pool size. --workers. */
     unsigned workers = 2;
-    /** Snapshot period in cycles for preemptible runs.
-     *  SWEEPD_PREEMPT_PERIOD (default 200000). */
+    /** Snapshot period in cycles for preemptible runs. --period. */
     Cycle preemptPeriod = 200000;
     /** Fair-share quantum in ms: past it, a job of an over-served
      *  tenant may be preempted for a starved one. 0 disables the
      *  automatic preempter (explicit `preempt` ops still work).
-     *  SWEEPD_QUANTUM_MS (default 1000). */
+     *  --quantum-ms. */
     std::uint64_t quantumMs = 1000;
-    /** Run jobs through the proc_pool sandbox (fork per attempt).
-     *  SWEEPD_ISOLATE (default 1 where fork exists). */
-    bool isolate = true;
-
-    static DaemonOptions fromEnv();
+    /** The fork-per-attempt sandbox and its limits; --no-isolate
+     *  (or a platform without fork) clears `enabled`. */
+    ProcIsolation isolation{.enabled = true};
+    /** Every job's robustness layer. A result run under a planted
+     *  simulator fault is never cached: it need not be clean. */
+    RobustnessConfig robust;
+    /** Every job's telemetry, one trace file per job label. */
+    TelemetryConfig telemetry;
+    /** Size cap in MiB on <state>/ckpt; 0 = unbounded. */
+    std::uint64_t ckptMaxMb = 0;
+    /** fsync every journal append. */
+    bool sync = false;
 };
 
 /** One submitted job and everything the daemon knows about it. */
@@ -161,7 +168,6 @@ class SweepDaemon
     Job *findJob(std::uint64_t id);
 
     DaemonOptions opts_;
-    ProcIsolation iso_;
     ResultCache cache_;
     std::unique_ptr<SweepStore> journal_;
 

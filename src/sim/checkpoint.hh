@@ -48,8 +48,6 @@ struct CheckpointConfig
     std::uint64_t maxMb = 0;
 
     bool enabled() const { return !dir.empty(); }
-
-    static CheckpointConfig fromEnv();
 };
 
 /**

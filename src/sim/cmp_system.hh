@@ -6,8 +6,8 @@
  * decoupled per-core event scheduler: a wake heap orders core ticks
  * by (cycle, coreId), skips each stalled core's ticks individually,
  * and batches a lone runnable core's ticks without re-entering the
- * loop. The cycle-by-cycle reference loop (REPRO_FASTFWD=0) is kept
- * as its test oracle; the two are bit-identical.
+ * loop. The cycle-by-cycle reference loop (setFastForward(false)) is
+ * kept as its test oracle; the two are bit-identical.
  */
 
 #ifndef NUCA_SIM_CMP_SYSTEM_HH
@@ -61,13 +61,13 @@ class CmpSystem
      * @throws SimulationStalled when the forward-progress watchdog
      *         sees no retired instruction across all cores for its
      *         window, or an L2D MSHR entry older than its age bound
-     * @throws CycleBudgetExceeded when REPRO_MAX_CYCLES is exhausted
+     * @throws CycleBudgetExceeded when robustness().maxCycles runs out
      */
     void run(Cycle cycles);
 
     /**
      * Replace the robustness configuration (the constructors install
-     * RobustnessConfig::fromEnv()). Resets the watchdog baseline and
+     * RobustnessConfig{}). Resets the watchdog baseline and
      * the periodic-check schedule to the current cycle.
      */
     void setRobustness(const RobustnessConfig &config);
@@ -76,8 +76,8 @@ class CmpSystem
     const RobustnessConfig &robustness() const { return robust_; }
 
     /**
-     * Select the run loop (constructors install REPRO_FASTFWD,
-     * default on). Enabled: the decoupled per-core event scheduler.
+     * Select the run loop (constructors install the decoupled
+     * scheduler). Enabled: the decoupled per-core event scheduler.
      * It keeps a min-heap of (nextWakeCycle, coreId), pops ticks in
      * exactly the reference loop's (cycle, coreId) order, skips each
      * core's ticks while that core is provably stalled, and hands a
@@ -94,6 +94,9 @@ class CmpSystem
 
     /** True when run() uses the decoupled scheduler. */
     bool fastForwardEnabled() const { return fastForward_; }
+
+    /** Cap decoupled advance batches at @p cycles (0 = none). */
+    void setBatchCap(Cycle cycles) { batchCap_ = cycles; }
 
     /**
      * Host-side scheduler diagnostics (like the fast-forward
@@ -250,7 +253,7 @@ class CmpSystem
     std::vector<Counter> committedZero_;
     std::vector<Counter> l3AccessZero_;
 
-    /** The cycle-by-cycle reference loop (REPRO_FASTFWD=0): every
+    /** The cycle-by-cycle reference loop (setFastForward(false)): every
      * core ticks every cycle, in ascending coreId order. */
     void runReference(Cycle end);
 
@@ -280,7 +283,7 @@ class CmpSystem
      * largest window in which it provably stays the only actor (the
      * next heap entry's cycle — plus one when this core's id is
      * smaller, since it precedes that core within the shared cycle —
-     * all capped by @p cap and REPRO_DECOUPLE_BATCH), then one
+     * all capped by @p cap and setBatchCap), then one
      * OooCore::advance call plus the scheduler bookkeeping.
      */
     void advanceSole(std::uint32_t c, Cycle start, Cycle cap);
@@ -323,7 +326,7 @@ class CmpSystem
     void robustnessTick();
     /** Recompute nextRobustEvent_ from the pending event cycles. */
     void scheduleRobustness();
-    /** Plant the configured REPRO_FAULT defect (simulator kinds). */
+    /** Plant the configured fault (simulator kinds). */
     void plantFault();
     /** Zero-retirement window and MSHR age bound checks. */
     void watchdogCheck();
@@ -341,7 +344,7 @@ class CmpSystem
     Cycle watchdogLastProgress_ = 0;
     bool faultPlanted_ = false;
 
-    /** REPRO_FASTFWD: run() uses the decoupled scheduler. */
+    /** run() uses the decoupled scheduler (setFastForward). */
     bool fastForward_ = true;
     Counter ffSkipped_ = 0;
     Counter ffJumps_ = 0;
@@ -359,7 +362,7 @@ class CmpSystem
     std::vector<Cycle> coreWake_;
     std::vector<Cycle> corePendingStart_;
 
-    /** REPRO_DECOUPLE_BATCH: advance-batch span cap (0 = none). */
+    /** Advance-batch span cap (setBatchCap; 0 = none). */
     Cycle batchCap_ = 0;
     /**
      * Min-heap (std::*_heap with std::greater) of (wake, coreId):

@@ -1,13 +1,9 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <memory>
 
 #include "base/logging.hh"
-#include "base/profiler.hh"
 #include "base/random.hh"
 #include "serialize/checkpoint_io.hh"
 #include "sim/checkpoint.hh"
@@ -18,47 +14,6 @@
 #include "workload/spec_profiles.hh"
 
 namespace nuca {
-
-std::uint64_t
-envOr(const char *name, std::uint64_t def)
-{
-    const char *value = std::getenv(name);
-    if (value == nullptr || *value == '\0')
-        return def;
-    // strtoull silently wraps negative input ("-1" parses to
-    // 2^64-1, which once sent a sweep off to run 18 quintillion
-    // mixes) and saturates on overflow; reject both explicitly.
-    const char *digits = value;
-    while (std::isspace(static_cast<unsigned char>(*digits)))
-        ++digits;
-    fatal_if(*digits == '-', "environment variable ", name,
-             " must be non-negative: '", value, "'");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(digits, &end, 10);
-    fatal_if(end == digits || *end != '\0',
-             "environment variable ", name,
-             " is not a number: '", value, "'");
-    fatal_if(errno == ERANGE, "environment variable ", name,
-             " overflows 64 bits: '", value, "'");
-    return parsed;
-}
-
-std::string
-envString(const char *name)
-{
-    const char *value = std::getenv(name);
-    return value == nullptr ? std::string() : std::string(value);
-}
-
-SimWindow
-SimWindow::fromEnv(Cycle warmup_default, Cycle measure_default)
-{
-    SimWindow w;
-    w.warmupCycles = envOr("REPRO_WARMUP_CYCLES", warmup_default);
-    w.measureCycles = envOr("REPRO_MEASURE_CYCLES", measure_default);
-    return w;
-}
 
 std::vector<ExperimentSpec>
 makeMixes(const std::vector<std::string> &pool, unsigned count,
@@ -81,15 +36,6 @@ makeMixes(const std::vector<std::string> &pool, unsigned count,
     return mixes;
 }
 
-RunPolicy
-RunPolicy::fromEnv()
-{
-    RunPolicy policy;
-    policy.ckpt = CheckpointConfig::fromEnv();
-    policy.resume = resumeFromEnv();
-    return policy;
-}
-
 namespace {
 
 /** True when the scheduler (explicit flag or the proc-pool child's
@@ -108,15 +54,7 @@ MixResult
 runMix(const SystemConfig &config, const ExperimentSpec &spec,
        const SimWindow &window)
 {
-    return runMix(config, spec, window, std::string());
-}
-
-MixResult
-runMix(const SystemConfig &config, const ExperimentSpec &spec,
-       const SimWindow &window, const std::string &trace_label)
-{
-    return runMix(config, spec, window, trace_label,
-                  RunPolicy::fromEnv());
+    return runMix(config, spec, window, std::string(), RunPolicy{});
 }
 
 MixResult
@@ -124,11 +62,6 @@ runMix(const SystemConfig &config, const ExperimentSpec &spec,
        const SimWindow &window, const std::string &trace_label,
        const RunPolicy &policy)
 {
-    // Every experiment harness funnels through here, so this is
-    // where REPRO_PROFILE arms the self-profiler (idempotent; costs
-    // one static check per experiment).
-    prof::initFromEnv();
-
     std::vector<WorkloadProfile> apps;
     apps.reserve(spec.apps.size());
     for (const auto &name : spec.apps)
@@ -138,7 +71,7 @@ runMix(const SystemConfig &config, const ExperimentSpec &spec,
         std::make_unique<CmpSystem>(config, apps, spec.seed);
 
     // Content-addressed checkpoint cache: restore a matching mid-run
-    // snapshot (REPRO_RESUME=1 after a killed sweep) or warmup
+    // snapshot (policy.resume after a killed sweep) or warmup
     // artifact instead of re-simulating it. With the directory unset
     // every branch below is dead and the run proceeds exactly as it
     // always has.
@@ -180,7 +113,11 @@ runMix(const SystemConfig &config, const ExperimentSpec &spec,
             restoredWarm = restoreOrRebuild(warmFile);
     }
 
-    const auto trace = attachTelemetryFromEnv(*system, trace_label);
+    // Installed after any restore, which re-anchors the robustness
+    // schedule at the restored cycle anyway.
+    system->setRobustness(policy.robust);
+    const auto trace =
+        attachTelemetry(*system, policy.telemetry, trace_label);
 
     if (!restoredMid) {
         if (!restoredWarm) {

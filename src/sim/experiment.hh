@@ -16,7 +16,9 @@
 
 #include "base/types.hh"
 #include "sim/checkpoint.hh"
+#include "sim/robustness.hh"
 #include "sim/system_config.hh"
+#include "sim/telemetry.hh"
 
 namespace nuca {
 
@@ -46,22 +48,7 @@ struct SimWindow
 {
     Cycle warmupCycles;
     Cycle measureCycles;
-
-    /**
-     * Defaults scaled for interactive runs, overridable through the
-     * REPRO_WARMUP_CYCLES / REPRO_MEASURE_CYCLES environment
-     * variables (the paper simulates 200 M cycles per experiment;
-     * that is reachable by setting the variables accordingly).
-     */
-    static SimWindow fromEnv(Cycle warmup_default = 200000,
-                             Cycle measure_default = 1000000);
 };
-
-/** Read an unsigned environment override, or the default. */
-std::uint64_t envOr(const char *name, std::uint64_t def);
-
-/** Raw environment string, or empty when unset. */
-std::string envString(const char *name);
 
 /**
  * Draw @p count random 4-app mixes (with replacement, like the
@@ -72,11 +59,10 @@ makeMixes(const std::vector<std::string> &pool, unsigned count,
           unsigned apps_per_mix, std::uint64_t seed);
 
 /**
- * Explicit per-run policy for checkpointing, resume, and preemption.
- * The classic runMix overloads build one from the environment; the
- * service daemon builds its own — environment variables are
- * process-global and the daemon runs many jobs concurrently with
- * different state directories, so it must not mutate the env.
+ * Everything about one run besides what it simulates: checkpointing,
+ * resume, preemption, the robustness layer, and telemetry. Sweep
+ * harnesses build one with runPolicyFromEnv (sim/env_config.hh); the
+ * service daemon builds its own per job.
  */
 struct RunPolicy
 {
@@ -91,29 +77,21 @@ struct RunPolicy
      * alongside this one.
      */
     const std::atomic<bool> *preempt = nullptr;
-
-    /** REPRO_CKPT_DIR / REPRO_CKPT_PERIOD / REPRO_RESUME. */
-    static RunPolicy fromEnv();
+    /** Watchdog, invariant checker, cycle budget, planted fault. */
+    RobustnessConfig robust;
+    /** Sample trace, heatmaps and Chrome trace events. */
+    TelemetryConfig telemetry;
 };
 
-/** Run one mix on one configuration. */
+/** Run one mix on one configuration under RunPolicy{}. */
 MixResult runMix(const SystemConfig &config,
                  const ExperimentSpec &spec, const SimWindow &window);
 
 /**
- * As above, but when REPRO_TRACE is set the run is traced to the
- * label-derived file tracePathFor(REPRO_TRACE, trace_label) — one
- * file per experiment, so parallel sweeps never share a writer. An
- * empty label traces to the REPRO_TRACE path itself. Tracing never
- * changes the simulated results.
- */
-MixResult runMix(const SystemConfig &config,
-                 const ExperimentSpec &spec, const SimWindow &window,
-                 const std::string &trace_label);
-
-/**
- * The fully explicit form: checkpointing, resume, and preemption come
- * from @p policy instead of the environment. Preemption (see
+ * Run one mix under @p policy. With tracing on, the run is traced to
+ * tracePathFor(policy.telemetry.tracePath, trace_label) — one file
+ * per experiment, so parallel sweeps never share a writer; tracing
+ * never changes the simulated results. Preemption (see
  * RunPolicy::preempt) throws JobPreempted after saving a mid-run
  * snapshot; a later call with the same policy restores it and
  * continues, producing a result bit-identical to an uninterrupted

@@ -4,19 +4,8 @@
 #include <cstdio>
 
 #include "base/logging.hh"
-#include "sim/experiment.hh"
 
 namespace nuca {
-
-unsigned
-jobsFromEnv()
-{
-    const auto jobs = envOr("REPRO_JOBS", 0);
-    if (jobs != 0)
-        return static_cast<unsigned>(jobs);
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
-}
 
 namespace parallel_detail {
 

@@ -72,13 +72,6 @@ struct ProcIsolation
      * classification still wins when the deadline caused the signal.
      */
     bool preemptible = false;
-
-    /**
-     * Parse REPRO_ISOLATE ("proc", "off", or unset) plus the limit
-     * knobs above. Unknown modes are fatal; asking for proc
-     * isolation where fork is unavailable warns and disables.
-     */
-    static ProcIsolation fromEnv();
 };
 
 /**

@@ -21,9 +21,10 @@
  *    defect so tests can prove end-to-end that the checker, the
  *    watchdog, and the supervisor each catch what they claim to.
  *
- * Everything here is observational when idle: with no environment
- * knobs set, simulated results are bit-identical to a build without
- * the robustness layer.
+ * Everything here is observational when idle: with the default
+ * config, simulated results are bit-identical to a build without
+ * the robustness layer. The REPRO_* names beside each knob are the
+ * variables the harnesses parse into it (sim/env_config.hh).
  */
 
 #ifndef NUCA_SIM_ROBUSTNESS_HH
@@ -127,13 +128,6 @@ struct SweepPolicy
      * whole retry budget. 0 disables quarantine.
      */
     unsigned maxCrashes = 2;
-
-    /**
-     * Parse REPRO_FAIL: "abort" (default), "skip", or "retry:N" with
-     * N >= 1; plus the REPRO_RETRY_BACKOFF_MS and REPRO_QUARANTINE
-     * retry tuning knobs. Anything else is fatal.
-     */
-    static SweepPolicy fromEnv();
 };
 
 /** Kinds of deliberate defects the injector can plant. */
@@ -188,9 +182,6 @@ struct FaultSpec
                kind == FaultKind::OomJob ||
                kind == FaultKind::HangJob;
     }
-
-    /** Parse REPRO_FAULT; unknown kinds are fatal. */
-    static FaultSpec fromEnv();
 };
 
 /**
@@ -205,6 +196,9 @@ void injectJobFault(const FaultSpec &fault, std::size_t job,
 
 /** Printable fault-kind name (for messages and records). */
 const char *to_string(FaultKind kind);
+
+/** Inverse of to_string; FaultKind::None for an unknown name. */
+FaultKind faultKindFromString(const std::string &name);
 
 /** The CmpSystem-level robustness knobs. */
 struct RobustnessConfig
@@ -223,7 +217,7 @@ struct RobustnessConfig
     Cycle watchdogWindow = 1000000;
     /**
      * Maximum age of an L2D MSHR entry before the run is declared
-     * stalled (REPRO_WATCHDOG_MSHR_AGE; default: the window).
+     * stalled (the environment sets it to the window).
      */
     Cycle mshrAgeBound = 1000000;
 
@@ -233,19 +227,7 @@ struct RobustnessConfig
 
     /** The deliberate defect to plant, if any (REPRO_FAULT). */
     FaultSpec fault;
-
-    /** True when any periodic work is scheduled at all. */
-    bool anyPeriodic() const
-    {
-        return checkEnabled || watchdogEnabled || maxCycles != 0 ||
-               fault.isSimFault();
-    }
-
-    static RobustnessConfig fromEnv();
 };
-
-/** True when REPRO_RESUME=1: sweeps skip sidecar-completed labels. */
-bool resumeFromEnv();
 
 /**
  * Graceful sweep shutdown. installSweepInterruptHandlers() arms

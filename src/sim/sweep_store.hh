@@ -68,8 +68,15 @@ struct SweepRecord
 class SweepStore
 {
   public:
-    /** Open @p path for appending; fatal when it cannot be opened. */
-    explicit SweepStore(std::string path);
+    /**
+     * Open @p path for appending; fatal when it cannot be opened.
+     * @p sync upgrades every append from fflush (data reaches the
+     * kernel; survives the *process* dying) to fflush+fsync (data
+     * reaches the disk; survives the *machine* dying). The default
+     * trades the power-loss window for not serializing every record
+     * behind a disk flush.
+     */
+    explicit SweepStore(std::string path, bool sync = false);
     ~SweepStore();
 
     SweepStore(const SweepStore &) = delete;
@@ -88,13 +95,7 @@ class SweepStore
      */
     static std::vector<SweepRecord> load(const std::string &path);
 
-    /**
-     * True when REPRO_SYNC=1 upgrades every append from fflush (data
-     * reaches the kernel; survives the *process* dying) to
-     * fflush+fsync (data reaches the disk; survives the *machine*
-     * dying). The default trades the power-loss window for not
-     * serializing every record behind a disk flush.
-     */
+    /** True when every append is fsynced (see the constructor). */
     bool synced() const { return sync_; }
 
     /** Sidecar path belonging to a REPRO_JSON path. */
@@ -105,8 +106,8 @@ class SweepStore
 
   private:
     std::string path_;
-    std::FILE *file_;
     bool sync_;
+    std::FILE *file_;
     std::mutex mutex_;
 };
 

@@ -1,12 +1,10 @@
 #include "sim/telemetry.hh"
 
 #include <cctype>
-#include <cstdlib>
 
 #include "base/logging.hh"
 #include "base/profiler.hh"
 #include "sim/cmp_system.hh"
-#include "sim/experiment.hh"
 #include "sim/trace_event.hh"
 
 namespace nuca {
@@ -71,25 +69,6 @@ JsonlTraceSink::drain(bool sync)
     buffer_.clear();
 }
 
-TelemetryConfig
-TelemetryConfig::fromEnv()
-{
-    TelemetryConfig config;
-    if (const char *path = std::getenv("REPRO_TRACE");
-        path != nullptr && *path != '\0')
-        config.tracePath = path;
-    config.samplePeriod =
-        envOr("REPRO_TRACE_PERIOD", config.samplePeriod);
-    fatal_if(config.samplePeriod == 0,
-             "REPRO_TRACE_PERIOD must be positive");
-    config.heatmap = envOr("REPRO_HEATMAP", 0) != 0;
-    config.heatmapBuckets = static_cast<unsigned>(
-        envOr("REPRO_HEATMAP_BUCKETS", config.heatmapBuckets));
-    fatal_if(config.heatmapBuckets == 0,
-             "REPRO_HEATMAP_BUCKETS must be positive");
-    return config;
-}
-
 std::string
 sanitizeLabel(const std::string &label)
 {
@@ -131,32 +110,23 @@ tracePathFor(const std::string &base, const std::string &label)
 }
 
 std::unique_ptr<TraceSink>
-sinkFromEnv(const std::string &label)
+attachTelemetry(CmpSystem &system, const TelemetryConfig &config,
+                const std::string &label)
 {
-    const TelemetryConfig config = TelemetryConfig::fromEnv();
-    if (!config.enabled())
-        return nullptr;
-    return std::make_unique<JsonlTraceSink>(
-        tracePathFor(config.tracePath, label));
-}
-
-std::unique_ptr<TraceSink>
-attachTelemetryFromEnv(CmpSystem &system, const std::string &label)
-{
-    const TelemetryConfig config = TelemetryConfig::fromEnv();
-    auto sink = sinkFromEnv(label);
-    if (sink) {
+    std::unique_ptr<TraceSink> sink;
+    if (config.enabled()) {
+        sink = std::make_unique<JsonlTraceSink>(
+            tracePathFor(config.tracePath, label));
         system.attachTelemetry(sink.get(), config.samplePeriod);
         // Heatmap records ride the sample cadence, so without a sink
         // there is nowhere for them to go and counting would be
         // wasted work.
         if (config.heatmap)
-            system.enableHeatmap(config.heatmapBuckets);
+            system.enableHeatmap();
     }
-    TraceEventLog &events = traceEventsFromEnv();
-    if (events.enabled())
-        system.attachTraceEvents(&events, label.empty() ? "system"
-                                                        : label);
+    if (config.events != nullptr)
+        system.attachTraceEvents(config.events,
+                                 label.empty() ? "system" : label);
     return sink;
 }
 

@@ -37,6 +37,7 @@
 namespace nuca {
 
 class CmpSystem;
+class TraceEventLog;
 
 /** Destination of trace records. Implementations are not
  *  thread-safe; give every concurrent experiment its own sink. */
@@ -52,17 +53,10 @@ class TraceSink
     virtual void flush() {}
 };
 
-/** Discards everything — the disabled-tracing sink. */
-class NullTraceSink final : public TraceSink
-{
-  public:
-    void write(const json::Value &) override {}
-};
-
 /**
  * Buffered JSON-lines file sink: one compact JSON object per line,
  * flushed when the buffer fills and on destruction. Opening fails
- * fatally so a misspelled REPRO_TRACE directory is loud. A write
+ * fatally so a misspelled trace directory is loud. A write
  * error after opening (disk full, quota) is not worth killing a
  * multi-hour sweep over telemetry: the sink warns once, drops the
  * rest of the trace, and lets the simulation finish.
@@ -99,7 +93,7 @@ class JsonlTraceSink final : public TraceSink
     bool failed_ = false;
 };
 
-/** The environment-selected telemetry configuration. */
+/** What a run records besides its results. */
 struct TelemetryConfig
 {
     /** Trace file path (REPRO_TRACE); empty disables tracing. */
@@ -107,16 +101,12 @@ struct TelemetryConfig
     /** Cycles between sample records (REPRO_TRACE_PERIOD). */
     Cycle samplePeriod = 100000;
     /** Emit spatial heatmap records next to every sample
-     * (REPRO_HEATMAP; needs REPRO_TRACE to produce output). */
+     * (REPRO_HEATMAP; needs a trace path to produce output). */
     bool heatmap = false;
-    /** Spatial buckets per bank (REPRO_HEATMAP_BUCKETS). */
-    unsigned heatmapBuckets = 64;
+    /** Chrome trace-event log to feed (REPRO_PERFETTO); null = off. */
+    TraceEventLog *events = nullptr;
 
     bool enabled() const { return !tracePath.empty(); }
-
-    /** Read REPRO_TRACE / REPRO_TRACE_PERIOD / REPRO_HEATMAP /
-     *  REPRO_HEATMAP_BUCKETS. */
-    static TelemetryConfig fromEnv();
 };
 
 /**
@@ -129,7 +119,7 @@ struct TelemetryConfig
 std::string sanitizeLabel(const std::string &label);
 
 /**
- * Derive one experiment's trace path from the base REPRO_TRACE path
+ * Derive one experiment's trace path from the base trace path
  * and the experiment's label: "out/trace.jsonl" + "adaptive.mix3"
  * gives "out/trace.adaptive.mix3.jsonl" (label sanitized to
  * filename-safe characters). An empty label returns @p base
@@ -140,20 +130,16 @@ std::string tracePathFor(const std::string &base,
                          const std::string &label);
 
 /**
- * Create the JSONL sink configured by the environment for the
- * experiment labeled @p label, or nullptr when REPRO_TRACE is unset
- * (callers skip tracing entirely — the zero-overhead path).
- */
-std::unique_ptr<TraceSink> sinkFromEnv(const std::string &label);
-
-/**
- * Convenience for harnesses: create the environment-configured sink
- * for @p label and attach it to @p system with the environment's
- * sample period. @return the owned sink (keep it alive for the
- * system's remaining run() calls), or nullptr when tracing is off.
+ * Attach @p config's telemetry to @p system for the experiment
+ * labeled @p label: a JSONL sink at tracePathFor(config.tracePath,
+ * label) sampled every config.samplePeriod cycles (plus heatmaps when
+ * asked for), and the trace-event log. @return the owned sink (keep
+ * it alive for the system's remaining run() calls), or nullptr when
+ * tracing is off.
  */
 std::unique_ptr<TraceSink>
-attachTelemetryFromEnv(CmpSystem &system, const std::string &label);
+attachTelemetry(CmpSystem &system, const TelemetryConfig &config,
+                const std::string &label);
 
 } // namespace nuca
 

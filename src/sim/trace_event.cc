@@ -1,7 +1,6 @@
 #include "sim/trace_event.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <utility>
@@ -208,49 +207,11 @@ TraceEventLog::writeIfPending()
         dropped = dropped_;
     }
     if (dropped)
-        warn("trace events: dropped ", dropped,
-             " events past the cap (REPRO_PERFETTO_LIMIT raises it)");
+        warn("trace events: dropped ", dropped, " events past the cap");
     const bool ok = writeTo(path);
     if (ok)
         inform("trace events: wrote ", path);
     return ok;
-}
-
-namespace {
-
-void
-writeGlobalTraceAtExit()
-{
-    TraceEventLog::global().writeIfPending();
-}
-
-} // namespace
-
-TraceEventLog &
-traceEventsFromEnv()
-{
-    static bool initialized = false;
-    auto &log = TraceEventLog::global();
-    if (initialized)
-        return log;
-    initialized = true;
-    const char *path = std::getenv("REPRO_PERFETTO");
-    if (!path || !*path)
-        return log;
-    std::size_t cap = TraceEventLog::kDefaultMaxEvents;
-    if (const char *lim = std::getenv("REPRO_PERFETTO_LIMIT");
-        lim && *lim) {
-        char *endp = nullptr;
-        const unsigned long long v = std::strtoull(lim, &endp, 10);
-        if (endp && *endp == '\0' && v > 0)
-            cap = static_cast<std::size_t>(v);
-        else
-            warn("REPRO_PERFETTO_LIMIT='", lim, "' is not a count; ",
-                 "keeping the default cap");
-    }
-    log.configure(path, cap);
-    std::atexit(writeGlobalTraceAtExit);
-    return log;
 }
 
 bool

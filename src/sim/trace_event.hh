@@ -44,7 +44,8 @@ class TraceEventLog
     TraceEventLog(const TraceEventLog &) = delete;
     TraceEventLog &operator=(const TraceEventLog &) = delete;
 
-    /** The process-wide log (see traceEventsFromEnv). */
+    /** The process-wide log (harnesses configure it from
+     *  REPRO_PERFETTO, see sim/env_config.hh). */
     static TraceEventLog &global();
 
     /** Enable collection, targeting @p path at write time. */
@@ -154,14 +155,6 @@ class TraceEventLog
     std::vector<Event> meta_;
     std::chrono::steady_clock::time_point epoch_{};
 };
-
-/**
- * Configure the global log from REPRO_PERFETTO=<path> (with
- * REPRO_PERFETTO_LIMIT overriding the event cap) on first call, and
- * register an exit hook that writes the file. Returns the global
- * log either way; callers test enabled().
- */
-TraceEventLog &traceEventsFromEnv();
 
 /**
  * Validate @p doc as Chrome trace-event JSON: an object with a

@@ -12,6 +12,7 @@
 #include "sim/cmp_system.hh"
 #include "sim/metrics.hh"
 #include "workload/spec_profiles.hh"
+#include "support/env_system.hh"
 
 namespace nuca {
 namespace {
@@ -54,7 +55,7 @@ TEST_P(CoreScaling, FullSystemRunsAndAdapts)
     for (unsigned c = 1; c < cores; ++c)
         apps.push_back(idleProfile());
 
-    CmpSystem system(cfg, apps, 11);
+    EnvCmpSystem system(cfg, apps, 11);
     system.run(1200000);
     system.adaptive()->checkInvariants();
     // The hog grows past its initial share; some idler shrank.

@@ -5,6 +5,7 @@
 #include "sim/cmp_system.hh"
 #include "sim/metrics.hh"
 #include "workload/spec_profiles.hh"
+#include "support/env_system.hh"
 
 namespace nuca {
 namespace {
@@ -17,7 +18,7 @@ TEST(EndToEnd, FullBaselineRunsAllSchemes)
     for (const auto scheme :
          {L3Scheme::Private, L3Scheme::Shared, L3Scheme::Adaptive,
           L3Scheme::RandomReplacement}) {
-        CmpSystem system(SystemConfig::baseline(scheme), mix, 42);
+        EnvCmpSystem system(SystemConfig::baseline(scheme), mix, 42);
         system.run(60000);
         system.resetStats();
         system.run(120000);
@@ -35,8 +36,8 @@ TEST(EndToEnd, AdaptiveInvariantsHoldAfterLongRun)
     const std::vector<WorkloadProfile> mix = {
         specProfile("art"), specProfile("mcf"), specProfile("eon"),
         specProfile("swim")};
-    CmpSystem system(SystemConfig::baseline(L3Scheme::Adaptive), mix,
-                     7);
+    EnvCmpSystem system(SystemConfig::baseline(L3Scheme::Adaptive), mix,
+                        7);
     system.run(400000);
     system.adaptive()->checkInvariants();
     // Sharing engine evaluated at least one epoch (2000 misses).
@@ -48,8 +49,8 @@ TEST(EndToEnd, ComputeBoundBeatsMemoryBound)
     const std::vector<WorkloadProfile> mix = {
         specProfile("eon"), specProfile("ammp"), specProfile("mesa"),
         specProfile("mcf")};
-    CmpSystem system(SystemConfig::baseline(L3Scheme::Private), mix,
-                     9);
+    EnvCmpSystem system(SystemConfig::baseline(L3Scheme::Private), mix,
+                        9);
     system.run(80000);
     system.resetStats();
     system.run(150000);
@@ -62,8 +63,8 @@ TEST(EndToEnd, MemoryChannelSeesContention)
     const std::vector<WorkloadProfile> mix = {
         specProfile("mcf"), specProfile("art"), specProfile("swim"),
         specProfile("ammp")};
-    CmpSystem system(SystemConfig::baseline(L3Scheme::Private), mix,
-                     5);
+    EnvCmpSystem system(SystemConfig::baseline(L3Scheme::Private), mix,
+                        5);
     system.run(150000);
     EXPECT_GT(system.memory().fetches(), 100u);
     EXPECT_GT(system.memory().queueCycles(), 0u);
@@ -75,7 +76,7 @@ TEST(EndToEnd, TechScalingSlowsEveryScheme)
         specProfile("twolf"), specProfile("vpr"), specProfile("gzip"),
         specProfile("parser")};
     const auto run = [&](const SystemConfig &cfg) {
-        CmpSystem system(cfg, mix, 13);
+        EnvCmpSystem system(cfg, mix, 13);
         system.run(60000);
         system.resetStats();
         system.run(120000);
@@ -92,8 +93,8 @@ TEST(EndToEnd, TechScalingSlowsEveryScheme)
 TEST(EndToEnd, StatsDumpIsWellFormed)
 {
     const std::vector<WorkloadProfile> mix(4, idleProfile());
-    CmpSystem system(SystemConfig::baseline(L3Scheme::Adaptive), mix,
-                     1);
+    EnvCmpSystem system(SystemConfig::baseline(L3Scheme::Adaptive), mix,
+                        1);
     system.run(5000);
     std::ostringstream os;
     system.statsRoot().dump(os);

@@ -9,6 +9,7 @@
 #include "sim/cmp_system.hh"
 #include "sim/metrics.hh"
 #include "workload/synth_workload.hh"
+#include "support/env_system.hh"
 
 namespace nuca {
 namespace {
@@ -64,7 +65,7 @@ TEST(ParallelWorkload, CoherentSystemRunsAllSchemes)
           L3Scheme::RandomReplacement}) {
         auto cfg = SystemConfig::baseline(scheme);
         cfg.coherentSharing = true;
-        CmpSystem system(cfg, threads, 3);
+        EnvCmpSystem system(cfg, threads, 3);
         system.run(150000);
         EXPECT_NE(system.coherence(), nullptr);
         EXPECT_GT(system.coherence()->invalidations(), 0u)
@@ -86,7 +87,7 @@ TEST(ParallelWorkload, AdaptiveDoesNotDuplicateSharedBlocks)
     cfg.coherentSharing = true;
     const std::vector<WorkloadProfile> threads(
         4, parallelThread(0.9, 64 * 1024));
-    CmpSystem system(cfg, threads, 5);
+    EnvCmpSystem system(cfg, threads, 5);
     system.run(400000);
     system.adaptive()->checkInvariants();
 
@@ -111,7 +112,7 @@ TEST(ParallelWorkload, SharingSchemesBeatPrivateOnReadSharedData)
     const auto run = [&](L3Scheme scheme) {
         auto cfg = SystemConfig::baseline(scheme);
         cfg.coherentSharing = true;
-        CmpSystem system(cfg, threads, 7);
+        EnvCmpSystem system(cfg, threads, 7);
         system.run(400000);
         system.resetStats();
         system.run(600000);
@@ -133,7 +134,7 @@ TEST(ParallelWorkload, WriteSharingCausesCoherenceMisses)
     const std::vector<WorkloadProfile> threads(4, t);
     auto cfg = SystemConfig::baseline(L3Scheme::Shared);
     cfg.coherentSharing = true;
-    CmpSystem system(cfg, threads, 9);
+    EnvCmpSystem system(cfg, threads, 9);
     system.run(300000);
     EXPECT_GT(system.coherence()->invalidations(), 5000u);
     EXPECT_GT(system.coherence()->dirtyFlushes(), 100u);

@@ -12,8 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <sstream>
 #include <string>
 
@@ -22,37 +20,10 @@
 #include "sim/metrics.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/telemetry.hh"
+#include "support/env_system.hh"
 
 namespace nuca {
 namespace {
-
-/** Sets an environment variable for one scope, restoring on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const std::string &value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old)
-            saved_ = old;
-        ::setenv(name, value.c_str(), 1);
-    }
-
-    ~ScopedEnv()
-    {
-        if (saved_.has_value())
-            ::setenv(name_, saved_->c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-    ScopedEnv(const ScopedEnv &) = delete;
-    ScopedEnv &operator=(const ScopedEnv &) = delete;
-
-  private:
-    const char *name_;
-    std::optional<std::string> saved_;
-};
 
 /** Scaled-down system: converges within a few 100K cycles. */
 SystemConfig
@@ -106,7 +77,7 @@ std::vector<double>
 runMixOn(L3Scheme scheme, const std::vector<WorkloadProfile> &mix,
          std::uint64_t seed = 42)
 {
-    CmpSystem system(smallSystem(scheme), mix, seed);
+    EnvCmpSystem system(smallSystem(scheme), mix, seed);
     system.run(150000);
     system.resetStats();
     system.run(300000);
@@ -197,7 +168,7 @@ TEST(SchemeBehaviour, QuotasFollowDemand)
     const std::vector<WorkloadProfile> mix = {
         sizedWorkload("hog", 10), computeOnly("idle1"),
         computeOnly("idle2"), computeOnly("idle3")};
-    CmpSystem system(smallSystem(L3Scheme::Adaptive), mix, 21);
+    EnvCmpSystem system(smallSystem(L3Scheme::Adaptive), mix, 21);
     system.run(400000);
     const auto &engine = system.adaptive()->engine();
     EXPECT_GT(engine.quota(0), 4u);
@@ -223,7 +194,7 @@ TEST(SchemeBehaviour, LargeCacheErasesAdaptiveAdvantage)
     big_adaptive.l3SizePerCoreBytes = 1ull << 20;
 
     const auto run = [&](const SystemConfig &cfg) {
-        CmpSystem system(cfg, mix, 31);
+        EnvCmpSystem system(cfg, mix, 31);
         system.run(150000);
         system.resetStats();
         system.run(300000);
@@ -238,19 +209,20 @@ TEST(SchemeBehaviour, LargeCacheErasesAdaptiveAdvantage)
 TEST(Telemetry, TracedRunIsBitIdenticalToUntraced)
 {
     // Tracing is observation only: the per-core IPCs and the entire
-    // final stats dump must match bit for bit with REPRO_TRACE on
+    // final stats dump must match bit for bit with tracing on
     // and off.
     const std::vector<WorkloadProfile> mix = {
         sizedWorkload("hog", 10), computeOnly("idle1"),
         computeOnly("idle2"), computeOnly("idle3")};
 
     const auto run = [&](bool traced, std::vector<double> &ipcs) {
-        CmpSystem system(smallSystem(L3Scheme::Adaptive), mix, 42);
+        EnvCmpSystem system(smallSystem(L3Scheme::Adaptive), mix, 42);
         std::unique_ptr<TraceSink> sink;
         if (traced) {
-            ScopedEnv trace("REPRO_TRACE", "behaviour_trace.jsonl");
-            ScopedEnv period("REPRO_TRACE_PERIOD", "20000");
-            sink = attachTelemetryFromEnv(system, "");
+            TelemetryConfig telemetry;
+            telemetry.tracePath = "behaviour_trace.jsonl";
+            telemetry.samplePeriod = 20000;
+            sink = attachTelemetry(system, telemetry, "");
             EXPECT_NE(sink, nullptr);
         }
         system.run(150000);
@@ -278,8 +250,9 @@ TEST(Telemetry, ParallelExperimentsWriteCompleteSeparateTraces)
     // Four labeled experiments fanned out over a 4-worker pool, like
     // a REPRO_JOBS=4 bench sweep: each must get its own complete,
     // well-formed JSONL trace file.
-    ScopedEnv trace("REPRO_TRACE", "par_trace.jsonl");
-    ScopedEnv period("REPRO_TRACE_PERIOD", "25000");
+    RunPolicy policy;
+    policy.telemetry.tracePath = "par_trace.jsonl";
+    policy.telemetry.samplePeriod = 25000;
 
     const std::vector<std::string> pool = {"mcf", "gzip", "ammp",
                                            "art"};
@@ -292,7 +265,7 @@ TEST(Telemetry, ParallelExperimentsWriteCompleteSeparateTraces)
         [&](unsigned m) {
             return runMix(SystemConfig::baseline(L3Scheme::Adaptive),
                           mixes[m], window,
-                          "adaptive.mix" + std::to_string(m));
+                          "adaptive.mix" + std::to_string(m), policy);
         },
         /*jobs=*/4);
 

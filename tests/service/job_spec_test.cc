@@ -113,6 +113,38 @@ TEST(JobSpecTest, FromJsonRejectsMalformedShapes)
     EXPECT_THROW(JobSpec::fromJson(bad), SpecError);
 }
 
+TEST(JobSpecTest, FromJsonRejectsInexactNumbers)
+{
+    // Counts are exact non-negative integers below 2^64: a fraction
+    // is not silently truncated and 2^64 does not wrap.
+    for (const char *field : {"warmup_cycles", "measure_cycles",
+                              "insts", "seed"}) {
+        for (const double bad : {1.5, 0x1p64, 1e300, -1.0}) {
+            json::Value obj = validMix().toJson();
+            obj.set(field, bad);
+            EXPECT_THROW(JobSpec::fromJson(obj), SpecError)
+                << field << "=" << bad;
+        }
+    }
+    for (const char *bad : {"-1", "18446744073709551616", "12x"}) {
+        json::Value obj = validMix().toJson();
+        obj.set("seed", bad);
+        EXPECT_THROW(JobSpec::fromJson(obj), SpecError) << bad;
+    }
+    // A priority must be an int: integral and in int's range.
+    for (const double bad : {1.5, 1e10, -1e10}) {
+        json::Value obj = validMix().toJson();
+        obj.set("priority", bad);
+        EXPECT_THROW(JobSpec::fromJson(obj), SpecError) << bad;
+    }
+    json::Value obj = validMix().toJson();
+    obj.set("priority", -7.0);
+    obj.set("seed", 42.0);
+    const JobSpec ok = JobSpec::fromJson(obj);
+    EXPECT_EQ(ok.priority, -7);
+    EXPECT_EQ(ok.seed, 42u);
+}
+
 // The whole point of the result cache key: any knob that changes the
 // simulated run changes the key, and nothing else does.
 TEST(JobSpecTest, ResultKeyCoversSchemeMixAndRunLength)

@@ -20,9 +20,7 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -80,27 +78,7 @@ class SweepdE2eTest : public ::testing::Test
         std::filesystem::remove_all(state_);
     }
 
-    void
-    TearDown() override
-    {
-        std::filesystem::remove_all(state_);
-        for (const auto &[name, value] : savedEnv_) {
-            if (value)
-                ::setenv(name.c_str(), value->c_str(), 1);
-            else
-                ::unsetenv(name.c_str());
-        }
-    }
-
-    /** Set an environment knob for this test; TearDown restores it. */
-    void
-    setEnv(const std::string &name, const std::string &value)
-    {
-        const char *old = std::getenv(name.c_str());
-        savedEnv_.emplace_back(name, old ? std::optional<std::string>(old)
-                                         : std::nullopt);
-        ::setenv(name.c_str(), value.c_str(), 1);
-    }
+    void TearDown() override { std::filesystem::remove_all(state_); }
 
     DaemonOptions
     baseOptions()
@@ -111,7 +89,7 @@ class SweepdE2eTest : public ::testing::Test
         opts.workers = 1;
         opts.quantumMs = 0; // no automatic preemption: tests drive
                             // the preempt op deterministically
-        opts.isolate = false;
+        opts.isolation.enabled = false;
         return opts;
     }
 
@@ -153,8 +131,6 @@ class SweepdE2eTest : public ::testing::Test
     }
 
     std::string state_;
-    std::vector<std::pair<std::string, std::optional<std::string>>>
-        savedEnv_;
     static int counter_;
 };
 
@@ -302,7 +278,7 @@ TEST_F(SweepdE2eTest, SandboxedPreemptionAlsoResumesBitIdentical)
         GTEST_SKIP() << "no fork on this platform";
 
     DaemonOptions opts = baseOptions();
-    opts.isolate = true;
+    opts.isolation.enabled = true;
     opts.preemptPeriod = 10000;
     SweepDaemon daemon(opts);
     daemon.start();
@@ -412,9 +388,11 @@ TEST_F(SweepdE2eTest, MalformedIdsAreRejectedWithoutAborting)
 // status a classic sweep records — in the result op and the journal.
 TEST_F(SweepdE2eTest, WatchdogStallSettlesStalled)
 {
-    setEnv("REPRO_FAULT", "channel_stall");
-    setEnv("REPRO_WATCHDOG_WINDOW", "3000");
-    SweepDaemon daemon(baseOptions());
+    DaemonOptions opts = baseOptions();
+    opts.robust.fault.kind = FaultKind::ChannelStall;
+    opts.robust.watchdogWindow = 3000;
+    opts.robust.mshrAgeBound = 3000;
+    SweepDaemon daemon(opts);
     daemon.start();
 
     const auto id = static_cast<std::uint64_t>(
@@ -430,6 +408,32 @@ TEST_F(SweepdE2eTest, WatchdogStallSettlesStalled)
     const auto records = SweepStore::load(state_ + "/jobs.jsonl");
     ASSERT_EQ(records.size(), 1u);
     EXPECT_EQ(records[0].status, JobStatus::Stalled);
+}
+
+// A job run under a planted simulator fault need not produce the
+// spec's clean result (lru_corrupt goes undetected with the checker
+// off and settles ok), so it is never cached: the same spec
+// submitted again runs again instead of being served as cache_hit.
+TEST_F(SweepdE2eTest, FaultInjectedResultIsNeverCached)
+{
+    DaemonOptions opts = baseOptions();
+    opts.robust.fault.kind = FaultKind::LruCorrupt;
+    SweepDaemon daemon(opts);
+    daemon.start();
+
+    const JobSpec spec = quickMix();
+    const auto id = static_cast<std::uint64_t>(
+        submit(daemon, spec).at("id").asNumber());
+    EXPECT_EQ(await(daemon, id).at("state").asString(), "ok");
+
+    const json::Value again = submit(daemon, spec);
+    ASSERT_TRUE(again.at("ok").asBool());
+    EXPECT_NE(again.at("state").asString(), "cache_hit");
+    await(daemon, static_cast<std::uint64_t>(again.at("id").asNumber()));
+    EXPECT_EQ(daemon.executedJobs(), 2u);
+
+    daemon.requestStop();
+    daemon.join();
 }
 
 TEST_F(SweepdE2eTest, FairShareSpreadsWorkersAcrossTenants)

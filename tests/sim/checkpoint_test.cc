@@ -25,6 +25,7 @@
 #include "serialize/serializer.hh"
 #include "sim/checkpoint.hh"
 #include "sim/cmp_system.hh"
+#include "sim/env_config.hh"
 #include "sim/experiment.hh"
 #include "sim/robustness.hh"
 #include "workload/spec_profiles.hh"
@@ -293,7 +294,7 @@ TEST(ConfigHash, SensitiveToEveryAxisItMustCover)
               runKey(base, apps, 1, 1000, 501));
 }
 
-/** runMix under a private temp checkpoint dir; cleans env + files. */
+/** runMix under a private temp checkpoint dir; cleans the files. */
 class WarmupCacheTest : public ::testing::Test
 {
   protected:
@@ -311,14 +312,15 @@ class WarmupCacheTest : public ::testing::Test
         window_.measureCycles = 30000;
     }
 
-    void
-    TearDown() override
+    void TearDown() override { std::filesystem::remove_all(dir_); }
+
+    /** A run policy that caches checkpoints under dir_. */
+    RunPolicy
+    cached() const
     {
-        for (const char *var :
-             {"REPRO_CKPT_DIR", "REPRO_CKPT_PERIOD", "REPRO_RESUME",
-              "REPRO_MAX_CYCLES"})
-            ::unsetenv(var);
-        std::filesystem::remove_all(dir_);
+        RunPolicy policy;
+        policy.ckpt.dir = dir_;
+        return policy;
     }
 
     std::string dir_;
@@ -331,13 +333,14 @@ TEST_F(WarmupCacheTest, CachedWarmupReproducesColdResult)
 {
     const MixResult cold = runMix(config_, spec_, window_);
 
-    ::setenv("REPRO_CKPT_DIR", dir_.c_str(), 1);
-    const MixResult populate = runMix(config_, spec_, window_);
+    const RunPolicy policy = cached();
+    const MixResult populate =
+        runMix(config_, spec_, window_, "", policy);
     EXPECT_EQ(populate.ipc, cold.ipc);
 
     // The warmup artifact exists and a second run reuses it.
     const auto warm = warmupPath(
-        CheckpointConfig::fromEnv(),
+        policy.ckpt,
         warmupKey(config_, spec_.apps, spec_.seed,
                   window_.warmupCycles));
     ASSERT_TRUE(checkpointFileExists(warm));
@@ -347,7 +350,8 @@ TEST_F(WarmupCacheTest, CachedWarmupReproducesColdResult)
     };
     const std::string written = bytes();
 
-    const MixResult reused = runMix(config_, spec_, window_);
+    const MixResult reused =
+        runMix(config_, spec_, window_, "", policy);
     EXPECT_EQ(reused.ipc, cold.ipc);
     EXPECT_EQ(reused.l3AccessesPerKilocycle,
               cold.l3AccessesPerKilocycle);
@@ -358,18 +362,19 @@ TEST_F(WarmupCacheTest, CachedWarmupReproducesColdResult)
 
 TEST_F(WarmupCacheTest, CorruptArtifactFallsBackToSimulation)
 {
-    ::setenv("REPRO_CKPT_DIR", dir_.c_str(), 1);
-    const MixResult cold = runMix(config_, spec_, window_);
+    const RunPolicy policy = cached();
+    const MixResult cold = runMix(config_, spec_, window_, "", policy);
 
     const auto warm = warmupPath(
-        CheckpointConfig::fromEnv(),
+        policy.ckpt,
         warmupKey(config_, spec_.apps, spec_.seed,
                   window_.warmupCycles));
     ASSERT_TRUE(checkpointFileExists(warm));
     // Truncate the artifact; the loader must warn and re-simulate.
     std::filesystem::resize_file(warm, 64);
 
-    const MixResult fallback = runMix(config_, spec_, window_);
+    const MixResult fallback =
+        runMix(config_, spec_, window_, "", policy);
     EXPECT_EQ(fallback.ipc, cold.ipc);
 }
 
@@ -377,26 +382,27 @@ TEST_F(WarmupCacheTest, PeriodicCheckpointsResumeAKilledRun)
 {
     const MixResult whole = runMix(config_, spec_, window_);
 
-    ::setenv("REPRO_CKPT_DIR", dir_.c_str(), 1);
-    ::setenv("REPRO_CKPT_PERIOD", "8000", 1);
+    RunPolicy policy = cached();
+    policy.ckpt.period = 8000;
     // Kill the job mid-measurement via the cycle budget: the last
     // periodic snapshot (warmup 20000 + chunks at 28000, 36000)
     // stays behind.
-    ::setenv("REPRO_MAX_CYCLES", "40000", 1);
-    EXPECT_THROW(runMix(config_, spec_, window_),
+    RunPolicy killed = policy;
+    killed.robust.maxCycles = 40000;
+    EXPECT_THROW(runMix(config_, spec_, window_, "", killed),
                  CycleBudgetExceeded);
-    ::unsetenv("REPRO_MAX_CYCLES");
 
     const auto run = runPath(
-        CheckpointConfig::fromEnv(),
+        policy.ckpt,
         runKey(config_, spec_.apps, spec_.seed, window_.warmupCycles,
                window_.measureCycles));
     ASSERT_TRUE(checkpointFileExists(run));
 
     // The resumed run finishes from the snapshot and matches the
     // uninterrupted result exactly; success removes the artifact.
-    ::setenv("REPRO_RESUME", "1", 1);
-    const MixResult resumed = runMix(config_, spec_, window_);
+    policy.resume = true;
+    const MixResult resumed =
+        runMix(config_, spec_, window_, "", policy);
     EXPECT_EQ(resumed.ipc, whole.ipc);
     EXPECT_EQ(resumed.l3AccessesPerKilocycle,
               whole.l3AccessesPerKilocycle);
@@ -418,12 +424,7 @@ class CheckpointPruneTest : public ::testing::Test
         std::filesystem::create_directories(dir_);
     }
 
-    void
-    TearDown() override
-    {
-        ::unsetenv("REPRO_CKPT_MAX_MB");
-        std::filesystem::remove_all(dir_);
-    }
+    void TearDown() override { std::filesystem::remove_all(dir_); }
 
     /** Write a 512 KiB artifact with an mtime @p age_s back. */
     std::string
@@ -502,14 +503,13 @@ TEST_F(CheckpointPruneTest, RestoreTouchKeepsHotArtifactsAlive)
     const SystemConfig config =
         SystemConfig::baseline(L3Scheme::Adaptive);
 
-    ::setenv("REPRO_CKPT_DIR", dir_.c_str(), 1);
-    runMix(config, spec, window); // populates the warmup artifact
-    ::unsetenv("REPRO_CKPT_DIR");
+    RunPolicy policy;
+    policy.ckpt.dir = dir_;
+    // Populates the warmup artifact.
+    runMix(config, spec, window, "", policy);
 
-    CheckpointConfig cfg;
-    cfg.dir = dir_;
     const std::string warm = warmupPath(
-        cfg, warmupKey(config, spec.apps, spec.seed,
+        policy.ckpt, warmupKey(config, spec.apps, spec.seed,
                        window.warmupCycles));
     ASSERT_TRUE(std::filesystem::exists(warm));
     std::filesystem::last_write_time(
@@ -518,18 +518,16 @@ TEST_F(CheckpointPruneTest, RestoreTouchKeepsHotArtifactsAlive)
     const auto stale = std::filesystem::last_write_time(warm);
 
     // A restoring run marks the artifact as used...
-    ::setenv("REPRO_CKPT_DIR", dir_.c_str(), 1);
-    runMix(config, spec, window);
-    ::unsetenv("REPRO_CKPT_DIR");
+    runMix(config, spec, window, "", policy);
     EXPECT_GT(std::filesystem::last_write_time(warm), stale);
 }
 
 TEST(CheckpointConfigEnv, ReadsMaxMbKnob)
 {
     ::setenv("REPRO_CKPT_MAX_MB", "64", 1);
-    EXPECT_EQ(CheckpointConfig::fromEnv().maxMb, 64u);
+    EXPECT_EQ(checkpointFromEnv().maxMb, 64u);
     ::unsetenv("REPRO_CKPT_MAX_MB");
-    EXPECT_EQ(CheckpointConfig::fromEnv().maxMb, 0u);
+    EXPECT_EQ(checkpointFromEnv().maxMb, 0u);
 }
 
 } // namespace

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "sim/cmp_system.hh"
 #include "workload/spec_profiles.hh"
+#include "support/env_system.hh"
 
 namespace nuca {
 namespace {
@@ -20,8 +24,8 @@ TEST(CmpSystem, BuildsEverySchemeAndRuns)
     for (const auto scheme :
          {L3Scheme::Private, L3Scheme::Shared, L3Scheme::Adaptive,
           L3Scheme::RandomReplacement}) {
-        CmpSystem system(SystemConfig::baseline(scheme), lightMix(),
-                         1);
+        EnvCmpSystem system(SystemConfig::baseline(scheme), lightMix(),
+                            1);
         system.run(20000);
         EXPECT_EQ(system.now(), 20000u);
         for (unsigned c = 0; c < 4; ++c) {
@@ -39,18 +43,18 @@ TEST(CmpSystem, BuildsEverySchemeAndRuns)
 
 TEST(CmpSystem, AdaptiveAccessorOnlyForAdaptiveScheme)
 {
-    CmpSystem adaptive(SystemConfig::baseline(L3Scheme::Adaptive),
-                       lightMix(), 1);
+    EnvCmpSystem adaptive(SystemConfig::baseline(L3Scheme::Adaptive),
+                          lightMix(), 1);
     EXPECT_NE(adaptive.adaptive(), nullptr);
-    CmpSystem priv(SystemConfig::baseline(L3Scheme::Private),
-                   lightMix(), 1);
+    EnvCmpSystem priv(SystemConfig::baseline(L3Scheme::Private),
+                      lightMix(), 1);
     EXPECT_EQ(priv.adaptive(), nullptr);
 }
 
 TEST(CmpSystem, ResetStatsStartsMeasurementWindow)
 {
-    CmpSystem system(SystemConfig::baseline(L3Scheme::Private),
-                     lightMix(), 2);
+    EnvCmpSystem system(SystemConfig::baseline(L3Scheme::Private),
+                        lightMix(), 2);
     system.run(10000);
     system.resetStats();
     EXPECT_EQ(system.measuredCycles(), 0u);
@@ -63,8 +67,8 @@ TEST(CmpSystem, ResetStatsStartsMeasurementWindow)
 TEST(CmpSystem, DeterministicAcrossIdenticalRuns)
 {
     const auto run = [](std::uint64_t seed) {
-        CmpSystem system(SystemConfig::baseline(L3Scheme::Adaptive),
-                         lightMix(), seed);
+        EnvCmpSystem system(SystemConfig::baseline(L3Scheme::Adaptive),
+                            lightMix(), seed);
         system.run(30000);
         std::vector<Counter> committed;
         for (unsigned c = 0; c < 4; ++c)
@@ -82,8 +86,8 @@ TEST(CmpSystem, WorkloadsArePerCoreDistinct)
     std::vector<WorkloadProfile> mix = {
         specProfile("eon"), specProfile("mcf"), specProfile("mesa"),
         specProfile("ammp")};
-    CmpSystem system(SystemConfig::baseline(L3Scheme::Private), mix,
-                     3);
+    EnvCmpSystem system(SystemConfig::baseline(L3Scheme::Private), mix,
+                        3);
     system.run(200000);
     system.resetStats();
     system.run(200000);
@@ -95,8 +99,8 @@ TEST(CmpSystem, L3AccessIntensityMetric)
 {
     std::vector<WorkloadProfile> mix(4, idleProfile());
     mix[0] = specProfile("mcf");
-    CmpSystem system(SystemConfig::baseline(L3Scheme::Private), mix,
-                     4);
+    EnvCmpSystem system(SystemConfig::baseline(L3Scheme::Private), mix,
+                        4);
     system.run(100000);
     system.resetStats();
     system.run(200000);
@@ -111,6 +115,40 @@ TEST(CmpSystem, MismatchedWorkloadCountIsFatal)
     EXPECT_DEATH(CmpSystem(SystemConfig::baseline(L3Scheme::Private),
                            three, 1),
                  "one workload per core");
+}
+
+TEST(CmpSystem, EnvSystemInstallsTheRobustnessEnvironment)
+{
+    // CI reruns the integration tests under REPRO_CHECK=1; that only
+    // checks anything if their EnvCmpSystems pick the variables up.
+    // Save and restore whatever the caller set.
+    const auto saved = [](const char *name) {
+        const char *v = std::getenv(name);
+        return v == nullptr ? std::string() : std::string(v);
+    };
+    const std::string check = saved("REPRO_CHECK");
+    const std::string period = saved("REPRO_CHECK_PERIOD");
+    ::setenv("REPRO_CHECK", "1", 1);
+    ::setenv("REPRO_CHECK_PERIOD", "1234", 1);
+
+    EnvCmpSystem checked(SystemConfig::baseline(L3Scheme::Adaptive),
+                         lightMix(), 1);
+    EXPECT_TRUE(checked.robustness().checkEnabled);
+    EXPECT_EQ(checked.robustness().checkPeriod, 1234u);
+    checked.run(5000);
+
+    CmpSystem plain(SystemConfig::baseline(L3Scheme::Adaptive),
+                    lightMix(), 1);
+    EXPECT_FALSE(plain.robustness().checkEnabled);
+
+    const auto restore = [](const char *name, const std::string &v) {
+        if (v.empty())
+            ::unsetenv(name);
+        else
+            ::setenv(name, v.c_str(), 1);
+    };
+    restore("REPRO_CHECK", check);
+    restore("REPRO_CHECK_PERIOD", period);
 }
 
 } // namespace

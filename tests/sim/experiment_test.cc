@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <set>
+#include <sstream>
 
+#include "sim/cmp_system.hh"
+#include "sim/env_config.hh"
 #include "sim/experiment.hh"
 #include "workload/spec_profiles.hh"
 
@@ -65,6 +69,57 @@ TEST(Experiment, RunMixProducesPerCoreResults)
         EXPECT_GT(ipc, 0.0);
 }
 
+/** Stats dump of a directly built system after a short run. */
+std::string
+directRunStats(const SystemConfig &config)
+{
+    CmpSystem system(config,
+                     {specProfile("mcf"), specProfile("gzip"),
+                      specProfile("ammp"), specProfile("art")},
+                     11);
+    EXPECT_TRUE(system.fastForwardEnabled());
+    system.run(20000);
+    std::ostringstream os;
+    system.statsRoot().dump(os);
+    return os.str();
+}
+
+TEST(Experiment, LibraryIgnoresTheEnvironment)
+{
+    // Configuration reaches the library only as arguments: variables
+    // that would change the loop, cut the run short, plant a fault,
+    // cache checkpoints or write a trace must not reach a system
+    // built from a config, nor runMix(config, spec, window).
+    const SystemConfig config = SystemConfig::baseline(L3Scheme::Adaptive);
+    const ExperimentSpec spec{{"mcf", "gzip", "ammp", "art"}, 7};
+    const SimWindow window{10000, 20000};
+    const std::string cleanStats = directRunStats(config);
+    const MixResult clean = runMix(config, spec, window);
+
+    const std::string tmp =
+        ::testing::TempDir() + "nuca_library_ignores_env";
+    std::filesystem::remove_all(tmp);
+    std::filesystem::create_directories(tmp);
+    const std::vector<std::pair<const char *, std::string>> knobs = {
+        {"REPRO_FASTFWD", "0"},
+        {"REPRO_MAX_CYCLES", "1"},
+        {"REPRO_FAULT", "channel_stall"},
+        {"REPRO_CKPT_DIR", tmp},
+        {"REPRO_TRACE", tmp + "/t.jsonl"}};
+    for (const auto &[name, value] : knobs)
+        ::setenv(name, value.c_str(), 1);
+    const std::string envStats = directRunStats(config);
+    const MixResult env = runMix(config, spec, window);
+    for (const auto &[name, value] : knobs)
+        ::unsetenv(name);
+
+    EXPECT_EQ(envStats, cleanStats);
+    EXPECT_EQ(env.ipc, clean.ipc);
+    EXPECT_EQ(env.l3AccessesPerKilocycle, clean.l3AccessesPerKilocycle);
+    EXPECT_TRUE(std::filesystem::is_empty(tmp));
+    std::filesystem::remove_all(tmp);
+}
+
 TEST(Experiment, EnvOverrideParsesNumbers)
 {
     ::setenv("NUCA_TEST_ENV_VALUE", "12345", 1);
@@ -121,13 +176,13 @@ TEST(Experiment, WindowFromEnvUsesDefaults)
 {
     ::unsetenv("REPRO_WARMUP_CYCLES");
     ::unsetenv("REPRO_MEASURE_CYCLES");
-    const auto window = SimWindow::fromEnv(111, 222);
+    const auto window = windowFromEnv(111, 222);
     EXPECT_EQ(window.warmupCycles, 111u);
     EXPECT_EQ(window.measureCycles, 222u);
 
     ::setenv("REPRO_WARMUP_CYCLES", "333", 1);
     ::setenv("REPRO_MEASURE_CYCLES", "444", 1);
-    const auto overridden = SimWindow::fromEnv(111, 222);
+    const auto overridden = windowFromEnv(111, 222);
     EXPECT_EQ(overridden.warmupCycles, 333u);
     EXPECT_EQ(overridden.measureCycles, 444u);
     ::unsetenv("REPRO_WARMUP_CYCLES");

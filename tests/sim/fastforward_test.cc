@@ -2,7 +2,7 @@
  * @file
  * Differential tests for the skipping run loop: the decoupled
  * per-core event scheduler (the default) must be bit-identical to
- * the cycle-by-cycle reference loop (REPRO_FASTFWD=0) — same
+ * the cycle-by-cycle reference loop (setFastForward(false)) — same
  * statistics, same telemetry records, same checkpoint bytes — for
  * every L3 scheme, with tracing and the robustness machinery active,
  * and across a checkpoint/restore boundary (including restoring into
@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -106,6 +105,8 @@ struct ObsOptions
 {
     bool profile = false;
     bool heatmap = false;
+    /** Decoupled advance-batch cap (setBatchCap; 0 = none). */
+    Cycle batchCap = 0;
 };
 
 /** Flips the global profiler flag and restores it on scope exit. */
@@ -139,6 +140,7 @@ runOnce(L3Scheme scheme, LoopMode mode, Cycle cycles,
     ProfileGuard profiling(obs.profile);
     CmpSystem system(SystemConfig::baseline(scheme), mix, kSeed);
     selectLoop(system, mode);
+    system.setBatchCap(obs.batchCap);
     system.setRobustness(activeRobustness());
     RecordingSink sink;
     system.attachTelemetry(&sink, kTracePeriod);
@@ -299,14 +301,14 @@ TEST(FastForward, SurvivesCheckpointRestoreCrossover)
 
 TEST(FastForward, BatchCapPreservesBitIdentity)
 {
-    // A small REPRO_DECOUPLE_BATCH forces advance() batches to end
-    // mid-stall constantly, exercising the pending-span handoff
-    // between OooCore::advance's internal folds and the scheduler's
-    // lazy settling at every boundary.
-    ASSERT_EQ(::setenv("REPRO_DECOUPLE_BATCH", "16", 1), 0);
-    const RunArtifacts capped =
-        runOnce(L3Scheme::Adaptive, LoopMode::Decoupled, 60000);
-    ASSERT_EQ(::unsetenv("REPRO_DECOUPLE_BATCH"), 0);
+    // A small batch cap forces advance() batches to end mid-stall
+    // constantly, exercising the pending-span handoff between
+    // OooCore::advance's internal folds and the scheduler's lazy
+    // settling at every boundary.
+    ObsOptions obs;
+    obs.batchCap = 16;
+    const RunArtifacts capped = runOnce(
+        L3Scheme::Adaptive, LoopMode::Decoupled, 60000, memoryMix(), obs);
     const RunArtifacts ref =
         runOnce(L3Scheme::Adaptive, LoopMode::Reference, 60000);
     EXPECT_EQ(capped.stats, ref.stats);
@@ -320,19 +322,13 @@ TEST(FastForward, EnvEscapeHatchesSelectTheLoop)
         SystemConfig::baseline(L3Scheme::Shared);
 
     // Default: the decoupled scheduler.
-    {
-        CmpSystem system(config, memoryMix(), kSeed);
-        EXPECT_TRUE(system.fastForwardEnabled());
-    }
-    // REPRO_FASTFWD=0 selects the reference loop.
-    ASSERT_EQ(::setenv("REPRO_FASTFWD", "0", 1), 0);
-    {
-        CmpSystem system(config, memoryMix(), kSeed);
-        EXPECT_FALSE(system.fastForwardEnabled());
-        system.run(2000);
-        EXPECT_EQ(system.fastForwardedCycles(), 0u);
-    }
-    ASSERT_EQ(::unsetenv("REPRO_FASTFWD"), 0);
+    CmpSystem system(config, memoryMix(), kSeed);
+    EXPECT_TRUE(system.fastForwardEnabled());
+    // setFastForward(false) selects the reference loop.
+    system.setFastForward(false);
+    EXPECT_FALSE(system.fastForwardEnabled());
+    system.run(2000);
+    EXPECT_EQ(system.fastForwardedCycles(), 0u);
 }
 
 TEST(FastForward, SchedulerDiagnosticsAccumulate)

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/env_config.hh"
 #include "sim/experiment.hh"
 #include "sim/parallel_runner.hh"
 

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/env_config.hh"
 #include "sim/proc_pool.hh"
 #include "sim/robustness.hh"
 
@@ -43,7 +44,7 @@ class ProcIsolationEnv : public ::testing::Test
 
 TEST_F(ProcIsolationEnv, DefaultsToDisabled)
 {
-    const auto iso = ProcIsolation::fromEnv();
+    const auto iso = isolationFromEnv();
     EXPECT_FALSE(iso.enabled);
     EXPECT_EQ(iso.memMb, 0u);
     EXPECT_EQ(iso.cpuS, 0u);
@@ -58,7 +59,7 @@ TEST_F(ProcIsolationEnv, ParsesModeAndLimits)
     ::setenv("REPRO_JOB_CPU_S", "30", 1);
     ::setenv("REPRO_JOB_TIMEOUT_S", "60", 1);
     ::setenv("REPRO_JOB_GRACE_MS", "250", 1);
-    const auto iso = ProcIsolation::fromEnv();
+    const auto iso = isolationFromEnv();
     EXPECT_EQ(iso.enabled, procIsolationSupported());
     EXPECT_EQ(iso.memMb, 512u);
     EXPECT_EQ(iso.cpuS, 30u);
@@ -66,13 +67,13 @@ TEST_F(ProcIsolationEnv, ParsesModeAndLimits)
     EXPECT_EQ(iso.graceMs, 250u);
 
     ::setenv("REPRO_ISOLATE", "off", 1);
-    EXPECT_FALSE(ProcIsolation::fromEnv().enabled);
+    EXPECT_FALSE(isolationFromEnv().enabled);
 }
 
 TEST_F(ProcIsolationEnv, RejectsUnknownMode)
 {
     ::setenv("REPRO_ISOLATE", "container", 1);
-    EXPECT_EXIT(ProcIsolation::fromEnv(), ExitedWithCode(1),
+    EXPECT_EXIT(isolationFromEnv(), ExitedWithCode(1),
                 "REPRO_ISOLATE");
 }
 

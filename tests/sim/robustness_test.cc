@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sim/cmp_system.hh"
+#include "sim/env_config.hh"
 #include "sim/robustness.hh"
 #include "workload/spec_profiles.hh"
 
@@ -56,16 +57,16 @@ committedAfter(CmpSystem &system, Cycle cycles)
 TEST(SweepPolicyEnv, ParsesEveryMode)
 {
     ::unsetenv("REPRO_FAIL");
-    EXPECT_EQ(SweepPolicy::fromEnv().onFail, FailPolicy::Abort);
+    EXPECT_EQ(sweepPolicyFromEnv().onFail, FailPolicy::Abort);
 
     ::setenv("REPRO_FAIL", "abort", 1);
-    EXPECT_EQ(SweepPolicy::fromEnv().onFail, FailPolicy::Abort);
+    EXPECT_EQ(sweepPolicyFromEnv().onFail, FailPolicy::Abort);
 
     ::setenv("REPRO_FAIL", "skip", 1);
-    EXPECT_EQ(SweepPolicy::fromEnv().onFail, FailPolicy::Skip);
+    EXPECT_EQ(sweepPolicyFromEnv().onFail, FailPolicy::Skip);
 
     ::setenv("REPRO_FAIL", "retry:3", 1);
-    const auto policy = SweepPolicy::fromEnv();
+    const auto policy = sweepPolicyFromEnv();
     EXPECT_EQ(policy.onFail, FailPolicy::Retry);
     EXPECT_EQ(policy.retries, 3u);
     ::unsetenv("REPRO_FAIL");
@@ -75,13 +76,13 @@ TEST(SweepPolicyEnv, ReadsRetryTuningKnobs)
 {
     ::unsetenv("REPRO_RETRY_BACKOFF_MS");
     ::unsetenv("REPRO_QUARANTINE");
-    auto policy = SweepPolicy::fromEnv();
+    auto policy = sweepPolicyFromEnv();
     EXPECT_EQ(policy.backoffMs, 100u);
     EXPECT_EQ(policy.maxCrashes, 2u);
 
     ::setenv("REPRO_RETRY_BACKOFF_MS", "0", 1);
     ::setenv("REPRO_QUARANTINE", "5", 1);
-    policy = SweepPolicy::fromEnv();
+    policy = sweepPolicyFromEnv();
     EXPECT_EQ(policy.backoffMs, 0u);
     EXPECT_EQ(policy.maxCrashes, 5u);
     ::unsetenv("REPRO_RETRY_BACKOFF_MS");
@@ -91,37 +92,37 @@ TEST(SweepPolicyEnv, ReadsRetryTuningKnobs)
 TEST(SweepPolicyEnv, RejectsMalformedSpecs)
 {
     ::setenv("REPRO_FAIL", "continue", 1);
-    EXPECT_EXIT(SweepPolicy::fromEnv(), ExitedWithCode(1),
+    EXPECT_EXIT(sweepPolicyFromEnv(), ExitedWithCode(1),
                 "REPRO_FAIL");
     ::setenv("REPRO_FAIL", "retry:0", 1);
-    EXPECT_EXIT(SweepPolicy::fromEnv(), ExitedWithCode(1), "N >= 1");
+    EXPECT_EXIT(sweepPolicyFromEnv(), ExitedWithCode(1), "N >= 1");
     ::setenv("REPRO_FAIL", "retry:x", 1);
-    EXPECT_EXIT(SweepPolicy::fromEnv(), ExitedWithCode(1),
-                "non-numeric");
+    EXPECT_EXIT(sweepPolicyFromEnv(), ExitedWithCode(1),
+                "not a number");
     ::unsetenv("REPRO_FAIL");
 }
 
 TEST(FaultSpecEnv, ParsesKindsAndArguments)
 {
     ::unsetenv("REPRO_FAULT");
-    EXPECT_FALSE(FaultSpec::fromEnv().enabled());
+    EXPECT_FALSE(faultFromEnv().enabled());
 
     ::setenv("REPRO_FAULT", "lru_corrupt", 1);
-    auto fault = FaultSpec::fromEnv();
+    auto fault = faultFromEnv();
     EXPECT_EQ(fault.kind, FaultKind::LruCorrupt);
     EXPECT_EQ(fault.arg, 0u);
     EXPECT_TRUE(fault.isSimFault());
 
     ::setenv("REPRO_FAULT", "mshr_leak:5000", 1);
-    fault = FaultSpec::fromEnv();
+    fault = faultFromEnv();
     EXPECT_EQ(fault.kind, FaultKind::MshrLeak);
     EXPECT_EQ(fault.arg, 5000u);
 
     ::setenv("REPRO_FAULT", "channel_stall", 1);
-    EXPECT_EQ(FaultSpec::fromEnv().kind, FaultKind::ChannelStall);
+    EXPECT_EQ(faultFromEnv().kind, FaultKind::ChannelStall);
 
     ::setenv("REPRO_FAULT", "throw_job:7", 1);
-    fault = FaultSpec::fromEnv();
+    fault = faultFromEnv();
     EXPECT_EQ(fault.kind, FaultKind::ThrowJob);
     EXPECT_EQ(fault.arg, 7u);
     EXPECT_FALSE(fault.isSimFault());
@@ -131,19 +132,19 @@ TEST(FaultSpecEnv, ParsesKindsAndArguments)
     // The crash kinds: job faults that take their process down, so
     // they are flagged for the REPRO_ISOLATE=proc requirement.
     ::setenv("REPRO_FAULT", "segv:2", 1);
-    fault = FaultSpec::fromEnv();
+    fault = faultFromEnv();
     EXPECT_EQ(fault.kind, FaultKind::SegvJob);
     EXPECT_EQ(fault.arg, 2u);
     EXPECT_TRUE(fault.isJobFault());
     EXPECT_TRUE(fault.isCrashFault());
 
     ::setenv("REPRO_FAULT", "oom:1", 1);
-    fault = FaultSpec::fromEnv();
+    fault = faultFromEnv();
     EXPECT_EQ(fault.kind, FaultKind::OomJob);
     EXPECT_TRUE(fault.isCrashFault());
 
     ::setenv("REPRO_FAULT", "hang:0", 1);
-    fault = FaultSpec::fromEnv();
+    fault = faultFromEnv();
     EXPECT_EQ(fault.kind, FaultKind::HangJob);
     EXPECT_TRUE(fault.isCrashFault());
     EXPECT_STREQ(to_string(FaultKind::SegvJob), "segv");
@@ -155,17 +156,17 @@ TEST(FaultSpecEnv, ParsesKindsAndArguments)
 TEST(FaultSpecEnv, RejectsMalformedSpecs)
 {
     ::setenv("REPRO_FAULT", "bit_flip", 1);
-    EXPECT_EXIT(FaultSpec::fromEnv(), ExitedWithCode(1),
+    EXPECT_EXIT(faultFromEnv(), ExitedWithCode(1),
                 "REPRO_FAULT kind");
     ::setenv("REPRO_FAULT", "throw_job", 1);
-    EXPECT_EXIT(FaultSpec::fromEnv(), ExitedWithCode(1),
+    EXPECT_EXIT(faultFromEnv(), ExitedWithCode(1),
                 "job index");
     // Every job-fault kind requires its ":K" target index.
     ::setenv("REPRO_FAULT", "segv", 1);
-    EXPECT_EXIT(FaultSpec::fromEnv(), ExitedWithCode(1),
+    EXPECT_EXIT(faultFromEnv(), ExitedWithCode(1),
                 "job index");
     ::setenv("REPRO_FAULT", "hang", 1);
-    EXPECT_EXIT(FaultSpec::fromEnv(), ExitedWithCode(1),
+    EXPECT_EXIT(faultFromEnv(), ExitedWithCode(1),
                 "job index");
     ::unsetenv("REPRO_FAULT");
 }
@@ -193,9 +194,8 @@ TEST(RobustnessConfigEnv, ReadsKnobsAndDefaults)
     ::unsetenv("REPRO_CHECK");
     ::unsetenv("REPRO_WATCHDOG");
     ::unsetenv("REPRO_WATCHDOG_WINDOW");
-    ::unsetenv("REPRO_WATCHDOG_MSHR_AGE");
     ::unsetenv("REPRO_MAX_CYCLES");
-    auto config = RobustnessConfig::fromEnv();
+    auto config = robustnessFromEnv();
     EXPECT_FALSE(config.checkEnabled);
     EXPECT_TRUE(config.watchdogEnabled);
     EXPECT_EQ(config.watchdogWindow, 1000000u);
@@ -206,11 +206,11 @@ TEST(RobustnessConfigEnv, ReadsKnobsAndDefaults)
     ::setenv("REPRO_WATCHDOG", "0", 1);
     ::setenv("REPRO_WATCHDOG_WINDOW", "4096", 1);
     ::setenv("REPRO_MAX_CYCLES", "123456", 1);
-    config = RobustnessConfig::fromEnv();
+    config = robustnessFromEnv();
     EXPECT_TRUE(config.checkEnabled);
     EXPECT_FALSE(config.watchdogEnabled);
     EXPECT_EQ(config.watchdogWindow, 4096u);
-    // The MSHR age bound follows the window when not set explicitly.
+    // The MSHR age bound follows the window.
     EXPECT_EQ(config.mshrAgeBound, 4096u);
     EXPECT_EQ(config.maxCycles, 123456u);
 
@@ -220,12 +220,17 @@ TEST(RobustnessConfigEnv, ReadsKnobsAndDefaults)
     ::unsetenv("REPRO_MAX_CYCLES");
 }
 
-TEST(RobustnessConfigEnv, SystemConstructorPicksUpEnv)
+TEST(RobustnessConfigEnv, SystemConstructorIgnoresEnv)
 {
+    // The environment reaches a system only through a harness that
+    // parses it and installs the result.
     ::setenv("REPRO_CHECK", "1", 1);
     ::setenv("REPRO_WATCHDOG_WINDOW", "2048", 1);
     CmpSystem system(SystemConfig::baseline(L3Scheme::Private),
                      lightMix(), 1);
+    EXPECT_FALSE(system.robustness().checkEnabled);
+    EXPECT_EQ(system.robustness().watchdogWindow, 1000000u);
+    system.setRobustness(robustnessFromEnv());
     EXPECT_TRUE(system.robustness().checkEnabled);
     EXPECT_EQ(system.robustness().watchdogWindow, 2048u);
     ::unsetenv("REPRO_CHECK");

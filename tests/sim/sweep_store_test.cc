@@ -220,13 +220,11 @@ TEST(SweepStore, SyncKnobIsReadPerStore)
 {
     const std::string path = tempPath("sweep_store_sync.jsonl");
     std::remove(path.c_str());
-    ::setenv("REPRO_SYNC", "1", 1);
     {
-        SweepStore store(path);
+        SweepStore store(path, /*sync=*/true);
         EXPECT_TRUE(store.synced());
         store.append(okRecord("sync.mix0", 1.0));
     }
-    ::unsetenv("REPRO_SYNC");
     {
         SweepStore store(path);
         EXPECT_FALSE(store.synced());

@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "base/logging.hh"
-#include "base/profiler.hh"
 #include "sim/cmp_system.hh"
+#include "sim/env_config.hh"
 #include "sim/metrics.hh"
 #include "sim/telemetry.hh"
 #include "workload/spec_profiles.hh"
@@ -130,6 +130,9 @@ main(int argc, char **argv)
                 usage();
             return argv[++i];
         };
+        const auto count = [&] {
+            return flagCount("nuca_sim", arg, value());
+        };
         if (arg == "--scheme") {
             scheme_name = value();
         } else if (arg == "--apps") {
@@ -137,18 +140,17 @@ main(int argc, char **argv)
         } else if (arg == "--config") {
             config_arg = value();
         } else if (arg == "--warmup") {
-            warmup = std::strtoull(value().c_str(), nullptr, 10);
+            warmup = count();
         } else if (arg == "--cycles") {
-            cycles = std::strtoull(value().c_str(), nullptr, 10);
+            cycles = count();
         } else if (arg == "--seed") {
-            seed = std::strtoull(value().c_str(), nullptr, 10);
+            seed = count();
         } else if (arg == "--trace-in") {
             trace_in = value();
         } else if (arg == "--capture") {
             capture_app = value();
         } else if (arg == "--insts") {
-            capture_insts =
-                std::strtoull(value().c_str(), nullptr, 10);
+            capture_insts = count();
         } else if (arg == "--out") {
             capture_out = value();
         } else if (arg == "--dump-stats") {
@@ -217,11 +219,11 @@ main(int argc, char **argv)
             std::make_unique<CmpSystem>(config, profiles, seed);
     }
     CmpSystem &system = *system_ptr;
-    // Observability knobs work on the CLI front end too:
-    // REPRO_PROFILE (host self-profile at exit), REPRO_TRACE
-    // (+REPRO_HEATMAP) telemetry, REPRO_PERFETTO trace export.
-    prof::initFromEnv();
-    const auto trace = attachTelemetryFromEnv(system, "");
+    // The REPRO_* robustness, profiling, telemetry and Perfetto
+    // knobs work on the CLI front end too.
+    system.setRobustness(robustnessFromEnv());
+    profilerFromEnv();
+    const auto trace = attachTelemetry(system, telemetryFromEnv(), "");
     std::fprintf(stderr, "warming %llu cycles...\n",
                  static_cast<unsigned long long>(warmup));
     system.run(warmup);

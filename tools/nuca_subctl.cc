@@ -3,6 +3,7 @@
  * nuca_subctl: command-line client for nuca_sweepd.
  *
  *   nuca_subctl [--socket PATH] <command> [args]
+ *   (--socket defaults to .sweepd/sock, nuca_sweepd's default)
  *
  *   ping [--retry N]        liveness check (retry once a second)
  *   submit [spec flags]     submit one job, print its id
@@ -22,6 +23,7 @@
  * --priority, --label.
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +33,7 @@
 
 #include "common.hh"
 #include "service/client.hh"
+#include "sim/env_config.hh"
 #include "sim/sweep_store.hh"
 #include "workload/spec_profiles.hh"
 
@@ -129,7 +132,7 @@ figuresFig03(FigureSubmitter &figures)
 void
 figuresFig05(FigureSubmitter &figures)
 {
-    const SimWindow window = SimWindow::fromEnv(1000000, 2000000);
+    const SimWindow window = windowFromEnv(1000000, 2000000);
     const std::vector<std::string> apps = allProfileNames();
     std::vector<std::uint64_t> ids;
     for (const std::string &app : apps) {
@@ -160,7 +163,7 @@ void
 figuresFig08(FigureSubmitter &figures)
 {
     using namespace nuca::bench;
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
+    const SimWindow window = windowFromEnv(3000000, 3000000);
     const unsigned num_mixes = mixCountFromEnv(16);
     const auto mixes =
         makeMixes(allProfileNames(), num_mixes, 4, 20070202);
@@ -256,7 +259,7 @@ main(int argc, char **argv)
     using namespace nuca;
     using namespace nuca::service;
 
-    std::string socket = envString("SWEEPD_SOCKET");
+    std::string socket = ".sweepd/sock";
     std::vector<std::string> args;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
@@ -267,10 +270,6 @@ main(int argc, char **argv)
     }
     if (args.empty())
         return usage();
-    if (socket.empty()) {
-        const std::string state = envString("SWEEPD_STATE");
-        socket = (state.empty() ? ".sweepd" : state) + "/sock";
-    }
 
     const SweepClient client(socket);
     const std::string &cmd = args[0];
@@ -279,8 +278,8 @@ main(int argc, char **argv)
             unsigned retries = 0;
             for (std::size_t i = 1; i < args.size(); ++i) {
                 if (args[i] == "--retry" && i + 1 < args.size())
-                    retries = static_cast<unsigned>(std::strtoul(
-                        args[++i].c_str(), nullptr, 10));
+                    retries = static_cast<unsigned>(flagCount(
+                        "nuca_subctl", "--retry", args[++i], UINT_MAX));
             }
             if (!client.ping(retries)) {
                 std::fprintf(stderr, "no daemon at %s\n",
@@ -299,6 +298,9 @@ main(int argc, char **argv)
                         throw ClientError(flag + " needs a value");
                     return args[++i];
                 };
+                const auto count = [&] {
+                    return flagCount("nuca_subctl", flag, value());
+                };
                 if (flag == "--kind") {
                     const std::string kind = value();
                     if (kind == "miss_curve")
@@ -314,17 +316,13 @@ main(int argc, char **argv)
                 } else if (flag == "--apps") {
                     spec.apps = splitCsv(value());
                 } else if (flag == "--seed") {
-                    spec.seed = std::strtoull(value().c_str(),
-                                              nullptr, 10);
+                    spec.seed = count();
                 } else if (flag == "--warmup") {
-                    spec.warmupCycles = std::strtoull(
-                        value().c_str(), nullptr, 10);
+                    spec.warmupCycles = count();
                 } else if (flag == "--measure") {
-                    spec.measureCycles = std::strtoull(
-                        value().c_str(), nullptr, 10);
+                    spec.measureCycles = count();
                 } else if (flag == "--insts") {
-                    spec.insts = std::strtoull(value().c_str(),
-                                               nullptr, 10);
+                    spec.insts = count();
                 } else if (flag == "--tenant") {
                     spec.tenant = value();
                 } else if (flag == "--priority") {
@@ -353,9 +351,7 @@ main(int argc, char **argv)
             json::Value req = json::Value::object();
             req.set("op", "status");
             if (args.size() > 1)
-                req.set("id", static_cast<std::uint64_t>(
-                                  std::strtoull(args[1].c_str(),
-                                                nullptr, 10)));
+                req.set("id", flagCount("nuca_subctl", "id", args[1]));
             std::printf("%s\n", client.request(req).dump(2).c_str());
             return 0;
         }
@@ -363,7 +359,7 @@ main(int argc, char **argv)
             if (args.size() < 2)
                 return usage();
             const std::uint64_t id =
-                std::strtoull(args[1].c_str(), nullptr, 10);
+                flagCount("nuca_subctl", "id", args[1]);
             const bool wait = args.size() > 2 &&
                               args[2] == "--wait";
             const json::Value resp =
@@ -376,7 +372,7 @@ main(int argc, char **argv)
             if (args.size() < 2)
                 return usage();
             const std::uint64_t id =
-                std::strtoull(args[1].c_str(), nullptr, 10);
+                flagCount("nuca_subctl", "id", args[1]);
             const json::Value resp = cmd == "preempt"
                                          ? client.preempt(id)
                                          : client.cancel(id);

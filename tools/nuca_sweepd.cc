@@ -7,7 +7,6 @@
  * preemptive fair-share scheduling and a cross-run result cache.
  * See docs/SERVICE.md.
  *
- * Flags override the SWEEPD_* environment defaults:
  *   --socket PATH    socket to listen on (default <state>/sock)
  *   --state DIR      state directory (journal, snapshots, cache)
  *   --workers N      worker pool size
@@ -15,18 +14,23 @@
  *   --quantum-ms MS  fair-share quantum (0 = no automatic preemption)
  *   --no-isolate     run jobs in-process instead of forked children
  *
+ * Jobs run under the REPRO_* robustness, telemetry and sandbox-limit
+ * settings of the daemon's environment (src/sim/env_config.hh).
+ *
  * SIGINT/SIGTERM stop the daemon gracefully: running jobs yield at
  * their next snapshot and stay resumable on disk.
  */
 
+#include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
 #include "service/sweepd.hh"
+#include "sim/env_config.hh"
 #include "sim/robustness.hh"
 
 int
@@ -35,7 +39,15 @@ main(int argc, char **argv)
     using namespace nuca;
     using namespace nuca::service;
 
-    DaemonOptions opts = DaemonOptions::fromEnv();
+    DaemonOptions opts;
+    // Isolation is --no-isolate's call; REPRO_JOB_* set the limits.
+    opts.isolation = isolationFromEnv();
+    opts.isolation.enabled = true;
+    opts.robust = robustnessFromEnv();
+    opts.telemetry = telemetryFromEnv();
+    opts.ckptMaxMb = checkpointFromEnv().maxMb;
+    opts.sync = envOr("REPRO_SYNC", 0) != 0;
+    profilerFromEnv();
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto value = [&]() -> const char * {
@@ -46,22 +58,22 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        const auto count = [&](std::uint64_t max = ~0ull) {
+            return flagCount("nuca_sweepd", arg, value(), max);
+        };
         if (arg == "--socket") {
             opts.socketPath = value();
         } else if (arg == "--state") {
             opts.stateDir = value();
         } else if (arg == "--workers") {
-            opts.workers = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
-            if (opts.workers == 0)
-                opts.workers = 1;
+            opts.workers = std::max(
+                static_cast<unsigned>(count(UINT_MAX)), 1u);
         } else if (arg == "--period") {
-            opts.preemptPeriod =
-                std::strtoull(value(), nullptr, 10);
+            opts.preemptPeriod = count();
         } else if (arg == "--quantum-ms") {
-            opts.quantumMs = std::strtoull(value(), nullptr, 10);
+            opts.quantumMs = count();
         } else if (arg == "--no-isolate") {
-            opts.isolate = false;
+            opts.isolation.enabled = false;
         } else {
             std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
             return 2;
@@ -81,7 +93,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         opts.preemptPeriod),
                     static_cast<unsigned long long>(opts.quantumMs),
-                    opts.isolate ? "proc" : "off");
+                    opts.isolation.enabled ? "proc" : "off");
         std::fflush(stdout);
 
         installSweepInterruptHandlers();

@@ -59,7 +59,7 @@
 #include "base/profiler.hh"
 #include "serialize/serializer.hh"
 #include "sim/cmp_system.hh"
-#include "sim/experiment.hh"
+#include "sim/env_config.hh"
 #include "sim/json_writer.hh"
 #include "sim/trace_event.hh"
 #include "workload/spec_profiles.hh"
@@ -141,9 +141,8 @@ timeRun(const SystemConfig &config,
     panic_if(cycles == 0, "perf_bench run with a zero-cycle window");
     CmpSystem system(config, apps, /*seed=*/20070201);
     system.setFastForward(mode == LoopMode::Decoupled);
-    TraceEventLog &events = traceEventsFromEnv();
-    if (events.enabled())
-        system.attachTraceEvents(&events, label);
+    if (TraceEventLog *events = traceEventsFromEnv())
+        system.attachTraceEvents(events, label);
 
     const auto start = std::chrono::steady_clock::now();
     system.run(cycles);
@@ -223,15 +222,14 @@ runJson(const RunResult &r, LoopMode mode)
 int
 main()
 {
-    prof::initFromEnv();
+    profilerFromEnv();
     const Cycle pchaseCycles = envOr("REPRO_BENCH_CYCLES", 8000000);
     const Cycle specCycles =
         envOr("REPRO_BENCH_SPEC_CYCLES", 2000000);
     const Cycle computeCycles =
         envOr("REPRO_BENCH_COMPUTE_CYCLES", 2000000);
-    const char *outEnv = std::getenv("REPRO_BENCH_OUT");
-    const std::string outPath =
-        outEnv && *outEnv ? outEnv : "BENCH_perf.json";
+    const std::string outEnv = envString("REPRO_BENCH_OUT");
+    const std::string outPath = outEnv.empty() ? "BENCH_perf.json" : outEnv;
 
     const std::vector<WorkloadProfile> pchaseMix(4, pchaseProfile());
     const std::vector<WorkloadProfile> specMix = {
