@@ -242,35 +242,37 @@ Vector::serializeValue(Serializer &s) const
 void
 Vector::deserializeValue(Deserializer &d)
 {
-    values_ = d.getVecU64(values_.size(), name().c_str());
+    d.getVecU64(values_, name().c_str());
 }
 
 void
 Distribution::serializeValue(Serializer &s) const
 {
     s.putVecU64(counts_);
-    s.putU64(underflow_);
-    s.putU64(overflow_);
-    s.putU64(count_);
+    auto w = s.record(7 * 8);
+    w.putU64(underflow_);
+    w.putU64(overflow_);
+    w.putU64(count_);
     // 128-bit sum as a lo/hi pair (checkpoint format v2).
-    s.putU64(static_cast<std::uint64_t>(sum_));
-    s.putU64(static_cast<std::uint64_t>(sum_ >> 64));
-    s.putU64(minSeen_);
-    s.putU64(maxSeen_);
+    w.putU64(static_cast<std::uint64_t>(sum_));
+    w.putU64(static_cast<std::uint64_t>(sum_ >> 64));
+    w.putU64(minSeen_);
+    w.putU64(maxSeen_);
 }
 
 void
 Distribution::deserializeValue(Deserializer &d)
 {
-    counts_ = d.getVecU64(counts_.size(), name().c_str());
-    underflow_ = d.getU64();
-    overflow_ = d.getU64();
-    count_ = d.getU64();
-    const std::uint64_t sum_lo = d.getU64();
-    const std::uint64_t sum_hi = d.getU64();
+    d.getVecU64(counts_, name().c_str());
+    auto r = d.record(7 * 8);
+    underflow_ = r.getU64();
+    overflow_ = r.getU64();
+    count_ = r.getU64();
+    const std::uint64_t sum_lo = r.getU64();
+    const std::uint64_t sum_hi = r.getU64();
     sum_ = (static_cast<unsigned __int128>(sum_hi) << 64) | sum_lo;
-    minSeen_ = d.getU64();
-    maxSeen_ = d.getU64();
+    minSeen_ = r.getU64();
+    maxSeen_ = r.getU64();
 }
 
 void

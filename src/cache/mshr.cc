@@ -7,6 +7,13 @@
 
 namespace nuca {
 
+namespace {
+
+/** Wire size of one entry: block address, ready, issued, reserved. */
+constexpr std::size_t entryBytes = 8 + 8 + 8 + 1;
+
+} // namespace
+
 MshrFile::MshrFile(stats::Group &parent, const std::string &name,
                    unsigned entries)
     : capacity_(entries),
@@ -161,11 +168,12 @@ MshrFile::checkpoint(Serializer &s) const
 {
     s.putTag(fourcc("MSHR"));
     s.putU64(entries_.size());
+    auto w = s.record(entries_.size() * entryBytes);
     for (const auto &e : entries_) {
-        s.putU64(e.blockAddr);
-        s.putU64(e.ready);
-        s.putU64(e.issued);
-        s.putBool(e.reserved);
+        w.putU64(e.blockAddr);
+        w.putU64(e.ready);
+        w.putU64(e.issued);
+        w.putBool(e.reserved);
     }
 }
 
@@ -174,14 +182,16 @@ MshrFile::restore(Deserializer &d)
 {
     d.expectTag(fourcc("MSHR"), "MSHR file");
     const auto n = d.getU64();
+    // Bounds-check every entry before sizing anything from n.
+    auto r = d.records(n, entryBytes);
     entries_.clear();
     entries_.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
         Entry e;
-        e.blockAddr = d.getU64();
-        e.ready = d.getU64();
-        e.issued = d.getU64();
-        e.reserved = d.getBool();
+        e.blockAddr = r.getU64();
+        e.ready = r.getU64();
+        e.issued = r.getU64();
+        e.reserved = r.getBool();
         entries_.push_back(e);
     }
     recomputeNextReady();

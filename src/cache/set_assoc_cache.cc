@@ -265,6 +265,14 @@ SetAssocCache::injectLruCorruption()
     return false;
 }
 
+namespace {
+
+/** Wire size of one way: tag, valid, dirty, owner, last use,
+ * insertion stamp, referenced. */
+constexpr std::size_t wayBytes = 8 + 1 + 1 + 8 + 8 + 8 + 1;
+
+} // namespace
+
 void
 SetAssocCache::checkpoint(Serializer &s) const
 {
@@ -272,18 +280,21 @@ SetAssocCache::checkpoint(Serializer &s) const
     s.putU64(stampCounter_);
     rng_.checkpoint(s);
     s.putU64(numSets_);
+    // The whole tag array is one record: per set, the associativity
+    // and then every way.
+    auto w = s.record(numSets_ * (8 + assoc_ * wayBytes));
     for (unsigned set = 0; set < numSets_; ++set) {
         const std::size_t base = baseOf(set);
-        s.putU64(assoc_);
-        for (unsigned w = 0; w < assoc_; ++w) {
-            const std::size_t i = base + w;
-            s.putU64(tags_[i]);
-            s.putBool(valid_[i] != 0);
-            s.putBool(dirty_[i] != 0);
-            s.putI64(owners_[i]);
-            s.putU64(lastUse_[i]);
-            s.putU64(insertedAt_[i]);
-            s.putBool(referenced_[i] != 0);
+        w.putU64(assoc_);
+        for (unsigned way = 0; way < assoc_; ++way) {
+            const std::size_t i = base + way;
+            w.putU64(tags_[i]);
+            w.putBool(valid_[i] != 0);
+            w.putBool(dirty_[i] != 0);
+            w.putI64(owners_[i]);
+            w.putU64(lastUse_[i]);
+            w.putU64(insertedAt_[i]);
+            w.putBool(referenced_[i] != 0);
         }
     }
 }
@@ -296,19 +307,20 @@ SetAssocCache::restore(Deserializer &d)
     rng_.restore(d);
     if (d.getU64() != numSets_)
         throw CheckpointError("cache set count mismatch");
+    auto r = d.record(numSets_ * (8 + assoc_ * wayBytes));
     for (unsigned set = 0; set < numSets_; ++set) {
         const std::size_t base = baseOf(set);
-        if (d.getU64() != assoc_)
+        if (r.getU64() != assoc_)
             throw CheckpointError("cache set associativity mismatch");
-        for (unsigned w = 0; w < assoc_; ++w) {
-            const std::size_t i = base + w;
-            tags_[i] = d.getU64();
-            valid_[i] = d.getBool() ? 1 : 0;
-            dirty_[i] = d.getBool() ? 1 : 0;
-            owners_[i] = static_cast<CoreId>(d.getI64());
-            lastUse_[i] = d.getU64();
-            insertedAt_[i] = d.getU64();
-            referenced_[i] = d.getBool() ? 1 : 0;
+        for (unsigned way = 0; way < assoc_; ++way) {
+            const std::size_t i = base + way;
+            tags_[i] = r.getU64();
+            valid_[i] = r.getBool() ? 1 : 0;
+            dirty_[i] = r.getBool() ? 1 : 0;
+            owners_[i] = static_cast<CoreId>(r.getI64());
+            lastUse_[i] = r.getU64();
+            insertedAt_[i] = r.getU64();
+            referenced_[i] = r.getBool() ? 1 : 0;
         }
     }
 }

@@ -169,9 +169,10 @@ Tlb::checkpoint(Serializer &s) const
     }
     std::sort(sorted.begin(), sorted.end());
     s.putU64(sorted.size());
+    auto w = s.record(sorted.size() * 16);
     for (const auto &[page, stamp] : sorted) {
-        s.putU64(page);
-        s.putU64(stamp);
+        w.putU64(page);
+        w.putU64(stamp);
     }
 }
 
@@ -183,6 +184,7 @@ Tlb::restore(Deserializer &d)
     const auto n = d.getU64();
     if (n > capacity_)
         throw CheckpointError("TLB checkpoint exceeds capacity");
+    auto r = d.record(n * 16); // (page, stamp) pairs
     std::fill(stamps_.begin(), stamps_.end(), 0);
     std::fill(prev_.begin(), prev_.end(), npos);
     std::fill(next_.begin(), next_.end(), npos);
@@ -197,8 +199,8 @@ Tlb::restore(Deserializer &d)
     std::vector<std::pair<std::uint64_t, std::size_t>> byStamp;
     byStamp.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr page = d.getU64();
-        const auto stamp = d.getU64();
+        const Addr page = r.getU64();
+        const auto stamp = r.getU64();
         byStamp.emplace_back(stamp, insert(page, stamp));
     }
     std::fill(prev_.begin(), prev_.end(), npos);

@@ -192,12 +192,14 @@ BranchPredictor::mispredictRate() const
 
 namespace {
 
+/** Wire size of one BTB entry: pc, target, valid, last use. */
+constexpr std::size_t btbEntryBytes = 8 + 8 + 1 + 8;
+
 void
 putCounterTable(Serializer &s, const std::vector<std::uint8_t> &t)
 {
     s.putU64(t.size());
-    for (const auto c : t)
-        s.putU8(c);
+    s.record(t.size()).putBytes(t.data(), t.size());
 }
 
 void
@@ -207,8 +209,7 @@ getCounterTable(Deserializer &d, std::vector<std::uint8_t> &t,
     if (d.getU64() != t.size())
         throw CheckpointError(std::string("predictor table size "
                                           "mismatch: ") + what);
-    for (auto &c : t)
-        c = d.getU8();
+    d.record(t.size()).getBytes(t.data(), t.size());
 }
 
 } // namespace
@@ -219,16 +220,18 @@ BranchPredictor::checkpoint(Serializer &s) const
     s.putTag(fourcc("BPRD"));
     putCounterTable(s, bimodal_);
     s.putU64(histories_.size());
+    auto hw = s.record(histories_.size() * 2);
     for (const auto h : histories_)
-        s.putU16(h);
+        hw.putU16(h);
     putCounterTable(s, pattern_);
     putCounterTable(s, chooser_);
     s.putU64(btb_.size());
+    auto bw = s.record(btb_.size() * btbEntryBytes);
     for (const auto &e : btb_) {
-        s.putU64(e.pc);
-        s.putU64(e.target);
-        s.putBool(e.valid);
-        s.putU64(e.lastUse);
+        bw.putU64(e.pc);
+        bw.putU64(e.target);
+        bw.putBool(e.valid);
+        bw.putU64(e.lastUse);
     }
     s.putU64(btbStamp_);
 }
@@ -241,17 +244,19 @@ BranchPredictor::restore(Deserializer &d)
     if (d.getU64() != histories_.size())
         throw CheckpointError("predictor history table size "
                               "mismatch");
+    auto hr = d.record(histories_.size() * 2);
     for (auto &h : histories_)
-        h = d.getU16();
+        h = hr.getU16();
     getCounterTable(d, pattern_, "pattern");
     getCounterTable(d, chooser_, "chooser");
     if (d.getU64() != btb_.size())
         throw CheckpointError("BTB size mismatch");
+    auto br = d.record(btb_.size() * btbEntryBytes);
     for (auto &e : btb_) {
-        e.pc = d.getU64();
-        e.target = d.getU64();
-        e.valid = d.getBool();
-        e.lastUse = d.getU64();
+        e.pc = br.getU64();
+        e.target = br.getU64();
+        e.valid = br.getBool();
+        e.lastUse = br.getU64();
     }
     btbStamp_ = d.getU64();
 }

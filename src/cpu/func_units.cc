@@ -80,8 +80,7 @@ FuncUnits::restore(Deserializer &d)
     d.expectTag(fourcc("FUNC"), "functional units");
     for (auto *pool :
          {&intAlu_, &fpAlu_, &intMultDiv_, &fpMultDiv_, &memPort_})
-        pool->busyUntil =
-            d.getVecU64(pool->busyUntil.size(), "unit pool");
+        d.getVecU64(pool->busyUntil, "unit pool");
 }
 
 } // namespace nuca

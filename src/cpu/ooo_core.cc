@@ -684,7 +684,7 @@ OooCore::restore(Deserializer &d)
         e.doneAt = d.getU64();
         ruu_.push_back(e);
     }
-    doneRing_ = d.getVecU64(doneRingMask_ + 1, "completion ring");
+    d.getVecU64(doneRing_, "completion ring");
     nextSeq_ = d.getU64();
     lsqInUse_ = d.getU32();
     const auto nrel = d.getU64();

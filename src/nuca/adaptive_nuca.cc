@@ -762,6 +762,14 @@ AdaptiveNuca::injectLruCorruption()
     return false;
 }
 
+namespace {
+
+/** Wire size of one slot: the legacy block fields (tag, valid,
+ * dirty, owner, last use, insertion stamp, referenced) + shared. */
+constexpr std::size_t slotBytes = 8 + 1 + 1 + 8 + 8 + 8 + 1 + 1;
+
+} // namespace
+
 void
 AdaptiveNuca::checkpoint(Serializer &s) const
 {
@@ -772,15 +780,16 @@ AdaptiveNuca::checkpoint(Serializer &s) const
     // identical to the old array-of-structs encoding. The adaptive
     // scheme never sets insertedAt/referenced, so they are written
     // as the constants every old checkpoint carried.
+    auto w = s.record(tags_.size() * slotBytes);
     for (std::size_t i = 0; i < tags_.size(); ++i) {
-        s.putU64(tags_[i]);
-        s.putBool(valid_[i] != 0);
-        s.putBool(dirty_[i] != 0);
-        s.putI64(owners_[i]);
-        s.putU64(lastUse_[i]);
-        s.putU64(0);      // insertedAt: unused by this scheme
-        s.putBool(false); // referenced: unused by this scheme
-        s.putBool(isShared_[i] != 0);
+        w.putU64(tags_[i]);
+        w.putBool(valid_[i] != 0);
+        w.putBool(dirty_[i] != 0);
+        w.putI64(owners_[i]);
+        w.putU64(lastUse_[i]);
+        w.putU64(0);      // insertedAt: unused by this scheme
+        w.putBool(false); // referenced: unused by this scheme
+        w.putBool(isShared_[i] != 0);
     }
     engine_.checkpoint(s);
 }
@@ -792,15 +801,16 @@ AdaptiveNuca::restore(Deserializer &d)
     stampCounter_ = d.getU64();
     if (d.getU64() != tags_.size())
         throw CheckpointError("NUCA slot count mismatch");
+    auto r = d.record(tags_.size() * slotBytes);
     for (std::size_t i = 0; i < tags_.size(); ++i) {
-        tags_[i] = d.getU64();
-        valid_[i] = d.getBool() ? 1 : 0;
-        dirty_[i] = d.getBool() ? 1 : 0;
-        owners_[i] = static_cast<CoreId>(d.getI64());
-        lastUse_[i] = d.getU64();
-        (void)d.getU64();  // insertedAt: unused by this scheme
-        (void)d.getBool(); // referenced: unused by this scheme
-        isShared_[i] = d.getBool() ? 1 : 0;
+        tags_[i] = r.getU64();
+        valid_[i] = r.getBool() ? 1 : 0;
+        dirty_[i] = r.getBool() ? 1 : 0;
+        owners_[i] = static_cast<CoreId>(r.getI64());
+        lastUse_[i] = r.getU64();
+        (void)r.getU64();  // insertedAt: unused by this scheme
+        (void)r.getBool(); // referenced: unused by this scheme
+        isShared_[i] = r.getBool() ? 1 : 0;
         // Signatures are derived state, absent from the wire format.
         sig_[i] = valid_[i] ? sigOf(tags_[i]) : 0;
     }

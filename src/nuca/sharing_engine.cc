@@ -251,9 +251,10 @@ SharingEngine::checkpoint(Serializer &s) const
 {
     s.putTag(fourcc("SENG"));
     s.putU64(shadowTags_.size());
+    auto w = s.record(shadowTags_.size() * (8 + 1));
     for (std::size_t i = 0; i < shadowTags_.size(); ++i) {
-        s.putU64(shadowTags_[i]);
-        s.putBool(shadowValid_[i] != 0);
+        w.putU64(shadowTags_[i]);
+        w.putBool(shadowValid_[i] != 0);
     }
     s.putU64(quotas_.size());
     for (const auto q : quotas_)
@@ -270,16 +271,17 @@ SharingEngine::restore(Deserializer &d)
     d.expectTag(fourcc("SENG"), "sharing engine");
     if (d.getU64() != shadowTags_.size())
         throw CheckpointError("shadow tag array size mismatch");
+    auto r = d.record(shadowTags_.size() * (8 + 1));
     for (std::size_t i = 0; i < shadowTags_.size(); ++i) {
-        shadowTags_[i] = d.getU64();
-        shadowValid_[i] = d.getBool() ? 1 : 0;
+        shadowTags_[i] = r.getU64();
+        shadowValid_[i] = r.getBool() ? 1 : 0;
     }
     if (d.getU64() != quotas_.size())
         throw CheckpointError("quota vector size mismatch");
     for (auto &q : quotas_)
         q = d.getU32();
-    shadowHits_ = d.getVecU64(shadowHits_.size(), "shadow hits");
-    lruHits_ = d.getVecU64(lruHits_.size(), "LRU hits");
+    d.getVecU64(shadowHits_, "shadow hits");
+    d.getVecU64(lruHits_, "LRU hits");
     epochMissCount_ = d.getU64();
     scanStart_ = d.getU32();
 }

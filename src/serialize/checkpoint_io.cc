@@ -91,16 +91,28 @@ readCheckpointFile(const std::string &path, std::uint64_t configHash)
     const auto length = header.getU64();
     const auto storedCrc = header.getU32();
 
+    // Trust the length field only once it matches the file, so a
+    // corrupt header cannot size a multi-gigabyte buffer. A short
+    // file and trailing bytes are both corruption.
+    if (std::fseek(f.get(), 0, SEEK_END) != 0)
+        throw CheckpointError("cannot size checkpoint " + path);
+    const long end = std::ftell(f.get());
+    if (end < 0 ||
+        std::fseek(f.get(), static_cast<long>(headerSize), SEEK_SET) != 0)
+        throw CheckpointError("cannot size checkpoint " + path);
+    const std::uint64_t actual =
+        static_cast<std::uint64_t>(end) - headerSize;
+    if (length > actual)
+        throw CheckpointError("checkpoint payload truncated: " +
+                              path);
+    if (length < actual)
+        throw CheckpointError("checkpoint has trailing bytes: " +
+                              path);
+
     std::vector<std::uint8_t> payload(length);
     if (!payload.empty() &&
         std::fread(payload.data(), 1, length, f.get()) != length)
         throw CheckpointError("checkpoint payload truncated: " +
-                              path);
-    // A trailing byte means the length field and the contents
-    // disagree — treat it as corruption, same as a short file.
-    std::uint8_t extra;
-    if (std::fread(&extra, 1, 1, f.get()) == 1)
-        throw CheckpointError("checkpoint has trailing bytes: " +
                               path);
     if (crc32(payload.data(), payload.size()) != storedCrc)
         throw CheckpointError("checkpoint CRC mismatch: " + path);

@@ -6,138 +6,66 @@
 namespace nuca {
 
 void
-Serializer::putU16(std::uint16_t v)
-{
-    putU8(static_cast<std::uint8_t>(v));
-    putU8(static_cast<std::uint8_t>(v >> 8));
-}
-
-void
-Serializer::putU32(std::uint32_t v)
-{
-    putU16(static_cast<std::uint16_t>(v));
-    putU16(static_cast<std::uint16_t>(v >> 16));
-}
-
-void
-Serializer::putU64(std::uint64_t v)
-{
-    putU32(static_cast<std::uint32_t>(v));
-    putU32(static_cast<std::uint32_t>(v >> 32));
-}
-
-void
-Serializer::putI64(std::int64_t v)
-{
-    putU64(static_cast<std::uint64_t>(v));
-}
-
-void
-Serializer::putDouble(double v)
-{
-    static_assert(sizeof(double) == sizeof(std::uint64_t));
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(bits);
-}
-
-void
 Serializer::putString(const std::string &s)
 {
-    putU64(s.size());
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    auto w = record(8 + s.size());
+    w.putU64(s.size());
+    w.putBytes(reinterpret_cast<const std::uint8_t *>(s.data()),
+               s.size());
 }
 
 void
 Serializer::putVecU64(const std::vector<std::uint64_t> &v)
 {
-    putU64(v.size());
+    auto w = record(8 + 8 * v.size());
+    w.putU64(v.size());
     for (const auto x : v)
-        putU64(x);
+        w.putU64(x);
 }
 
 void
 Serializer::putVecDouble(const std::vector<double> &v)
 {
-    putU64(v.size());
+    auto w = record(8 + 8 * v.size());
+    w.putU64(v.size());
     for (const auto x : v)
-        putDouble(x);
+        w.putDouble(x);
 }
 
 void
-Deserializer::need(std::size_t n)
+RecordReader::badBool(std::uint8_t v)
 {
-    if (size_ - pos_ < n)
+    throw CheckpointError("checkpoint corrupt: bool byte " +
+                          std::to_string(v));
+}
+
+void
+Deserializer::truncated(std::size_t n) const
+{
+    throw CheckpointError("checkpoint truncated: need " +
+                          std::to_string(n) + " bytes, " +
+                          std::to_string(size_ - pos_) + " remain");
+}
+
+RecordReader
+Deserializer::records(std::uint64_t count, std::size_t entryBytes)
+{
+    if (count > remaining() / entryBytes)
         throw CheckpointError("checkpoint truncated: need " +
-                              std::to_string(n) + " bytes, " +
-                              std::to_string(size_ - pos_) +
-                              " remain");
-}
-
-std::uint8_t
-Deserializer::getU8()
-{
-    need(1);
-    return data_[pos_++];
-}
-
-std::uint16_t
-Deserializer::getU16()
-{
-    const auto lo = getU8();
-    const auto hi = getU8();
-    return static_cast<std::uint16_t>(lo |
-                                      static_cast<unsigned>(hi) << 8);
-}
-
-std::uint32_t
-Deserializer::getU32()
-{
-    const std::uint32_t lo = getU16();
-    const std::uint32_t hi = getU16();
-    return lo | hi << 16;
-}
-
-std::uint64_t
-Deserializer::getU64()
-{
-    const std::uint64_t lo = getU32();
-    const std::uint64_t hi = getU32();
-    return lo | hi << 32;
-}
-
-std::int64_t
-Deserializer::getI64()
-{
-    return static_cast<std::int64_t>(getU64());
-}
-
-bool
-Deserializer::getBool()
-{
-    const auto v = getU8();
-    if (v > 1)
-        throw CheckpointError("checkpoint corrupt: bool byte " +
-                              std::to_string(v));
-    return v != 0;
-}
-
-double
-Deserializer::getDouble()
-{
-    const std::uint64_t bits = getU64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
+                              std::to_string(count) + " entries of " +
+                              std::to_string(entryBytes) + " bytes, " +
+                              std::to_string(remaining()) +
+                              " bytes remain");
+    return record(count * entryBytes);
 }
 
 std::string
 Deserializer::getString()
 {
     const std::uint64_t n = getU64();
-    need(n);
-    std::string s(reinterpret_cast<const char *>(data_ + pos_), n);
-    pos_ += n;
+    auto r = records(n, 1);
+    std::string s(n, '\0');
+    r.getBytes(reinterpret_cast<std::uint8_t *>(s.data()), n);
     return s;
 }
 
@@ -154,35 +82,37 @@ std::vector<std::uint64_t>
 Deserializer::getVecU64()
 {
     const std::uint64_t n = getU64();
-    need(n * 8);
+    auto r = records(n, 8);
     std::vector<std::uint64_t> v(n);
     for (auto &x : v)
-        x = getU64();
+        x = r.getU64();
     return v;
 }
 
-std::vector<std::uint64_t>
-Deserializer::getVecU64(std::size_t expected, const char *what)
+void
+Deserializer::getVecU64(std::vector<std::uint64_t> &into,
+                        const char *what)
 {
-    auto v = getVecU64();
-    if (v.size() != expected)
+    const std::uint64_t n = getU64();
+    if (n != into.size())
         throw CheckpointError(std::string("checkpoint length "
                                           "mismatch at ") +
-                              what + ": stored " +
-                              std::to_string(v.size()) +
+                              what + ": stored " + std::to_string(n) +
                               ", expected " +
-                              std::to_string(expected));
-    return v;
+                              std::to_string(into.size()));
+    auto r = record(n * 8);
+    for (auto &x : into)
+        x = r.getU64();
 }
 
 std::vector<double>
 Deserializer::getVecDouble()
 {
     const std::uint64_t n = getU64();
-    need(n * 8);
+    auto r = records(n, 8);
     std::vector<double> v(n);
     for (auto &x : v)
-        x = getDouble();
+        x = r.getDouble();
     return v;
 }
 
@@ -197,17 +127,36 @@ Deserializer::expectEnd(const char *what)
 
 namespace {
 
-std::array<std::uint32_t, 256>
-makeCrcTable()
+/**
+ * Slicing-by-8 tables: crcTables[0] is the classic byte table, and
+ * crcTables[k][b] is the CRC contribution of byte b followed by k
+ * zero bytes, so eight table lookups advance the CRC a whole word.
+ */
+constexpr std::array<std::array<std::uint32_t, 256>, 8>
+makeCrcTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < 8; ++k) {
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+    return t;
+}
+
+constexpr auto crcTables = makeCrcTables();
+
+std::uint32_t
+loadU32(const std::uint8_t *p)
+{
+    std::uint32_t v;
+    std::memcpy(&v, p, sizeof v);
+    return littleEndian(v);
 }
 
 } // namespace
@@ -215,10 +164,18 @@ makeCrcTable()
 std::uint32_t
 crc32(const std::uint8_t *data, std::size_t size)
 {
-    static const auto table = makeCrcTable();
+    const auto &t = crcTables;
     std::uint32_t c = 0xffffffffu;
-    for (std::size_t i = 0; i < size; ++i)
-        c = table[(c ^ data[i]) & 0xffu] ^ (c >> 8);
+    for (; size >= 8; data += 8, size -= 8) {
+        const std::uint32_t lo = loadU32(data) ^ c;
+        const std::uint32_t hi = loadU32(data + 4);
+        c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+            t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; size > 0; ++data, --size)
+        c = t[0][(c ^ *data) & 0xffu] ^ (c >> 8);
     return c ^ 0xffffffffu;
 }
 

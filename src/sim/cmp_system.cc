@@ -931,10 +931,8 @@ CmpSystem::restore(Deserializer &d)
     d.expectTag(fourcc("SYST"), "cmp system");
     now_ = d.getU64();
     statsZero_ = d.getU64();
-    committedZero_ =
-        d.getVecU64(config_.numCores, "committed baselines");
-    l3AccessZero_ =
-        d.getVecU64(config_.numCores, "L3 access baselines");
+    d.getVecU64(committedZero_, "committed baselines");
+    d.getVecU64(l3AccessZero_, "L3 access baselines");
     for (auto &workload : workloads_)
         workload->restore(d);
     l3_->restore(d);

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "serialize/checkpoint_io.hh"
 #include "serialize/serializer.hh"
@@ -100,7 +101,13 @@ TEST(Serializer, ExpectedLengthVectorMismatchThrows)
     Serializer s;
     s.putVecU64({1, 2, 3});
     Deserializer d(s.bytes());
-    EXPECT_THROW(d.getVecU64(4, "fixed table"), CheckpointError);
+    std::vector<std::uint64_t> table(4);
+    EXPECT_THROW(d.getVecU64(table, "fixed table"), CheckpointError);
+
+    Deserializer again(s.bytes());
+    table.resize(3);
+    again.getVecU64(table, "fixed table");
+    EXPECT_EQ(table, (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
 TEST(Serializer, ReadPastEndThrows)
@@ -137,12 +144,82 @@ TEST(Serializer, ExpectEndWithLeftoverThrows)
     EXPECT_THROW(d.expectEnd("payload"), CheckpointError);
 }
 
+TEST(Serializer, HugeVectorLengthThrowsWithoutAllocating)
+{
+    // n * 8 wraps to a small number for n >= 2^61; the length check
+    // must not, or std::vector(n) throws something other than
+    // CheckpointError.
+    for (const std::uint64_t n :
+         {std::uint64_t{1} << 61, (std::uint64_t{1} << 61) + 1,
+          ~std::uint64_t{0}, std::uint64_t{2}}) {
+        Serializer s;
+        s.putU64(n);
+        s.putU64(0); // one element's worth of bytes
+        Deserializer u(s.bytes());
+        EXPECT_THROW(u.getVecU64(), CheckpointError) << n;
+        Deserializer f(s.bytes());
+        EXPECT_THROW(f.getVecDouble(), CheckpointError) << n;
+    }
+    Serializer s;
+    s.putU64(2);
+    s.putU64(0);
+    Deserializer d(s.bytes());
+    std::vector<std::uint64_t> table(2);
+    EXPECT_THROW(d.getVecU64(table, "fixed table"), CheckpointError);
+}
+
 TEST(Crc32, KnownVector)
 {
     // The classic check value: crc32("123456789") = 0xcbf43926.
     const char *text = "123456789";
     EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t *>(text), 9),
               0xcbf43926u);
+}
+
+/** Bit-at-a-time reflected IEEE CRC-32: the definition itself. */
+std::uint32_t
+referenceCrc32(const std::uint8_t *data, std::size_t size)
+{
+    std::uint32_t c = 0xffffffffu;
+    for (std::size_t i = 0; i < size; ++i) {
+        c ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1u)));
+    }
+    return ~c;
+}
+
+std::vector<std::uint8_t>
+pseudoRandomBytes(std::size_t n)
+{
+    std::vector<std::uint8_t> bytes(n);
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (auto &b : bytes) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        b = static_cast<std::uint8_t>(x >> 24);
+    }
+    return bytes;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment)
+{
+    const auto bytes = pseudoRandomBytes(257 + 8);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 257; ++len) {
+            ASSERT_EQ(crc32(bytes.data() + offset, len),
+                      referenceCrc32(bytes.data() + offset, len))
+                << "offset " << offset << ", length " << len;
+        }
+    }
+}
+
+TEST(Crc32, MatchesBytewiseReferenceOnALargeBuffer)
+{
+    const auto bytes = pseudoRandomBytes(4u << 20);
+    EXPECT_EQ(crc32(bytes.data(), bytes.size()),
+              referenceCrc32(bytes.data(), bytes.size()));
 }
 
 class CheckpointIoTest : public ::testing::Test
@@ -246,6 +323,27 @@ TEST_F(CheckpointIoTest, TrailingBytesRefused)
     out.put('Z');
     out.close();
     EXPECT_THROW(readCheckpointFile(path(), hash_), CheckpointError);
+}
+
+TEST_F(CheckpointIoTest, LengthFieldMustMatchTheFileSize)
+{
+    writeCheckpointFile(path(), hash_, payload_);
+    const std::uint64_t fileSize = 28 + payload_.size();
+    // A huge length must be refused before anything is allocated for
+    // it; one just past the file must be refused as truncation.
+    for (const std::uint64_t length :
+         {std::uint64_t{1} << 62, fileSize + 1, fileSize,
+          std::uint64_t{payload_.size() - 1}}) {
+        std::fstream f(path(),
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekp(16); // after magic, version and configuration hash
+        for (int i = 0; i < 8; ++i)
+            f.put(static_cast<char>(length >> (8 * i)));
+        f.close();
+        EXPECT_THROW(readCheckpointFile(path(), hash_),
+                     CheckpointError)
+            << "length " << length;
+    }
 }
 
 TEST_F(CheckpointIoTest, EmptyPayloadRoundTrips)

@@ -262,6 +262,200 @@ TEST_F(SystemCheckpointTest, RestoreRefusesTruncatedPayload)
     EXPECT_THROW(b.restore(d), CheckpointError);
 }
 
+/**
+ * The checkpoint wire format, pinned. The digests were recorded from
+ * the byte-at-a-time codec that the word-at-a-time one replaced; any
+ * change to an encoder's bytes (or to the simulation that feeds it)
+ * shows up here before it reaches a cached artifact on disk.
+ */
+class CheckpointCodec : public ::testing::Test
+{
+  protected:
+    /** Two cores with shrunken caches: every component is present
+     * but the payload stays a few tens of kilobytes. */
+    static SystemConfig
+    smallConfig(L3Scheme scheme)
+    {
+        SystemConfig c = SystemConfig::baseline(scheme);
+        c.numCores = 2;
+        c.coreMem.l1i.sizeBytes = 4 << 10;
+        c.coreMem.l1d.sizeBytes = 4 << 10;
+        c.coreMem.l2i.sizeBytes = 8 << 10;
+        c.coreMem.l2d.sizeBytes = 8 << 10;
+        c.l3SizePerCoreBytes = 16 << 10;
+        c.epochMisses = 200;
+        return c;
+    }
+
+    static std::vector<WorkloadProfile>
+    smallApps()
+    {
+        return {specProfile("mcf"), specProfile("art")};
+    }
+
+    static std::vector<std::uint8_t>
+    smallPayload(L3Scheme scheme)
+    {
+        CmpSystem system(smallConfig(scheme), smallApps(), 17);
+        system.run(20000);
+        Serializer s;
+        system.checkpoint(s);
+        return s.bytes();
+    }
+
+    /**
+     * End offsets of every per-set record of every SACC section:
+     * after the tag, a u64 stamp counter, four u64 Rng words and a
+     * u64 set count, each set is a u64 associativity followed by
+     * 35 bytes per way.
+     */
+    static std::vector<std::size_t>
+    setRecordEnds(const std::vector<std::uint8_t> &bytes)
+    {
+        constexpr std::uint32_t tag = fourcc("SACC");
+        std::vector<std::size_t> ends;
+        for (std::size_t at = 0; at + 4 <= bytes.size(); ++at) {
+            Deserializer d(bytes.data() + at, bytes.size() - at);
+            if (d.getU32() != tag)
+                continue;
+            std::vector<std::size_t> found;
+            try {
+                for (int i = 0; i < 5; ++i)
+                    d.getU64();
+                const std::uint64_t sets = d.getU64();
+                for (std::uint64_t set = 0; set < sets; ++set) {
+                    const std::uint64_t assoc = d.getU64();
+                    if (assoc == 0 || assoc > 64 ||
+                        assoc * 35 > d.remaining())
+                        throw CheckpointError("not a set record");
+                    d.record(assoc * 35);
+                    found.push_back(bytes.size() - d.remaining());
+                }
+            } catch (const CheckpointError &) {
+                continue; // "SACC" by chance inside some other value
+            }
+            ends.insert(ends.end(), found.begin(), found.end());
+        }
+        return ends;
+    }
+};
+
+TEST_F(CheckpointCodec, SystemPayloadDigestsArePinned)
+{
+    const struct
+    {
+        L3Scheme scheme;
+        std::size_t size;
+        std::uint64_t digest;
+    } pinned[] = {
+        {L3Scheme::Private, 120244, 0x4534d27009cf3e07ull},
+        {L3Scheme::Shared, 119636, 0xe486a944ec7c7d88ull},
+        {L3Scheme::Adaptive, 120980, 0xfb00786fc4db0c11ull},
+        {L3Scheme::RandomReplacement, 120340, 0xa30e9e16b1359062ull},
+    };
+    for (const auto &pin : pinned) {
+        const auto bytes = smallPayload(pin.scheme);
+        EXPECT_EQ(bytes.size(), pin.size)
+            << "scheme " << to_string(pin.scheme);
+        EXPECT_EQ(hashBytes(bytes.data(), bytes.size()), pin.digest)
+            << "scheme " << to_string(pin.scheme);
+    }
+}
+
+TEST_F(CheckpointCodec, EveryPrimitiveEncodingIsPinned)
+{
+    Serializer s;
+    s.putU8(0xa5);
+    s.putU16(0xbeef);
+    s.putU32(0xdeadbeefu);
+    s.putU64(0x0123456789abcdefull);
+    s.putI64(-2);
+    s.putBool(true);
+    s.putBool(false);
+    s.putDouble(-1.5e-300);
+    s.putString("NUCA");
+    s.putString("");
+    s.putTag(fourcc("PINS"));
+    s.putVecU64({0, 1, ~std::uint64_t{0}, 0x8000000000000001ull});
+    s.putVecU64({});
+    s.putVecDouble({0.25, -0.0, 6.02214076e23});
+    EXPECT_EQ(s.size(), 1u + 2 + 4 + 8 + 8 + 1 + 1 + 8 + 12 + 8 + 4 +
+                            40 + 8 + 32);
+    EXPECT_EQ(hashBytes(s.bytes().data(), s.size()),
+              0x14443bc913a7708bull);
+}
+
+TEST_F(CheckpointCodec, EveryTruncatedPrefixIsRefused)
+{
+    // Private keeps its L3 in SACC sections too; adaptive has the
+    // NUCA slot array instead.
+    for (const auto scheme : {L3Scheme::Private, L3Scheme::Adaptive}) {
+        const auto bytes = smallPayload(scheme);
+        const auto ends = setRecordEnds(bytes);
+        // 2 cores x (L1I, L1D, L2I, L2D) x 32 sets, + 2 x 64 L3 sets
+        // under private.
+        ASSERT_EQ(ends.size(),
+                  scheme == L3Scheme::Private ? 384u : 256u);
+
+        std::vector<std::size_t> lengths;
+        for (std::size_t n = 0; n < bytes.size(); n += 61)
+            lengths.push_back(n);
+        for (const auto end : ends) {
+            for (std::size_t n = end >= 40 ? end - 40 : 0;
+                 n <= end && n < bytes.size(); ++n)
+                lengths.push_back(n);
+        }
+        lengths.push_back(bytes.size() - 1);
+
+        CmpSystem target(smallConfig(scheme), smallApps(), 17);
+        for (const auto n : lengths) {
+            Deserializer d(bytes.data(), n);
+            EXPECT_THROW(
+                {
+                    target.restore(d);
+                    d.expectEnd("truncated payload");
+                },
+                CheckpointError)
+                << to_string(scheme) << ": prefix of " << n << " of "
+                << bytes.size() << " bytes";
+        }
+
+        // The whole payload still restores into the same system.
+        Deserializer whole(bytes);
+        EXPECT_NO_THROW(target.restore(whole));
+        EXPECT_TRUE(whole.atEnd());
+    }
+}
+
+TEST_F(CheckpointCodec, CorruptLengthFallsBackToSimulation)
+{
+    const SystemConfig config = smallConfig(L3Scheme::Shared);
+    const std::uint64_t hash = configHash(config);
+    const std::string path =
+        ::testing::TempDir() + "ckpt_codec_length.ckpt";
+    CmpSystem system(config, smallApps(), 17);
+    system.run(5000);
+    saveCheckpoint(system, path, hash);
+    const auto fileSize = std::filesystem::file_size(path);
+
+    // The u64 payload length follows magic, version and config hash.
+    for (const std::uint64_t length :
+         {std::uint64_t{1} << 62, std::uint64_t{fileSize} + 1}) {
+        saveCheckpoint(system, path, hash);
+        std::fstream f(path,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekp(16);
+        for (int i = 0; i < 8; ++i)
+            f.put(static_cast<char>(length >> (8 * i)));
+        f.close();
+        EXPECT_THROW(readCheckpointFile(path, hash), CheckpointError)
+            << "length " << length;
+        EXPECT_FALSE(tryRestoreCheckpoint(system, path, hash))
+            << "length " << length;
+    }
+    std::remove(path.c_str());
+}
+
 TEST(ConfigHash, SensitiveToEveryAxisItMustCover)
 {
     const SystemConfig base = SystemConfig::baseline(L3Scheme::Adaptive);
