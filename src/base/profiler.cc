@@ -43,6 +43,8 @@ constexpr PhaseInfo kPhases[kNumPhases] = {
     {"dispatch_stage", Phase::CoreTick, 6},
     // Phase::FetchStage
     {"fetch_stage", Phase::CoreTick, 6},
+    // Phase::WorkloadGen
+    {"workload_gen", Phase::FetchStage, 6},
     // Phase::CacheMissWalk
     {"cache_miss_walk", Phase::CoreTick, 2},
     // Phase::L3Access

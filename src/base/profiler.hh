@@ -70,6 +70,7 @@ enum class Phase : unsigned {
     IssueStage,        ///< issue scheduling inside a sampled tick
     DispatchStage,     ///< rename/dispatch inside a sampled tick
     FetchStage,        ///< fetch inside a sampled tick
+    WorkloadGen,       ///< InstSource::next() inside a sampled fetch
     CacheMissWalk,     ///< L1-miss path through L2/L3/memory
     L3Access,          ///< the L3 organization's access() itself
     CoreAdvance,       ///< one batched OooCore::advance call (sampled)

@@ -1,6 +1,7 @@
 #include "base/random.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -72,33 +73,77 @@ Rng::restore(Deserializer &d)
         throw CheckpointError("Rng restore: all-zero state");
 }
 
-std::uint64_t
-Rng::geometric(double p, std::uint64_t cap)
-{
-    panic_if(p <= 0.0 || p > 1.0, "geometric probability out of (0,1]");
-    if (p >= 1.0)
-        return 0;
-    // Inversion: floor(log(U) / log(1-p)). Callers draw with the
-    // same per-profile p millions of times, so the denominator is
-    // memoized (same std::log1p call, same value — draws are
-    // bit-identical with or without the cache).
-    if (p != cachedP_) {
-        cachedP_ = p;
-        cachedLogDenom_ = std::log1p(-p);
-    }
-    const double u = std::max(real(), 0x1.0p-60);
-    const double draws = std::floor(std::log(u) / cachedLogDenom_);
-    if (draws >= static_cast<double>(cap))
-        return cap;
-    return static_cast<std::uint64_t>(draws);
-}
-
 Rng
 Rng::split()
 {
     // A fresh generator seeded from this stream's output; streams are
     // decorrelated through the splitmix64 scrambler in the ctor.
     return Rng(next());
+}
+
+GeometricTable::GeometricTable(double p, std::uint64_t cap)
+    : degenerate_(false), cap_(cap)
+{
+    panic_if(p <= 0.0 || p > 1.0, "geometric probability out of (0,1]");
+    if (p >= 1.0) {
+        degenerate_ = true;
+        return;
+    }
+    logDenom_ = std::log1p(-p);
+
+    // Thresholds (1-p)^k by repeated multiplication: after k steps
+    // the relative error is near k * 2^-52, far inside the 2^-30
+    // band for any table this size. The table stops at the cap, at
+    // the first threshold every clamped u lies above (the draw can
+    // never reach it), or at the size limit, below which the
+    // formula answers.
+    constexpr double guard = 0x1.0p-30;
+    constexpr std::size_t maxBands = 4096;
+    const double q = 1.0 - p;
+    double t = q;
+    belowAll_ = useFormula;
+    bands_.reserve(std::min<std::uint64_t>(cap_, maxBands));
+    while (bands_.size() < maxBands) {
+        if (bands_.size() == cap_) {
+            belowAll_ = cap_;
+            break;
+        }
+        if (t * (1.0 + guard) < minUniform) {
+            belowAll_ = bands_.size();
+            break;
+        }
+        bands_.push_back(Band{t * (1.0 - guard), t * (1.0 + guard)});
+        t *= q;
+    }
+
+    // Guide: for bucket g (u in [g, g+1) / size), the number of
+    // bands whose lower edge is at or above (g+1) / size, i.e. with
+    // floor(lo * size) > g (the product is exact: size is a power of
+    // two). Those floors descend with k, so band k owns the buckets
+    // from its floor up to the previous band's: one pass of fills.
+    const std::size_t size =
+        std::bit_ceil(std::max<std::size_t>(64, 4 * bands_.size()));
+    guideScale_ = static_cast<double>(size);
+    guide_.resize(size);
+    std::size_t above = size;
+    for (std::size_t k = 0; k < bands_.size(); ++k) {
+        const auto floor_k =
+            static_cast<std::size_t>(bands_[k].lo * guideScale_);
+        std::fill(guide_.begin() + floor_k, guide_.begin() + above,
+                  static_cast<std::uint16_t>(k));
+        above = floor_k;
+    }
+    std::fill(guide_.begin(), guide_.begin() + above,
+              static_cast<std::uint16_t>(bands_.size()));
+}
+
+std::uint64_t
+GeometricTable::formula(double u) const
+{
+    const double draws = std::floor(std::log(u) / logDenom_);
+    if (draws >= static_cast<double>(cap_))
+        return cap_;
+    return static_cast<std::uint64_t>(draws);
 }
 
 AliasTable::AliasTable(const std::vector<double> &weights)
@@ -165,17 +210,27 @@ ZipfSampler::ZipfSampler(unsigned n, double s)
     }
     for (auto &v : cdf_)
         v /= acc;
-}
 
-unsigned
-ZipfSampler::sample(Rng &rng) const
-{
-    panic_if(cdf_.empty(), "sampling from an empty ZipfSampler");
-    const double u = rng.real();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    if (it == cdf_.end())
-        return static_cast<unsigned>(cdf_.size() - 1);
-    return static_cast<unsigned>(it - cdf_.begin());
+    // guide_[g] = lower_bound(cdf, g / size), capped at n - 1: the
+    // number of entries i < n - 1 with cdf[i] < g / size, i.e. with
+    // floor(cdf[i] * size) < g. A power-of-two size keeps u * size
+    // and these products exact, so u >= g / size holds for the
+    // bucket g that u indexes and the scan from guide_[g] cannot
+    // start past the lower bound. Entry i is first counted at bucket
+    // floor(cdf[i] * size) + 1, which ascends with i, so the buckets
+    // between two entries' starts take one fill.
+    const std::size_t size = std::bit_ceil(std::size_t{4} * n);
+    guideScale_ = static_cast<double>(size);
+    guide_.resize(size);
+    std::size_t from = 0;
+    for (unsigned i = 0; i + 1 < n; ++i) {
+        const auto counted_from = std::min(
+            size, static_cast<std::size_t>(cdf_[i] * guideScale_) + 1);
+        std::fill(guide_.begin() + from, guide_.begin() + counted_from,
+                  i);
+        from = counted_from;
+    }
+    std::fill(guide_.begin() + from, guide_.end(), n - 1);
 }
 
 } // namespace nuca

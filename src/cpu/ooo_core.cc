@@ -50,6 +50,7 @@ OooCore::OooCore(stats::Group &parent, const std::string &name,
     unissuedStores_.assign(words, 0);
     depHead_.assign(schedMask_ + 1, noSlot);
     depNext_.assign(schedMask_ + 1, noSlot);
+    wakeWheel_.init(words);
     storeFilter_.assign(storeFilterSlots, 0);
     (void)id_;
 }
@@ -81,7 +82,12 @@ OooCore::tick(Cycle now)
     }
     {
         prof::MaybeScope s(profTick, prof::Phase::FetchStage);
-        fetchStage(now);
+        // The sampling decision picks the fetch loop, so an
+        // unprofiled tick pays no per-instruction profiler branch.
+        if (profTick)
+            fetchStage<true>(now);
+        else
+            fetchStage<false>(now);
     }
 }
 
@@ -204,6 +210,97 @@ OooCore::advance(Cycle start, Cycle limit, Cycle &globalNow)
 }
 
 void
+OooCore::WakeWheel::init(std::size_t words)
+{
+    words_ = words;
+    slots_.assign(buckets * words_, 0);
+    reset(0);
+}
+
+void
+OooCore::WakeWheel::reset(Cycle now)
+{
+    std::fill(slots_.begin(), slots_.end(), 0);
+    occupied_ = 0;
+    drained_ = now;
+    overflow_ = {};
+}
+
+void
+OooCore::WakeWheel::add(Cycle ready, std::size_t slot)
+{
+    debug_panic_if(ready <= drained_, "wake-up scheduled in the past");
+    if (ready - drained_ > buckets) {
+        overflow_.emplace(ready, static_cast<std::uint32_t>(slot));
+        return;
+    }
+    const unsigned b = ready % buckets;
+    setBit(slots_, b * words_ * 64 + slot);
+    occupied_ |= std::uint64_t{1} << b;
+}
+
+void
+OooCore::WakeWheel::drainInto(std::vector<std::uint64_t> &ready,
+                              Cycle now)
+{
+    if (now <= drained_)
+        return;
+    // Buckets of cycles drained_ + 1 .. now: all of them once the
+    // gap spans the whole wheel, else a run of `gap` buckets
+    // starting at the bucket of drained_ + 1.
+    const Cycle gap = now - drained_;
+    std::uint64_t due = occupied_;
+    if (gap < buckets) {
+        due &= std::rotl((std::uint64_t{1} << gap) - 1,
+                         static_cast<int>((drained_ + 1) % buckets));
+    }
+    occupied_ &= ~due;
+    for (; due != 0; due &= due - 1) {
+        std::uint64_t *bucket =
+            &slots_[static_cast<std::size_t>(std::countr_zero(due)) *
+                    words_];
+        for (std::size_t w = 0; w < words_; ++w) {
+            ready[w] |= bucket[w];
+            bucket[w] = 0;
+        }
+    }
+    drained_ = now;
+    // The window moved: overflow wake-ups now within reach enter
+    // their buckets, and any already due go straight to the ready
+    // set.
+    while (!overflow_.empty() &&
+           overflow_.top().first <= now + buckets) {
+        const auto [at, slot] = overflow_.top();
+        overflow_.pop();
+        if (at <= now)
+            setBit(ready, slot);
+        else
+            add(at, slot);
+    }
+}
+
+Cycle
+OooCore::WakeWheel::earliest() const
+{
+    if (occupied_ != 0) {
+        const auto first = static_cast<int>((drained_ + 1) % buckets);
+        return drained_ + 1 +
+               static_cast<Cycle>(
+                   std::countr_zero(std::rotr(occupied_, first)));
+    }
+    return overflow_.empty() ? notDone : overflow_.top().first;
+}
+
+std::size_t
+OooCore::WakeWheel::bucketed() const
+{
+    std::size_t n = 0;
+    for (const auto word : slots_)
+        n += static_cast<std::size_t>(std::popcount(word));
+    return n;
+}
+
+void
 OooCore::releaseLsqSlots(Cycle now)
 {
     while (!lsqReleases_.empty() && lsqReleases_.top() <= now) {
@@ -315,7 +412,7 @@ OooCore::classifyForIssue(RuuEntry &e, Cycle now)
         depHead_[slotOf(e.waitingOn)] =
             static_cast<std::uint32_t>(slot);
     } else if (*ready > now) {
-        wakeHeap_.emplace(*ready, e.seq);
+        wakeWheel_.add(*ready, slot);
     } else {
         setBit(readySet_, slot);
     }
@@ -347,7 +444,7 @@ OooCore::rebuildScheduler(Cycle now)
     std::fill(unissuedStores_.begin(), unissuedStores_.end(), 0);
     std::fill(depHead_.begin(), depHead_.end(), noSlot);
     std::fill(depNext_.begin(), depNext_.end(), noSlot);
-    wakeHeap_ = {};
+    wakeWheel_.reset(now);
     for (std::size_t i = 0; i < ruu_.size(); ++i) {
         auto &e = ruu_[i];
         if (e.issued)
@@ -396,13 +493,10 @@ OooCore::issueStage(Cycle now)
         rebuildScheduler(now);
 
     // Drain every entry whose operands resolve at or before `now`
-    // into the ready set. Heap records always name live unissued
+    // into the ready set. Wheel records always name live unissued
     // entries: an entry cannot issue before its ready cycle arrives,
     // and cannot commit before issuing.
-    while (!wakeHeap_.empty() && wakeHeap_.top().first <= now) {
-        setBit(readySet_, slotOf(wakeHeap_.top().second));
-        wakeHeap_.pop();
-    }
+    wakeWheel_.drainInto(readySet_, now);
 
     unsigned budget = params_.issueWidth;
     unsigned issued_count = 0;
@@ -518,8 +612,7 @@ OooCore::issueStage(Cycle now)
         // commits and dispatches invalidate the sleep. Store-
         // blocked loads are parked on their blocking store's waiter
         // list, so its issue re-examines them.
-        issueIdleUntil_ =
-            wakeHeap_.empty() ? notDone : wakeHeap_.top().first;
+        issueIdleUntil_ = wakeWheel_.earliest();
     } else {
         issueIdleUntil_ = now;
     }
@@ -557,6 +650,7 @@ OooCore::dispatchStage(Cycle now)
     }
 }
 
+template <bool Profiled>
 void
 OooCore::fetchStage(Cycle now)
 {
@@ -576,8 +670,14 @@ OooCore::fetchStage(Cycle now)
 
     unsigned budget = params_.fetchWidth;
     while (budget > 0 && fetchQueue_.size() < params_.fetchQueueSize) {
-        if (!pendingFetch_)
-            pendingFetch_ = source_.next();
+        if (!pendingFetch_) {
+            if constexpr (Profiled) {
+                prof::MaybeScope gen(true, prof::Phase::WorkloadGen);
+                pendingFetch_ = source_.next();
+            } else {
+                pendingFetch_ = source_.next();
+            }
+        }
         const SynthInst &inst = *pendingFetch_;
 
         // Crossing into a new cache line costs an I-cache access; a
@@ -708,6 +808,9 @@ OooCore::restore(Deserializer &d)
     funcUnits_.restore(d);
     // The scheduler structures are derived state; rebuild them from
     // the restored RUU at the next issue walk (which has `now`).
+    // Until then only dispatch can add wake-ups, which the rebuild
+    // discards; restarting the wheel's window keeps them valid.
+    wakeWheel_.reset(0);
     schedNeedsRebuild_ = true;
     // The store-word filter is likewise derived from the RUU.
     std::fill(storeFilter_.begin(), storeFilter_.end(), 0);

@@ -146,6 +146,14 @@ class OooCore
     /** Occupancy of the LSQ right now. */
     unsigned lsqOccupancy() const { return lsqInUse_; }
 
+    /** Issue wake-ups pending in the wheel's one-cycle buckets and
+     * in its overflow heap (tests/inspection). */
+    std::pair<std::size_t, std::size_t>
+    pendingWakeups() const
+    {
+        return {wakeWheel_.bucketed(), wakeWheel_.overflowed()};
+    }
+
     /**
      * Checkpoint the pipeline: fetch queue, RUU, completion ring,
      * LSQ accounting, fetch-stall state, and the predictor and
@@ -283,6 +291,8 @@ class OooCore
     void commitStage(Cycle now);
     void issueStage(Cycle now);
     void dispatchStage(Cycle now);
+    /** @tparam Profiled time each source_.next() (sampled ticks). */
+    template <bool Profiled>
     void fetchStage(Cycle now);
 
     /** Scheduler slot of a sequence number. Live RUU seqs span a
@@ -304,7 +314,7 @@ class OooCore
 
     /**
      * Sort an unissued entry into the scheduler: ready set when its
-     * operands resolved at or before @p now, wake heap when they
+     * operands resolved at or before @p now, wake wheel when they
      * resolve at a known future cycle, the blocking producer's
      * waiter list while a producer has not issued (its completion
      * cycle is unknowable until it does).
@@ -312,7 +322,7 @@ class OooCore
     void classifyForIssue(RuuEntry &entry, Cycle now);
 
     /** Reclassify the waiters parked on @p slot's entry after it
-     * issued. Register consumers land in the heap (or on another
+     * issued. Register consumers land in the wheel (or on another
      * blocker) — the issuer completes no earlier than next cycle.
      * Store-blocked loads re-enter the ready set at once, at a
      * strictly greater circular distance than the issuing store,
@@ -362,7 +372,7 @@ class OooCore
 
     /**
      * Scheduler sleep optimization: the issue stage is skipped until
-     * this cycle. Set from the wake heap's minimum when a walk
+     * this cycle. Set from the wake wheel's minimum when a walk
      * issues nothing and invalidated to "now" by commits,
      * dispatches, issues, and functional-unit contention.
      */
@@ -374,7 +384,7 @@ class OooCore
      * sets schedNeedsRebuild_ so the next issue walk reconstructs
      * them from the RUU. The walk therefore touches only entries
      * that are ready (readySet_) or became ready this cycle
-     * (wakeHeap_ drain) instead of scanning the whole window.
+     * (wakeWheel_ drain) instead of scanning the whole window.
      */
     static constexpr std::uint32_t noSlot = ~std::uint32_t{0};
     std::size_t schedMask_ = 0;
@@ -388,12 +398,50 @@ class OooCore
      * loads parked behind it while it is an unissued store. */
     std::vector<std::uint32_t> depHead_;
     std::vector<std::uint32_t> depNext_;
-    /** Min-heap of (ready cycle, seq) for entries whose operands
-     * resolve at a known future cycle. */
-    std::priority_queue<std::pair<Cycle, std::uint64_t>,
-                        std::vector<std::pair<Cycle, std::uint64_t>>,
-                        std::greater<>>
-        wakeHeap_;
+
+    /**
+     * Calendar wheel of the entries whose operands resolve at a
+     * known future cycle: 64 one-cycle buckets, each a slot bitmask
+     * as wide as readySet_, an occupancy word with one bit per
+     * non-empty bucket, and a small min-heap for ready cycles 64 or
+     * more cycles past the last drain. A drain only ever ORs bits
+     * into readySet_, so the order of wake-ups inside a cycle never
+     * mattered and buckets need not keep one.
+     */
+    class WakeWheel
+    {
+      public:
+        /** Size for a scheduler of @p words ready-set words. */
+        void init(std::size_t words);
+        /** Forget every wake-up; the window restarts after @p now. */
+        void reset(Cycle now);
+        /** Schedule @p slot to become ready at cycle @p ready.
+         * @pre ready is past the last drain (or reset) */
+        void add(Cycle ready, std::size_t slot);
+        /** OR every slot ready at or before @p now into @p ready. */
+        void drainInto(std::vector<std::uint64_t> &ready, Cycle now);
+        /** Earliest pending ready cycle, or notDone if none. */
+        Cycle earliest() const;
+        /** Pending wake-ups in the buckets / in the overflow heap. */
+        std::size_t bucketed() const;
+        std::size_t overflowed() const { return overflow_.size(); }
+
+      private:
+        static constexpr unsigned buckets = 64;
+        std::size_t words_ = 0;
+        /** buckets x words_ slot bits; bucket b holds cycle c with
+         * c % 64 == b and c in (drained_, drained_ + 64]. */
+        std::vector<std::uint64_t> slots_;
+        std::uint64_t occupied_ = 0;
+        /** Every wake-up at or before this cycle has been drained. */
+        Cycle drained_ = 0;
+        /** (ready cycle, slot) beyond the buckets' window. */
+        std::priority_queue<std::pair<Cycle, std::uint32_t>,
+                            std::vector<std::pair<Cycle, std::uint32_t>>,
+                            std::greater<>>
+            overflow_;
+    };
+    WakeWheel wakeWheel_;
     bool schedNeedsRebuild_ = false;
 
     /**

@@ -26,6 +26,10 @@ constexpr Addr sharedBase = 1ull << 45;
 SynthWorkload::SynthWorkload(const WorkloadProfile &profile,
                              CoreId core, std::uint64_t seed)
     : profile_(profile),
+      // Mean distance m maps to geometric success probability 1/m
+      // (distance = 1 + failures).
+      depDistDraw_(1.0 / std::max(profile.meanDepDist, 1.0),
+                   maxDepDist - 1),
       rng_(seed ^ (static_cast<std::uint64_t>(core) << 32) ^
            0xa5a5a5a5ull),
       data_(profile.regions, coreBase(core) + (1ull << 32)),
@@ -82,14 +86,10 @@ SynthWorkload::drawAluOp()
 void
 SynthWorkload::fillDeps(SynthInst &inst)
 {
-    // Mean distance m maps to geometric success probability 1/m
-    // (distance = 1 + failures).
-    const double p =
-        1.0 / std::max(profile_.meanDepDist, 1.0);
     const unsigned num_deps = rng_.chance(0.7) ? 2 : 1;
     for (unsigned d = 0; d < num_deps; ++d) {
         const auto dist = static_cast<std::uint32_t>(
-            1 + rng_.geometric(p, maxDepDist - 1));
+            1 + depDistDraw_.sample(rng_));
         inst.depDist[d] = std::min(dist, maxDepDist);
     }
 

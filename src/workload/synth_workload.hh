@@ -55,6 +55,8 @@ class SynthWorkload : public InstSource
     void fillDeps(SynthInst &inst);
 
     WorkloadProfile profile_;
+    /** Dependence-distance sampler (profile-derived, stateless). */
+    GeometricTable depDistDraw_;
     Rng rng_;
     ReuseModel data_;
     /** Shared-data regions (parallel workloads); else empty. */

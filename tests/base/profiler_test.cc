@@ -12,7 +12,9 @@
 #include <thread>
 
 #include "base/profiler.hh"
+#include "sim/cmp_system.hh"
 #include "sim/json_writer.hh"
+#include "workload/spec_profiles.hh"
 
 namespace nuca {
 namespace {
@@ -219,6 +221,30 @@ TEST_F(ProfilerTest, JsonReportParsesAndCarriesTotals)
         }
     }
     EXPECT_TRUE(found);
+}
+
+TEST_F(ProfilerTest, WorkloadGenTimesGeneratorCallsInSampledTicks)
+{
+    // workload_gen nests under fetch_stage and shares core_tick's
+    // hoisted sampling decision: only sampled ticks time their
+    // source_.next() calls, and the estimate scales them back up.
+    prof::setEnabled(true);
+    CmpSystem system(SystemConfig::baseline(L3Scheme::Adaptive),
+                     {specProfile("gzip"), specProfile("gcc"),
+                      specProfile("mcf"), specProfile("art")},
+                     7);
+    system.run(20000);
+    prof::setEnabled(false);
+    const auto snap = prof::snapshot();
+    const auto gen = static_cast<unsigned>(prof::Phase::WorkloadGen);
+    EXPECT_GT(snap.timed[gen], 0u);
+    EXPECT_GT(snap.estCalls(prof::Phase::WorkloadGen), 0u);
+    EXPECT_EQ(prof::phaseParent(prof::Phase::WorkloadGen),
+              prof::Phase::FetchStage);
+    EXPECT_EQ(prof::phaseSampleShift(prof::Phase::WorkloadGen),
+              prof::phaseSampleShift(prof::Phase::CoreTick));
+    EXPECT_STREQ(prof::phaseName(prof::Phase::WorkloadGen),
+                 "workload_gen");
 }
 
 } // namespace

@@ -4,12 +4,16 @@
 
 #include <functional>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "base/random.hh"
 
 #include "cpu/ooo_core.hh"
 #include "mem/main_memory.hh"
 #include "nuca/private_l3.hh"
+#include "serialize/serializer.hh"
 
 namespace nuca {
 namespace {
@@ -27,6 +31,9 @@ class FnSource : public InstSource
     {
         return fn_(index_++);
     }
+
+    void checkpoint(Serializer &s) const override { s.putU64(index_); }
+    void restore(Deserializer &d) override { index_ = d.getU64(); }
 
   private:
     std::function<SynthInst(std::uint64_t)> fn_;
@@ -67,6 +74,42 @@ struct Rig
         run(measure);
         return static_cast<double>(core.committed() - before) /
                static_cast<double>(measure);
+    }
+
+    /** Checkpoint the whole rig: hierarchy, core, source, stats. */
+    std::vector<std::uint8_t>
+    save() const
+    {
+        Serializer s;
+        memory.checkpoint(s);
+        l3.checkpoint(s);
+        mem.checkpoint(s);
+        core.checkpoint(s);
+        source.checkpoint(s);
+        root.serialize(s);
+        return s.bytes();
+    }
+
+    /** Resume from save()'s bytes taken at cycle @p at. */
+    void
+    load(const std::vector<std::uint8_t> &bytes, Cycle at)
+    {
+        Deserializer d(bytes);
+        memory.restore(d);
+        l3.restore(d);
+        mem.restore(d);
+        core.restore(d);
+        source.restore(d);
+        root.deserialize(d);
+        now_ = at;
+    }
+
+    std::string
+    statsDump() const
+    {
+        std::ostringstream os;
+        root.dump(os);
+        return os.str();
     }
 
     Cycle now_ = 0;
@@ -263,6 +306,66 @@ TEST(OooCore, DeterministicAcrossRuns)
     a.run(5000);
     b.run(5000);
     EXPECT_EQ(a.core.committed(), b.core.committed());
+}
+
+/**
+ * Cold loads (258-cycle memory) with dependents that wait on them,
+ * plus short multiply/divide chains: the issue scheduler holds
+ * wake-ups both in the wheel's one-cycle buckets and, for the
+ * consumers of misses, in its overflow heap.
+ */
+SynthInst
+missesAndChains(std::uint64_t i)
+{
+    SynthInst inst = aluAt(i);
+    switch (i % 8) {
+      case 0:
+        inst.op = OpClass::Load;
+        inst.effAddr = 0x100000 + i * 4096;
+        break;
+      case 1:
+        inst.depDist[0] = 1; // waits for the miss
+        break;
+      case 2:
+      case 3:
+        inst.op = OpClass::IntMult;
+        inst.depDist[0] = 1;
+        break;
+      case 4:
+        inst.op = OpClass::IntDiv;
+        break;
+      default:
+        inst.depDist[0] = 1;
+        inst.depDist[1] = 4;
+        break;
+    }
+    return inst;
+}
+
+TEST(OooCore, CheckpointWithPendingWakeupsResumesBitIdentically)
+{
+    Rig a(missesAndChains);
+    a.run(2000);
+    // Stop at a cycle where both halves of the wheel hold wake-ups.
+    const Cycle limit = a.now_ + 20000;
+    while (a.now_ < limit) {
+        const auto [bucketed, overflowed] = a.core.pendingWakeups();
+        if (bucketed > 0 && overflowed > 0)
+            break;
+        a.run(1);
+    }
+    ASSERT_LT(a.now_, limit) << "never had bucketed and overflow "
+                                "wake-ups at once";
+    const auto bytes = a.save();
+
+    Rig b(missesAndChains);
+    b.load(bytes, a.now_);
+    EXPECT_EQ(b.save(), bytes);
+    a.run(30000);
+    b.run(30000);
+    EXPECT_GT(a.core.committed(), 1000u);
+    EXPECT_EQ(b.statsDump(), a.statsDump());
+    EXPECT_EQ(b.save(), a.save());
 }
 
 } // namespace

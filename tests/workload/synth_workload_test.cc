@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "workload/spec_profiles.hh"
 #include "workload/synth_workload.hh"
@@ -169,6 +171,118 @@ TEST(SynthWorkload, PcStaysInsideCodeFootprint)
             ASSERT_LT(inst.target,
                       code_base + profile.codeFootprintBytes);
         }
+    }
+}
+
+/** The benchmark's busy_tick shape: an L1-resident cyclic working
+ * set under a mostly-ALU stream. */
+WorkloadProfile
+computeShape()
+{
+    WorkloadProfile p;
+    p.name = "compute";
+    p.loadFrac = 0.20;
+    p.storeFrac = 0.08;
+    p.branchFrac = 0.15;
+    p.fpFrac = 0.30;
+    p.mulDivFrac = 0.05;
+    p.meanDepDist = 16.0;
+    p.codeFootprintBytes = 16ull << 10;
+    p.regions = {MemRegion{48ull << 10, 1.0, RegionPattern::Cyclic}};
+    return p;
+}
+
+/** The benchmark's latency_chase shape: nearly every load depends on
+ * the previous one across 64 MB. */
+WorkloadProfile
+pchaseShape()
+{
+    WorkloadProfile p;
+    p.name = "pchase";
+    p.loadFrac = 0.40;
+    p.storeFrac = 0.02;
+    p.branchFrac = 0.08;
+    p.meanDepDist = 3.0;
+    p.loadChainFrac = 0.95;
+    p.codeFootprintBytes = 8ull << 10;
+    p.regions = {MemRegion{64ull << 20, 1.0, RegionPattern::Random}};
+    p.llcIntensive = true;
+    return p;
+}
+
+/** FNV-1a over every field of the first @p n instructions. */
+std::uint64_t
+streamDigest(const WorkloadProfile &profile, std::uint64_t n)
+{
+    SynthWorkload workload(profile, 1, 0x5eed);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const auto inst = workload.next();
+        mix(static_cast<std::uint64_t>(inst.op));
+        mix(inst.pc);
+        mix(inst.effAddr);
+        mix(inst.depDist[0]);
+        mix(inst.depDist[1]);
+        mix(inst.taken);
+        mix(inst.target);
+    }
+    return h;
+}
+
+/**
+ * Pins the exact instruction stream of every SPEC profile and of the
+ * benchmark's two custom shapes. The generator's samplers are
+ * table-driven fast paths that must return what the plain formulas
+ * (log inversion, binary search) return for every draw, so any
+ * change to these digests is a model change, not an optimisation.
+ */
+TEST(SynthStreamDigest, FirstInstructionsArePinned)
+{
+    // Recorded from the log-inversion / binary-search generator.
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"mcf", 0x88e346067d4356full},
+        {"gzip", 0xa959359ec0a8a1ebull},
+        {"vpr", 0x45d9f30629ce3b33ull},
+        {"twolf", 0xe79fa8d33c21acc6ull},
+        {"parser", 0x5917d2b3d2042511ull},
+        {"bzip2", 0x9a068a5ff4d5fbcfull},
+        {"gap", 0x42ed3b34f2106e9aull},
+        {"ammp", 0xbb3ebee8e7a52878ull},
+        {"art", 0x4bbfce1121d02838ull},
+        {"swim", 0x56c15b0d26a77c50ull},
+        {"lucas", 0xae8b2887d47c64bull},
+        {"equake", 0x82f41394f937aee4ull},
+        {"galgel", 0x532e0614473d8302ull},
+        {"apsi", 0xf6b207a2b8d640a5ull},
+        {"gcc", 0xea14a2fc2e6d4c9eull},
+        {"crafty", 0x633375c7914f0969ull},
+        {"eon", 0x21762c28cfbc51fdull},
+        {"perlbmk", 0x27efb853e9b96e35ull},
+        {"wupwise", 0xe2126aaa3ee86531ull},
+        {"mgrid", 0x6689b870a6f46b1dull},
+        {"applu", 0x8484b1056dbbe5caull},
+        {"mesa", 0x6d0b9a31a79aa8b7ull},
+        {"facerec", 0xd2e7366a59aa4ea6ull},
+        {"fma3d", 0xa2b99546ad080c3dull},
+        {"compute", 0x3d13e701d6951c19ull},
+        {"pchase", 0x92f6143c311388ddull},
+    };
+    std::vector<WorkloadProfile> profiles = specProfiles();
+    profiles.push_back(computeShape());
+    profiles.push_back(pchaseShape());
+    for (const auto &profile : profiles) {
+        const std::uint64_t got = streamDigest(profile, 200000);
+        const auto it = pinned.find(profile.name);
+        const std::uint64_t want = it == pinned.end() ? 0 : it->second;
+        EXPECT_EQ(got, want)
+            << "{\"" << profile.name << "\", 0x" << std::hex << got
+            << "ull},";
     }
 }
 
