@@ -24,8 +24,8 @@ struct PhaseInfo
 };
 
 /**
- * Static phase table. Sample shifts are sized from BENCH_perf.json's
- * compute_bound numbers (~475 ns per core-tick): per-tick phases at
+ * Static phase table. Sample shifts are sized from the cache-resident
+ * compute mix's cost (~475 ns per core-tick): per-tick phases at
  * shift 6 cost ~5 clock reads per 64 ticks, per-miss phases at
  * shift 2 only run off the L1-hit fast path, and everything else is
  * rare enough to time exactly.

@@ -26,6 +26,9 @@ namespace service {
 
 namespace {
 
+/** Longest request line the daemon buffers before refusing it. */
+constexpr std::size_t kMaxRequestLine = std::size_t(1) << 20;
+
 std::uint64_t
 nowMs()
 {
@@ -626,6 +629,20 @@ SweepDaemon::acceptLoop()
         ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
                      sizeof(timeout));
 
+        // False once the client stops taking the reply.
+        auto reply = [fd](const json::Value &response) {
+            const std::string out = response.dump() + "\n";
+            std::size_t sent = 0;
+            while (sent < out.size()) {
+                const ssize_t w = ::write(fd, out.data() + sent,
+                                          out.size() - sent);
+                if (w <= 0)
+                    return false;
+                sent += static_cast<std::size_t>(w);
+            }
+            return true;
+        };
+
         std::string buffer;
         char chunk[4096];
         bool open = true;
@@ -635,30 +652,24 @@ SweepDaemon::acceptLoop()
                 break;
             buffer.append(chunk, static_cast<std::size_t>(n));
             std::size_t eol;
-            while ((eol = buffer.find('\n')) !=
-                   std::string::npos) {
+            while (open && (eol = buffer.find('\n')) !=
+                               std::string::npos) {
                 const std::string line = buffer.substr(0, eol);
                 buffer.erase(0, eol + 1);
                 if (line.empty())
                     continue;
                 const auto request = json::Value::tryParse(line);
-                const json::Value response =
-                    request ? handle(*request)
-                            : errorResponse("request line is not "
-                                            "valid JSON");
-                const std::string out = response.dump() + "\n";
-                std::size_t sent = 0;
-                while (sent < out.size()) {
-                    const ssize_t w = ::write(
-                        fd, out.data() + sent, out.size() - sent);
-                    if (w <= 0) {
-                        open = false;
-                        break;
-                    }
-                    sent += static_cast<std::size_t>(w);
-                }
-                if (!open)
-                    break;
+                open = reply(request ? handle(*request)
+                                     : errorResponse("request line is "
+                                                     "not valid JSON"));
+            }
+            // A client streaming bytes with no newline would grow the
+            // buffer without bound; refuse it and hang up.
+            if (open && buffer.size() > kMaxRequestLine) {
+                reply(errorResponse(
+                    "request line exceeds " +
+                    std::to_string(kMaxRequestLine) + " bytes"));
+                open = false;
             }
         }
         ::close(fd);

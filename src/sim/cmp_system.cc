@@ -1,7 +1,6 @@
 #include "sim/cmp_system.hh"
 
 #include <algorithm>
-#include <bit>
 #include <functional>
 #include <limits>
 #include <sstream>
@@ -141,9 +140,6 @@ CmpSystem::buildSystem()
     coreWake_.assign(config_.numCores, now_);
     corePendingStart_.assign(config_.numCores, now_);
     coreTicks_.assign(config_.numCores, 0);
-    // Bucket k of the batch-span histogram holds spans with
-    // bit_width k; 64-bit spans give buckets 1..64.
-    horizonHist_.assign(65, 0);
     wakeHeap_.reserve(config_.numCores);
     cohort_.reserve(config_.numCores);
     joiners_.reserve(config_.numCores);
@@ -418,7 +414,6 @@ CmpSystem::advanceSole(std::uint32_t c, Cycle start, Cycle cap)
     coreTicks_[c] += res.ticks;
     const Cycle span = res.doneThrough - start;
     batchedCycles_ += span;
-    ++horizonHist_[static_cast<std::size_t>(std::bit_width(span))];
     // Cycles the batch folded internally are machine-idle: they lie
     // before the batch's last tick, and no other core ticks inside
     // the window, so they count as skipped cycles like an idle gap.
@@ -472,7 +467,6 @@ CmpSystem::accountIdleGap(Cycle to)
 {
     const Cycle skipped = to - frontier_;
     ffSkipped_ += skipped;
-    ++ffJumps_;
     prof::add(prof::Counter::FastForwardJumps, 1);
     prof::add(prof::Counter::FastForwardCycles, skipped);
     if (events_ && events_->enabled()) {

@@ -117,28 +117,14 @@ class CmpSystem
     Counter horizonRecomputes() const { return horizonPushes_; }
 
     /**
-     * Histogram of advance-batch spans in cycles: bucket k counts
-     * batches whose span s has bit_width(s) == k, i.e. s in
-     * [2^(k-1), 2^k). Bucket 0 is unused.
-     */
-    const std::vector<Counter> &horizonHistogram() const
-    {
-        return horizonHist_;
-    }
-
-    /**
-     * Host-side fast-forward diagnostics. fastForwardedCycles counts
-     * the cycles of run() windows in which no core executed a tick;
-     * fastForwardJumps counts the idle gaps between executed ticks
-     * that the scheduler crossed (cycles a lone core's advance batch
-     * folds count as skipped cycles but not as jumps). Both are 0
-     * under the reference loop. Deliberately *not* statistics and
-     * *not* checkpointed — they describe how the simulation was
-     * executed, not what it simulated, and folding them into either
-     * would break the bit-identity contract between the two loops.
+     * Host-side fast-forward diagnostic: the cycles of run() windows
+     * in which no core executed a tick (0 under the reference loop).
+     * Deliberately *not* a statistic and *not* checkpointed — it
+     * describes how the simulation was executed, not what it
+     * simulated, and folding it into either would break the
+     * bit-identity contract between the two loops.
      */
     Counter fastForwardedCycles() const { return ffSkipped_; }
-    Counter fastForwardJumps() const { return ffJumps_; }
 
     /**
      * Run one structural-invariant pass immediately: L3 structure
@@ -347,7 +333,6 @@ class CmpSystem
     /** run() uses the decoupled scheduler (setFastForward). */
     bool fastForward_ = true;
     Counter ffSkipped_ = 0;
-    Counter ffJumps_ = 0;
     /**
      * Per-core skip state, meaningful only while fastForward_ is on.
      * coreWake_[c] is the horizon the core's last real tick computed
@@ -388,7 +373,6 @@ class CmpSystem
     Counter batchedCycles_ = 0;
     Counter heapPops_ = 0;
     Counter horizonPushes_ = 0;
-    std::vector<Counter> horizonHist_;
 
     TraceSink *trace_ = nullptr;
     Cycle tracePeriod_ = 0;

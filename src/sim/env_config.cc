@@ -169,6 +169,28 @@ isolationFromEnv()
     return iso;
 }
 
+namespace {
+
+/**
+ * The process-wide Chrome trace log, configured on first call and
+ * written at exit; nullptr when REPRO_PERFETTO is unset.
+ */
+TraceEventLog *
+traceEventsFromEnv()
+{
+    static TraceEventLog *const log = []() -> TraceEventLog * {
+        const std::string path = envString("REPRO_PERFETTO");
+        if (path.empty())
+            return nullptr;
+        TraceEventLog::global().configure(path);
+        std::atexit([] { TraceEventLog::global().writeIfPending(); });
+        return &TraceEventLog::global();
+    }();
+    return log;
+}
+
+} // namespace
+
 TelemetryConfig
 telemetryFromEnv()
 {
@@ -192,20 +214,6 @@ runPolicyFromEnv()
     policy.robust = robustnessFromEnv();
     policy.telemetry = telemetryFromEnv();
     return policy;
-}
-
-TraceEventLog *
-traceEventsFromEnv()
-{
-    static TraceEventLog *const log = []() -> TraceEventLog * {
-        const std::string path = envString("REPRO_PERFETTO");
-        if (path.empty())
-            return nullptr;
-        TraceEventLog::global().configure(path);
-        std::atexit([] { TraceEventLog::global().writeIfPending(); });
-        return &TraceEventLog::global();
-    }();
-    return log;
 }
 
 void

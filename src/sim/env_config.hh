@@ -37,18 +37,11 @@
  *   REPRO_TRACE                 telemetryFromEnv      runAll, fig03,
  *   REPRO_TRACE_PERIOD          telemetryFromEnv        fig05, nuca_sim,
  *   REPRO_HEATMAP               telemetryFromEnv        scheme_shootout
- *   REPRO_PERFETTO              traceEventsFromEnv      and nuca_sweepd
- *                                                       read these four;
- *                                                       perf_bench reads
- *                                                       REPRO_PERFETTO
+ *   REPRO_PERFETTO              telemetryFromEnv        and nuca_sweepd
+ *                                                       read these four
  *   REPRO_PROFILE               profilerFromEnv       runAll, nuca_sim,
  *   REPRO_PROFILE_OUT           profilerFromEnv         scheme_shootout,
- *                                                       perf_bench,
  *                                                       nuca_sweepd
- *   REPRO_BENCH_CYCLES          envOr                 perf_bench
- *   REPRO_BENCH_SPEC_CYCLES     envOr                 perf_bench
- *   REPRO_BENCH_COMPUTE_CYCLES  envOr                 perf_bench
- *   REPRO_BENCH_OUT             envString             perf_bench
  *   SWEEPD_WAIT_MS              envOr                 nuca_subctl
  *
  * Numbers are strict counts (parseCount); a malformed one is fatal.
@@ -63,8 +56,6 @@
 #include "sim/proc_pool.hh"
 
 namespace nuca {
-
-class TraceEventLog;
 
 /** Variable @p name parsed as a count, @p def when unset or empty;
  *  a malformed value is fatal. */
@@ -85,16 +76,11 @@ FaultSpec faultFromEnv();
 RobustnessConfig robustnessFromEnv();
 /** REPRO_ISOLATE=proc where fork is unavailable warns and disables. */
 ProcIsolation isolationFromEnv();
-/** `events` is traceEventsFromEnv(). */
+/** `events` is the process-wide Chrome trace log (written at exit),
+ *  or nullptr when REPRO_PERFETTO is unset. */
 TelemetryConfig telemetryFromEnv();
 /** checkpoint, resume, robustness and telemetry together. */
 RunPolicy runPolicyFromEnv();
-
-/**
- * The process-wide Chrome trace log, configured on first call and
- * written at exit; nullptr when REPRO_PERFETTO is unset.
- */
-TraceEventLog *traceEventsFromEnv();
 
 /** Arm the host self-profiler (idempotent); it reports at exit. */
 void profilerFromEnv();

@@ -17,9 +17,13 @@
 
 #include "service/sweepd.hh"
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -503,6 +507,54 @@ TEST_F(SweepdE2eTest, SocketRoundTripThroughSweepClient)
     EXPECT_EQ(stats.at("executed").asNumber(), 1.0);
     EXPECT_GE(stats.at("cache_entries").asNumber(), 1.0);
 
+    EXPECT_TRUE(client.shutdown().at("ok").asBool());
+    daemon.join();
+}
+
+TEST_F(SweepdE2eTest, OverlongRequestLineIsRefused)
+{
+    DaemonOptions opts = baseOptions();
+    opts.socketPath = state_ + "/sock";
+    if (opts.socketPath.size() >= 100)
+        GTEST_SKIP() << "tmp path too long for sun_path";
+    SweepDaemon daemon(opts);
+    daemon.start();
+    const SweepClient client(opts.socketPath);
+    ASSERT_TRUE(client.ping(5));
+
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
+                  opts.socketPath.c_str());
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+
+    // 2 MiB with no newline. The daemon hangs up part way, so the
+    // later writes fail with EPIPE instead of raising SIGPIPE.
+    const auto oldPipe = std::signal(SIGPIPE, SIG_IGN);
+    const std::string junk(64 << 10, 'x');
+    for (int i = 0; i < 32; ++i) {
+        if (::write(fd, junk.data(), junk.size()) <= 0)
+            break;
+    }
+    std::signal(SIGPIPE, oldPipe);
+
+    std::string line;
+    char c;
+    while (::read(fd, &c, 1) == 1 && c != '\n')
+        line.push_back(c);
+    ::close(fd);
+    const auto resp = json::Value::tryParse(line);
+    ASSERT_TRUE(resp.has_value()) << line;
+    EXPECT_FALSE(resp->at("ok").asBool());
+    EXPECT_NE(resp->at("error").asString().find("exceeds"),
+              std::string::npos);
+
+    // The daemon serves the next connection as usual.
+    EXPECT_TRUE(client.ping());
     EXPECT_TRUE(client.shutdown().at("ok").asBool());
     daemon.join();
 }

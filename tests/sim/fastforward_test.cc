@@ -26,7 +26,7 @@
 #include "sim/cmp_system.hh"
 #include "sim/robustness.hh"
 #include "sim/telemetry.hh"
-#include "workload/spec_profiles.hh"
+#include "support/bench_mixes.hh"
 
 namespace nuca {
 namespace {
@@ -42,40 +42,6 @@ class RecordingSink final : public TraceSink
     }
     std::vector<std::string> lines;
 };
-
-/** The memory-intensive mix the fast-forward path is aimed at. */
-std::vector<WorkloadProfile>
-memoryMix()
-{
-    return {specProfile("mcf"), specProfile("art"),
-            specProfile("swim"), specProfile("equake")};
-}
-
-/**
- * A cache-resident ALU-heavy mix (perf_bench's "compute_bound"
- * shape): almost no cycle is skippable, so the differential runs
- * almost entirely through the busy-core tick path — the issue
- * scheduler's ready-set walk, parked store-blocked loads, and the
- * completion ring — instead of the stall-skipping machinery the
- * memory mix exercises.
- */
-std::vector<WorkloadProfile>
-computeMix()
-{
-    WorkloadProfile p;
-    p.name = "compute";
-    p.loadFrac = 0.20;
-    p.storeFrac = 0.08;
-    p.branchFrac = 0.15;
-    p.fpFrac = 0.30;
-    p.mulDivFrac = 0.05;
-    p.meanDepDist = 16.0;
-    p.loadChainFrac = 0.0;
-    p.codeFootprintBytes = 16ull << 10;
-    p.regions = {MemRegion{48ull << 10, 1.0, RegionPattern::Cyclic}};
-    p.llcIntensive = false;
-    return {p, p, p, p};
-}
 
 /** Robustness setup that actually interleaves with the jumps. */
 RobustnessConfig
@@ -162,7 +128,7 @@ runOnce(const SystemConfig &config, LoopMode mode, Cycle cycles,
 
 RunArtifacts
 runOnce(L3Scheme scheme, LoopMode mode, Cycle cycles,
-        const std::vector<WorkloadProfile> &mix = memoryMix(),
+        const std::vector<WorkloadProfile> &mix = specMemoryMix(),
         const ObsOptions &obs = {})
 {
     return runOnce(SystemConfig::baseline(scheme), mode, cycles, mix, obs);
@@ -219,17 +185,7 @@ TEST(FastForward, BitIdenticalOnPointerChaseScaledTech)
     // consumers of nearly every load more than the issue wheel's 64
     // one-cycle buckets ahead, so the overflow heap and its
     // migration into the buckets carry most of the wake-ups.
-    WorkloadProfile p;
-    p.name = "pchase";
-    p.loadFrac = 0.40;
-    p.storeFrac = 0.02;
-    p.branchFrac = 0.08;
-    p.meanDepDist = 3.0;
-    p.loadChainFrac = 0.95;
-    p.codeFootprintBytes = 8ull << 10;
-    p.regions = {MemRegion{64ull << 20, 1.0, RegionPattern::Random}};
-    p.llcIntensive = true;
-    const std::vector<WorkloadProfile> mix = {p, p, p, p};
+    const std::vector<WorkloadProfile> mix = pchaseMix();
     const auto config = SystemConfig::scaledTech(L3Scheme::Adaptive);
     const RunArtifacts ref =
         runOnce(config, LoopMode::Reference, 150000, mix, {});
@@ -256,7 +212,7 @@ TEST(FastForward, ObservabilityPreservesBitIdentity)
         const RunArtifacts ref =
             runOnce(scheme, LoopMode::Reference, 60000);
         const RunArtifacts obs = runOnce(scheme, LoopMode::Decoupled,
-                                         60000, memoryMix(),
+                                         60000, specMemoryMix(),
                                          ObsOptions{true, true});
 
         EXPECT_EQ(obs.stats, ref.stats)
@@ -300,7 +256,7 @@ TEST(FastForward, SurvivesCheckpointRestoreCrossover)
 
     // Phase 1 in both loops; the snapshots must already agree.
     auto firstHalf = [&](LoopMode mode) {
-        CmpSystem system(config, memoryMix(), kSeed);
+        CmpSystem system(config, specMemoryMix(), kSeed);
         selectLoop(system, mode);
         system.setRobustness(activeRobustness());
         system.run(before);
@@ -316,7 +272,7 @@ TEST(FastForward, SurvivesCheckpointRestoreCrossover)
     // resume from identical state, so any divergence is the skipping
     // path's fault alone.
     auto secondHalf = [&](LoopMode mode) {
-        CmpSystem system(config, memoryMix(), kSeed);
+        CmpSystem system(config, specMemoryMix(), kSeed);
         Deserializer d(refBytes.data(), refBytes.size());
         system.restore(d);
         selectLoop(system, mode);
@@ -344,8 +300,9 @@ TEST(FastForward, BatchCapPreservesBitIdentity)
     // settling at every boundary.
     ObsOptions obs;
     obs.batchCap = 16;
-    const RunArtifacts capped = runOnce(
-        L3Scheme::Adaptive, LoopMode::Decoupled, 60000, memoryMix(), obs);
+    const RunArtifacts capped =
+        runOnce(L3Scheme::Adaptive, LoopMode::Decoupled, 60000,
+                specMemoryMix(), obs);
     const RunArtifacts ref =
         runOnce(L3Scheme::Adaptive, LoopMode::Reference, 60000);
     EXPECT_EQ(capped.stats, ref.stats);
@@ -359,7 +316,7 @@ TEST(FastForward, EnvEscapeHatchesSelectTheLoop)
         SystemConfig::baseline(L3Scheme::Shared);
 
     // Default: the decoupled scheduler.
-    CmpSystem system(config, memoryMix(), kSeed);
+    CmpSystem system(config, specMemoryMix(), kSeed);
     EXPECT_TRUE(system.fastForwardEnabled());
     // setFastForward(false) selects the reference loop.
     system.setFastForward(false);
@@ -371,12 +328,12 @@ TEST(FastForward, EnvEscapeHatchesSelectTheLoop)
 TEST(FastForward, SchedulerDiagnosticsAccumulate)
 {
     // The decoupled scheduler's host-side counters: every executed
-    // tick is attributed to its core, batches land in the span
-    // histogram, and the heap sees pops and horizon pushes. None of
+    // tick is attributed to its core, advance batches cover cycles,
+    // and the heap sees pops and horizon pushes. None of
     // this is part of the simulation (the bit-identity tests above
     // prove that); this pins the diagnostics themselves.
     CmpSystem system(SystemConfig::baseline(L3Scheme::Adaptive),
-                     memoryMix(), kSeed);
+                     specMemoryMix(), kSeed);
     selectLoop(system, LoopMode::Decoupled);
     system.run(30000);
 
@@ -388,10 +345,6 @@ TEST(FastForward, SchedulerDiagnosticsAccumulate)
     EXPECT_GT(system.wakeHeapPops(), 0u);
     EXPECT_GT(system.horizonRecomputes(), 0u);
     EXPECT_GT(system.decoupledBatchedCycles(), 0u);
-    Counter batches = 0;
-    for (const Counter n : system.horizonHistogram())
-        batches += n;
-    EXPECT_GT(batches, 0u);
 }
 
 } // namespace
