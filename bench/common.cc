@@ -4,8 +4,11 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "base/logging.hh"
+#include "sim/checkpoint.hh"
 #include "sim/proc_pool.hh"
 #include "sim/sweep_store.hh"
 
@@ -28,24 +31,33 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
        const std::vector<ExperimentSpec> &mixes,
        const SimWindow &window, unsigned jobs)
 {
+    profilerFromEnv();
+    const SweepPolicy policy = sweepPolicyFromEnv();
+    const RunPolicy run = runPolicyFromEnv();
+    const FaultSpec &fault = run.robust.fault;
+
     // Flatten the sweep scheme-major — the same order the serial
     // loop used — so results land in identical submission slots.
+    // Each job's content key goes into its sidecar record; a planted
+    // simulator fault changes results without changing the key, so
+    // such runs write none and are never reused.
     std::vector<SweepJob> sweep;
     std::vector<std::string> labels;
-    sweep.reserve(configs.size() * mixes.size());
-    labels.reserve(configs.size() * mixes.size());
+    std::vector<std::optional<std::uint64_t>> keys;
     for (std::size_t s = 0; s < configs.size(); ++s) {
         for (std::size_t m = 0; m < mixes.size(); ++m) {
             sweep.push_back({s, m});
             labels.push_back(configs[s].first + ".mix" +
                              std::to_string(m));
+            keys.emplace_back();
+            if (!fault.isSimFault()) {
+                keys.back() = runKey(configs[s].second, mixes[m].apps,
+                                     mixes[m].seed, window.warmupCycles,
+                                     window.measureCycles);
+            }
         }
     }
 
-    profilerFromEnv();
-    const SweepPolicy policy = sweepPolicyFromEnv();
-    const RunPolicy run = runPolicyFromEnv();
-    const FaultSpec &fault = run.robust.fault;
     const ProcIsolation isolate = isolationFromEnv();
     // A crash fault kills whatever process runs the job; without a
     // sandboxed child that is the sweep itself, which would make the
@@ -56,24 +68,30 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
 
     const std::string jsonPath = envString("REPRO_JSON");
 
-    // Resume: reuse the sidecar's ok results; everything else
-    // (failed, torn, or absent records) is re-simulated.
+    // Resume: reuse the sidecar's ok results whose label and key
+    // both match; everything else (failed, torn, absent, keyless or
+    // from another window or config) is re-simulated.
     std::vector<JobOutcome<MixResult>> outcomes(sweep.size());
     std::vector<bool> resumed(sweep.size(), false);
     if (!jsonPath.empty() && run.resume) {
-        std::map<std::string, SweepRecord> completed;
+        std::map<std::pair<std::string, std::uint64_t>, MixResult>
+            completed;
         for (auto &record :
              SweepStore::load(SweepStore::sidecarPathFor(jsonPath))) {
-            if (record.status == JobStatus::Ok)
-                completed[record.label] = std::move(record);
+            if (record.status == JobStatus::Ok && record.key) {
+                completed[{record.label, *record.key}] =
+                    std::move(record.result);
+            }
         }
         std::size_t reused = 0;
         for (std::size_t i = 0; i < sweep.size(); ++i) {
-            const auto it = completed.find(labels[i]);
+            if (!keys[i])
+                continue;
+            const auto it = completed.find({labels[i], *keys[i]});
             if (it == completed.end())
                 continue;
             outcomes[i].status = JobStatus::Ok;
-            outcomes[i].value = it->second.result;
+            outcomes[i].value = it->second;
             resumed[i] = true;
             ++reused;
         }
@@ -129,8 +147,9 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
         pool, &progress, policy,
         [&](std::size_t k, const JobOutcome<MixResult> &outcome) {
             if (store) {
-                store->append({labels[pending[k]], outcome.status,
-                               outcome.error, outcome.value});
+                store->append({labels[pending[k]], keys[pending[k]],
+                               outcome.status, outcome.error,
+                               outcome.value});
             }
         });
     progress.finish();
@@ -154,8 +173,9 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
         // the file ends whole, with every job accounted for.
         if (store &&
             settled[k].status == JobStatus::Interrupted) {
-            store->append({labels[pending[k]], settled[k].status,
-                           settled[k].error, settled[k].value});
+            store->append({labels[pending[k]], keys[pending[k]],
+                           settled[k].status, settled[k].error,
+                           settled[k].value});
         }
         outcomes[pending[k]] = std::move(settled[k]);
     }

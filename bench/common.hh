@@ -66,12 +66,13 @@ struct SchemeResults
  *
  * The sweep runs under the REPRO_FAIL supervisor policy: "abort"
  * (default) rethrows the first failure after in-flight jobs drain,
- * "skip" records the failure and keeps sweeping, "retry:N" re-runs a
- * failing job N times before skipping it. With REPRO_JSON set, every
- * settled job is additionally appended to the "<path>.partial" JSONL
- * sidecar as it completes, and REPRO_RESUME=1 reuses the sidecar's
- * ok results instead of re-simulating them. REPRO_FAULT=throw_job:K
- * makes sweep job K throw (fault injection for the supervisor).
+ * "skip" records the failure and keeps sweeping. With REPRO_JSON
+ * set, every settled job is additionally appended to the
+ * "<path>.partial" JSONL sidecar as it completes, and REPRO_RESUME=1
+ * reuses the sidecar's ok results whose label and content key
+ * (runKey) both match instead of re-simulating them.
+ * REPRO_FAULT=throw_job:K makes sweep job K throw (fault injection
+ * for the supervisor).
  */
 std::vector<SchemeResults>
 runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,

@@ -75,7 +75,7 @@ constexpr const char *kCounterNames[kNumCounters] = {
     "decoupled_batched_cycles", "wake_heap_pops",
     "horizon_recomputes",
     "checkpoint_bytes_out", "checkpoint_bytes_in", "jobs_finished",
-    "job_retries",          "job_crashes",
+    "job_crashes",
 };
 
 /** Exited-thread totals plus the registry of live thread states. */

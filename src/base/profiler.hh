@@ -81,7 +81,7 @@ enum class Phase : unsigned {
     TelemetryFlush,    ///< JsonlTraceSink buffered writes
     CheckpointSave,    ///< serialize + write one checkpoint
     CheckpointRestore, ///< read + deserialize one checkpoint
-    Job,               ///< one parallel_runner job (settle excluded)
+    Job,               ///< one job attempt (settleJob)
     NumPhases,
 };
 
@@ -97,9 +97,8 @@ enum class Counter : unsigned {
     HorizonRecomputes, ///< per-core wake horizons recomputed
     CheckpointBytesOut, ///< bytes serialized into checkpoints
     CheckpointBytesIn, ///< bytes restored from checkpoints
-    JobsFinished,      ///< parallel_runner jobs completed
-    JobRetries,        ///< failed attempts granted a re-run
-    JobCrashes,        ///< jobs settled crashed/timed_out/quarantined
+    JobsFinished,      ///< jobs settled terminally (settleJob)
+    JobCrashes,        ///< jobs settled crashed/timed_out
     NumCounters,
 };
 

@@ -1,6 +1,5 @@
 #include "service/result_cache.hh"
 
-#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -8,19 +7,12 @@
 #include <system_error>
 
 #include "service/job_spec.hh"
+#include "sim/checkpoint.hh"
 #include "sim/json_writer.hh"
 #include "sim/sweep_store.hh"
 
 namespace nuca {
 namespace service {
-
-std::string
-hex16(std::uint64_t key)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, key);
-    return buf;
-}
 
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {}
 

@@ -30,9 +30,6 @@ namespace service {
 
 struct JobSpec;
 
-/** A content key as 16 hex digits: its file name and wire form. */
-std::string hex16(std::uint64_t key);
-
 class ResultCache
 {
   public:

@@ -109,6 +109,10 @@ SweepDaemon::journal(const Job &job)
     SweepRecord record;
     record.label = "job" + std::to_string(job.id) + ":" +
                    job.spec.displayLabel();
+    // Same rule as the result cache: a planted simulator fault's
+    // result is not the key's result.
+    if (!opts_.robust.fault.isSimFault())
+        record.key = job.key;
     record.status = job.state;
     record.error = job.error;
     if (job.state == JobStatus::Ok ||
@@ -164,8 +168,8 @@ SweepDaemon::execute(const JobSpec &spec, ProcJobHandle *handle)
     return runMixSandboxed(opts_.isolation, body, handle);
 }
 
-void
-SweepDaemon::workerLoop()
+std::optional<std::size_t>
+SweepDaemon::claimJob()
 {
     std::unique_lock<std::mutex> lock(mutex_);
     while (!stop_) {
@@ -192,50 +196,53 @@ SweepDaemon::workerLoop()
         job.state = JobStatus::Running;
         job.startedAt = std::chrono::steady_clock::now();
         job.handle = std::make_shared<ProcJobHandle>();
-        const auto handle = job.handle;
-        const JobSpec spec = job.spec;
-        const std::uint64_t id = job.id;
-        const std::uint64_t key = job.key;
         ++busyWorkers_;
         ++executed_;
-        lock.unlock();
-
-        // One attempt, no retry: re-running is the scheduler's call
-        // (a preempted job requeues), so the default policy applies.
-        const auto attempt = [&](const JobSpec &s) {
-            return execute(s, handle.get());
-        };
-        const JobOutcome<MixResult> outcome =
-            parallel_detail::settleJob<MixResult>(spec, id, attempt,
-                                                  SweepPolicy{});
-
-        lock.lock();
-        Job &settled = jobs_.at(id);
-        tenantService_[spec.tenant] += msSince(settled.startedAt);
-        --busyWorkers_;
-        settled.handle.reset();
-        settled.state = outcome.status;
-        settled.error = outcome.error;
-        if (outcome.ok()) {
-            settled.result = outcome.value;
-            if (!opts_.robust.fault.isSimFault())
-                cache_.put(key, spec, outcome.value);
-        } else if (outcome.status == JobStatus::Preempted) {
-            if (settled.cancelRequested) {
-                settled.state = JobStatus::Cancelled;
-                settled.error = "cancelled";
-            } else {
-                // Requeue with the snapshot it just saved; the next
-                // attempt resumes from it (even after a daemon
-                // restart, since the snapshot is content-addressed
-                // on disk).
-                ++settled.preempts;
-                settled.enqueuedAt = std::chrono::steady_clock::now();
-            }
-        }
-        journal(settled);
-        cv_.notify_all();
+        return job.id;
     }
+    return std::nullopt;
+}
+
+void
+SweepDaemon::runJob(std::uint64_t id, int track)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    const Job &claimed = jobs_.at(id);
+    const std::shared_ptr<ProcJobHandle> handle = claimed.handle;
+    const JobSpec spec = claimed.spec;
+    const std::uint64_t key = claimed.key;
+    lock.unlock();
+
+    // One attempt: re-running is the scheduler's call (a preempted
+    // job requeues).
+    const JobOutcome<MixResult> outcome = settleJob<MixResult>(
+        id, track, [&] { return execute(spec, handle.get()); });
+
+    lock.lock();
+    Job &settled = jobs_.at(id);
+    tenantService_[spec.tenant] += msSince(settled.startedAt);
+    --busyWorkers_;
+    settled.handle.reset();
+    settled.state = outcome.status;
+    settled.error = outcome.error;
+    if (outcome.ok()) {
+        settled.result = outcome.value;
+        if (!opts_.robust.fault.isSimFault())
+            cache_.put(key, spec, outcome.value);
+    } else if (outcome.status == JobStatus::Preempted) {
+        if (settled.cancelRequested) {
+            settled.state = JobStatus::Cancelled;
+            settled.error = "cancelled";
+        } else {
+            // Requeue with the snapshot it just saved; the next
+            // attempt resumes from it (even after a daemon restart,
+            // since the snapshot is content-addressed on disk).
+            ++settled.preempts;
+            settled.enqueuedAt = std::chrono::steady_clock::now();
+        }
+    }
+    journal(settled);
+    cv_.notify_all();
 }
 
 void
@@ -560,11 +567,8 @@ SweepDaemon::executedJobs() const
 void
 SweepDaemon::join()
 {
-    for (std::thread &worker : workers_) {
-        if (worker.joinable())
-            worker.join();
-    }
-    workers_.clear();
+    if (pool_)
+        pool_->join();
     if (preempter_.joinable())
         preempter_.join();
     if (accepter_.joinable())
@@ -578,12 +582,11 @@ SweepDaemon::join()
 #endif
 }
 
-#if NUCA_SERVICE_HAVE_SOCKETS
-
 void
 SweepDaemon::start()
 {
     if (!opts_.socketPath.empty()) {
+#if NUCA_SERVICE_HAVE_SOCKETS
         sockaddr_un addr{};
         if (opts_.socketPath.size() >= sizeof(addr.sun_path))
             throw SimulationError("socket path too long: " +
@@ -605,11 +608,19 @@ SweepDaemon::start()
                                   opts_.socketPath);
         }
         accepter_ = std::thread([this] { acceptLoop(); });
+#else
+        throw SimulationError(
+            "Unix-domain sockets are unavailable on this platform; "
+            "run with an empty socket path");
+#endif
     }
-    for (unsigned i = 0; i < opts_.workers; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+    pool_ = std::make_unique<WorkerPool>(
+        opts_.workers, [this] { return claimJob(); },
+        [this](std::size_t id, int track) { runJob(id, track); });
     preempter_ = std::thread([this] { preempterLoop(); });
 }
+
+#if NUCA_SERVICE_HAVE_SOCKETS
 
 void
 SweepDaemon::acceptLoop()
@@ -674,25 +685,6 @@ SweepDaemon::acceptLoop()
         }
         ::close(fd);
     }
-}
-
-#else // !NUCA_SERVICE_HAVE_SOCKETS
-
-void
-SweepDaemon::start()
-{
-    if (!opts_.socketPath.empty())
-        throw SimulationError(
-            "Unix-domain sockets are unavailable on this platform; "
-            "run with an empty socket path");
-    for (unsigned i = 0; i < opts_.workers; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-    preempter_ = std::thread([this] { preempterLoop(); });
-}
-
-void
-SweepDaemon::acceptLoop()
-{
 }
 
 #endif // NUCA_SERVICE_HAVE_SOCKETS

@@ -4,11 +4,11 @@
  * experiment specs as line-delimited JSON over a Unix-domain socket;
  * the daemon answers each line with one JSON response line.
  *
- * Inside, three mechanisms cooperate:
- *
- *  - A priority job queue drained by a bounded worker pool. A free
- *    worker goes to the most starved tenant (see scheduler.hh); jobs
- *    execute through the proc_pool sandbox when isolation is on.
+ * Jobs run on the figure sweeps' executor: a WorkerPool
+ * (parallel_runner.hh) whose workers claim from the daemon's queue,
+ * the most starved tenant's job first (see scheduler.hh), and
+ * execute through the proc_pool sandbox when isolation is on. The
+ * daemon adds two mechanisms:
  *
  *  - Preemptive fair share: a long-running job of an over-served
  *    tenant is asked to stop at its next REPRO_CKPT_PERIOD-style
@@ -24,11 +24,12 @@
  *    simulated settles as cache_hit at submit time, with no worker
  *    involved.
  *
- * A worker settles each attempt through the sweep pool's settleJob
- * (job_status.hh), so a job settles `crashed`, `timed_out` or
- * `stalled` exactly as in a classic sweep. Every settle is journaled
- * to <state>/jobs.jsonl through the sweep sidecar codec with
- * scheduling telemetry (queue_ms, preempts) for `trace_report`.
+ * A worker settles each attempt through the sweeps' settleJob, so a
+ * job settles `crashed`, `timed_out` or `stalled` exactly as in a
+ * classic sweep, with the same `job <id>` trace span and profiler
+ * counters. Every settle is journaled to <state>/jobs.jsonl through
+ * the sweep sidecar codec, with the job's content key and scheduling
+ * telemetry (queue_ms, preempts) for `trace_report`.
  *
  * Protocol ops: ping, submit, status, result, preempt, cancel, drain,
  * stats, shutdown — see docs/SERVICE.md for the wire format.
@@ -43,15 +44,16 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "service/job_spec.hh"
 #include "service/result_cache.hh"
 #include "service/scheduler.hh"
 #include "sim/job_status.hh"
 #include "sim/json_writer.hh"
+#include "sim/parallel_runner.hh"
 #include "sim/proc_pool.hh"
 #include "sim/sweep_store.hh"
 
@@ -155,7 +157,12 @@ class SweepDaemon
     json::Value opDrain();
     json::Value opStats();
 
-    void workerLoop();
+    /** WorkerPool claim: block until a job is runnable, mark the
+     *  fair-share pick Running and return its id; none once stopped. */
+    std::optional<std::size_t> claimJob();
+    /** WorkerPool run: one attempt of claimed job @p id, settled and
+     *  journaled. */
+    void runJob(std::uint64_t id, int track);
     void preempterLoop();
     void acceptLoop();
 
@@ -181,7 +188,7 @@ class SweepDaemon
     bool stop_ = false;
     bool draining_ = false;
 
-    std::vector<std::thread> workers_;
+    std::unique_ptr<WorkerPool> pool_;
     std::thread preempter_;
     std::thread accepter_;
     int listenFd_ = -1;

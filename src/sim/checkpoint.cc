@@ -1,6 +1,8 @@
 #include "sim/checkpoint.hh"
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <filesystem>
 #include <system_error>
 
@@ -130,6 +132,14 @@ std::uint64_t
 hashBytes(const std::uint8_t *data, std::size_t size)
 {
     return fnv1a(fnvOffsetBasis, data, size);
+}
+
+std::string
+hex16(std::uint64_t key)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016" PRIx64, key);
+    return buf;
 }
 
 std::uint64_t

@@ -112,6 +112,9 @@ std::size_t pruneCheckpointDir(const CheckpointConfig &cfg);
  */
 std::uint64_t hashBytes(const std::uint8_t *data, std::size_t size);
 
+/** A content key as 16 hex digits: its file name and wire form. */
+std::string hex16(std::uint64_t key);
+
 } // namespace nuca
 
 #endif // NUCA_SIM_CHECKPOINT_HH

@@ -83,24 +83,12 @@ SweepPolicy
 sweepPolicyFromEnv()
 {
     SweepPolicy policy;
-    policy.backoffMs = static_cast<unsigned>(
-        envOr("REPRO_RETRY_BACKOFF_MS", policy.backoffMs));
-    policy.maxCrashes = static_cast<unsigned>(
-        envOr("REPRO_QUARANTINE", policy.maxCrashes));
     const std::string spec = envString("REPRO_FAIL");
-    if (spec == "skip") {
+    fatal_if(!spec.empty() && spec != "abort" && spec != "skip",
+             "REPRO_FAIL must be abort or skip, got '", spec,
+             "' (a failed job is re-run with REPRO_RESUME=1)");
+    if (spec == "skip")
         policy.onFail = FailPolicy::Skip;
-    } else if (spec.rfind("retry:", 0) == 0) {
-        policy.onFail = FailPolicy::Retry;
-        policy.retries = static_cast<unsigned>(
-            specArg("REPRO_FAIL", spec, spec.find(':')));
-        fatal_if(policy.retries == 0,
-                 "REPRO_FAIL=retry:N needs N >= 1, got '", spec, "'");
-    } else {
-        fatal_if(!spec.empty() && spec != "abort",
-                 "REPRO_FAIL must be abort, skip, or retry:N, got '",
-                 spec, "'");
-    }
     return policy;
 }
 

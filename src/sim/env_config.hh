@@ -17,8 +17,6 @@
  *   REPRO_JSON                  envString             runAll
  *   REPRO_RESUME                runPolicyFromEnv      runAll
  *   REPRO_FAIL                  sweepPolicyFromEnv    runAll
- *   REPRO_RETRY_BACKOFF_MS      sweepPolicyFromEnv    runAll
- *   REPRO_QUARANTINE            sweepPolicyFromEnv    runAll
  *   REPRO_ISOLATE               isolationFromEnv      runAll
  *   REPRO_JOB_MEM_MB            isolationFromEnv      runAll, nuca_sweepd
  *   REPRO_JOB_CPU_S             isolationFromEnv      runAll, nuca_sweepd

@@ -1,10 +1,6 @@
 #include "sim/job_status.hh"
 
-#include <algorithm>
-#include <cstdint>
-
 #include "base/logging.hh"
-#include "base/random.hh"
 
 namespace nuca {
 
@@ -40,44 +36,7 @@ bool
 isCrash(JobStatus status)
 {
     return status == JobStatus::Crashed ||
-           status == JobStatus::TimedOut ||
-           status == JobStatus::Quarantined;
-}
-
-bool
-isRetryable(JobStatus status)
-{
-    // Everything else may settle differently on another attempt;
-    // the non-terminal lifecycle states have one still to come.
-    return status != JobStatus::Ok && status != JobStatus::OverBudget &&
-           status != JobStatus::Quarantined &&
-           status != JobStatus::CacheHit &&
-           status != JobStatus::Cancelled;
-}
-
-unsigned
-retryBackoffMs(const SweepPolicy &policy, std::size_t job_index,
-               unsigned attempt)
-{
-    if (policy.backoffMs == 0 || attempt == 0)
-        return 0;
-    // Exponential in the retry ordinal, capped well before the shift
-    // can overflow and at 30 s overall — a sweep's backoff should
-    // yield the core, not park the worker for the night.
-    constexpr unsigned kCapMs = 30'000;
-    const unsigned doublings = std::min(attempt - 1, 20u);
-    const std::uint64_t base =
-        std::min<std::uint64_t>(std::uint64_t(policy.backoffMs)
-                                    << doublings,
-                                kCapMs);
-    // Deterministic jitter: seeded from (job, attempt) so two workers
-    // retrying simultaneously desynchronize, yet every run of the
-    // same sweep sleeps the same schedule.
-    Rng rng(0x9e3779b97f4a7c15ull ^
-            (std::uint64_t(job_index) * 0xdeadbeefull + attempt));
-    const std::uint64_t jitter = rng.below(base / 2 + 1);
-    return static_cast<unsigned>(
-        std::min<std::uint64_t>(base + jitter, kCapMs));
+           status == JobStatus::TimedOut;
 }
 
 JobStatus

@@ -27,7 +27,6 @@ enum class JobStatus
     OverBudget,  ///< the REPRO_MAX_CYCLES budget ran out
     Crashed,     ///< the isolated child died (signal / nonzero exit)
     TimedOut,    ///< wall-clock deadline or RLIMIT_CPU expired
-    Quarantined, ///< crashed repeatedly; retries stopped early
     Queued,      ///< waiting in the daemon's job queue
     Running,     ///< a daemon worker is executing it
     Preempted,   ///< yielded at a snapshot boundary; will resume
@@ -51,7 +50,6 @@ inline constexpr JobStatusName kJobStatusNames[] = {
     {JobStatus::OverBudget, "over_budget"},
     {JobStatus::Crashed, "crashed"},
     {JobStatus::TimedOut, "timed_out"},
-    {JobStatus::Quarantined, "quarantined"},
     {JobStatus::Queued, "queued"},
     {JobStatus::Running, "running"},
     {JobStatus::Preempted, "preempted"},
@@ -62,35 +60,18 @@ inline constexpr JobStatusName kJobStatusNames[] = {
 
 const char *to_string(JobStatus status);
 
-/** Inverse of to_string(JobStatus); unknown names parse as Failed so
- *  old or foreign sidecars still load (never reuses such a job). */
+/** Inverse of to_string(JobStatus); unknown names (a foreign
+ *  writer's, or an older build's "quarantined") parse as Failed so
+ *  such sidecars still load and never reuse the job. */
 JobStatus jobStatusFromString(const std::string &name);
 
 /** True once the job can never change status again: everything but
  *  Queued, Running and Preempted. */
 bool isTerminal(JobStatus status);
 
-/** True when the job's process died or blew its deadline: Crashed,
- *  TimedOut or Quarantined. */
+/** True when the job's process died or blew its deadline: Crashed
+ *  or TimedOut. */
 bool isCrash(JobStatus status);
-
-/**
- * True when a re-run could plausibly settle differently. OverBudget
- * is deterministic — the same cycle budget runs out at the same
- * cycle every time — so retrying it burns the budget for nothing;
- * Quarantined exists precisely to stop further attempts.
- */
-bool isRetryable(JobStatus status);
-
-/**
- * Delay before retry number @p attempt of job @p job_index:
- * exponential in the attempt (policy.backoffMs doubling per retry,
- * capped at 30 s) plus deterministic jitter seeded from
- * (job, attempt) so concurrent retries desynchronize identically on
- * every run. 0 when the policy disables backoff.
- */
-unsigned retryBackoffMs(const SweepPolicy &policy,
-                        std::size_t job_index, unsigned attempt);
 
 /**
  * How a failed attempt settles: Stalled, OverBudget, Crashed,

@@ -379,7 +379,10 @@ class Parser
         const std::string text(start, cur_);
         char *parse_end = nullptr;
         const double n = std::strtod(text.c_str(), &parse_end);
-        if (parse_end != text.c_str() + text.size())
+        // An overflowing literal ("1e999") would parse as Inf, which
+        // dump() cannot write back: reject it like any bad number.
+        if (parse_end != text.c_str() + text.size() ||
+            !std::isfinite(n))
             return false;
         out = Value(n);
         return true;

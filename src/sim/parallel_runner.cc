@@ -1,23 +1,41 @@
 #include "sim/parallel_runner.hh"
 
-#include <chrono>
 #include <cstdio>
-
-#include "base/logging.hh"
 
 namespace nuca {
 
-namespace parallel_detail {
-
-void
-backoffSleep(unsigned delay_ms)
+WorkerPool::WorkerPool(unsigned workers, Claim claim, Run run)
 {
-    if (delay_ms != 0)
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(delay_ms));
+    TraceEventLog &log = TraceEventLog::global();
+    threads_.reserve(workers);
+    for (unsigned k = 0; k < workers; ++k) {
+        // Distinct tracks keep concurrent job spans apart in the
+        // exported trace.
+        const int track =
+            log.enabled()
+                ? log.newThread(TraceEventLog::kHostPid,
+                                "worker " + std::to_string(k))
+                : static_cast<int>(k);
+        threads_.emplace_back([claim, run, track] {
+            while (const std::optional<std::size_t> index = claim())
+                run(*index, track);
+        });
+    }
 }
 
-} // namespace parallel_detail
+WorkerPool::~WorkerPool()
+{
+    join();
+}
+
+void
+WorkerPool::join()
+{
+    for (std::thread &thread : threads_) {
+        if (thread.joinable())
+            thread.join();
+    }
+}
 
 ProgressReporter::ProgressReporter(std::string label,
                                    std::size_t total, bool quiet)

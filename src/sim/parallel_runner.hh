@@ -9,16 +9,17 @@
  * output order never depends on scheduling.
  *
  * The caller picks the pool size (harnesses use jobsFromEnv:
- * REPRO_JOBS, default std::thread::hardware_concurrency()); a pool
- * of one degenerates to an inline serial loop with no threads
- * spawned.
+ * REPRO_JOBS, default std::thread::hardware_concurrency()). The
+ * threads are a WorkerPool, the same one nuca_sweepd drains its
+ * queue with, and every job of either executor settles through
+ * settleJob.
  *
  * Failure handling is the sweep supervisor's job: every job settles
  * into a JobOutcome (ok / failed / stalled / over_budget) instead of
  * an exception unwinding the pool and discarding completed siblings.
  * The SweepPolicy (REPRO_FAIL) decides whether a failure stops the
- * sweep (abort — workers stop claiming jobs at the next boundary),
- * leaves a recorded hole (skip), or re-runs the job (retry:N).
+ * sweep (abort — workers stop claiming jobs at the next boundary) or
+ * leaves a recorded hole (skip).
  */
 
 #ifndef NUCA_SIM_PARALLEL_RUNNER_HH
@@ -27,9 +28,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -92,7 +95,7 @@ class ProgressReporter
     /** Jobs reported failed so far (crashes included). */
     std::size_t failures() const;
 
-    /** The crashed/timed-out/quarantined subset of failures(). */
+    /** The crashed/timed-out subset of failures(). */
     std::size_t crashes() const;
 
   private:
@@ -108,107 +111,98 @@ class ProgressReporter
     bool finished_ = false;
 };
 
-namespace parallel_detail {
+/**
+ * N worker threads, each on its own Chrome-trace track ("worker k"
+ * on the host process), that run every job index claim() hands out
+ * until it returns none. claim() is called concurrently from every
+ * worker and may block (the daemon waits on its queue); it must do
+ * its own synchronization. This is the only code that starts job
+ * worker threads: runParallelOutcomes claims from an atomic cursor
+ * over its job vector, nuca_sweepd from its fair-share queue.
+ */
+class WorkerPool
+{
+  public:
+    /** The next job index, or nullopt to retire the calling worker. */
+    using Claim = std::function<std::optional<std::size_t>()>;
+    /** Run the claimed job @p index on trace track @p track. */
+    using Run = std::function<void(std::size_t index, int track)>;
 
-/** Sleep for a retry backoff (out-of-line; no-op for 0 ms). */
-void backoffSleep(unsigned delay_ms);
+    WorkerPool(unsigned workers, Claim claim, Run run);
+    ~WorkerPool();
+
+    WorkerPool(const WorkerPool &) = delete;
+    WorkerPool &operator=(const WorkerPool &) = delete;
+
+    /** Wait until every worker has retired (idempotent). */
+    void join();
+
+  private:
+    std::vector<std::thread> threads_;
+};
 
 /**
- * Run one job, classify any failure (classifyFailure), honor the
- * retry budget. The service daemon settles each attempt here too,
- * with a default (single-attempt) policy.
+ * The one settle path of every executor: run @p attempt once and
+ * classify any failure (classifyFailure). Around the attempt it
+ * opens the "job <id>" span on trace track @p track and the
+ * profiler's Job phase; a failure leaves a "job <id> <status>"
+ * instant inside the span, and every terminal outcome counts toward
+ * jobs_finished (crash-class ones toward job_crashes too).
  *
- * The retry loop is hardened three ways. Non-retryable outcomes
- * (isRetryable) settle immediately instead of burning the budget on
- * a deterministic failure. Attempts are separated by exponential
- * backoff with seeded jitter (retryBackoffMs) so a transient
- * environmental failure isn't hammered. And crashes (child death or
- * timeout under process isolation) are counted against the
- * policy.maxCrashes quarantine threshold: a poison job that keeps
- * killing its child settles Quarantined after that many crashes, so
- * one bad point cannot consume the whole pool's retry time.
- * Every multi-attempt settlement annotates the error text with the
- * attempt count.
+ * A job runs once. Every job is a pure function of its inputs, so
+ * re-running a failure in place would fail again; a preempted daemon
+ * job is requeued by the scheduler, and a failed sweep job is re-run
+ * by REPRO_RESUME=1.
  */
-template <typename Result, typename Job, typename Fn>
+template <typename Result, typename Attempt>
 JobOutcome<Result>
-settleJob(const Job &job, std::size_t index, Fn &fn,
-          const SweepPolicy &policy)
+settleJob(std::uint64_t id, int track, Attempt &&attempt)
 {
     JobOutcome<Result> outcome;
-    const unsigned attempts =
-        policy.onFail == FailPolicy::Retry ? policy.retries + 1 : 1;
-    unsigned attempt = 0;
-    unsigned crashes = 0;
-    for (;;) {
-        ++attempt;
+    TraceEventLog &log = TraceEventLog::global();
+    {
+        const std::string name =
+            log.enabled() ? "job " + std::to_string(id) : std::string();
+        TraceEventLog::Span span(log, TraceEventLog::kHostPid, track,
+                                 name);
+        prof::Scope profJob(prof::Phase::Job);
         try {
-            outcome.value = fn(job);
-            outcome.status = JobStatus::Ok;
-            outcome.error.clear();
-            outcome.exception = nullptr;
-            return outcome;
+            outcome.value = attempt();
         } catch (...) {
             outcome.exception = std::current_exception();
-        }
-        outcome.status = classifyFailure(outcome.exception);
-        outcome.error = failureMessage(outcome.exception);
-
-        // Not a failure: the job yielded at a snapshot boundary on
-        // request. Settle immediately — rerunning it here would
-        // defeat the point of asking it to stop — and let the caller
-        // (the daemon's scheduler, or a resumed sweep) decide when
-        // it continues.
-        if (outcome.status == JobStatus::Preempted)
-            return outcome;
-        if (isCrash(outcome.status))
-            ++crashes;
-
-        if (!isRetryable(outcome.status)) {
-            if (attempts > 1) {
-                outcome.error += " [attempt " +
-                                 std::to_string(attempt) + " of " +
-                                 std::to_string(attempts) + "; " +
-                                 to_string(outcome.status) +
-                                 " is not retryable]";
+            outcome.status = classifyFailure(outcome.exception);
+            outcome.error = failureMessage(outcome.exception);
+            if (!name.empty()) {
+                // Marks how the job settled, not just that it ran.
+                log.instant(
+                    TraceEventLog::kHostPid, track,
+                    name + " " + to_string(outcome.status),
+                    log.nowUs(),
+                    json::Value::object()
+                        .set("status",
+                             std::string(to_string(outcome.status)))
+                        .set("error", outcome.error));
             }
-            return outcome;
         }
-        if (policy.onFail == FailPolicy::Retry &&
-            policy.maxCrashes != 0 && crashes >= policy.maxCrashes) {
-            outcome.error = "quarantined after " +
-                            std::to_string(crashes) +
-                            " crashed attempt(s): " + outcome.error;
-            outcome.status = JobStatus::Quarantined;
-            return outcome;
-        }
-        if (attempt >= attempts) {
-            if (attempt > 1) {
-                outcome.error += " [after " +
-                                 std::to_string(attempt) +
-                                 " attempts]";
-            }
-            return outcome;
-        }
-        prof::add(prof::Counter::JobRetries, 1);
-        backoffSleep(retryBackoffMs(policy, index, attempt));
     }
+    if (isTerminal(outcome.status))
+        prof::add(prof::Counter::JobsFinished, 1);
+    if (isCrash(outcome.status))
+        prof::add(prof::Counter::JobCrashes, 1);
+    return outcome;
 }
 
-} // namespace parallel_detail
-
 /**
- * Run fn(jobs[i]) for every job on a pool of @p num_threads workers
- * and settle every job into a JobOutcome in submission order:
- * outcomes[i] always corresponds to jobs[i] regardless of which
- * worker ran it or when.
+ * Run fn(jobs[i]) for every job on a WorkerPool of @p num_threads
+ * workers and settle every job into a JobOutcome in submission
+ * order: outcomes[i] always corresponds to jobs[i] regardless of
+ * which worker ran it or when.
  *
  * Failures never unwind the pool. Under FailPolicy::Abort the first
  * failure raises a stop flag checked at claim time, so in-flight
  * jobs finish but no new work starts (their completed results are
  * still returned). Under Skip the failure is recorded and the sweep
- * continues; under Retry the job is re-run up to policy.retries
- * extra times first.
+ * continues.
  *
  * @p on_outcome, when provided, is invoked once per settled job
  * (serialized under a mutex, from worker threads) with the job's
@@ -236,53 +230,35 @@ runParallelOutcomes(
     // char, not bool: vector<bool> packs eight flags per byte, so
     // two workers settling neighbouring jobs would race on the
     // shared word. One byte per flag keeps the slots disjoint; the
-    // joins below order the writes before the fix-up read loop.
+    // join below orders the writes before the fix-up read loop.
     std::vector<char> attempted(jobs.size(), 0);
-
-    const std::size_t workers =
-        std::min<std::size_t>(num_threads == 0 ? 1 : num_threads,
-                              jobs.size());
 
     std::atomic<std::size_t> next{0};
     std::atomic<bool> stop{false};
     std::mutex outcome_mutex;
 
-    auto settleInto = [&](std::size_t i, int trace_tid) {
+    // The job queue: a shared cursor over the submission-ordered job
+    // vector. Workers claim the next unclaimed index and write only
+    // their own outcome slot, so no two threads ever touch the same
+    // element. The stop flag is checked at claim time: once a
+    // failure aborts the sweep, the leftover jobs are not burned
+    // through just to be discarded. A graceful SIGINT/SIGTERM
+    // behaves like an abort: in-flight jobs finish, nothing new is
+    // claimed.
+    const auto claim = [&]() -> std::optional<std::size_t> {
+        if (stop.load(std::memory_order_relaxed) ||
+            sweepInterruptRequested())
+            return std::nullopt;
+        const std::size_t i =
+            next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= jobs.size())
+            return std::nullopt;
+        return i;
+    };
+    const auto run = [&](std::size_t i, int track) {
         attempted[i] = 1;
-        {
-            // Each job is one host-track span (and one profiler Job
-            // phase), so a sweep's wall-clock decomposes per job in
-            // the exported trace. Worker threads get distinct tids so
-            // concurrent spans land on separate tracks.
-            TraceEventLog &log = TraceEventLog::global();
-            std::string span_name;
-            if (log.enabled())
-                span_name = "job " + std::to_string(i);
-            TraceEventLog::Span span(log, TraceEventLog::kHostPid,
-                                     trace_tid,
-                                     std::move(span_name));
-            prof::Scope profJob(prof::Phase::Job);
-            outcomes[i] = parallel_detail::settleJob<Result>(
-                jobs[i], i, fn, policy);
-            if (!outcomes[i].ok() && log.enabled()) {
-                // Mark the failure inside the job's span so the
-                // trace shows *how* each red job settled, not just
-                // that it ran.
-                log.instant(
-                    TraceEventLog::kHostPid, trace_tid,
-                    "job " + std::to_string(i) + " " +
-                        to_string(outcomes[i].status),
-                    log.nowUs(),
-                    json::Value::object()
-                        .set("status",
-                             std::string(
-                                 to_string(outcomes[i].status)))
-                        .set("error", outcomes[i].error));
-            }
-        }
-        prof::add(prof::Counter::JobsFinished, 1);
-        if (isCrash(outcomes[i].status))
-            prof::add(prof::Counter::JobCrashes, 1);
+        outcomes[i] = settleJob<Result>(
+            i, track, [&] { return fn(jobs[i]); });
         if (!outcomes[i].ok() && policy.onFail == FailPolicy::Abort)
             stop.store(true, std::memory_order_relaxed);
         if (progress)
@@ -292,50 +268,10 @@ runParallelOutcomes(
             on_outcome(i, outcomes[i]);
         }
     };
-
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            if (stop.load(std::memory_order_relaxed) ||
-                sweepInterruptRequested())
-                break;
-            settleInto(i, 0);
-        }
-    } else {
-        // The job queue: a shared cursor over the submission-ordered
-        // job vector. Workers claim the next unclaimed index and
-        // write only their own outcome slot, so no two threads ever
-        // touch the same element. The stop flag is checked at claim
-        // time: once a failure aborts the sweep, the leftover jobs
-        // are not burned through just to be discarded.
-        auto worker = [&](int trace_tid) {
-            for (;;) {
-                // A graceful SIGINT/SIGTERM behaves like an abort:
-                // in-flight jobs finish, nothing new is claimed.
-                if (stop.load(std::memory_order_relaxed) ||
-                    sweepInterruptRequested())
-                    return;
-                const std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= jobs.size())
-                    return;
-                settleInto(i, trace_tid);
-            }
-        };
-
-        TraceEventLog &log = TraceEventLog::global();
-        std::vector<std::thread> threads;
-        threads.reserve(workers);
-        for (std::size_t t = 0; t < workers; ++t) {
-            const int trace_tid =
-                log.enabled()
-                    ? log.newThread(TraceEventLog::kHostPid,
-                                    "worker " + std::to_string(t))
-                    : static_cast<int>(t);
-            threads.emplace_back(worker, trace_tid);
-        }
-        for (auto &thread : threads)
-            thread.join();
-    }
+    WorkerPool(static_cast<unsigned>(std::min<std::size_t>(
+                   std::max(num_threads, 1u), jobs.size())),
+               claim, run)
+        .join();
 
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         if (!attempted[i]) {
@@ -363,9 +299,6 @@ runParallelOutcomes(
  * @p fn must be safe to invoke concurrently from multiple threads
  * (the experiment harness guarantees this: runMix touches only its
  * own CmpSystem). Its result type must be default-constructible.
- * With num_threads <= 1 (or fewer than two jobs) everything runs
- * inline on the calling thread — that path is the serial reference
- * the determinism tests compare against.
  */
 template <typename Job, typename Fn>
 auto

@@ -12,8 +12,8 @@
  *
  *  - SimulationStalled / CycleBudgetExceeded turn "hangs forever"
  *    into a catchable error carrying a diagnostic snapshot;
- *  - SweepPolicy (REPRO_FAIL=abort|skip|retry:N) decides what the
- *    sweep supervisor does with a failed job;
+ *  - SweepPolicy (REPRO_FAIL=abort|skip) decides what the sweep
+ *    supervisor does with a failed job;
  *  - RobustnessConfig wires the CmpSystem watchdog (zero-retirement
  *    window, MSHR age bound, cycle budget) and the REPRO_CHECK
  *    periodic invariant pass;
@@ -104,30 +104,13 @@ enum class FailPolicy
 {
     Abort, ///< stop claiming jobs, rethrow after the pool drains
     Skip,  ///< record a "failed" result and keep sweeping
-    Retry, ///< re-run the job up to `retries` times, then skip
 };
 
-/** The REPRO_FAIL recovery policy. */
+/** The REPRO_FAIL recovery policy. Neither mode re-runs a job;
+ *  REPRO_RESUME=1 re-runs the non-ok jobs of a kept sidecar. */
 struct SweepPolicy
 {
     FailPolicy onFail = FailPolicy::Abort;
-    /** Re-runs granted per job under FailPolicy::Retry. */
-    unsigned retries = 0;
-    /**
-     * Base delay before the first re-run (REPRO_RETRY_BACKOFF_MS);
-     * doubles per attempt with deterministic seeded jitter. 0
-     * disables the backoff entirely.
-     */
-    unsigned backoffMs = 100;
-    /**
-     * Poison-job quarantine threshold (REPRO_QUARANTINE): under
-     * FailPolicy::Retry, a job whose attempts *crash* (child death or
-     * timeout, not a clean in-process failure) this many times is
-     * recorded Quarantined and the sweep moves on, however many
-     * retries remain — one crashing job must not burn the pool's
-     * whole retry budget. 0 disables quarantine.
-     */
-    unsigned maxCrashes = 2;
 };
 
 /** Kinds of deliberate defects the injector can plant. */

@@ -1,10 +1,13 @@
 #include "sim/sweep_store.hh"
 
+#include <cstdlib>
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
 
 #include "base/logging.hh"
+#include "sim/checkpoint.hh"
 
 namespace nuca {
 
@@ -37,6 +40,17 @@ numberVector(const json::Value &arr, const char *key)
     return out;
 }
 
+/** Inverse of hex16. @throws SimulationError unless @p text is
+ *  exactly hex16's form. */
+std::uint64_t
+keyFromHex(const std::string &text)
+{
+    const std::uint64_t key = std::strtoull(text.c_str(), nullptr, 16);
+    if (hex16(key) != text)
+        throw SimulationError("sweep record key is not 16 hex digits");
+    return key;
+}
+
 /** Decode one sidecar line. @throws SimulationError when a field
  *  is mistyped. */
 SweepRecord
@@ -50,12 +64,15 @@ recordFromJson(const json::Value &line)
         return !line.contains(key) || line.at(key).asCount();
     };
     if (!typed("label", Type::String) || !typed("status", Type::String) ||
+        (line.contains("key") && !typed("key", Type::String)) ||
         (line.contains("error") && !typed("error", Type::String)) ||
         !countOrAbsent("queue_ms") || !countOrAbsent("preempts"))
         throw SimulationError("mistyped sweep record");
 
     SweepRecord record;
     record.label = line.at("label").asString();
+    if (line.contains("key"))
+        record.key = keyFromHex(line.at("key").asString());
     record.status = jobStatusFromString(line.at("status").asString());
     if (line.contains("error"))
         record.error = line.at("error").asString();
@@ -119,6 +136,8 @@ SweepStore::append(const SweepRecord &record)
 {
     json::Value line = json::Value::object();
     line.set("label", record.label);
+    if (record.key)
+        line.set("key", hex16(*record.key));
     line.set("status", to_string(record.status));
     if (!record.error.empty())
         line.set("error", record.error);

@@ -5,8 +5,8 @@
  * append is one fwrite + fflush under a mutex, so a killed sweep
  * leaves at worst one torn final line — which the loader skips — and
  * every earlier result is intact. REPRO_RESUME=1 replays the sidecar
- * to skip (and reuse) the jobs that already completed ok; jobs that
- * previously failed are re-run.
+ * to skip (and reuse) the jobs that already completed ok under the
+ * same content key; jobs that previously failed are re-run.
  *
  * The sidecar lives next to the final REPRO_JSON document as
  * "<path>.partial". The final document itself is written atomically
@@ -17,8 +17,10 @@
 #ifndef NUCA_SIM_SWEEP_STORE_HH
 #define NUCA_SIM_SWEEP_STORE_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,6 +49,14 @@ struct SweepRecord
 {
     /** Unique job label ("<scheme>.mix<m>"). */
     std::string label;
+    /**
+     * The job's content key, runKey(config, apps, seed, warmup,
+     * measure) for a sweep job and JobSpec::resultKey() for a daemon
+     * job; stored as 16 hex digits. A resumed sweep reuses a record
+     * only when label and key both match. Absent for runs under a
+     * planted simulator fault, whose results must never be reused.
+     */
+    std::optional<std::uint64_t> key;
     JobStatus status = JobStatus::Ok;
     /** Failure text; empty when ok. */
     std::string error;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common.hh"
+#include "sim/checkpoint.hh"
 #include "sim/proc_pool.hh"
 #include "sim/robustness.hh"
 #include "sim/sweep_store.hh"
@@ -37,6 +38,15 @@ smallMixes()
     return makeMixes({"mcf", "gzip", "ammp", "art"}, 3, 4, 20070202);
 }
 
+/** runKey of sweep cell (@p scheme, @p mix) run over @p window. */
+std::uint64_t
+cellKey(std::size_t scheme, std::size_t mix, const SimWindow &window)
+{
+    const ExperimentSpec spec = smallMixes()[mix];
+    return runKey(smallConfigs()[scheme].second, spec.apps, spec.seed,
+                  window.warmupCycles, window.measureCycles);
+}
+
 void
 clearKnobs()
 {
@@ -49,8 +59,6 @@ clearKnobs()
     ::unsetenv("REPRO_JOB_CPU_S");
     ::unsetenv("REPRO_JOB_TIMEOUT_S");
     ::unsetenv("REPRO_JOB_GRACE_MS");
-    ::unsetenv("REPRO_QUARANTINE");
-    ::unsetenv("REPRO_RETRY_BACKOFF_MS");
     ::unsetenv("REPRO_SYNC");
 }
 
@@ -224,12 +232,14 @@ TEST_F(SweepSupervisor, ResumeReusesSidecarResultsVerbatim)
     std::remove(sidecar.c_str());
 
     // Plant a sidecar record with sentinel values no simulation
-    // would produce. If the resumed sweep reports them, it provably
-    // reused the sidecar instead of re-simulating the job.
+    // would produce, under the job's own content key. If the resumed
+    // sweep reports them, it provably reused the sidecar instead of
+    // re-simulating the job.
     {
         SweepStore store(sidecar);
         SweepRecord fake;
         fake.label = "private.mix0";
+        fake.key = cellKey(0, 0, kWindow);
         fake.result.ipc = {123.0, 456.0, 789.0, 1011.0};
         fake.result.l3AccessesPerKilocycle = {1.0, 2.0, 3.0, 4.0};
         store.append(fake);
@@ -244,21 +254,40 @@ TEST_F(SweepSupervisor, ResumeReusesSidecarResultsVerbatim)
     std::remove(sidecar.c_str());
 }
 
-TEST_F(SweepSupervisor, RetryPolicySurvivesNothingButStillRuns)
+TEST_F(SweepSupervisor, ResumeResimulatesRecordsOfAnotherRun)
 {
-    // retry with no faults behaves exactly like a clean sweep.
-    ::setenv("REPRO_FAIL", "retry:2", 1);
-    const auto results =
-        runAll(smallConfigs(), smallMixes(), kWindow, 2);
-    const auto reference =
-        runAllSerial(smallConfigs(), smallMixes(), kWindow);
-    ASSERT_EQ(results.size(), reference.size());
-    for (std::size_t s = 0; s < results.size(); ++s) {
-        for (std::size_t m = 0; m < results[s].mixes.size(); ++m) {
-            EXPECT_EQ(results[s].mixes[m].ipc,
-                      reference[s].mixes[m].ipc);
-        }
+    // A label alone does not identify a result: a record simulated
+    // over another window, or one with no key at all, must be
+    // re-simulated rather than reused.
+    const auto configs = smallConfigs();
+    const auto mixes = smallMixes();
+    const auto reference = runAllSerial(configs, mixes, kWindow);
+    const std::string path =
+        testing::TempDir() + "sweep_stale_results.json";
+    const std::string sidecar = SweepStore::sidecarPathFor(path);
+    std::remove(path.c_str());
+    std::remove(sidecar.c_str());
+    {
+        SweepStore store(sidecar);
+        SweepRecord stale;
+        stale.label = "private.mix0";
+        stale.key = cellKey(0, 0, {kWindow.warmupCycles,
+                                   4 * kWindow.measureCycles});
+        stale.result.ipc = {123.0, 456.0, 789.0, 1011.0};
+        store.append(stale);
+        SweepRecord keyless = stale;
+        keyless.label = "private.mix1";
+        keyless.key.reset();
+        store.append(keyless);
     }
+    ::setenv("REPRO_JSON", path.c_str(), 1);
+    ::setenv("REPRO_RESUME", "1", 1);
+    const auto results = runAll(configs, mixes, kWindow, 2);
+
+    EXPECT_EQ(results[0].mixes[0].ipc, reference[0].mixes[0].ipc);
+    EXPECT_EQ(results[0].mixes[1].ipc, reference[0].mixes[1].ipc);
+    std::remove(path.c_str());
+    std::remove(sidecar.c_str());
 }
 
 TEST_F(SweepSupervisor, ProcIsolatedCleanSweepIsByteIdentical)
@@ -355,39 +384,48 @@ TEST_F(SweepSupervisor, ProcHangFaultTimesOut)
     EXPECT_TRUE(results[1].okAt(1));
 }
 
-TEST_F(SweepSupervisor, ProcQuarantineAfterRepeatedCrashes)
+TEST_F(SweepSupervisor, ProcCrashRecoversWithResume)
 {
+    // A crashed job is recovered by rerunning with REPRO_RESUME=1
+    // once its cause is gone: the five ok records are reused, the
+    // crashed one re-simulated, and the document equals a clean
+    // sweep's.
     if (!procIsolationSupported())
         GTEST_SKIP() << "no fork on this platform";
+    const auto configs = smallConfigs();
+    const auto mixes = smallMixes();
+    const std::string cleanPath =
+        testing::TempDir() + "sweep_crash_clean.json";
+    ::setenv("REPRO_JSON", cleanPath.c_str(), 1);
+    runAll(configs, mixes, kWindow, 2);
+
     const std::string path =
-        testing::TempDir() + "sweep_quarantine_results.json";
+        testing::TempDir() + "sweep_crash_results.json";
     const std::string sidecar = SweepStore::sidecarPathFor(path);
     std::remove(path.c_str());
     std::remove(sidecar.c_str());
     ::setenv("REPRO_JSON", path.c_str(), 1);
     ::setenv("REPRO_ISOLATE", "proc", 1);
-    ::setenv("REPRO_FAIL", "retry:4", 1);
-    ::setenv("REPRO_QUARANTINE", "2", 1);
-    ::setenv("REPRO_RETRY_BACKOFF_MS", "1", 1);
+    ::setenv("REPRO_FAIL", "skip", 1);
     ::setenv("REPRO_FAULT", "segv:0", 1);
-    const auto results =
-        runAll(smallConfigs(), smallMixes(), kWindow, 2);
+    const auto crashed = runAll(configs, mixes, kWindow, 2);
+    EXPECT_EQ(crashed[0].statuses[0], JobStatus::Crashed);
 
-    // The poison job crashed on every retry; after two crashed
-    // attempts it was quarantined instead of burning the remaining
-    // retry budget, and the sweep still completed.
-    EXPECT_EQ(results[0].statuses[0], JobStatus::Quarantined);
-    EXPECT_NE(results[0].errors[0].find("quarantined after 2"),
-              std::string::npos)
-        << results[0].errors[0];
-    EXPECT_TRUE(results[0].okAt(1));
-
-    bool sawQuarantine = false;
-    for (const auto &record : SweepStore::load(sidecar))
-        sawQuarantine |= record.status == JobStatus::Quarantined;
-    EXPECT_TRUE(sawQuarantine);
+    ::unsetenv("REPRO_FAULT");
+    ::setenv("REPRO_RESUME", "1", 1);
+    testing::internal::CaptureStderr();
+    const auto resumed = runAll(configs, mixes, kWindow, 2);
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("resume: reusing 5 of 6"), std::string::npos)
+        << log;
+    EXPECT_TRUE(resumed[0].okAt(0));
+    EXPECT_EQ(json::readFile(path), json::readFile(cleanPath));
+    std::FILE *f = std::fopen(sidecar.c_str(), "rb");
+    EXPECT_EQ(f, nullptr);
+    if (f)
+        std::fclose(f);
     std::remove(path.c_str());
-    std::remove(sidecar.c_str());
+    std::remove(cleanPath.c_str());
 }
 
 TEST_F(SweepSupervisor, CrashFaultWithoutProcIsolationIsFatal)

@@ -32,9 +32,11 @@
 
 #include <gtest/gtest.h>
 
+#include "base/profiler.hh"
 #include "service/client.hh"
 #include "sim/proc_pool.hh"
 #include "sim/sweep_store.hh"
+#include "sim/trace_event.hh"
 
 namespace {
 
@@ -345,6 +347,58 @@ TEST_F(SweepdE2eTest, MissCurveJobMatchesDirectReplay)
 
     daemon.requestStop();
     daemon.join();
+}
+
+// Daemon jobs settle through the sweeps' settleJob on a WorkerPool
+// worker, so the profiler counts them and a Chrome trace shows each
+// as a "job <id>" span on a "worker k" track, as for sweep jobs.
+TEST_F(SweepdE2eTest, DaemonJobsAreProfiledAndTraced)
+{
+    TraceEventLog &log = TraceEventLog::global();
+    log.configure(state_ + ".trace.json");
+    prof::resetAll();
+    prof::setEnabled(true);
+
+    std::uint64_t id = 0;
+    {
+        SweepDaemon daemon(baseOptions());
+        daemon.start();
+        const json::Value sub = submit(daemon, quickMix());
+        ASSERT_TRUE(sub.at("ok").asBool());
+        id = static_cast<std::uint64_t>(sub.at("id").asNumber());
+        EXPECT_EQ(await(daemon, id).at("state").asString(), "ok");
+        daemon.requestStop();
+        daemon.join();
+    }
+    prof::setEnabled(false);
+    const prof::Snapshot snap = prof::snapshot();
+    const json::Value doc = log.toJson();
+    log.disable();
+
+    EXPECT_EQ(snap.counters[static_cast<unsigned>(
+                  prof::Counter::JobsFinished)],
+              1u);
+
+    const json::Value &events = doc.at("traceEvents");
+    double worker_tid = -1;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        const json::Value &e = events.at(i);
+        if (e.at("ph").asString() == "M" &&
+            e.at("name").asString() == "thread_name" &&
+            e.at("pid").asNumber() == TraceEventLog::kHostPid &&
+            e.at("args").at("name").asString() == "worker 0")
+            worker_tid = e.at("tid").asNumber();
+    }
+    ASSERT_GE(worker_tid, 0) << doc.dump();
+    bool span = false;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        const json::Value &e = events.at(i);
+        span |= e.at("ph").asString() == "B" &&
+                e.at("name").asString() ==
+                    "job " + std::to_string(id) &&
+                e.at("tid").asNumber() == worker_tid;
+    }
+    EXPECT_TRUE(span) << doc.dump();
 }
 
 TEST_F(SweepdE2eTest, CancelQueuedJobSettlesImmediately)

@@ -110,6 +110,15 @@ TEST(JsonWriter, ParseRejectsMalformedInput)
     EXPECT_FALSE(Value::tryParse("nul").has_value());
 }
 
+TEST(JsonWriter, ParseRejectsOverflowingNumbers)
+{
+    // Inf and NaN have no JSON spelling, so a literal that overflows
+    // a double is malformed rather than a value dump() cannot write.
+    EXPECT_FALSE(Value::tryParse("1e999").has_value());
+    EXPECT_FALSE(Value::tryParse("[-1e400]").has_value());
+    EXPECT_TRUE(Value::tryParse("1e300").has_value());
+}
+
 TEST(JsonWriter, ParseUnescapesUnicodeEscapes)
 {
     const auto v = Value::tryParse("\"\\u0041\\u0001\"");

@@ -170,65 +170,31 @@ TEST(ParallelRunnerOutcomes, ClassifiesSimulationFailureKinds)
     EXPECT_STREQ(to_string(outcomes[2].status), "over_budget");
 }
 
-TEST(ParallelRunnerOutcomes, RetryPolicyRerunsUntilSuccess)
+TEST(ParallelRunnerOutcomes, EveryJobSettlesAfterOneAttempt)
 {
-    const std::vector<int> jobs = {0};
+    // A job that would succeed on a second attempt still settles
+    // failed after its first: nothing re-runs a job in place.
     SweepPolicy policy;
-    policy.onFail = FailPolicy::Retry;
-    policy.retries = 3;
-    policy.backoffMs = 0;
+    policy.onFail = FailPolicy::Skip;
     std::atomic<int> attempts{0};
     const auto outcomes = runParallelOutcomes(
-        jobs,
+        std::vector<int>{0},
         [&](int) {
-            // Fails twice, then succeeds: a flaky job a retry
-            // budget of 3 must absorb.
-            if (attempts.fetch_add(1) < 2)
-                throw std::runtime_error("transient");
+            if (attempts.fetch_add(1) == 0)
+                throw std::runtime_error("first attempt");
             return 99;
         },
         1, nullptr, policy);
-    EXPECT_EQ(attempts.load(), 3);
-    EXPECT_TRUE(outcomes[0].ok());
-    EXPECT_EQ(outcomes[0].value, 99);
-}
-
-TEST(ParallelRunnerOutcomes, RetryBudgetExhaustionSettlesFailed)
-{
-    const std::vector<int> jobs = {0};
-    SweepPolicy policy;
-    policy.onFail = FailPolicy::Retry;
-    policy.retries = 2;
-    policy.backoffMs = 0;
-    std::atomic<int> attempts{0};
-    const auto outcomes = runParallelOutcomes(
-        jobs,
-        [&](int) -> int {
-            attempts.fetch_add(1);
-            throw std::runtime_error("permanent");
-        },
-        1, nullptr, policy);
-    // 1 initial attempt + 2 retries.
-    EXPECT_EQ(attempts.load(), 3);
+    EXPECT_EQ(attempts.load(), 1);
     EXPECT_EQ(outcomes[0].status, JobStatus::Failed);
-    // The settled error keeps the original message and says how
-    // much retrying it survived.
-    EXPECT_NE(outcomes[0].error.find("permanent"),
-              std::string::npos);
-    EXPECT_NE(outcomes[0].error.find("after 3 attempts"),
-              std::string::npos);
+    EXPECT_EQ(outcomes[0].error, "first attempt");
 }
 
 TEST(ParallelRunnerOutcomes, OverBudgetIsNotRetried)
 {
-    // CycleBudgetExceeded is deterministic: the same budget runs out
-    // at the same cycle, so the retry loop must settle immediately
-    // instead of burning its whole budget re-proving it.
     const std::vector<int> jobs = {0};
     SweepPolicy policy;
-    policy.onFail = FailPolicy::Retry;
-    policy.retries = 5;
-    policy.backoffMs = 0;
+    policy.onFail = FailPolicy::Skip;
     std::atomic<int> attempts{0};
     const auto outcomes = runParallelOutcomes(
         jobs,
@@ -239,56 +205,7 @@ TEST(ParallelRunnerOutcomes, OverBudgetIsNotRetried)
         1, nullptr, policy);
     EXPECT_EQ(attempts.load(), 1);
     EXPECT_EQ(outcomes[0].status, JobStatus::OverBudget);
-    EXPECT_NE(outcomes[0].error.find("budget gone"),
-              std::string::npos);
-    EXPECT_NE(outcomes[0].error.find("not retryable"),
-              std::string::npos);
-}
-
-TEST(ParallelRunnerOutcomes, RepeatedCrashesQuarantineTheJob)
-{
-    // A poison job that kills its child on every attempt must stop
-    // retrying at the quarantine threshold, not the retry budget.
-    const std::vector<int> jobs = {0};
-    SweepPolicy policy;
-    policy.onFail = FailPolicy::Retry;
-    policy.retries = 10;
-    policy.backoffMs = 0;
-    policy.maxCrashes = 2;
-    std::atomic<int> attempts{0};
-    const auto outcomes = runParallelOutcomes(
-        jobs,
-        [&](int) -> int {
-            attempts.fetch_add(1);
-            throw JobCrashed("child died");
-        },
-        1, nullptr, policy);
-    EXPECT_EQ(attempts.load(), 2);
-    EXPECT_EQ(outcomes[0].status, JobStatus::Quarantined);
-    EXPECT_NE(outcomes[0].error.find("quarantined after 2"),
-              std::string::npos);
-    EXPECT_NE(outcomes[0].error.find("child died"),
-              std::string::npos);
-}
-
-TEST(ParallelRunnerOutcomes, QuarantineDisabledHonorsRetryBudget)
-{
-    const std::vector<int> jobs = {0};
-    SweepPolicy policy;
-    policy.onFail = FailPolicy::Retry;
-    policy.retries = 3;
-    policy.backoffMs = 0;
-    policy.maxCrashes = 0; // REPRO_QUARANTINE=0
-    std::atomic<int> attempts{0};
-    const auto outcomes = runParallelOutcomes(
-        jobs,
-        [&](int) -> int {
-            attempts.fetch_add(1);
-            throw JobTimedOut("deadline");
-        },
-        1, nullptr, policy);
-    EXPECT_EQ(attempts.load(), 4);
-    EXPECT_EQ(outcomes[0].status, JobStatus::TimedOut);
+    EXPECT_EQ(outcomes[0].error, "budget gone");
 }
 
 TEST(ParallelRunnerOutcomes, ClassifiesCrashAndTimeoutKinds)
@@ -308,7 +225,6 @@ TEST(ParallelRunnerOutcomes, ClassifiesCrashAndTimeoutKinds)
     EXPECT_EQ(outcomes[1].status, JobStatus::TimedOut);
     EXPECT_STREQ(to_string(outcomes[0].status), "crashed");
     EXPECT_STREQ(to_string(outcomes[1].status), "timed_out");
-    EXPECT_STREQ(to_string(JobStatus::Quarantined), "quarantined");
 }
 
 TEST(ParallelRunnerOutcomes, RethrowAsInvertsClassifyFailure)
@@ -333,38 +249,6 @@ TEST(ParallelRunnerOutcomes, RethrowAsInvertsClassifyFailure)
               JobStatus::Failed);
     EXPECT_EQ(failureMessage(std::make_exception_ptr(42)),
               "unknown exception");
-}
-
-TEST(ParallelRunnerOutcomes, BackoffScheduleIsDeterministic)
-{
-    SweepPolicy policy;
-    policy.backoffMs = 100;
-    // Same (job, attempt) -> same delay, on every call.
-    for (unsigned attempt = 1; attempt <= 5; ++attempt) {
-        EXPECT_EQ(retryBackoffMs(policy, 3, attempt),
-                  retryBackoffMs(policy, 3, attempt));
-    }
-    // Exponential envelope: attempt k's delay lives in
-    // [base * 2^(k-1), 1.5 * base * 2^(k-1)] until the 30 s cap.
-    for (unsigned attempt = 1; attempt <= 5; ++attempt) {
-        const unsigned base = 100u << (attempt - 1);
-        const unsigned delay = retryBackoffMs(policy, 7, attempt);
-        EXPECT_GE(delay, base) << "attempt " << attempt;
-        EXPECT_LE(delay, base + base / 2) << "attempt " << attempt;
-    }
-    // Different jobs jitter differently somewhere in the schedule
-    // (equal-by-chance for one attempt is fine; all five is not).
-    bool anyDiffer = false;
-    for (unsigned attempt = 1; attempt <= 5; ++attempt) {
-        anyDiffer |= retryBackoffMs(policy, 1, attempt) !=
-                     retryBackoffMs(policy, 2, attempt);
-    }
-    EXPECT_TRUE(anyDiffer);
-    // The cap holds even for absurd attempt counts.
-    EXPECT_LE(retryBackoffMs(policy, 0, 64), 30000u);
-    // Disabled backoff sleeps nowhere.
-    policy.backoffMs = 0;
-    EXPECT_EQ(retryBackoffMs(policy, 5, 3), 0u);
 }
 
 TEST(ParallelRunnerProgress, ConcurrentAccountingIsExact)

@@ -64,29 +64,7 @@ TEST(SweepPolicyEnv, ParsesEveryMode)
 
     ::setenv("REPRO_FAIL", "skip", 1);
     EXPECT_EQ(sweepPolicyFromEnv().onFail, FailPolicy::Skip);
-
-    ::setenv("REPRO_FAIL", "retry:3", 1);
-    const auto policy = sweepPolicyFromEnv();
-    EXPECT_EQ(policy.onFail, FailPolicy::Retry);
-    EXPECT_EQ(policy.retries, 3u);
     ::unsetenv("REPRO_FAIL");
-}
-
-TEST(SweepPolicyEnv, ReadsRetryTuningKnobs)
-{
-    ::unsetenv("REPRO_RETRY_BACKOFF_MS");
-    ::unsetenv("REPRO_QUARANTINE");
-    auto policy = sweepPolicyFromEnv();
-    EXPECT_EQ(policy.backoffMs, 100u);
-    EXPECT_EQ(policy.maxCrashes, 2u);
-
-    ::setenv("REPRO_RETRY_BACKOFF_MS", "0", 1);
-    ::setenv("REPRO_QUARANTINE", "5", 1);
-    policy = sweepPolicyFromEnv();
-    EXPECT_EQ(policy.backoffMs, 0u);
-    EXPECT_EQ(policy.maxCrashes, 5u);
-    ::unsetenv("REPRO_RETRY_BACKOFF_MS");
-    ::unsetenv("REPRO_QUARANTINE");
 }
 
 TEST(SweepPolicyEnv, RejectsMalformedSpecs)
@@ -94,11 +72,10 @@ TEST(SweepPolicyEnv, RejectsMalformedSpecs)
     ::setenv("REPRO_FAIL", "continue", 1);
     EXPECT_EXIT(sweepPolicyFromEnv(), ExitedWithCode(1),
                 "REPRO_FAIL");
-    ::setenv("REPRO_FAIL", "retry:0", 1);
-    EXPECT_EXIT(sweepPolicyFromEnv(), ExitedWithCode(1), "N >= 1");
-    ::setenv("REPRO_FAIL", "retry:x", 1);
+    // The retry mode is gone: its old spelling names what is left.
+    ::setenv("REPRO_FAIL", "retry:3", 1);
     EXPECT_EXIT(sweepPolicyFromEnv(), ExitedWithCode(1),
-                "not a number");
+                "must be abort or skip");
     ::unsetenv("REPRO_FAIL");
 }
 

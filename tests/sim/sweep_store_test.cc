@@ -36,7 +36,9 @@ TEST(SweepStore, AppendLoadRoundTripsEveryField)
     std::remove(path.c_str());
     {
         SweepStore store(path);
-        store.append(okRecord("adaptive.mix0", 1.25));
+        SweepRecord keyed = okRecord("adaptive.mix0", 1.25);
+        keyed.key = 0xfedcba9876543210ull;
+        store.append(keyed);
         SweepRecord failed;
         failed.label = "adaptive.mix1";
         failed.status = JobStatus::Stalled;
@@ -49,6 +51,8 @@ TEST(SweepStore, AppendLoadRoundTripsEveryField)
     ASSERT_EQ(records.size(), 2u);
 
     EXPECT_EQ(records[0].label, "adaptive.mix0");
+    // The 64-bit key survives exactly (a JSON number would not).
+    EXPECT_EQ(records[0].key, 0xfedcba9876543210ull);
     EXPECT_EQ(records[0].status, JobStatus::Ok);
     EXPECT_TRUE(records[0].error.empty());
     EXPECT_EQ(records[0].result.ipc,
@@ -57,6 +61,7 @@ TEST(SweepStore, AppendLoadRoundTripsEveryField)
               (std::vector<double>{7.5, 8.25}));
 
     EXPECT_EQ(records[1].label, "adaptive.mix1");
+    EXPECT_FALSE(records[1].key.has_value());
     EXPECT_EQ(records[1].status, JobStatus::Stalled);
     EXPECT_EQ(records[1].error,
               "no instruction retired in 5000 cycles");
@@ -78,18 +83,13 @@ TEST(SweepStore, CrashStatusesRoundTrip)
         timed.label = "adaptive.mix1";
         timed.status = JobStatus::TimedOut;
         store.append(timed);
-        SweepRecord quarantined;
-        quarantined.label = "adaptive.mix2";
-        quarantined.status = JobStatus::Quarantined;
-        store.append(quarantined);
     }
     const auto records = SweepStore::load(path);
     std::remove(path.c_str());
-    ASSERT_EQ(records.size(), 3u);
+    ASSERT_EQ(records.size(), 2u);
     EXPECT_EQ(records[0].status, JobStatus::Crashed);
     EXPECT_NE(records[0].error.find("SIGSEGV"), std::string::npos);
     EXPECT_EQ(records[1].status, JobStatus::TimedOut);
-    EXPECT_EQ(records[2].status, JobStatus::Quarantined);
 }
 
 TEST(SweepStore, UnknownStatusLoadsAsFailed)
@@ -103,6 +103,24 @@ TEST(SweepStore, UnknownStatusLoadsAsFailed)
         EXPECT_EQ(jobStatusFromString(to_string(status)), status)
             << to_string(status);
     }
+
+    // Older builds settled poison jobs "quarantined": such a sweep
+    // sidecar or daemon journal line loads as a failure, which
+    // resume never reuses.
+    const std::string path = tempPath("sweep_store_quarantined.jsonl");
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("{\"label\":\"private.mix0\",\"key\":\"0123456789abcdef\","
+               "\"status\":\"quarantined\"}\n"
+               "{\"label\":\"job3:mix\",\"status\":\"quarantined\","
+               "\"queue_ms\":5}\n",
+               f);
+    std::fclose(f);
+    const auto records = SweepStore::load(path);
+    std::remove(path.c_str());
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].status, JobStatus::Failed);
+    EXPECT_EQ(records[1].status, JobStatus::Failed);
 }
 
 TEST(SweepStore, ServiceStatusesRoundTrip)
@@ -296,6 +314,12 @@ TEST(SweepStore, LoadSkipsTornTrailingLine)
     std::fputs("{\"label\":\"private.mix1\",\"status\":\"ok\","
                "\"queue_ms\":1,\"preempts\":-1}\n",
                f);
+    // A key must be a string of exactly 16 lowercase hex digits.
+    std::fputs("{\"label\":\"private.mix1\",\"status\":\"ok\","
+               "\"key\":81985529216486895}\n"
+               "{\"label\":\"private.mix1\",\"status\":\"ok\","
+               "\"key\":\"0123456789ABCDEF\"}\n",
+               f);
     // Simulate a kill mid-append: a final line cut off mid-object.
     std::fputs("{\"label\":\"private.mix1\",\"status\":\"o", f);
     std::fclose(f);
@@ -361,6 +385,71 @@ TEST(SweepStore, ConcurrentAppendsAllSurviveIntact)
     EXPECT_EQ(records.size(), 4u * perThread);
     for (const auto &record : records)
         EXPECT_EQ(record.status, JobStatus::Ok);
+}
+
+/** Load @p bytes as a sidecar without throwing, and re-encode every
+ *  record it yields into lines that all load back. */
+void
+expectLoadsSafely(const std::string &bytes, const std::string &what)
+{
+    const std::string path = tempPath("sweep_store_mutant.jsonl");
+    const std::string again = tempPath("sweep_store_reencoded.jsonl");
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
+    std::vector<SweepRecord> records;
+    EXPECT_NO_THROW(records = SweepStore::load(path)) << what;
+    std::remove(again.c_str());
+    {
+        SweepStore store(again);
+        for (const auto &record : records)
+            store.append(record);
+    }
+    // load() skips any line that does not parse as a typed record.
+    EXPECT_EQ(SweepStore::load(again).size(), records.size()) << what;
+    std::remove(path.c_str());
+    std::remove(again.c_str());
+}
+
+TEST(SweepStoreMutation, EveryFlipAndTruncationLoadsSafely)
+{
+    // One keyed record, one daemon (timed) record and one miss-curve
+    // record; the curve's 1e300 is one flipped digit from overflow.
+    const std::string path = tempPath("sweep_store_mutation.jsonl");
+    std::remove(path.c_str());
+    {
+        SweepStore store(path);
+        SweepRecord keyed = okRecord("adaptive.mix0", 1.25);
+        keyed.key = 0x0123456789abcdefull;
+        store.append(keyed);
+        SweepRecord daemon = okRecord("job1:mix", 0.5);
+        daemon.status = JobStatus::Preempted;
+        daemon.error = "preempted";
+        daemon.timed = true;
+        daemon.queueMs = 42;
+        daemon.preempts = 1;
+        store.append(daemon);
+        SweepRecord curve;
+        curve.label = "job2:curve";
+        curve.result.curve = {1e300, 524288.0, 3.0};
+        store.append(curve);
+    }
+    const std::string clean = json::readFile(path);
+    std::remove(path.c_str());
+    ASSERT_GT(clean.size(), 0u);
+
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+        for (const unsigned char mask : {0x01, 0x04, 0x20, 0xff}) {
+            std::string mutant = clean;
+            mutant[i] = static_cast<char>(
+                static_cast<unsigned char>(mutant[i]) ^ mask);
+            expectLoadsSafely(mutant, "byte " + std::to_string(i) +
+                                          " ^ " + std::to_string(mask));
+        }
+        expectLoadsSafely(clean.substr(0, i),
+                          "truncated at " + std::to_string(i));
+    }
 }
 
 TEST(WriteFileAtomic, ReplacesTargetAndLeavesNoTemp)

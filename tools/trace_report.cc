@@ -523,7 +523,7 @@ telemetryToChromeTrace(const Trace &trace)
 /**
  * Triage a sweep-results sidecar: how every job settled, with one
  * row per non-ok job — the first place to look when a proc-isolated
- * sweep reports crashes or quarantines.
+ * sweep reports crashes or timeouts.
  */
 int
 sweepReport(const std::string &path)
