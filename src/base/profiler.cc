@@ -9,6 +9,8 @@
 #include <sstream>
 #include <vector>
 
+#include <pthread.h>
+
 #include "base/logging.hh"
 
 namespace nuca {
@@ -63,6 +65,8 @@ constexpr PhaseInfo kPhases[kNumPhases] = {
     {"telemetry_flush", Phase::NumPhases, 0},
     // Phase::CheckpointSave
     {"checkpoint_save", Phase::NumPhases, 0},
+    // Phase::CheckpointWrite
+    {"checkpoint_write", Phase::NumPhases, 0},
     // Phase::CheckpointRestore
     {"checkpoint_restore", Phase::NumPhases, 0},
     // Phase::Job
@@ -90,6 +94,12 @@ Registry &
 registry()
 {
     static Registry r;
+    // Hold the mutex across fork(): a sandbox child forked while
+    // another thread held it would deadlock as soon as a thread of
+    // its own (a checkpoint writer) registered.
+    [[maybe_unused]] static const int forkSafe = ::pthread_atfork(
+        [] { r.mutex.lock(); }, [] { r.mutex.unlock(); },
+        [] { r.mutex.unlock(); });
     return r;
 }
 

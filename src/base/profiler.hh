@@ -79,7 +79,8 @@ enum class Phase : unsigned {
     TelemetrySample,   ///< building one JSONL sample record
     HeatmapSample,     ///< building one spatial heatmap record
     TelemetryFlush,    ///< JsonlTraceSink buffered writes
-    CheckpointSave,    ///< serialize + write one checkpoint
+    CheckpointSave,    ///< serialize + hand one checkpoint to its writer
+    CheckpointWrite,   ///< CRC + file write + rename, on the writer thread
     CheckpointRestore, ///< read + deserialize one checkpoint
     Job,               ///< one job attempt (settleJob)
     NumPhases,

@@ -1,9 +1,14 @@
 #include "serialize/checkpoint_io.hh"
 
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
-#include <functional>
 #include <memory>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 namespace nuca {
 
@@ -21,45 +26,74 @@ struct FileCloser
 
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
+/** write(2) all @p size bytes; @return 0 or the errno. */
+int
+writeAll(int fd, const std::uint8_t *data, std::size_t size) noexcept
+{
+    while (size != 0) {
+        const ssize_t n = ::write(fd, data, size);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return errno;
+        }
+        data += n;
+        size -= static_cast<std::size_t>(n);
+    }
+    return 0;
+}
+
 } // namespace
+
+std::string
+checkpointTempPath(const std::string &path)
+{
+    static std::atomic<std::uint64_t> serial{0};
+    return path + ".tmp." + std::to_string(::getpid()) + "." +
+           std::to_string(
+               serial.fetch_add(1, std::memory_order_relaxed));
+}
+
+int
+writeCheckpointTo(const char *path, const char *tmp,
+                  std::uint64_t configHash, const std::uint8_t *payload,
+                  std::size_t size) noexcept
+{
+    std::uint8_t header[headerSize];
+    RecordWriter w(header);
+    w.putU32(checkpointMagic);
+    w.putU32(checkpointFormatVersion);
+    w.putU64(configHash);
+    w.putU64(size);
+    w.putU32(crc32(payload, size));
+
+    const int fd =
+        ::open(tmp, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+    if (fd < 0)
+        return errno;
+    int err = writeAll(fd, header, headerSize);
+    if (err == 0)
+        err = writeAll(fd, payload, size);
+    if (::close(fd) != 0 && err == 0)
+        err = errno;
+    if (err == 0 && ::rename(tmp, path) != 0)
+        err = errno;
+    if (err != 0)
+        ::unlink(tmp);
+    return err;
+}
 
 void
 writeCheckpointFile(const std::string &path,
                     std::uint64_t configHash,
                     const std::vector<std::uint8_t> &payload)
 {
-    Serializer header;
-    header.putU32(checkpointMagic);
-    header.putU32(checkpointFormatVersion);
-    header.putU64(configHash);
-    header.putU64(payload.size());
-    header.putU32(crc32(payload.data(), payload.size()));
-
-    // Unique per process so concurrent sweep workers sharing a
-    // checkpoint directory never clobber each other's temporaries;
-    // the final rename is atomic within the filesystem.
-    const std::string tmp =
-        path + ".tmp." +
-        std::to_string(static_cast<unsigned long long>(
-            std::hash<std::string>{}(path) ^
-            reinterpret_cast<std::uintptr_t>(&payload)));
-
-    FilePtr f(std::fopen(tmp.c_str(), "wb"));
-    if (!f)
-        throw CheckpointError("cannot open checkpoint temporary " +
-                              tmp);
-    const bool ok =
-        std::fwrite(header.bytes().data(), 1, header.size(),
-                    f.get()) == header.size() &&
-        (payload.empty() ||
-         std::fwrite(payload.data(), 1, payload.size(), f.get()) ==
-             payload.size()) &&
-        std::fflush(f.get()) == 0;
-    f.reset();
-    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw CheckpointError("cannot write checkpoint " + path);
-    }
+    const std::string tmp = checkpointTempPath(path);
+    if (const int err =
+            writeCheckpointTo(path.c_str(), tmp.c_str(), configHash,
+                              payload.data(), payload.size()))
+        throw CheckpointError("cannot write checkpoint " + path + ": " +
+                              std::strerror(err));
 }
 
 std::vector<std::uint8_t>

@@ -30,8 +30,33 @@ constexpr std::uint32_t checkpointMagic = fourcc("NCKP");
 constexpr std::uint32_t checkpointFormatVersion = 2;
 
 /**
+ * A fresh temporary name next to @p path: "<path>.tmp.<pid>.<n>",
+ * where n counts every call in this process. No two threads, and no
+ * two processes (forked children start from their parent's count
+ * but not its pid), ever get the same name, so concurrent writers
+ * sharing a checkpoint directory never open each other's
+ * temporaries.
+ */
+std::string checkpointTempPath(const std::string &path);
+
+/**
+ * Write the checkpoint header and @p payload to @p tmp, then rename
+ * it to @p path (atomic within the filesystem). Plain POSIX calls on
+ * caller-owned memory: it allocates nothing and throws nothing, so a
+ * background writer thread can run it without a malloc arena of its
+ * own. On failure @p tmp is removed.
+ *
+ * @return 0, or the errno of the step that failed.
+ */
+int writeCheckpointTo(const char *path, const char *tmp,
+                      std::uint64_t configHash,
+                      const std::uint8_t *payload,
+                      std::size_t size) noexcept;
+
+/**
  * Atomically write @p payload to @p path under the checkpoint
- * header. @p configHash is the caller's digest of everything that
+ * header: writeCheckpointTo through a checkpointTempPath().
+ * @p configHash is the caller's digest of everything that
  * determines simulated behaviour (system configuration, workload
  * identity, seed); loads with a different hash are refused.
  *

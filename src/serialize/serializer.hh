@@ -90,9 +90,13 @@ class RecordWriter
         p_ += n;
     }
 
-  private:
-    friend class Serializer;
+    /** A writer at @p p; the caller guarantees room for every byte
+     *  it puts. Serializer::record hands these out; a fixed-size
+     *  encoding (the checkpoint file header) may use one on its own
+     *  array. */
     explicit RecordWriter(std::uint8_t *p) : p_(p) {}
+
+  private:
 
     template <typename T>
     void
@@ -204,6 +208,10 @@ class Serializer
 
     const std::vector<std::uint8_t> &bytes() const { return buf_; }
     std::size_t size() const { return buf_.size(); }
+
+    /** Empty the buffer but keep its capacity, so a Serializer
+     *  reused for same-sized snapshots allocates only once. */
+    void clear() { buf_.clear(); }
 
   private:
     std::vector<std::uint8_t> buf_;

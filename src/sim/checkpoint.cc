@@ -1,16 +1,24 @@
 #include "sim/checkpoint.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cinttypes>
+#include <condition_variable>
+#include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <mutex>
 #include <system_error>
+
+#include <pthread.h>
 
 #include "base/logging.hh"
 #include "base/profiler.hh"
 #include "serialize/checkpoint_io.hh"
 #include "serialize/serializer.hh"
 #include "sim/cmp_system.hh"
+#include "sim/trace_event.hh"
 
 namespace nuca {
 
@@ -206,22 +214,232 @@ tryRestoreCheckpoint(CmpSystem &system, const std::string &path,
     return true;
 }
 
+namespace {
+
+/** Writes handed to a writer thread and not yet finished. */
+std::atomic<std::size_t> writesPending{0};
+
+} // namespace
+
+/**
+ * A SnapshotWriter's buffer, its writer thread and their handshake.
+ * The owner fills the job fields only while no write is busy, and
+ * the writer thread touches them only while one is.
+ *
+ * The writer thread never calls malloc or free: it is a bare pthread
+ * (std::thread frees its start state on the new thread), its job is
+ * writeCheckpointTo on owner-built names, and the owner does the
+ * warning and the trace span after joining. A thread that never
+ * touches the heap never takes a glibc malloc arena. One that did,
+ * started per run, changed which arena a sweep's next worker threads
+ * got, and a finished sweep's freed memory stayed resident beside the
+ * next one's (docs/CHECKPOINT.md, "Cost"). Only the profiler's
+ * per-thread state, under REPRO_PROFILE, is allocated there.
+ */
+struct SnapshotWriter::Worker
+{
+    // The job, written by the owner.
+    Serializer buf;
+    std::string path;
+    std::string tmp;
+    std::uint64_t hash = 0;
+    bool traced = false;
+
+    // Its outcome, written by the writer thread.
+    int error = 0;
+    double startUs = 0.0;
+    double endUs = 0.0;
+
+    // Owner-only bookkeeping.
+    bool started = false; ///< a write started since the last join
+    int track = -1;       ///< Chrome-trace track, once named
+
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool busy = false; ///< guarded by mutex
+    bool stop = false; ///< guarded by mutex
+    pthread_t thread{};
+    bool running = false;
+
+    ~Worker()
+    {
+        if (!running)
+            return;
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            stop = true;
+        }
+        cv.notify_all();
+        ::pthread_join(thread, nullptr);
+    }
+
+    /** Start writing on the writer thread, or write here if no
+     *  thread can be started (a tight RLIMIT_AS, say). */
+    void
+    handOff()
+    {
+        started = true;
+        if (!running && !startThread()) {
+            write();
+            return;
+        }
+        writesPending.fetch_add(1, std::memory_order_relaxed);
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            busy = true;
+        }
+        cv.notify_all();
+    }
+
+    bool
+    startThread()
+    {
+        // The thread inherits a full signal mask: process-directed
+        // signals (a sandbox child's SIGTERM preempt, SIGINT) keep
+        // landing on the simulating threads, as before.
+        sigset_t all;
+        sigset_t old;
+        sigfillset(&all);
+        ::pthread_sigmask(SIG_BLOCK, &all, &old);
+        running = ::pthread_create(
+                      &thread, nullptr,
+                      [](void *self) -> void * {
+                          static_cast<Worker *>(self)->loop();
+                          return nullptr;
+                      },
+                      this) == 0;
+        ::pthread_sigmask(SIG_SETMASK, &old, nullptr);
+        return running;
+    }
+
+    void
+    loop()
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        for (;;) {
+            cv.wait(lock, [this] { return busy || stop; });
+            if (!busy)
+                return;
+            lock.unlock();
+            write();
+            lock.lock();
+            busy = false;
+            writesPending.fetch_sub(1, std::memory_order_relaxed);
+            cv.notify_all();
+        }
+    }
+
+    /** CRC, write and rename. */
+    void
+    write()
+    {
+        TraceEventLog &log = TraceEventLog::global();
+        if (traced)
+            startUs = log.nowUs();
+        {
+            prof::Scope profWrite(prof::Phase::CheckpointWrite);
+            error = writeCheckpointTo(path.c_str(), tmp.c_str(), hash,
+                                      buf.bytes().data(), buf.size());
+        }
+        if (traced)
+            endUs = log.nowUs();
+    }
+
+    /** Owner side, after the join: report what the write did. */
+    void
+    settle()
+    {
+        if (error != 0)
+            warn("could not save checkpoint ", path, ": ",
+                 std::strerror(error));
+        TraceEventLog &log = TraceEventLog::global();
+        if (traced && log.enabled()) {
+            if (track < 0)
+                track = log.newThread(TraceEventLog::kHostPid,
+                                      "ckpt writer");
+            log.complete(TraceEventLog::kHostPid, track, "ckpt write",
+                         startUs, endUs - startUs,
+                         json::Value::object()
+                             .set("path", path)
+                             .set("bytes", std::uint64_t{buf.size()}));
+        }
+    }
+};
+
+SnapshotWriter::SnapshotWriter(const CheckpointConfig &cfg) : cfg_(cfg)
+{
+}
+
+SnapshotWriter::~SnapshotWriter()
+{
+    wait();
+}
+
+void
+SnapshotWriter::save(const CmpSystem &system, const std::string &path,
+                     std::uint64_t configHash)
+{
+    wait();
+    if (!worker_)
+        worker_ = std::make_unique<Worker>();
+    Worker &w = *worker_;
+    prof::Scope profSave(prof::Phase::CheckpointSave);
+    std::error_code ec;
+    std::filesystem::create_directories(
+        std::filesystem::path(path).parent_path(), ec);
+    w.buf.clear();
+    system.checkpoint(w.buf);
+    prof::add(prof::Counter::CheckpointBytesOut, w.buf.size());
+    w.path = path;
+    w.tmp = checkpointTempPath(path);
+    w.hash = configHash;
+    w.traced = TraceEventLog::global().enabled();
+    w.handOff();
+}
+
+bool
+SnapshotWriter::join()
+{
+    if (!worker_ || !worker_->started)
+        return false;
+    Worker &w = *worker_;
+    {
+        std::unique_lock<std::mutex> lock(w.mutex);
+        w.cv.wait(lock, [&w] { return !w.busy; });
+    }
+    w.started = false;
+    w.settle();
+    return true;
+}
+
+void
+SnapshotWriter::wait()
+{
+    if (join())
+        pruneCheckpointDir(cfg_);
+}
+
+void
+SnapshotWriter::remove(const std::string &path)
+{
+    join();
+    removeCheckpoint(path);
+    pruneCheckpointDir(cfg_);
+}
+
+std::size_t
+SnapshotWriter::writesInFlight()
+{
+    return writesPending.load(std::memory_order_relaxed);
+}
+
 void
 saveCheckpoint(const CmpSystem &system, const std::string &path,
                std::uint64_t configHash)
 {
-    try {
-        prof::Scope profSave(prof::Phase::CheckpointSave);
-        std::error_code ec;
-        std::filesystem::create_directories(
-            std::filesystem::path(path).parent_path(), ec);
-        Serializer s;
-        system.checkpoint(s);
-        prof::add(prof::Counter::CheckpointBytesOut, s.size());
-        writeCheckpointFile(path, configHash, s.bytes());
-    } catch (const CheckpointError &e) {
-        warn("could not save checkpoint ", path, ": ", e.what());
-    }
+    SnapshotWriter writer;
+    writer.save(system, path, configHash);
+    writer.wait();
 }
 
 void

@@ -23,6 +23,7 @@
 #define NUCA_SIM_CHECKPOINT_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -83,9 +84,65 @@ bool tryRestoreCheckpoint(CmpSystem &system, const std::string &path,
                           std::uint64_t configHash);
 
 /**
- * Snapshot @p system to @p path (atomically, via tmp + rename).
- * Best-effort: an unwritable directory warns instead of failing the
- * run — the cache is an accelerator, not a dependency.
+ * Saves one run's snapshots off its critical path. save() serializes
+ * the system on the calling thread into a buffer this object owns
+ * and reuses, then hands the CRC-32, the file write and the rename
+ * to one writer thread that lives as long as the object, so the
+ * simulation goes on while the file is written. At most one write is
+ * in flight: save() first waits for the previous one. The files are
+ * byte-identical to a synchronous save.
+ *
+ * One owner thread makes every call, and all allocation happens
+ * there: the writer thread never touches the heap (see
+ * SnapshotWriter::Worker), and it blocks every asynchronous signal,
+ * so a SIGTERM preempt still lands on the simulating thread. The
+ * destructor waits, so a run that returns or unwinds leaves its last
+ * snapshot complete on disk. Best-effort like the cache as a whole:
+ * a failed write warns (on the owner thread, when joined) and the
+ * run goes on.
+ */
+class SnapshotWriter
+{
+  public:
+    /** @p cfg supplies the size cap wait() enforces; the default
+     *  (no cap) never prunes. */
+    explicit SnapshotWriter(const CheckpointConfig &cfg = {});
+    ~SnapshotWriter();
+    SnapshotWriter(const SnapshotWriter &) = delete;
+    SnapshotWriter &operator=(const SnapshotWriter &) = delete;
+
+    /** Wait for the previous write, serialize @p system and start
+     *  writing it to @p path (tmp + rename, as saveCheckpoint). */
+    void save(const CmpSystem &system, const std::string &path,
+              std::uint64_t configHash);
+
+    /** Join the write in flight, if any, then pruneCheckpointDir. */
+    void wait();
+
+    /** Join the write in flight, delete @p path, then prune: the
+     *  deleted snapshot cannot reappear from a late rename. */
+    void remove(const std::string &path);
+
+    /** Writes handed off but not finished, over all writers in the
+     *  process (0 whenever no run is saving). */
+    static std::size_t writesInFlight();
+
+  private:
+    struct Worker;
+
+    /** Block until the write in flight has finished; @return
+     *  whether there was one since the last join. */
+    bool join();
+
+    CheckpointConfig cfg_;
+    std::unique_ptr<Worker> worker_;
+};
+
+/**
+ * Snapshot @p system to @p path (atomically, via tmp + rename), and
+ * return once the file is in place: a SnapshotWriter's save() then
+ * wait(). Best-effort: an unwritable directory warns instead of
+ * failing the run — the cache is an accelerator, not a dependency.
  */
 void saveCheckpoint(const CmpSystem &system, const std::string &path,
                     std::uint64_t configHash);

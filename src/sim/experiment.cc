@@ -104,6 +104,12 @@ runMix(const SystemConfig &config, const ExperimentSpec &spec,
         return false;
     };
 
+    // Saves serialize in place and are written by a background
+    // thread while the simulation goes on. The writer's destructor
+    // joins the last write on return and on unwind, so no write is
+    // in flight once this run is over.
+    SnapshotWriter snapshots(ckpt);
+
     bool restoredMid = false;
     bool restoredWarm = false;
     if (ckpt.enabled()) {
@@ -122,10 +128,8 @@ runMix(const SystemConfig &config, const ExperimentSpec &spec,
     if (!restoredMid) {
         if (!restoredWarm) {
             system->run(window.warmupCycles);
-            if (ckpt.enabled()) {
-                saveCheckpoint(*system, warmFile, hash);
-                pruneCheckpointDir(ckpt);
-            }
+            if (ckpt.enabled())
+                snapshots.save(*system, warmFile, hash);
         }
         system->resetStats();
     }
@@ -145,8 +149,11 @@ runMix(const SystemConfig &config, const ExperimentSpec &spec,
             system->run(step);
             if (system->now() >= end)
                 break;
-            saveCheckpoint(*system, runFile, hash);
+            snapshots.save(*system, runFile, hash);
             if (preemptWanted(policy)) {
+                // The scheduler resumes from the file on disk, so it
+                // must be complete before the yield is reported.
+                snapshots.wait();
                 throw JobPreempted(
                     "preempted at cycle " +
                     std::to_string(system->now()) +
@@ -154,8 +161,7 @@ runMix(const SystemConfig &config, const ExperimentSpec &spec,
                     "; snapshot saved");
             }
         }
-        removeCheckpoint(runFile);
-        pruneCheckpointDir(ckpt);
+        snapshots.remove(runFile);
     } else if (system->now() < end) {
         system->run(end - system->now());
     }

@@ -3,17 +3,22 @@
  * The serialization wire format and the on-disk checkpoint
  * container: primitive round-trips, bounds checking, and every
  * refusal path of the file header (magic, version, config hash,
- * CRC, truncation, trailing bytes).
+ * CRC, truncation, trailing bytes), and temporaries that no two
+ * writers share.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "serialize/checkpoint_io.hh"
 #include "serialize/serializer.hh"
@@ -350,6 +355,77 @@ TEST_F(CheckpointIoTest, EmptyPayloadRoundTrips)
 {
     writeCheckpointFile(path(), hash_, {});
     EXPECT_TRUE(readCheckpointFile(path(), hash_).empty());
+}
+
+TEST(CheckpointTempPath, NamesAreUniqueAndCarryThePid)
+{
+    const std::string path = "cache/0123456789abcdef.warm.ckpt";
+    const std::string first = checkpointTempPath(path);
+    const std::string second = checkpointTempPath(path);
+    EXPECT_NE(first, second);
+    const std::string stem =
+        path + ".tmp." + std::to_string(::getpid()) + ".";
+    for (const std::string &name : {first, second}) {
+        EXPECT_EQ(name.compare(0, stem.size(), stem), 0) << name;
+        EXPECT_GT(name.size(), stem.size()) << name;
+    }
+}
+
+TEST(CheckpointTempPath, ForkedWritersOfOnePathLeaveALoadableFile)
+{
+    // Two forked children run the same code at the same addresses,
+    // as two sandboxed daemon jobs sharing a warm-up key do. Each
+    // writes the one path 50 times; no write may fail, and the file
+    // left must load with no temporary beside it.
+    namespace fs = std::filesystem;
+    const fs::path dir = ::testing::TempDir() + "ckpt_forked_writers";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const std::string path = (dir / "shared.ckpt").string();
+    constexpr std::uint64_t hash = 0x5eed;
+
+    // Both children block on the pipe until the parent closes it, so
+    // their writes overlap from the first one.
+    int start[2];
+    ASSERT_EQ(::pipe(start), 0);
+    pid_t children[2];
+    for (int k = 0; k < 2; ++k) {
+        children[k] = ::fork();
+        ASSERT_GE(children[k], 0);
+        if (children[k] == 0) {
+            ::close(start[1]);
+            char go;
+            if (::read(start[0], &go, 1) != 0)
+                ::_exit(2);
+            const std::vector<std::uint8_t> payload(
+                1 << 20, static_cast<std::uint8_t>('a' + k));
+            int failures = 0;
+            for (int i = 0; i < 50; ++i) {
+                try {
+                    writeCheckpointFile(path, hash, payload);
+                } catch (const CheckpointError &) {
+                    ++failures;
+                }
+            }
+            ::_exit(failures == 0 ? 0 : 1);
+        }
+    }
+    ::close(start[0]);
+    ::close(start[1]);
+    for (const pid_t child : children) {
+        int status = 0;
+        ASSERT_EQ(::waitpid(child, &status, 0), child);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << "a child's write failed";
+    }
+
+    EXPECT_EQ(readCheckpointFile(path, hash).size(), 1u << 20);
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << entry.path();
+    }
+    fs::remove_all(dir);
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 
 #include "sim/json_writer.hh"
 #include "sim/sweep_store.hh"
+#include "support/mutation.hh"
 
 namespace nuca {
 namespace {
@@ -439,17 +440,7 @@ TEST(SweepStoreMutation, EveryFlipAndTruncationLoadsSafely)
     std::remove(path.c_str());
     ASSERT_GT(clean.size(), 0u);
 
-    for (std::size_t i = 0; i < clean.size(); ++i) {
-        for (const unsigned char mask : {0x01, 0x04, 0x20, 0xff}) {
-            std::string mutant = clean;
-            mutant[i] = static_cast<char>(
-                static_cast<unsigned char>(mutant[i]) ^ mask);
-            expectLoadsSafely(mutant, "byte " + std::to_string(i) +
-                                          " ^ " + std::to_string(mask));
-        }
-        expectLoadsSafely(clean.substr(0, i),
-                          "truncated at " + std::to_string(i));
-    }
+    forEachMutation(clean, expectLoadsSafely);
 }
 
 TEST(WriteFileAtomic, ReplacesTargetAndLeavesNoTemp)
