@@ -133,8 +133,20 @@ OooCore::nextWakeCycle(Cycle now) const
 
     // Issue: the scheduler sleeps until issueIdleUntil_ (notDone
     // means "until a commit or dispatch invalidates the sleep" —
-    // and those have wake-ups of their own or cannot happen).
-    wake = std::min(wake, std::max(issueIdleUntil_, soonest));
+    // and those have wake-ups of their own or cannot happen). Once
+    // the sleep has lapsed, the scheduler itself says when a pass
+    // can issue: next cycle if an entry is ready, else at the
+    // wheel's earliest wake-up. A pass before that would issue
+    // nothing and only set issueIdleUntil_ to that same cycle.
+    // Until a restore's rebuild has run, the structures are stale.
+    Cycle issue_wake = issueIdleUntil_;
+    if (issueIdleUntil_ <= now && !schedNeedsRebuild_) {
+        issue_wake = std::any_of(readySet_.begin(), readySet_.end(),
+                                 [](std::uint64_t w) { return w != 0; })
+                         ? soonest
+                         : wakeWheel_.earliest();
+    }
+    wake = std::min(wake, std::max(issue_wake, soonest));
 
     // Fetch, mirroring fetchStage's stall chain.
     if (fetchStallSeq_) {
@@ -716,8 +728,22 @@ OooCore::fetchStage(Cycle now)
     }
 }
 
+Cycle
+OooCore::issueIdleForCheckpoint(Cycle now) const
+{
+    // nextWakeCycle skips the empty issue pass a reset sleep used to
+    // cost at the following cycle. Where that pass would already have
+    // run (the sleep lapsed before the last executed cycle), write
+    // what it would have left: the wheel's earliest ready cycle. Any
+    // earlier wake-up would have woken this core since.
+    if (issueIdleUntil_ < now && now - issueIdleUntil_ > 1 &&
+        !schedNeedsRebuild_)
+        return wakeWheel_.earliest();
+    return issueIdleUntil_;
+}
+
 void
-OooCore::checkpoint(Serializer &s) const
+OooCore::checkpoint(Serializer &s, Cycle now) const
 {
     s.putTag(fourcc("CORE"));
     s.putU64(fetchQueue_.size());
@@ -746,7 +772,7 @@ OooCore::checkpoint(Serializer &s) const
         s.putU64(releases.top());
         releases.pop();
     }
-    s.putU64(issueIdleUntil_);
+    s.putU64(issueIdleForCheckpoint(now));
     s.putBool(fetchStallSeq_.has_value());
     s.putU64(fetchStallSeq_.value_or(0));
     s.putU64(icacheReadyAt_);

@@ -158,9 +158,10 @@ class OooCore
      * Checkpoint the pipeline: fetch queue, RUU, completion ring,
      * LSQ accounting, fetch-stall state, and the predictor and
      * functional-unit pools. The instruction source is checkpointed
-     * separately by its owner.
+     * separately by its owner. @p now is the cycle the snapshot is
+     * taken at: every cycle before it has run (ticked or folded).
      */
-    void checkpoint(Serializer &s) const;
+    void checkpoint(Serializer &s, Cycle now) const;
     /** Restore a checkpoint of an identically configured core. */
     void restore(Deserializer &d);
 
@@ -377,6 +378,15 @@ class OooCore
      * dispatches, issues, and functional-unit contention.
      */
     Cycle issueIdleUntil_ = 0;
+
+    /**
+     * issueIdleUntil_ as a core that ran every empty issue pass
+     * would hold it at cycle @p now. nextWakeCycle derives the issue
+     * wake-up from the ready set and the wheel instead of waking for
+     * those passes, so the stored value can lag; checkpoints write
+     * this one, which keeps their bytes independent of that.
+     */
+    Cycle issueIdleForCheckpoint(Cycle now) const;
 
     /**
      * Event-driven issue scheduler. All four structures are derived

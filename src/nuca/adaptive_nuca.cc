@@ -64,27 +64,87 @@ AdaptiveNuca::AdaptiveNuca(stats::Group &parent,
     fatal_if(!isPowerOf2(numSets_),
              "adaptive NUCA needs a power-of-two set count, got ",
              numSets_);
+    fatal_if(params_.numCores > maxCores,
+             "adaptive NUCA supports at most ", maxCores, " cores, got ",
+             params_.numCores);
+    fatal_if(totalWays_ > 255,
+             "adaptive NUCA global sets hold at most 255 ways, got ",
+             totalWays_);
     indexMask_ = numSets_ - 1;
-    const std::size_t slots =
-        static_cast<std::size_t>(numSets_) * totalWays_;
-    tags_.assign(slots, 0);
-    lastUse_.assign(slots, 0);
-    owners_.assign(slots, invalidCore);
-    valid_.assign(slots, 0);
-    dirty_.assign(slots, 0);
-    isShared_.assign(slots, 0);
-    sig_.assign(slots, 0);
-    ownedScratch_.assign(params_.numCores, 0);
+    const std::size_t w = totalWays_;
+    sigOffset_ = 16 * w;
+    stOffset_ = sigOffset_ + w;
+    ownedOffset_ = stOffset_ + w;
+    privOffset_ = ownedOffset_ + params_.numCores;
+    setStride_ = (privOffset_ + params_.numCores + 63) / 64 * 64;
+    // Zero bytes are the empty state of every field: tag 0, stamp 0,
+    // no signature, an invalid slot, no blocks counted.
+    storage_.assign(numSets_ * setStride_ / 8 + 8, 0);
+    const auto addr = reinterpret_cast<std::uintptr_t>(storage_.data());
+    records_ = reinterpret_cast<std::uint8_t *>(storage_.data()) +
+               ((64 - addr % 64) % 64);
+}
+
+AdaptiveNuca::SetRef
+AdaptiveNuca::ref(unsigned set)
+{
+    std::uint8_t *rec = records_ + set * setStride_;
+    return {reinterpret_cast<std::uint64_t *>(rec),
+            reinterpret_cast<std::uint64_t *>(rec + 8 * totalWays_),
+            rec + sigOffset_,
+            rec + stOffset_,
+            rec + ownedOffset_,
+            rec + privOffset_};
+}
+
+AdaptiveNuca::ConstSetRef
+AdaptiveNuca::ref(unsigned set) const
+{
+    const std::uint8_t *rec = records_ + set * setStride_;
+    return {reinterpret_cast<const std::uint64_t *>(rec),
+            reinterpret_cast<const std::uint64_t *>(rec + 8 * totalWays_),
+            rec + sigOffset_,
+            rec + stOffset_,
+            rec + ownedOffset_,
+            rec + privOffset_};
 }
 
 void
-AdaptiveNuca::clearSlot(std::size_t i)
+AdaptiveNuca::tally(SetRef r, unsigned s, int delta)
 {
-    valid_[i] = 0;
-    dirty_[i] = 0;
-    owners_[i] = invalidCore;
-    isShared_[i] = 0;
-    sig_[i] = 0;
+    const auto owner = static_cast<std::size_t>(ownerOf(r.st[s]));
+    r.owned[owner] = static_cast<std::uint8_t>(r.owned[owner] + delta);
+    if (!(r.st[s] & stShared))
+        r.priv[owner] = static_cast<std::uint8_t>(r.priv[owner] + delta);
+}
+
+void
+AdaptiveNuca::fill(SetRef r, unsigned s, Addr tag, CoreId owner,
+                   bool dirty, bool shared)
+{
+    if (r.st[s] & stValid)
+        tally(r, s, -1);
+    r.tag[s] = tag;
+    r.use[s] = nextStamp();
+    r.sig[s] = sigOf(tag);
+    r.st[s] = packState(owner, dirty, shared);
+    tally(r, s, +1);
+}
+
+void
+AdaptiveNuca::clearSlot(SetRef r, unsigned s)
+{
+    tally(r, s, -1);
+    r.sig[s] = 0;
+    r.st[s] = 0;
+}
+
+void
+AdaptiveNuca::relabel(SetRef r, unsigned s, bool shared, CoreId owner)
+{
+    tally(r, s, -1);
+    r.st[s] = packState(owner, (r.st[s] & stDirty) != 0, shared);
+    tally(r, s, +1);
 }
 
 unsigned
@@ -105,9 +165,14 @@ AdaptiveNuca::blockAt(unsigned set, unsigned slot) const
 {
     panic_if(set >= numSets_ || slot >= totalWays_,
              "set/slot out of range");
-    const std::size_t i = idx(set, slot);
-    return CacheBlock{tags_[i],       valid_[i] != 0, dirty_[i] != 0,
-                      owners_[i],     lastUse_[i],    0,
+    const ConstSetRef r = ref(set);
+    const std::uint8_t st = r.st[slot];
+    return CacheBlock{r.tag[slot],
+                      (st & stValid) != 0,
+                      (st & stDirty) != 0,
+                      (st & stValid) ? ownerOf(st) : invalidCore,
+                      r.use[slot],
+                      0,
                       false};
 }
 
@@ -116,7 +181,7 @@ AdaptiveNuca::slotIsShared(unsigned set, unsigned slot) const
 {
     panic_if(set >= numSets_ || slot >= totalWays_,
              "set/slot out of range");
-    return isShared_[idx(set, slot)] != 0;
+    return (ref(set).st[slot] & stShared) != 0;
 }
 
 namespace {
@@ -141,46 +206,37 @@ matchBytes(std::uint64_t word, std::uint64_t pattern)
 int
 AdaptiveNuca::findVisible(unsigned set, CoreId core, Addr tag) const
 {
-    const std::size_t base = idx(set, 0);
+    const ConstSetRef r = ref(set);
+    // A private block is visible only to the core whose local cache
+    // holds it, unless the parallel-workload mode relaxes that.
+    const auto visible = [&](unsigned s) {
+        return (r.st[s] & stShared) || homeOf(s) == core ||
+               params_.allowRemotePrivateHits;
+    };
     // Signature pre-filter: scan the one-byte signatures eight at a
-    // time and only compare the full tag on candidate slots. The
-    // visibility rule (private blocks are visible only to the core
-    // whose local cache holds them, relaxed in parallel-workload
-    // mode) applies to candidates exactly as the plain scan applied
-    // it to every slot, in the same ascending-slot order.
+    // time and only compare the full tag on candidate slots, in the
+    // same ascending-slot order the plain scan uses.
     if ((totalWays_ & 7) == 0) {
         const std::uint64_t pattern =
             sigOf(tag) * 0x0101010101010101ull;
         for (unsigned w = 0; w < totalWays_; w += 8) {
             std::uint64_t word;
-            std::memcpy(&word, sig_.data() + base + w, 8);
+            std::memcpy(&word, r.sig + w, 8);
             std::uint64_t m = matchBytes(word, pattern);
             while (m != 0) {
                 const unsigned s =
                     w +
                     (static_cast<unsigned>(std::countr_zero(m)) >> 3);
                 m &= m - 1;
-                const std::size_t i = base + s;
-                if (!valid_[i] || tags_[i] != tag)
-                    continue;
-                if (!isShared_[i] && homeOf(s) != core &&
-                    !params_.allowRemotePrivateHits) {
-                    continue;
-                }
-                return static_cast<int>(s);
+                if ((r.st[s] & stValid) && r.tag[s] == tag && visible(s))
+                    return static_cast<int>(s);
             }
         }
         return -1;
     }
     for (unsigned s = 0; s < totalWays_; ++s) {
-        const std::size_t i = base + s;
-        if (!valid_[i] || tags_[i] != tag)
-            continue;
-        if (!isShared_[i] && homeOf(s) != core &&
-            !params_.allowRemotePrivateHits) {
-            continue;
-        }
-        return static_cast<int>(s);
+        if ((r.st[s] & stValid) && r.tag[s] == tag && visible(s))
+            return static_cast<int>(s);
     }
     return -1;
 }
@@ -188,89 +244,72 @@ AdaptiveNuca::findVisible(unsigned set, CoreId core, Addr tag) const
 int
 AdaptiveNuca::findAny(unsigned set, Addr tag) const
 {
-    const std::size_t base = idx(set, 0);
+    const ConstSetRef r = ref(set);
     if ((totalWays_ & 7) == 0) {
         const std::uint64_t pattern =
             sigOf(tag) * 0x0101010101010101ull;
         for (unsigned w = 0; w < totalWays_; w += 8) {
             std::uint64_t word;
-            std::memcpy(&word, sig_.data() + base + w, 8);
+            std::memcpy(&word, r.sig + w, 8);
             std::uint64_t m = matchBytes(word, pattern);
             while (m != 0) {
                 const unsigned s =
                     w +
                     (static_cast<unsigned>(std::countr_zero(m)) >> 3);
                 m &= m - 1;
-                if (valid_[base + s] && tags_[base + s] == tag)
+                if ((r.st[s] & stValid) && r.tag[s] == tag)
                     return static_cast<int>(s);
             }
         }
         return -1;
     }
     for (unsigned s = 0; s < totalWays_; ++s) {
-        if (valid_[base + s] && tags_[base + s] == tag)
+        if ((r.st[s] & stValid) && r.tag[s] == tag)
             return static_cast<int>(s);
     }
     return -1;
 }
 
 int
-AdaptiveNuca::invalidLocalSlot(unsigned set, CoreId core) const
+AdaptiveNuca::invalidLocalSlot(ConstSetRef r, CoreId core) const
 {
     const unsigned base =
         static_cast<unsigned>(core) * params_.localAssoc;
     for (unsigned s = base; s < base + params_.localAssoc; ++s) {
-        if (!valid_[idx(set, s)])
+        if (!(r.st[s] & stValid))
             return static_cast<int>(s);
     }
     return -1;
 }
 
 int
-AdaptiveNuca::invalidAnySlot(unsigned set) const
-{
-    const std::size_t base = idx(set, 0);
-    for (unsigned s = 0; s < totalWays_; ++s) {
-        if (!valid_[base + s])
-            return static_cast<int>(s);
-    }
-    return -1;
-}
-
-int
-AdaptiveNuca::privateLruSlot(unsigned set, CoreId core) const
+AdaptiveNuca::privateLruSlot(ConstSetRef r, CoreId core) const
 {
     int victim = -1;
     const unsigned base =
         static_cast<unsigned>(core) * params_.localAssoc;
     for (unsigned s = base; s < base + params_.localAssoc; ++s) {
-        const std::size_t i = idx(set, s);
-        if (!valid_[i] || isShared_[i])
+        if ((r.st[s] & (stValid | stShared)) != stValid)
             continue;
         if (victim < 0 ||
-            lastUse_[i] <
-                lastUse_[idx(set, static_cast<unsigned>(victim))]) {
+            r.use[s] < r.use[static_cast<unsigned>(victim)])
             victim = static_cast<int>(s);
-        }
     }
     return victim;
 }
 
 int
-AdaptiveNuca::localSharedLruSlot(unsigned set, CoreId core) const
+AdaptiveNuca::localSharedLruSlot(ConstSetRef r, CoreId core) const
 {
     int victim = -1;
     const unsigned base =
         static_cast<unsigned>(core) * params_.localAssoc;
     for (unsigned s = base; s < base + params_.localAssoc; ++s) {
-        const std::size_t i = idx(set, s);
-        if (!valid_[i] || !isShared_[i])
+        if ((r.st[s] & (stValid | stShared)) != (stValid | stShared))
             continue;
         if (victim < 0 ||
-            lastUse_[i] <
-                lastUse_[idx(set, static_cast<unsigned>(victim))]) {
+            r.use[s] < r.use[static_cast<unsigned>(victim)])
             victim = static_cast<int>(s);
-        }
     }
     return victim;
 }
@@ -278,147 +317,60 @@ AdaptiveNuca::localSharedLruSlot(unsigned set, CoreId core) const
 unsigned
 AdaptiveNuca::ownedCount(unsigned set, CoreId core) const
 {
-    unsigned n = 0;
-    const std::size_t base = idx(set, 0);
-    for (unsigned s = 0; s < totalWays_; ++s) {
-        if (valid_[base + s] && owners_[base + s] == core)
-            ++n;
-    }
-    return n;
+    return ref(set).owned[static_cast<std::size_t>(core)];
 }
 
 unsigned
 AdaptiveNuca::privateCount(unsigned set, CoreId core) const
 {
-    unsigned n = 0;
-    const unsigned base =
-        static_cast<unsigned>(core) * params_.localAssoc;
-    for (unsigned s = base; s < base + params_.localAssoc; ++s) {
-        const std::size_t i = idx(set, s);
-        if (valid_[i] && !isShared_[i])
-            ++n;
-    }
-    return n;
-}
-
-bool
-AdaptiveNuca::isOwnerLru(unsigned set, unsigned slot) const
-{
-    const std::size_t ref = idx(set, slot);
-    const CoreId owner = owners_[ref];
-    const std::uint64_t use = lastUse_[ref];
-    const std::size_t base = idx(set, 0);
-    for (unsigned s = 0; s < totalWays_; ++s) {
-        const std::size_t i = base + s;
-        if (i == ref)
-            continue;
-        if (valid_[i] && owners_[i] == owner && lastUse_[i] < use)
-            return false;
-    }
-    return true;
-}
-
-int
-AdaptiveNuca::findSharedVictim(unsigned set, CoreId extra_owner) const
-{
-    // Algorithm 1's LRU-to-MRU walk returns the first shared block
-    // whose owner is over quota, falling back to the shared-LRU
-    // block (step 8). "First in LRU order" is just "minimum
-    // (lastUse, slot)", so instead of sorting the shared slots we
-    // take both minima in one scan: the quota test depends only on
-    // the owner, never on the walk position.
-    std::vector<unsigned> &counts = ownedScratch_;
-    std::fill(counts.begin(), counts.end(), 0u);
-    const std::size_t base = idx(set, 0);
-    for (unsigned s = 0; s < totalWays_; ++s) {
-        if (valid_[base + s])
-            ++counts[static_cast<std::size_t>(owners_[base + s])];
-    }
-    unsigned over_mask = 0;
-    for (CoreId c = 0; c < static_cast<CoreId>(params_.numCores);
-         ++c) {
-        const unsigned count =
-            counts[static_cast<std::size_t>(c)] +
-            (c == extra_owner ? 1u : 0u);
-        if (count > engine_.quota(c))
-            over_mask |= 1u << c;
-    }
-    int best_any = -1, best_over = -1;
-    std::uint64_t any_use = 0, over_use = 0;
-    for (unsigned s = 0; s < totalWays_; ++s) {
-        if (!valid_[base + s] || !isShared_[base + s])
-            continue;
-        // Strict < keeps the lower slot on (corrupted-stack) stamp
-        // ties — the same deterministic order the old sort's
-        // slot-index tie-break produced. Use stamps are unique in a
-        // healthy set.
-        const std::uint64_t use = lastUse_[base + s];
-        if (best_any < 0 || use < any_use) {
-            best_any = static_cast<int>(s);
-            any_use = use;
-        }
-        if ((over_mask >> owners_[base + s]) & 1u) {
-            if (best_over < 0 || use < over_use) {
-                best_over = static_cast<int>(s);
-                over_use = use;
-            }
-        }
-    }
-    return best_over >= 0 ? best_over : best_any;
+    return ref(set).priv[static_cast<std::size_t>(core)];
 }
 
 void
-AdaptiveNuca::evictSlot(unsigned set, unsigned slot, Cycle now)
+AdaptiveNuca::evictSlot(unsigned set, SetRef r, unsigned slot, Cycle now)
 {
-    const std::size_t i = idx(set, slot);
-    panic_if(!valid_[i], "evicting an invalid slot");
+    panic_if(!(r.st[slot] & stValid), "evicting an invalid slot");
     ++evictions_;
-    engine_.recordEviction(set, owners_[i], tags_[i]);
-    if (dirty_[i])
-        memory_.writebackBlock(tags_[i] << blockShift, now);
-    clearSlot(i);
+    engine_.recordEviction(set, ownerOf(r.st[slot]), r.tag[slot]);
+    if (r.st[slot] & stDirty)
+        memory_.writebackBlock(r.tag[slot] << blockShift, now);
+    clearSlot(r, slot);
 }
 
 void
-AdaptiveNuca::enforcePrivateCap(unsigned set, CoreId core)
+AdaptiveNuca::enforcePrivateCap(SetRef r, CoreId core)
 {
     const unsigned cap = engine_.privateWays(core);
-    while (privateCount(set, core) > cap) {
-        const int demote = privateLruSlot(set, core);
+    while (r.priv[static_cast<std::size_t>(core)] > cap) {
+        const int demote = privateLruSlot(r, core);
         panic_if(demote < 0, "private count positive but no LRU");
         // In-place demotion: only the label changes (lazy
         // repartitioning, Section 2.5). The block keeps its age.
-        isShared_[idx(set, static_cast<unsigned>(demote))] = 1;
+        relabel(r, static_cast<unsigned>(demote), true, core);
         ++demotions_;
     }
 }
 
 void
-AdaptiveNuca::maybeCountLruHit(unsigned set, unsigned slot,
+AdaptiveNuca::maybeCountLruHit(ConstSetRef r, unsigned slot,
                                CoreId core)
 {
-    const std::size_t ref = idx(set, slot);
-    if (owners_[ref] != core)
-        return;
     // The loss estimator: a hit on the requester's own LRU block
     // while it holds at least its quota means this hit would miss
-    // with one block per set less. One fused scan answers both the
-    // is-LRU and the owned-count question isOwnerLru + ownedCount
-    // used to take separate passes over.
-    const std::uint64_t use = lastUse_[ref];
-    const std::size_t base = idx(set, 0);
-    unsigned owned = 0;
-    bool is_lru = true;
+    // with one block per set less. The derived owned count answers
+    // the quota half without a scan.
+    if (ownerOf(r.st[slot]) != core ||
+        r.owned[static_cast<std::size_t>(core)] < engine_.quota(core))
+        return;
+    const std::uint64_t use = r.use[slot];
+    const std::uint8_t mine = packState(core, false, false);
+    constexpr std::uint8_t ownerBits =
+        static_cast<std::uint8_t>(~(stDirty | stShared));
     for (unsigned s = 0; s < totalWays_; ++s) {
-        const std::size_t i = base + s;
-        if (!valid_[i] || owners_[i] != core)
-            continue;
-        ++owned;
-        if (i != ref && lastUse_[i] < use)
-            is_lru = false;
+        if ((r.st[s] & ownerBits) == mine && r.use[s] < use)
+            return;
     }
-    if (is_lru && owned >= engine_.quota(core))
-        engine_.countLruHit(core);
+    engine_.countLruHit(core);
 }
 
 bool
@@ -435,8 +387,9 @@ AdaptiveNuca::occupancyHistograms() const
     for (auto &hist : out)
         hist.assign(totalWays_ + 1, 0);
     for (unsigned set = 0; set < numSets_; ++set) {
+        const ConstSetRef r = ref(set);
         for (unsigned c = 0; c < params_.numCores; ++c)
-            ++out[c][ownedCount(set, static_cast<CoreId>(c))];
+            ++out[c][r.owned[c]];
     }
     return out;
 }
@@ -450,12 +403,12 @@ AdaptiveNuca::access(const MemRequest &req, Cycle now)
 
     const int found = findVisible(set, core, tag);
     if (found >= 0) {
+        const SetRef r = ref(set);
         const auto fslot = static_cast<unsigned>(found);
-        maybeCountLruHit(set, fslot, core);
+        maybeCountLruHit(r, fslot, core);
 
-        const std::size_t fi = idx(set, fslot);
         if (req.isWrite())
-            dirty_[fi] = 1;
+            r.st[fslot] |= stDirty;
 
         if (heat_.enabled())
             heat_.record(static_cast<unsigned>(homeOf(fslot)), set,
@@ -463,14 +416,13 @@ AdaptiveNuca::access(const MemRequest &req, Cycle now)
         if (homeOf(fslot) == core) {
             // Local hit: fast. A shared-labeled block in the local
             // cache is promoted back into the private partition.
-            lastUse_[fi] = nextStamp();
-            if (isShared_[fi]) {
-                isShared_[fi] = 0;
-                owners_[fi] = core;
+            r.use[fslot] = nextStamp();
+            if (r.st[fslot] & stShared) {
+                relabel(r, fslot, false, core);
                 ++promotions_;
                 // The promoted block is MRU, so the cap demotes an
                 // older private block, never the promoted one.
-                enforcePrivateCap(set, core);
+                enforcePrivateCap(r, core);
             }
             ++localHits_[static_cast<std::size_t>(core)];
             return {L3Result::Where::LocalHit,
@@ -481,39 +433,29 @@ AdaptiveNuca::access(const MemRequest &req, Cycle now)
         // and push the requester's private-LRU block (or, lacking
         // one, the local shared-LRU block) into the vacated slot as
         // the shared partition's MRU (Section 2.3).
-        int back = invalidLocalSlot(set, core);
+        int back = invalidLocalSlot(r, core);
         if (back < 0)
-            back = privateLruSlot(set, core);
+            back = privateLruSlot(r, core);
         if (back < 0)
-            back = localSharedLruSlot(set, core);
+            back = localSharedLruSlot(r, core);
         panic_if(back < 0, "local cache has neither an invalid, a "
                            "private, nor a shared slot");
-        const std::size_t bi =
-            idx(set, static_cast<unsigned>(back));
+        const auto bslot = static_cast<unsigned>(back);
 
-        // Capture the displaced block before overwriting its slot.
-        const bool d_valid = valid_[bi] != 0;
-        const Addr d_tag = tags_[bi];
-        const bool d_dirty = dirty_[bi] != 0;
-        const CoreId d_owner = owners_[bi];
+        // Capture both blocks before overwriting either slot.
+        const std::uint8_t d_st = r.st[bslot];
+        const Addr d_tag = r.tag[bslot];
+        const Addr f_tag = r.tag[fslot];
+        const bool f_dirty = (r.st[fslot] & stDirty) != 0;
 
-        writeTag(bi, tags_[fi]);
-        valid_[bi] = 1;
-        dirty_[bi] = dirty_[fi];
-        owners_[bi] = core;
-        lastUse_[bi] = nextStamp();
-        isShared_[bi] = 0;
-        enforcePrivateCap(set, core);
+        fill(r, bslot, f_tag, core, f_dirty, false);
+        enforcePrivateCap(r, core);
 
-        if (d_valid) {
-            writeTag(fi, d_tag);
-            valid_[fi] = 1;
-            dirty_[fi] = d_dirty ? 1 : 0;
-            owners_[fi] = d_owner;
-            lastUse_[fi] = nextStamp();
-            isShared_[fi] = 1;
+        if (d_st & stValid) {
+            fill(r, fslot, d_tag, ownerOf(d_st), (d_st & stDirty) != 0,
+                 true);
         } else {
-            clearSlot(fi);
+            clearSlot(r, fslot);
         }
         ++swaps_;
         ++remoteHits_[static_cast<std::size_t>(core)];
@@ -537,46 +479,86 @@ void
 AdaptiveNuca::insertFromMemory(unsigned set, CoreId core, Addr tag,
                                bool dirty, Cycle now)
 {
-    // New data always enters the requester's private partition as
-    // MRU (Section 2.4).
-    int dest = invalidLocalSlot(set, core);
-    if (dest >= 0) {
-        const std::size_t i = idx(set, static_cast<unsigned>(dest));
-        writeTag(i, tag);
-        valid_[i] = 1;
-        dirty_[i] = dirty ? 1 : 0;
-        owners_[i] = core;
-        lastUse_[i] = nextStamp();
-        isShared_[i] = 0;
-        enforcePrivateCap(set, core);
+    const SetRef r = ref(set);
+
+    // Pass 1, the requester's local slots: the first invalid one,
+    // else the private-LRU block, else the local shared-LRU block.
+    // New data always enters the private partition as MRU (Section
+    // 2.4).
+    int invalid = -1, priv_lru = -1, shared_lru = -1;
+    const unsigned base =
+        static_cast<unsigned>(core) * params_.localAssoc;
+    for (unsigned s = base; s < base + params_.localAssoc; ++s) {
+        const std::uint8_t st = r.st[s];
+        if (!(st & stValid)) {
+            invalid = static_cast<int>(s);
+            break;
+        }
+        int &lru = (st & stShared) ? shared_lru : priv_lru;
+        if (lru < 0 || r.use[s] < r.use[static_cast<unsigned>(lru)])
+            lru = static_cast<int>(s);
+    }
+    if (invalid >= 0) {
+        fill(r, static_cast<unsigned>(invalid), tag, core, dirty, false);
+        enforcePrivateCap(r, core);
         return;
     }
-
-    dest = privateLruSlot(set, core);
-    if (dest < 0)
-        dest = localSharedLruSlot(set, core);
+    const int dest = priv_lru >= 0 ? priv_lru : shared_lru;
     panic_if(dest < 0, "full local cache with no victim");
-    const std::size_t di = idx(set, static_cast<unsigned>(dest));
+    const auto dslot = static_cast<unsigned>(dest);
 
     // Capture the displaced block, then overwrite its slot with the
     // new arrival.
-    const Addr d_tag = tags_[di];
-    const bool d_valid = valid_[di] != 0;
-    const bool d_dirty = dirty_[di] != 0;
-    const CoreId d_owner = owners_[di];
-    writeTag(di, tag);
-    valid_[di] = 1;
-    dirty_[di] = dirty ? 1 : 0;
-    owners_[di] = core;
-    lastUse_[di] = nextStamp();
-    isShared_[di] = 0;
+    const Addr d_tag = r.tag[dslot];
+    const bool d_dirty = (r.st[dslot] & stDirty) != 0;
+    const CoreId d_owner = ownerOf(r.st[dslot]);
+    fill(r, dslot, tag, core, dirty, false);
 
     // The displaced block is allocated in the shared partition; the
-    // shared partition makes room per Algorithm 1.
-    panic_if(!d_valid, "displaced block is invalid");
-    int target = invalidAnySlot(set);
-    if (target < 0) {
-        target = findSharedVictim(set, d_owner);
+    // shared partition makes room per Algorithm 1. Its LRU-to-MRU
+    // walk returns the first shared block whose owner is over quota,
+    // falling back to the shared-LRU block (step 8). "First in LRU
+    // order" is the minimum (lastUse, slot), and the quota test
+    // depends only on the owner, so pass 2 takes both minima at once.
+    // The displaced block holds no slot yet but counts for its owner.
+    unsigned over_mask = 0;
+    unsigned valid = 0;
+    for (unsigned c = 0; c < params_.numCores; ++c) {
+        const unsigned count =
+            r.owned[c] + (static_cast<CoreId>(c) == d_owner ? 1u : 0u);
+        valid += r.owned[c];
+        if (count > engine_.quota(static_cast<CoreId>(c)))
+            over_mask |= 1u << c;
+    }
+    int target = -1;
+    if (valid < totalWays_) {
+        for (unsigned s = 0; s < totalWays_; ++s) {
+            if (!(r.st[s] & stValid)) {
+                target = static_cast<int>(s);
+                break;
+            }
+        }
+    } else {
+        int best_any = -1, best_over = -1;
+        std::uint64_t any_use = 0, over_use = 0;
+        for (unsigned s = 0; s < totalWays_; ++s) {
+            const std::uint8_t st = r.st[s];
+            if (!(st & stShared))
+                continue;
+            // Strict < keeps the lower slot on (corrupted-stack)
+            // stamp ties. Use stamps are unique in a healthy set.
+            const std::uint64_t use = r.use[s];
+            if (best_any < 0 || use < any_use) {
+                best_any = static_cast<int>(s);
+                any_use = use;
+            }
+            if (((over_mask >> (st >> stOwnerShift)) & 1u) &&
+                (best_over < 0 || use < over_use)) {
+                best_over = static_cast<int>(s);
+                over_use = use;
+            }
+        }
+        target = best_over >= 0 ? best_over : best_any;
         if (target < 0) {
             // No shared block exists (transient cold state): the
             // displaced block itself is evicted.
@@ -584,7 +566,7 @@ AdaptiveNuca::insertFromMemory(unsigned set, CoreId core, Addr tag,
             engine_.recordEviction(set, d_owner, d_tag);
             if (d_dirty)
                 memory_.writebackBlock(d_tag << blockShift, now);
-            enforcePrivateCap(set, core);
+            enforcePrivateCap(r, core);
             return;
         }
         // Evicting the displaced block directly when its own core is
@@ -593,24 +575,15 @@ AdaptiveNuca::insertFromMemory(unsigned set, CoreId core, Addr tag,
         // (it just left a private partition), so the in-cache block
         // is the right victim either way.
         const auto tslot = static_cast<unsigned>(target);
-        const CoreId t_owner = owners_[idx(set, tslot)];
-        if (ownedCount(set, t_owner) +
-                (t_owner == d_owner ? 1u : 0u) >
-            engine_.quota(t_owner)) {
+        if ((over_mask >> ownerOf(r.st[tslot])) & 1u)
             ++overQuotaEvictions_;
-        }
-        evictSlot(set, tslot, now);
+        evictSlot(set, r, tslot, now);
     }
 
-    const std::size_t hi = idx(set, static_cast<unsigned>(target));
-    writeTag(hi, d_tag);
-    valid_[hi] = 1;
-    dirty_[hi] = d_dirty ? 1 : 0;
-    owners_[hi] = d_owner;
-    lastUse_[hi] = nextStamp(); // MRU of the shared partition
-    isShared_[hi] = 1;
+    fill(r, static_cast<unsigned>(target), d_tag, d_owner, d_dirty,
+         true); // MRU of the shared partition
     ++demotions_;
-    enforcePrivateCap(set, core);
+    enforcePrivateCap(r, core);
 }
 
 void
@@ -620,7 +593,7 @@ AdaptiveNuca::writebackFromL2(CoreId core, Addr addr, Cycle now)
     const unsigned set = setIndex(addr);
     const int found = findAny(set, blockNumber(addr));
     if (found >= 0) {
-        dirty_[idx(set, static_cast<unsigned>(found))] = 1;
+        ref(set).st[static_cast<unsigned>(found)] |= stDirty;
         return;
     }
     memory_.writebackBlock(addr, now);
@@ -644,97 +617,93 @@ AdaptiveNuca::missesOf(CoreId core) const
     return misses_.value(static_cast<std::size_t>(core));
 }
 
+const char *
+AdaptiveNuca::setDefect(unsigned set) const
+{
+    const ConstSetRef r = ref(set);
+    // The derived per-core counts must match the slots: Algorithm
+    // 1's over-quota victim choice and the private cap read them, so
+    // a wrong tally silently redirects evictions.
+    std::uint8_t owned[maxCores] = {};
+    std::uint8_t priv[maxCores] = {};
+    for (unsigned s = 0; s < totalWays_; ++s) {
+        const std::uint8_t st = r.st[s];
+        if (!(st & stValid)) {
+            // An empty slot carries no state but its stale tag and
+            // stamp, and the probe pre-filter must skip it.
+            if (st != 0 || r.sig[s] != 0)
+                return "invalid slot with block state";
+            continue;
+        }
+        const auto owner = static_cast<unsigned>(ownerOf(st));
+        if (owner >= params_.numCores)
+            return "valid block with an invalid owner";
+        // A private-labeled block must live in its owner's local
+        // cache.
+        if (!(st & stShared) && homeOf(s) != static_cast<CoreId>(owner))
+            return "private block outside its owner's cache";
+        // Tags must map back to this set.
+        if ((static_cast<unsigned>(r.tag[s]) & indexMask_) != set)
+            return "block stored in the wrong set";
+        // The signature must mirror the tag: a stale one would make
+        // the probe pre-filter skip a real block.
+        if (r.sig[s] != sigOf(r.tag[s]))
+            return "tag signature out of sync with its tag";
+        // Stamps come from one counter; a stamp past it would be
+        // handed out again.
+        if (r.use[s] > stampCounter_)
+            return "use stamp beyond the stamp counter";
+        ++owned[owner];
+        if (!(st & stShared))
+            ++priv[owner];
+    }
+    for (unsigned c = 0; c < params_.numCores; ++c) {
+        if (owned[c] != r.owned[c] || priv[c] != r.priv[c])
+            return "per-core block counts do not match the set's "
+                   "blocks";
+    }
+    for (unsigned a = 0; a < totalWays_; ++a) {
+        if (!(r.st[a] & stValid))
+            continue;
+        for (unsigned b = a + 1; b < totalWays_; ++b) {
+            if (!(r.st[b] & stValid))
+                continue;
+            // The set's LRU stack must be a strict permutation: two
+            // valid blocks sharing a stamp can only be corruption,
+            // and ambiguous recency breaks Algorithm 1's victim walk
+            // and the LRU-hit loss estimator.
+            if (r.use[b] == r.use[a])
+                return "LRU stack corrupted: two valid blocks share "
+                       "use stamp";
+            // No core may see two copies of one tag. Two *private*
+            // copies in different cores' partitions are tolerated:
+            // they can only arise when cores actually share
+            // addresses, which the paper's multiprogrammed workloads
+            // never do, and each core's view stays consistent.
+            if (r.sig[b] != r.sig[a] || r.tag[b] != r.tag[a])
+                continue;
+            const bool shared_a = (r.st[a] & stShared) != 0;
+            const bool shared_b = (r.st[b] & stShared) != 0;
+            if (shared_a && shared_b)
+                return "duplicate tag in the shared partition";
+            if (shared_a != shared_b)
+                return "tag duplicated across the shared and a private "
+                       "partition";
+            if (homeOf(a) == homeOf(b))
+                return "duplicate tag within one local cache";
+        }
+    }
+    return nullptr;
+}
+
 void
 AdaptiveNuca::checkInvariants() const
 {
-    unsigned quota_sum = 0;
-    for (unsigned c = 0; c < params_.numCores; ++c)
-        quota_sum += engine_.quota(static_cast<CoreId>(c));
-    panic_if(quota_sum != totalWays_,
-             "quotas no longer sum to the total ways per set");
-
+    if (const char *defect = engine_.stateDefect())
+        panic(defect);
     for (unsigned set = 0; set < numSets_; ++set) {
-        const std::size_t base = idx(set, 0);
-        // The per-core block counts must account for exactly the
-        // valid slots of the set (never more than the global
-        // associativity): Algorithm 1's over-quota victim choice
-        // reads these counts, so a corrupt owner tally silently
-        // redirects evictions.
-        unsigned owned_sum = 0;
-        for (unsigned c = 0; c < params_.numCores; ++c)
-            owned_sum += ownedCount(set, static_cast<CoreId>(c));
-        unsigned valid_count = 0;
-        for (unsigned s = 0; s < totalWays_; ++s) {
-            if (valid_[base + s])
-                ++valid_count;
-        }
-        panic_if(owned_sum != valid_count || valid_count > totalWays_,
-                 "per-core block counts do not sum to the set's "
-                 "valid blocks");
-
-        for (unsigned s = 0; s < totalWays_; ++s) {
-            const std::size_t i = base + s;
-            if (!valid_[i])
-                continue;
-            panic_if(owners_[i] < 0 ||
-                         static_cast<unsigned>(owners_[i]) >=
-                             params_.numCores,
-                     "valid block with an invalid owner");
-            // A private-labeled block must live in its owner's
-            // local cache.
-            panic_if(!isShared_[i] && homeOf(s) != owners_[i],
-                     "private block outside its owner's cache");
-            // Tags must map back to this set.
-            panic_if((static_cast<unsigned>(tags_[i]) & indexMask_) !=
-                         set,
-                     "block stored in the wrong set");
-        }
-        // The signature cache must mirror the tags exactly: a stale
-        // entry would make the probe pre-filter skip a real block.
-        for (unsigned s = 0; s < totalWays_; ++s) {
-            const std::size_t i = base + s;
-            panic_if(sig_[i] !=
-                         (valid_[i] ? sigOf(tags_[i])
-                                    : std::uint8_t{0}),
-                     "tag signature out of sync with its tag");
-        }
-        // The set's LRU stack must be a strict permutation: use
-        // stamps come from one monotonically increasing counter, so
-        // two valid blocks sharing a stamp can only be corruption —
-        // and ambiguous recency breaks Algorithm 1's victim walk and
-        // the LRU-hit loss estimator.
-        for (unsigned a = 0; a < totalWays_; ++a) {
-            if (!valid_[base + a])
-                continue;
-            for (unsigned b = a + 1; b < totalWays_; ++b) {
-                panic_if(valid_[base + b] &&
-                             lastUse_[base + b] == lastUse_[base + a],
-                         "LRU stack corrupted: two valid blocks "
-                         "share use stamp ", lastUse_[base + a]);
-            }
-        }
-        // No core may see two copies of one tag. Two *private*
-        // copies in different cores' partitions are tolerated: they
-        // can only arise when cores actually share addresses, which
-        // the paper's multiprogrammed workloads never do, and each
-        // core's view stays consistent.
-        for (unsigned a = 0; a < totalWays_; ++a) {
-            if (!valid_[base + a])
-                continue;
-            for (unsigned b = a + 1; b < totalWays_; ++b) {
-                if (!valid_[base + b] ||
-                    tags_[base + b] != tags_[base + a]) {
-                    continue;
-                }
-                panic_if(isShared_[base + a] && isShared_[base + b],
-                         "duplicate tag in the shared partition");
-                panic_if(isShared_[base + a] != isShared_[base + b],
-                         "tag duplicated across the shared and a "
-                         "private partition");
-                panic_if(homeOf(a) == homeOf(b),
-                         "duplicate tag within one local cache");
-            }
-        }
+        if (const char *defect = setDefect(set))
+            panic(defect, " (set ", set, ")");
     }
 }
 
@@ -745,17 +714,16 @@ AdaptiveNuca::injectLruCorruption()
     // first set holding two valid blocks — the exact defect the
     // checkInvariants LRU-permutation pass exists to catch.
     for (unsigned set = 0; set < numSets_; ++set) {
-        const std::size_t base = idx(set, 0);
+        const SetRef r = ref(set);
         int first = -1;
         for (unsigned s = 0; s < totalWays_; ++s) {
-            if (!valid_[base + s])
+            if (!(r.st[s] & stValid))
                 continue;
             if (first < 0) {
                 first = static_cast<int>(s);
                 continue;
             }
-            lastUse_[base + s] =
-                lastUse_[base + static_cast<unsigned>(first)];
+            r.use[s] = r.use[static_cast<unsigned>(first)];
             return true;
         }
     }
@@ -775,21 +743,28 @@ AdaptiveNuca::checkpoint(Serializer &s) const
 {
     s.putTag(fourcc("NUCA"));
     s.putU64(stampCounter_);
-    s.putU64(tags_.size());
+    const std::size_t slots =
+        static_cast<std::size_t>(numSets_) * totalWays_;
+    s.putU64(slots);
     // Legacy per-slot order (checkpointBlock + isShared), byte-
     // identical to the old array-of-structs encoding. The adaptive
     // scheme never sets insertedAt/referenced, so they are written
-    // as the constants every old checkpoint carried.
-    auto w = s.record(tags_.size() * slotBytes);
-    for (std::size_t i = 0; i < tags_.size(); ++i) {
-        w.putU64(tags_[i]);
-        w.putBool(valid_[i] != 0);
-        w.putBool(dirty_[i] != 0);
-        w.putI64(owners_[i]);
-        w.putU64(lastUse_[i]);
-        w.putU64(0);      // insertedAt: unused by this scheme
-        w.putBool(false); // referenced: unused by this scheme
-        w.putBool(isShared_[i] != 0);
+    // as the constants every old checkpoint carried; an empty slot's
+    // owner is invalidCore.
+    auto w = s.record(slots * slotBytes);
+    for (unsigned set = 0; set < numSets_; ++set) {
+        const ConstSetRef r = ref(set);
+        for (unsigned slot = 0; slot < totalWays_; ++slot) {
+            const std::uint8_t st = r.st[slot];
+            w.putU64(r.tag[slot]);
+            w.putBool((st & stValid) != 0);
+            w.putBool((st & stDirty) != 0);
+            w.putI64((st & stValid) ? ownerOf(st) : invalidCore);
+            w.putU64(r.use[slot]);
+            w.putU64(0);      // insertedAt: unused by this scheme
+            w.putBool(false); // referenced: unused by this scheme
+            w.putBool((st & stShared) != 0);
+        }
     }
     engine_.checkpoint(s);
 }
@@ -799,20 +774,51 @@ AdaptiveNuca::restore(Deserializer &d)
 {
     d.expectTag(fourcc("NUCA"), "adaptive NUCA");
     stampCounter_ = d.getU64();
-    if (d.getU64() != tags_.size())
+    const std::size_t slots =
+        static_cast<std::size_t>(numSets_) * totalWays_;
+    if (d.getU64() != slots)
         throw CheckpointError("NUCA slot count mismatch");
-    auto r = d.record(tags_.size() * slotBytes);
-    for (std::size_t i = 0; i < tags_.size(); ++i) {
-        tags_[i] = r.getU64();
-        valid_[i] = r.getBool() ? 1 : 0;
-        dirty_[i] = r.getBool() ? 1 : 0;
-        owners_[i] = static_cast<CoreId>(r.getI64());
-        lastUse_[i] = r.getU64();
-        (void)r.getU64();  // insertedAt: unused by this scheme
-        (void)r.getBool(); // referenced: unused by this scheme
-        isShared_[i] = r.getBool() ? 1 : 0;
-        // Signatures are derived state, absent from the wire format.
-        sig_[i] = valid_[i] ? sigOf(tags_[i]) : 0;
+    auto rd = d.record(slots * slotBytes);
+    for (unsigned set = 0; set < numSets_; ++set) {
+        const SetRef r = ref(set);
+        std::fill(r.owned, r.owned + params_.numCores, 0);
+        std::fill(r.priv, r.priv + params_.numCores, 0);
+        for (unsigned slot = 0; slot < totalWays_; ++slot) {
+            r.tag[slot] = rd.getU64();
+            const bool valid = rd.getBool();
+            const bool dirty = rd.getBool();
+            const std::int64_t owner = rd.getI64();
+            r.use[slot] = rd.getU64();
+            (void)rd.getU64();  // insertedAt: unused by this scheme
+            (void)rd.getBool(); // referenced: unused by this scheme
+            const bool shared = rd.getBool();
+            if (!valid) {
+                // The packed state has no room for an empty slot's
+                // flags; no run ever leaves any behind.
+                if (dirty || shared || owner != invalidCore)
+                    throw CheckpointError(
+                        "adaptive NUCA: invalid slot with block state");
+                r.st[slot] = 0;
+                r.sig[slot] = 0;
+                continue;
+            }
+            if (owner < 0 ||
+                static_cast<std::uint64_t>(owner) >= params_.numCores)
+                throw CheckpointError(
+                    "adaptive NUCA: valid block with an invalid owner");
+            r.st[slot] =
+                packState(static_cast<CoreId>(owner), dirty, shared);
+            // Signatures and counts are derived state, absent from
+            // the wire format.
+            r.sig[slot] = sigOf(r.tag[slot]);
+            tally(r, slot, +1);
+        }
+        // A state checkInvariants would reject is refused here: the
+        // next access to the set would otherwise index out of bounds
+        // or pick victims from a corrupt LRU stack.
+        if (const char *defect = setDefect(set))
+            throw CheckpointError(std::string("adaptive NUCA: ") +
+                                  defect);
     }
     engine_.restore(d);
 }

@@ -25,6 +25,7 @@
 #define NUCA_NUCA_ADAPTIVE_NUCA_HH
 
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "base/stats.hh"
@@ -117,21 +118,68 @@ class AdaptiveNuca : public L3Organization
     Counter misses() const { return misses_.total(); }
 
   private:
-    /** Flat index of (set, slot) into the parallel slot arrays. */
-    std::size_t
-    idx(unsigned set, unsigned slot) const
+    /** Packed per-slot state byte: valid, dirty and shared bits, and
+     * the owner in the top five bits. An invalid slot's byte is 0. */
+    static constexpr std::uint8_t stValid = 1;
+    static constexpr std::uint8_t stDirty = 2;
+    static constexpr std::uint8_t stShared = 4;
+    static constexpr unsigned stOwnerShift = 3;
+    /** Cores the five owner bits can name. */
+    static constexpr unsigned maxCores = 32;
+
+    static std::uint8_t
+    packState(CoreId owner, bool dirty, bool shared)
     {
-        return static_cast<std::size_t>(set) * totalWays_ + slot;
+        return static_cast<std::uint8_t>(
+            stValid | (dirty ? stDirty : 0) | (shared ? stShared : 0) |
+            (static_cast<unsigned>(owner) << stOwnerShift));
     }
+    static CoreId
+    ownerOf(std::uint8_t st)
+    {
+        return static_cast<CoreId>(st >> stOwnerShift);
+    }
+
+    /**
+     * One global set's record, laid out contiguously: the tags and
+     * use stamps (8 bytes per slot each), then one signature byte and
+     * one state byte per slot, then the per-core owned and private
+     * block counts. Records are cache-line aligned, so a miss that
+     * works on one set touches only that set's lines.
+     */
+    template <typename Word, typename Byte>
+    struct BasicSetRef
+    {
+        Word *tag;
+        Word *use;
+        Byte *sig;
+        Byte *st;
+        /** Derived: valid blocks of each core (private + shared). */
+        Byte *owned;
+        /** Derived: valid private-labeled blocks of each core. */
+        Byte *priv;
+
+        /** A writable view reads as a read-only one. */
+        operator BasicSetRef<const Word, const Byte>() const
+            requires(!std::is_const_v<Word>)
+        {
+            return {tag, use, sig, st, owned, priv};
+        }
+    };
+    using SetRef = BasicSetRef<std::uint64_t, std::uint8_t>;
+    using ConstSetRef =
+        BasicSetRef<const std::uint64_t, const std::uint8_t>;
+
+    SetRef ref(unsigned set);
+    ConstSetRef ref(unsigned set) const;
 
     /**
      * One-byte tag signature of a valid slot, 0 for invalid slots.
      * The top bit is always set for valid entries (so 0 can never
      * collide with a real signature) and the low seven bits mix tag
      * bits from above the set index, which is constant within a set.
-     * Tag probes scan these bytes eight at a time and only touch the
-     * 8-byte tags_ entries of the rare signature matches — a 64-way
-     * global set's probe reads one cache line instead of nine.
+     * Tag probes scan these bytes eight at a time and only compare
+     * the full tags of the rare signature matches.
      */
     static std::uint8_t
     sigOf(Addr tag)
@@ -140,64 +188,61 @@ class AdaptiveNuca : public L3Organization
             0x80u | ((tag ^ (tag >> 7) ^ (tag >> 14)) & 0x7f));
     }
 
-    /** Store @p tag into slot @p i, keeping its signature in sync.
-     * Every tag write must go through here. */
-    void
-    writeTag(std::size_t i, Addr tag)
-    {
-        tags_[i] = tag;
-        sig_[i] = sigOf(tag);
-    }
-
-    /** Clear slot @p i back to the empty state. */
-    void clearSlot(std::size_t i);
+    /** Add (@p delta +1) or remove (-1) valid slot @p s's block in
+     * the set's derived counts. */
+    static void tally(SetRef r, unsigned s, int delta);
+    /**
+     * Make slot @p s of @p r a valid block with a fresh use stamp,
+     * keeping the signature and the derived counts in sync. Every
+     * slot write goes through fill, clearSlot or relabel.
+     */
+    void fill(SetRef r, unsigned s, Addr tag, CoreId owner, bool dirty,
+              bool shared);
+    /** Clear slot @p s back to the empty state (tag and stamp stay,
+     * as the checkpoint has always carried them). */
+    void clearSlot(SetRef r, unsigned s);
+    /** Change the partition label of valid slot @p s; promotion
+     * (@p shared false) also hands the block to @p owner. */
+    void relabel(SetRef r, unsigned s, bool shared, CoreId owner);
 
     unsigned setIndex(Addr addr) const;
     std::uint64_t nextStamp() { return ++stampCounter_; }
+
+    /** The first structural defect of @p set, or nullptr. Shared by
+     * checkInvariants (which panics) and restore (which throws). */
+    const char *setDefect(unsigned set) const;
 
     /** Slot holding @p tag and visible to @p core, or -1. */
     int findVisible(unsigned set, CoreId core, Addr tag) const;
     /** Slot holding @p tag regardless of visibility, or -1. */
     int findAny(unsigned set, Addr tag) const;
     /** Invalid slot in @p core's local part of the set, or -1. */
-    int invalidLocalSlot(unsigned set, CoreId core) const;
-    /** Invalid slot anywhere in the set, or -1. */
-    int invalidAnySlot(unsigned set) const;
+    int invalidLocalSlot(ConstSetRef r, CoreId core) const;
     /** LRU private-labeled slot of @p core, or -1. */
-    int privateLruSlot(unsigned set, CoreId core) const;
+    int privateLruSlot(ConstSetRef r, CoreId core) const;
     /** LRU shared-labeled slot inside @p core's local cache, or -1. */
-    int localSharedLruSlot(unsigned set, CoreId core) const;
-
-    /** True if the block in @p slot is its owner's least recently
-     * used block among the owner's valid blocks in the set. */
-    bool isOwnerLru(unsigned set, unsigned slot) const;
-
-    /**
-     * Algorithm 1 over the shared partition: walk shared blocks from
-     * LRU towards MRU and return the first whose owner is over
-     * quota; fall back to the shared-LRU block. @p extra_owner, when
-     * valid, counts as one additional block for that owner (used for
-     * a displaced block that currently holds no slot). @return -1 if
-     * the set has no shared block.
-     */
-    int findSharedVictim(unsigned set, CoreId extra_owner) const;
+    int localSharedLruSlot(ConstSetRef r, CoreId core) const;
 
     /** Evict the block in @p slot: shadow-tag record + writeback. */
-    void evictSlot(unsigned set, unsigned slot, Cycle now);
+    void evictSlot(unsigned set, SetRef r, unsigned slot, Cycle now);
 
     /**
      * Install a block fetched from memory into @p core's private
-     * partition, demoting/evicting per Section 2.4.
+     * partition, demoting/evicting per Section 2.4. One pass over the
+     * requester's local slots finds the destination; when that
+     * displaces a block, one pass over the set finds an invalid slot
+     * or Algorithm 1's victim, with the over-quota owners taken from
+     * the derived counts.
      */
     void insertFromMemory(unsigned set, CoreId core, Addr tag,
                           bool dirty, Cycle now);
 
     /** Demote @p core's private-LRU blocks in place until the
      * private partition respects privateWays(core). */
-    void enforcePrivateCap(unsigned set, CoreId core);
+    void enforcePrivateCap(SetRef r, CoreId core);
 
     /** Run the LRU-hit loss estimator for a hit on @p slot. */
-    void maybeCountLruHit(unsigned set, unsigned slot, CoreId core);
+    void maybeCountLruHit(ConstSetRef r, unsigned slot, CoreId core);
 
     AdaptiveNucaParams params_;
     MainMemory &memory_;
@@ -206,30 +251,17 @@ class AdaptiveNuca : public L3Organization
     unsigned indexMask_;
     std::uint64_t stampCounter_ = 0;
 
-    /**
-     * Slot state struct-of-arrays, set-major: index idx(set, slot).
-     * The old vector<Slot{CacheBlock, bool}> interleaved ~56 bytes
-     * per slot, so Algorithm 1's scans over a 16-slot global set
-     * streamed a dozen cache lines; the split arrays keep each scan
-     * on the one or two fields it reads. insertedAt/referenced do
-     * not exist here — the adaptive scheme never uses the FIFO/NRU
-     * fields, and the checkpoint writes them as the constants they
-     * always were.
-     */
-    std::vector<Addr> tags_;
-    std::vector<std::uint64_t> lastUse_;
-    std::vector<CoreId> owners_;
-    std::vector<std::uint8_t> valid_;
-    std::vector<std::uint8_t> dirty_;
-    std::vector<std::uint8_t> isShared_;
-    /** Derived per-slot signatures (see sigOf); rebuilt on restore,
-     * never checkpointed. */
-    std::vector<std::uint8_t> sig_;
-
-    /** Scratch per-core owned-block counts for findSharedVictim
-     * (member so the per-miss call allocates nothing; contents are
-     * call-local). */
-    mutable std::vector<unsigned> ownedScratch_;
+    /** Bytes between consecutive set records (a multiple of 64). */
+    std::size_t setStride_;
+    /** Byte offsets of the record's arrays (see BasicSetRef). */
+    std::size_t sigOffset_;
+    std::size_t stOffset_;
+    std::size_t ownedOffset_;
+    std::size_t privOffset_;
+    /** Backing store of the set records; records_ is its first
+     * 64-byte boundary. */
+    std::vector<std::uint64_t> storage_;
+    std::uint8_t *records_ = nullptr;
 
     L3Heatmap heat_;
 

@@ -1,6 +1,7 @@
 #include "nuca/sharing_engine.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "base/intmath.hh"
 #include "base/logging.hh"
@@ -284,6 +285,26 @@ SharingEngine::restore(Deserializer &d)
     d.getVecU64(lruHits_, "LRU hits");
     epochMissCount_ = d.getU64();
     scanStart_ = d.getU32();
+    if (const char *defect = stateDefect())
+        throw CheckpointError(std::string("sharing engine: ") + defect);
+}
+
+const char *
+SharingEngine::stateDefect() const
+{
+    std::uint64_t sum = 0; // wide enough for any restored quotas
+    for (const auto q : quotas_) {
+        if (q < params_.minQuota)
+            return "quota below the minimum quota";
+        sum += q;
+    }
+    // Each quota is at least minQuota, so this also bounds every
+    // quota by maxQuota_.
+    if (sum != params_.totalWays)
+        return "quotas no longer sum to the total ways per set";
+    if (scanStart_ >= params_.numCores)
+        return "repartition scan starts past the last core";
+    return nullptr;
 }
 
 } // namespace nuca

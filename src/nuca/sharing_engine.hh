@@ -184,8 +184,16 @@ class SharingEngine
      * wiring concern and is not part of the snapshot.
      */
     void checkpoint(Serializer &s) const;
-    /** Restore a checkpoint of an identically configured engine. */
+    /** Restore a checkpoint of an identically configured engine.
+     * Throws CheckpointError for a state stateDefect() rejects. */
     void restore(Deserializer &d);
+
+    /**
+     * The first defect of the partitioning state, or nullptr: a
+     * quota below the minimum, quotas that do not sum to the set's
+     * ways, or a scan start that names no core.
+     */
+    const char *stateDefect() const;
 
   private:
     SharingEngineParams params_;

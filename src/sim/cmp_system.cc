@@ -914,7 +914,7 @@ CmpSystem::checkpoint(Serializer &s) const
     memory_.checkpoint(s);
     for (unsigned c = 0; c < config_.numCores; ++c) {
         memSystems_[c]->checkpoint(s);
-        cores_[c]->checkpoint(s);
+        cores_[c]->checkpoint(s, now_);
     }
     root_.serialize(s);
 }

@@ -84,7 +84,7 @@ struct Rig
         memory.checkpoint(s);
         l3.checkpoint(s);
         mem.checkpoint(s);
-        core.checkpoint(s);
+        core.checkpoint(s, now_);
         source.checkpoint(s);
         root.serialize(s);
         return s.bytes();
@@ -366,6 +366,72 @@ TEST(OooCore, CheckpointWithPendingWakeupsResumesBitIdentically)
     EXPECT_GT(a.core.committed(), 1000u);
     EXPECT_EQ(b.statsDump(), a.statsDump());
     EXPECT_EQ(b.save(), a.save());
+}
+
+/**
+ * A divide, a cold load that needs the divide's result, and a
+ * consumer of the load, all on one I-cache line, then a jump to a
+ * cold line. When the divide completes, one tick commits it and
+ * issues the load; after that the head waits on the load, the
+ * consumer on the load's (known) completion cycle, and fetch on the
+ * I-cache.
+ */
+SynthInst
+divideThenMiss(std::uint64_t i)
+{
+    SynthInst inst = aluAt(i);
+    switch (i) {
+      case 0:
+        inst.op = OpClass::IntDiv;
+        break;
+      case 1:
+        inst.op = OpClass::Load;
+        inst.effAddr = 0x200000;
+        inst.depDist[0] = 1;
+        break;
+      case 2:
+        inst.depDist[0] = 1;
+        break;
+      default:
+        inst.pc = 0x80000 + i * 4;
+        break;
+    }
+    return inst;
+}
+
+TEST(OooCore, CommitWithNothingReadyDoesNotWakeTheIssueStage)
+{
+    Rig rig(divideThenMiss);
+    Cycle t = 0;
+    for (; t < 2000 && rig.core.committed() == 0; ++t)
+        rig.core.tick(t);
+    ASSERT_EQ(rig.core.committed(), 1u) << "the divide never committed";
+    const Cycle committed_at = t - 1;
+    // The load is the head and the consumer its only unissued entry,
+    // parked in the wheel until the load completes.
+    ASSERT_EQ(rig.core.ruuOccupancy(), 2u);
+    const auto [bucketed, overflowed] = rig.core.pendingWakeups();
+    ASSERT_EQ(bucketed + overflowed, 1u);
+
+    // The commit and the load's issue both reset the issue stage's
+    // sleep, but nothing can issue next cycle: waking then would run
+    // an issue pass that issues nothing.
+    const Cycle wake = rig.core.nextWakeCycle(committed_at);
+    EXPECT_GT(wake, committed_at + 1);
+
+    // Every tick before the wake-up really is a no-op...
+    for (t = committed_at + 1; t < wake; ++t) {
+        rig.core.tick(t);
+        EXPECT_EQ(rig.core.committed(), 1u) << "cycle " << t;
+        EXPECT_EQ(rig.core.pendingWakeups().first +
+                      rig.core.pendingWakeups().second,
+                  1u)
+            << "cycle " << t;
+    }
+    // ...and the core finishes the chain after it.
+    for (; t < wake + 2000; ++t)
+        rig.core.tick(t);
+    EXPECT_GE(rig.core.committed(), 3u);
 }
 
 } // namespace

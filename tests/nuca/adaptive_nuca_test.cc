@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <vector>
 
 #include "base/random.hh"
 #include "mem/main_memory.hh"
 #include "nuca/adaptive_nuca.hh"
+#include "serialize/serializer.hh"
+#include "sim/checkpoint.hh"
 
 namespace nuca {
 namespace {
@@ -412,6 +415,131 @@ TEST_P(AdaptiveNucaStress, InvariantsSurviveRandomTraffic)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AdaptiveNucaStress,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+/** What one pinned-traffic run produced, as digests. */
+struct TrafficDigest
+{
+    std::uint64_t accesses = 0;
+    std::uint64_t stats = 0;
+    std::uint64_t checkpoint = 0;
+};
+
+/**
+ * Drive a 4-core, 64-set adaptive L3 with @p steps seeded reads,
+ * writes and L2 writebacks and digest every access's (Where, ready),
+ * the stats dump and the checkpoint bytes. Each core walks a private
+ * footprint (sizes 10, 2, 6 and 24 lines per set, rotated between
+ * the cores at half time so quota flows both ways). Blocks demoted
+ * into a neighbour's cache give the swaps and promotions. With
+ * @p remote_private_hits (the parallel-workload mode, the only one
+ * in which cores share addresses) one access in eight also goes to
+ * a few hot lines every core reads. The run asserts that every event
+ * kind of the scheme happened, so the digests cover them all.
+ */
+TrafficDigest
+runPinnedTraffic(unsigned sample_shift, bool remote_private_hits,
+                 std::uint64_t seed, int steps)
+{
+    stats::Group root("digest");
+    MainMemory memory(root, "memory", MainMemoryParams{});
+    AdaptiveNucaParams params;
+    params.numCores = 4;
+    params.sizePerCoreBytes = 16 * 1024;
+    params.localAssoc = 4;
+    params.epochMisses = 64;
+    params.shadowSampleShift = sample_shift;
+    params.allowRemotePrivateHits = remote_private_hits;
+    AdaptiveNuca nuca(root, params, memory);
+    const unsigned sets = nuca.numSets();
+
+    const std::uint64_t footprint[4] = {10, 2, 6, 24};
+    Rng rng(seed);
+    std::vector<std::uint8_t> trace;
+    trace.reserve(static_cast<std::size_t>(steps) * 9);
+    Cycle now = 0;
+    for (int i = 0; i < steps; ++i) {
+        const auto core = static_cast<CoreId>(rng.below(4));
+        const auto set = static_cast<unsigned>(rng.below(sets));
+        const std::size_t which =
+            (static_cast<std::size_t>(core) + (i >= steps / 2 ? 1 : 0)) %
+            4;
+        std::uint64_t tag;
+        if (remote_private_hits && rng.below(8) == 0) {
+            tag = 1000 + rng.below(3); // shared hot lines
+        } else {
+            tag = 100 * (static_cast<std::uint64_t>(core) + 1) +
+                  rng.below(footprint[which]);
+        }
+        const Addr addr = (tag * sets + set) * blockBytes;
+        now += 1 + rng.below(8);
+        const auto kind = rng.below(20);
+        if (kind == 0) {
+            nuca.writebackFromL2(core, addr, now);
+            continue;
+        }
+        const auto res = nuca.access(
+            MemRequest{core, addr, kind < 5 ? MemOp::Write : MemOp::Read},
+            now);
+        trace.push_back(static_cast<std::uint8_t>(res.where));
+        for (int b = 0; b < 8; ++b)
+            trace.push_back(static_cast<std::uint8_t>(res.ready >> (8 * b)));
+    }
+    nuca.checkInvariants();
+
+    const stats::Snapshot snap(root);
+    for (const char *name :
+         {"digest.l3_adaptive.swaps", "digest.l3_adaptive.promotions",
+          "digest.l3_adaptive.demotions",
+          "digest.l3_adaptive.over_quota_evictions",
+          "digest.l3_adaptive.sharing_engine.repartitions"}) {
+        EXPECT_GT(snap.value(name).value_or(0), 0.0) << name;
+    }
+
+    TrafficDigest out;
+    out.accesses = hashBytes(trace.data(), trace.size());
+    std::ostringstream dump;
+    root.dump(dump);
+    const std::string text = dump.str();
+    out.stats = hashBytes(reinterpret_cast<const std::uint8_t *>(text.data()),
+                          text.size());
+    Serializer s;
+    nuca.checkpoint(s);
+    out.checkpoint = hashBytes(s.bytes().data(), s.size());
+    return out;
+}
+
+TEST(AdaptiveNucaDigest, RandomTrafficIsPinned)
+{
+    // Recorded from the struct-of-arrays implementation, before the
+    // per-set record replaced it. Any change to a hit/miss outcome,
+    // a ready cycle, a counter or a checkpoint byte shows up here.
+    const struct
+    {
+        unsigned shift;
+        bool remote;
+        TrafficDigest pinned;
+    } runs[] = {
+        {0, false,
+         {0x2a8886cc034e0978ull, 0xde5b7921f89bf224ull,
+          0x2e0b76afdd16ab47ull}},
+        {2, false,
+         {0x7515972f2975e7d8ull, 0x70b5483d38aac54aull,
+          0xa19fd957deedc089ull}},
+        {0, true,
+         {0xfe370a28300f0b6cull, 0xa26a82d9b29037b6ull,
+          0x4522891d036fa91cull}},
+    };
+    for (const auto &run : runs) {
+        const TrafficDigest got =
+            runPinnedTraffic(run.shift, run.remote, 20070201, 350000);
+        EXPECT_EQ(got.accesses, run.pinned.accesses)
+            << "shift " << run.shift << " remote " << run.remote;
+        EXPECT_EQ(got.stats, run.pinned.stats)
+            << "shift " << run.shift << " remote " << run.remote;
+        EXPECT_EQ(got.checkpoint, run.pinned.checkpoint)
+            << "shift " << run.shift << " remote " << run.remote;
+    }
+}
 
 } // namespace
 } // namespace nuca

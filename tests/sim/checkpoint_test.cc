@@ -20,6 +20,7 @@
 #include "cache/cache_set.hh"
 #include "cache/mshr.hh"
 #include "cache/tlb.hh"
+#include "nuca/adaptive_nuca.hh"
 #include "nuca/sharing_engine.hh"
 #include "serialize/checkpoint_io.hh"
 #include "serialize/serializer.hh"
@@ -28,6 +29,7 @@
 #include "sim/env_config.hh"
 #include "sim/experiment.hh"
 #include "sim/robustness.hh"
+#include "support/mutation.hh"
 #include "workload/spec_profiles.hh"
 
 namespace nuca {
@@ -454,6 +456,176 @@ TEST_F(CheckpointCodec, CorruptLengthFallsBackToSimulation)
             << "length " << length;
     }
     std::remove(path.c_str());
+}
+
+/**
+ * Byte mutations of the adaptive L3's section of a system payload:
+ * its header, slot records and sharing-engine state. The section is
+ * restored on its own into the system's L3, so each mutant costs a
+ * 20 KB decode rather than a whole-system restore.
+ */
+class CheckpointMutation : public CheckpointCodec
+{
+  protected:
+    /** Offsets of the NUCA section's parts in a payload. */
+    struct NucaSection
+    {
+        std::size_t begin = 0;  // "NUCA" tag
+        std::size_t slots = 0;  // first slot record
+        std::size_t engine = 0; // "SENG" tag
+        std::size_t end = 0;
+    };
+
+    /** Wire size of one adaptive slot record. */
+    static constexpr std::size_t slotBytes = 36;
+
+    /**
+     * Find the section: the tag, a u64 stamp counter, a u64 slot
+     * count equal to @p slots, the slot records, then the engine's
+     * tag, shadow registers (9 bytes each), u32 quotas, two u64
+     * vectors, the u64 epoch count and the u32 scan start.
+     */
+    static NucaSection
+    findNuca(const std::vector<std::uint8_t> &bytes, std::uint64_t slots)
+    {
+        for (std::size_t at = 0; at + 20 <= bytes.size(); ++at) {
+            Deserializer d(bytes.data() + at, bytes.size() - at);
+            if (d.getU32() != fourcc("NUCA"))
+                continue;
+            d.getU64();
+            if (d.getU64() != slots)
+                continue;
+            NucaSection sec;
+            sec.begin = at;
+            sec.slots = at + 20;
+            sec.engine = sec.slots + slots * slotBytes;
+            Deserializer e(bytes.data() + sec.engine,
+                           bytes.size() - sec.engine);
+            e.expectTag(fourcc("SENG"), "sharing engine");
+            e.record(e.getU64() * 9);
+            e.record(e.getU64() * 4);
+            e.record(e.getU64() * 8);
+            e.record(e.getU64() * 8);
+            e.getU64();
+            e.getU32();
+            sec.end = bytes.size() - e.remaining();
+            return sec;
+        }
+        ADD_FAILURE() << "no NUCA section in the payload";
+        return {};
+    }
+
+    static void
+    putU64At(std::vector<std::uint8_t> &bytes, std::size_t at,
+             std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+};
+
+TEST_F(CheckpointMutation, NucaSectionSurvivesByteFlips)
+{
+    const auto payload = smallPayload(L3Scheme::Adaptive);
+    CmpSystem target(smallConfig(L3Scheme::Adaptive), smallApps(), 17);
+    const auto &nuca = dynamic_cast<const AdaptiveNuca &>(target.l3());
+    const NucaSection sec =
+        findNuca(payload, std::uint64_t{nuca.numSets()} *
+                              nuca.totalWays());
+    ASSERT_GT(sec.end, sec.engine);
+    const std::vector<std::uint8_t> section(
+        payload.begin() + static_cast<std::ptrdiff_t>(sec.begin),
+        payload.begin() + static_cast<std::ptrdiff_t>(sec.end));
+
+    // Every byte of the header, the first 8 sets' slots and the
+    // engine; a stride coprime to the slot size over the other sets,
+    // so every field of a slot record gets hit somewhere.
+    const std::size_t first8 =
+        sec.slots + 8 * nuca.totalWays() * slotBytes;
+    std::vector<std::size_t> offsets;
+    for (std::size_t i = sec.begin; i < first8; ++i)
+        offsets.push_back(i - sec.begin);
+    for (std::size_t i = first8; i < sec.engine; i += 29)
+        offsets.push_back(i - sec.begin);
+    for (std::size_t i = sec.engine; i < sec.end; ++i)
+        offsets.push_back(i - sec.begin);
+
+    std::size_t refused = 0, accepted = 0;
+    for (const std::size_t at : offsets) {
+        forEachFlipAt(section, at, [&](const std::vector<std::uint8_t>
+                                           &mutant,
+                                       const std::string &what) {
+            Deserializer d(mutant);
+            try {
+                target.l3().restore(d);
+            } catch (const CheckpointError &) {
+                ++refused;
+                return;
+            }
+            ++accepted;
+            EXPECT_TRUE(d.atEnd()) << what;
+            // Panics (failing the test) on any structural defect...
+            target.checkStructuralInvariants();
+            // ...and whatever passed must be safe to simulate on.
+            target.run(64);
+        });
+    }
+    EXPECT_GT(refused, 0u);
+    EXPECT_GT(accepted, 0u);
+}
+
+TEST_F(CheckpointMutation, OwnerOutsideTheCoresIsRefused)
+{
+    auto payload = smallPayload(L3Scheme::Adaptive);
+    CmpSystem target(smallConfig(L3Scheme::Adaptive), smallApps(), 17);
+    const auto &nuca = dynamic_cast<const AdaptiveNuca &>(target.l3());
+    const std::uint64_t slots =
+        std::uint64_t{nuca.numSets()} * nuca.totalWays();
+    const NucaSection sec = findNuca(payload, slots);
+
+    // Give the first valid block core 7 of a 2-core system: the next
+    // miss in its set would index the per-core tallies and the
+    // shadow tags with it.
+    std::size_t at = sec.slots;
+    while (at < sec.engine && payload[at + 8] == 0)
+        at += slotBytes;
+    ASSERT_LT(at, sec.engine) << "no valid slot";
+    putU64At(payload, at + 10, 7);
+    Deserializer d(payload);
+    EXPECT_THROW(target.restore(d), CheckpointError);
+}
+
+TEST_F(CheckpointMutation, EngineScanStartAndQuotasAreChecked)
+{
+    const auto payload = smallPayload(L3Scheme::Adaptive);
+    CmpSystem target(smallConfig(L3Scheme::Adaptive), smallApps(), 17);
+    const auto &nuca = dynamic_cast<const AdaptiveNuca &>(target.l3());
+    const NucaSection sec = findNuca(
+        payload, std::uint64_t{nuca.numSets()} * nuca.totalWays());
+
+    // The scan start is the section's last u32; 2 names no core.
+    auto bad_scan = payload;
+    bad_scan[sec.end - 4] = 2;
+    Deserializer d1(bad_scan);
+    EXPECT_THROW(target.restore(d1), CheckpointError);
+
+    // The quotas (two u32, at most 6 each) follow the shadow
+    // registers: moving one way between the cores keeps the sum,
+    // adding one breaks it.
+    std::size_t quotas = sec.engine + 4;
+    quotas += 8 + 9 * (payload[quotas] | (payload[quotas + 1] << 8));
+    quotas += 8;
+    const std::size_t donor = payload[quotas] > 2 ? quotas : quotas + 4;
+    const std::size_t taker = donor == quotas ? quotas + 4 : quotas;
+    auto moved = payload;
+    --moved[donor];
+    ++moved[taker];
+    Deserializer d2(moved);
+    EXPECT_NO_THROW(target.restore(d2));
+    auto unbalanced = payload;
+    ++unbalanced[quotas];
+    Deserializer d3(unbalanced);
+    EXPECT_THROW(target.restore(d3), CheckpointError);
 }
 
 TEST(ConfigHash, SensitiveToEveryAxisItMustCover)

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "sim/json_writer.hh"
+#include "support/mutation.hh"
 
 namespace nuca {
 namespace {
@@ -136,6 +138,42 @@ TEST(JsonWriter, FileRoundTrip)
     const auto parsed = Value::parse(json::readFile(path));
     EXPECT_EQ(parsed.at("answer").asNumber(), 42.0);
     std::remove(path.c_str());
+}
+
+TEST(JsonMutation, TryParseSurvivesEveryFlipAndTruncation)
+{
+    // Every value type, every escape the writer emits and a few it
+    // only reads, nesting on both sides, and numbers at the edges of
+    // a double: largest, smallest normal and subnormal, 2^64 - 1, a
+    // negative zero and an integer a double cannot hold exactly.
+    const std::string clean =
+        R"({"null": null, "t": true, "f": false, )"
+        R"("n": [0, -0, 1.7976931348623157e308, -1.7976931348623157e308, )"
+        R"(2.2250738585072014e-308, 5e-324, 18446744073709551615, )"
+        R"(-9007199254740993, 1e-7, 123456789.125], )"
+        R"("s": "q\"b\\s\/b\bf\fn\nr\rt\tu\u00e9\u0001", )"
+        R"("nest": {"a": [[], {}, [[1, {"k": "v"}]], ""], )"
+        R"("o": {"deep": {"deeper": [true, null]}}}, "": "empty key"})";
+    ASSERT_TRUE(Value::tryParse(clean).has_value());
+
+    std::size_t accepted = 0;
+    forEachMutation(clean, [&](const std::string &mutant,
+                               const std::string &what) {
+        std::optional<Value> doc;
+        ASSERT_NO_THROW(doc = Value::tryParse(mutant)) << what;
+        if (!doc)
+            return;
+        ++accepted;
+        // Whatever is accepted is a document the writer can emit and
+        // read back to the same bytes, compact and pretty-printed.
+        for (const unsigned indent : {0u, 2u}) {
+            const std::string text = doc->dump(indent);
+            const auto again = Value::tryParse(text);
+            ASSERT_TRUE(again.has_value()) << what << ": " << text;
+            EXPECT_EQ(again->dump(indent), text) << what;
+        }
+    });
+    EXPECT_GT(accepted, 0u);
 }
 
 } // namespace

@@ -19,6 +19,23 @@
 namespace nuca {
 
 /**
+ * Call @p check(mutant, what) for each of the four flips of byte
+ * @p i of @p clean (a std::string or a byte vector).
+ */
+template <typename Bytes, typename Check>
+void
+forEachFlipAt(const Bytes &clean, std::size_t i, Check &&check)
+{
+    for (const unsigned char mask : {0x01, 0x04, 0x20, 0xff}) {
+        Bytes mutant = clean;
+        mutant[i] = static_cast<typename Bytes::value_type>(
+            static_cast<unsigned char>(mutant[i]) ^ mask);
+        check(mutant, "byte " + std::to_string(i) + " ^ " +
+                          std::to_string(mask));
+    }
+}
+
+/**
  * Call @p check(mutant, what) for every single-byte flip and every
  * truncation of @p clean; @p what names the mutation ("byte 17 ^ 32",
  * "truncated at 40").
@@ -28,13 +45,7 @@ void
 forEachMutation(const std::string &clean, Check &&check)
 {
     for (std::size_t i = 0; i < clean.size(); ++i) {
-        for (const unsigned char mask : {0x01, 0x04, 0x20, 0xff}) {
-            std::string mutant = clean;
-            mutant[i] = static_cast<char>(
-                static_cast<unsigned char>(mutant[i]) ^ mask);
-            check(mutant, "byte " + std::to_string(i) + " ^ " +
-                              std::to_string(mask));
-        }
+        forEachFlipAt(clean, i, check);
         check(clean.substr(0, i), "truncated at " + std::to_string(i));
     }
 }
