@@ -271,15 +271,22 @@ AdaptiveNuca::findAny(unsigned set, Addr tag) const
 }
 
 int
-AdaptiveNuca::invalidLocalSlot(ConstSetRef r, CoreId core) const
+AdaptiveNuca::localVictim(ConstSetRef r, CoreId core) const
 {
+    // One pass: the first invalid slot wins outright; otherwise the
+    // minimum-stamp private and shared blocks are tracked together.
+    int priv_lru = -1, shared_lru = -1;
     const unsigned base =
         static_cast<unsigned>(core) * params_.localAssoc;
     for (unsigned s = base; s < base + params_.localAssoc; ++s) {
-        if (!(r.st[s] & stValid))
+        const std::uint8_t st = r.st[s];
+        if (!(st & stValid))
             return static_cast<int>(s);
+        int &lru = (st & stShared) ? shared_lru : priv_lru;
+        if (lru < 0 || r.use[s] < r.use[static_cast<unsigned>(lru)])
+            lru = static_cast<int>(s);
     }
-    return -1;
+    return priv_lru >= 0 ? priv_lru : shared_lru;
 }
 
 int
@@ -290,22 +297,6 @@ AdaptiveNuca::privateLruSlot(ConstSetRef r, CoreId core) const
         static_cast<unsigned>(core) * params_.localAssoc;
     for (unsigned s = base; s < base + params_.localAssoc; ++s) {
         if ((r.st[s] & (stValid | stShared)) != stValid)
-            continue;
-        if (victim < 0 ||
-            r.use[s] < r.use[static_cast<unsigned>(victim)])
-            victim = static_cast<int>(s);
-    }
-    return victim;
-}
-
-int
-AdaptiveNuca::localSharedLruSlot(ConstSetRef r, CoreId core) const
-{
-    int victim = -1;
-    const unsigned base =
-        static_cast<unsigned>(core) * params_.localAssoc;
-    for (unsigned s = base; s < base + params_.localAssoc; ++s) {
-        if ((r.st[s] & (stValid | stShared)) != (stValid | stShared))
             continue;
         if (victim < 0 ||
             r.use[s] < r.use[static_cast<unsigned>(victim)])
@@ -433,11 +424,7 @@ AdaptiveNuca::access(const MemRequest &req, Cycle now)
         // and push the requester's private-LRU block (or, lacking
         // one, the local shared-LRU block) into the vacated slot as
         // the shared partition's MRU (Section 2.3).
-        int back = invalidLocalSlot(r, core);
-        if (back < 0)
-            back = privateLruSlot(r, core);
-        if (back < 0)
-            back = localSharedLruSlot(r, core);
+        const int back = localVictim(r, core);
         panic_if(back < 0, "local cache has neither an invalid, a "
                            "private, nor a shared slot");
         const auto bslot = static_cast<unsigned>(back);
@@ -481,31 +468,16 @@ AdaptiveNuca::insertFromMemory(unsigned set, CoreId core, Addr tag,
 {
     const SetRef r = ref(set);
 
-    // Pass 1, the requester's local slots: the first invalid one,
-    // else the private-LRU block, else the local shared-LRU block.
-    // New data always enters the private partition as MRU (Section
-    // 2.4).
-    int invalid = -1, priv_lru = -1, shared_lru = -1;
-    const unsigned base =
-        static_cast<unsigned>(core) * params_.localAssoc;
-    for (unsigned s = base; s < base + params_.localAssoc; ++s) {
-        const std::uint8_t st = r.st[s];
-        if (!(st & stValid)) {
-            invalid = static_cast<int>(s);
-            break;
-        }
-        int &lru = (st & stShared) ? shared_lru : priv_lru;
-        if (lru < 0 || r.use[s] < r.use[static_cast<unsigned>(lru)])
-            lru = static_cast<int>(s);
-    }
-    if (invalid >= 0) {
-        fill(r, static_cast<unsigned>(invalid), tag, core, dirty, false);
+    // The requester's local victim; new data always enters the
+    // private partition as MRU (Section 2.4).
+    const int dest = localVictim(r, core);
+    panic_if(dest < 0, "full local cache with no victim");
+    const auto dslot = static_cast<unsigned>(dest);
+    if (!(r.st[dslot] & stValid)) {
+        fill(r, dslot, tag, core, dirty, false);
         enforcePrivateCap(r, core);
         return;
     }
-    const int dest = priv_lru >= 0 ? priv_lru : shared_lru;
-    panic_if(dest < 0, "full local cache with no victim");
-    const auto dslot = static_cast<unsigned>(dest);
 
     // Capture the displaced block, then overwrite its slot with the
     // new arrival.
@@ -519,7 +491,7 @@ AdaptiveNuca::insertFromMemory(unsigned set, CoreId core, Addr tag,
     // walk returns the first shared block whose owner is over quota,
     // falling back to the shared-LRU block (step 8). "First in LRU
     // order" is the minimum (lastUse, slot), and the quota test
-    // depends only on the owner, so pass 2 takes both minima at once.
+    // depends only on the owner, so one pass takes both minima.
     // The displaced block holds no slot yet but counts for its owner.
     unsigned over_mask = 0;
     unsigned valid = 0;

@@ -216,12 +216,12 @@ class AdaptiveNuca : public L3Organization
     int findVisible(unsigned set, CoreId core, Addr tag) const;
     /** Slot holding @p tag regardless of visibility, or -1. */
     int findAny(unsigned set, Addr tag) const;
-    /** Invalid slot in @p core's local part of the set, or -1. */
-    int invalidLocalSlot(ConstSetRef r, CoreId core) const;
+    /** The slot of @p core's local cache that takes an incoming
+     * block: the first invalid one, else the private-LRU block, else
+     * the local shared-LRU block; -1 if none. */
+    int localVictim(ConstSetRef r, CoreId core) const;
     /** LRU private-labeled slot of @p core, or -1. */
     int privateLruSlot(ConstSetRef r, CoreId core) const;
-    /** LRU shared-labeled slot inside @p core's local cache, or -1. */
-    int localSharedLruSlot(ConstSetRef r, CoreId core) const;
 
     /** Evict the block in @p slot: shadow-tag record + writeback. */
     void evictSlot(unsigned set, SetRef r, unsigned slot, Cycle now);

@@ -38,6 +38,17 @@ CmpSystem::CmpSystem(const SystemConfig &config,
     fatal_if(apps.size() != config_.numCores,
              "need exactly one workload per core (", config_.numCores,
              " cores, ", apps.size(), " workloads)");
+    // Without remote private hits, the adaptive scheme gives each core
+    // its own copy of a shared line and later demotes one next to
+    // another, a state its structural check (and checkpoint restore)
+    // rejects. Shared data needs the coherent-sharing extension.
+    for (const WorkloadProfile &app : apps) {
+        fatal_if(config_.scheme == L3Scheme::Adaptive &&
+                     !config_.coherentSharing && app.sharedFrac > 0.0,
+                 "workload '", app.name, "' shares data (sharedFrac ",
+                 app.sharedFrac, "), which the adaptive L3 supports "
+                 "only with coherentSharing");
+    }
     for (unsigned c = 0; c < config_.numCores; ++c) {
         workloads_.push_back(std::make_unique<SynthWorkload>(
             apps[c], static_cast<CoreId>(c),

@@ -16,6 +16,7 @@
 #include "nuca/random_replacement_l3.hh"
 #include "nuca/shared_l3.hh"
 #include "nuca/sharing_engine.hh"
+#include "sim/cmp_system.hh"
 #include "workload/reuse_model.hh"
 #include "workload/synth_workload.hh"
 
@@ -190,6 +191,25 @@ TEST(ConfigValidation, WorkloadProfileGuards)
     q.sharedFrac = 0.5; // shared fraction without shared regions
     EXPECT_EXIT(SynthWorkload(q, 0, 1), ExitedWithCode(1),
                 "sharedRegions");
+}
+
+TEST(ConfigValidation, AdaptiveL3SharedDataNeedsCoherentSharing)
+{
+    WorkloadProfile p;
+    p.name = "sharer";
+    p.regions = {{64 * 1024, 1.0, RegionPattern::Random}};
+    p.sharedFrac = 0.5;
+    p.sharedRegions = {{256 * 1024, 1.0, RegionPattern::Random}};
+    const std::vector<WorkloadProfile> apps(4, p);
+    const auto cfg = SystemConfig::baseline(L3Scheme::Adaptive);
+    EXPECT_EXIT(CmpSystem(cfg, apps, 1), ExitedWithCode(1),
+                "coherentSharing");
+
+    // The coherent configuration and the other schemes still build.
+    auto coherent = cfg;
+    coherent.coherentSharing = true;
+    CmpSystem ok(coherent, apps, 1);
+    CmpSystem shared(SystemConfig::baseline(L3Scheme::Shared), apps, 1);
 }
 
 } // namespace
