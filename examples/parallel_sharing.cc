@@ -60,9 +60,9 @@ main(int argc, char **argv)
     for (const auto scheme :
          {L3Scheme::Private, L3Scheme::Shared, L3Scheme::Adaptive,
           L3Scheme::RandomReplacement}) {
-        auto cfg = SystemConfig::baseline(scheme);
-        cfg.coherentSharing = true;
-        CmpSystem system(cfg, threads, 17);
+        // Shared regions in the profiles give the system its
+        // coherence hub.
+        CmpSystem system(SystemConfig::baseline(scheme), threads, 17);
         system.run(cycles / 2);
         system.resetStats();
         const Counter fetches0 = system.memory().fetches();
@@ -74,7 +74,9 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         system.memory().fetches() - fetches0),
                     static_cast<unsigned long long>(
-                        system.coherence()->invalidations()));
+                        system.coherence()
+                            ? system.coherence()->invalidations()
+                            : 0));
     }
 
     std::printf("\nexpected: the single-copy organizations (shared, "

@@ -204,47 +204,12 @@ matchBytes(std::uint64_t word, std::uint64_t pattern)
 } // namespace
 
 int
-AdaptiveNuca::findVisible(unsigned set, CoreId core, Addr tag) const
+AdaptiveNuca::find(unsigned set, Addr tag) const
 {
     const ConstSetRef r = ref(set);
-    // A private block is visible only to the core whose local cache
-    // holds it, unless the parallel-workload mode relaxes that.
-    const auto visible = [&](unsigned s) {
-        return (r.st[s] & stShared) || homeOf(s) == core ||
-               params_.allowRemotePrivateHits;
-    };
     // Signature pre-filter: scan the one-byte signatures eight at a
     // time and only compare the full tag on candidate slots, in the
     // same ascending-slot order the plain scan uses.
-    if ((totalWays_ & 7) == 0) {
-        const std::uint64_t pattern =
-            sigOf(tag) * 0x0101010101010101ull;
-        for (unsigned w = 0; w < totalWays_; w += 8) {
-            std::uint64_t word;
-            std::memcpy(&word, r.sig + w, 8);
-            std::uint64_t m = matchBytes(word, pattern);
-            while (m != 0) {
-                const unsigned s =
-                    w +
-                    (static_cast<unsigned>(std::countr_zero(m)) >> 3);
-                m &= m - 1;
-                if ((r.st[s] & stValid) && r.tag[s] == tag && visible(s))
-                    return static_cast<int>(s);
-            }
-        }
-        return -1;
-    }
-    for (unsigned s = 0; s < totalWays_; ++s) {
-        if ((r.st[s] & stValid) && r.tag[s] == tag && visible(s))
-            return static_cast<int>(s);
-    }
-    return -1;
-}
-
-int
-AdaptiveNuca::findAny(unsigned set, Addr tag) const
-{
-    const ConstSetRef r = ref(set);
     if ((totalWays_ & 7) == 0) {
         const std::uint64_t pattern =
             sigOf(tag) * 0x0101010101010101ull;
@@ -392,7 +357,7 @@ AdaptiveNuca::access(const MemRequest &req, Cycle now)
     const Addr tag = blockNumber(req.addr);
     const CoreId core = req.core;
 
-    const int found = findVisible(set, core, tag);
+    const int found = find(set, tag);
     if (found >= 0) {
         const SetRef r = ref(set);
         const auto fslot = static_cast<unsigned>(found);
@@ -563,7 +528,7 @@ AdaptiveNuca::writebackFromL2(CoreId core, Addr addr, Cycle now)
 {
     (void)core;
     const unsigned set = setIndex(addr);
-    const int found = findAny(set, blockNumber(addr));
+    const int found = find(set, blockNumber(addr));
     if (found >= 0) {
         ref(set).st[static_cast<unsigned>(found)] |= stDirty;
         return;
@@ -647,22 +612,10 @@ AdaptiveNuca::setDefect(unsigned set) const
             if (r.use[b] == r.use[a])
                 return "LRU stack corrupted: two valid blocks share "
                        "use stamp";
-            // No core may see two copies of one tag. Two *private*
-            // copies in different cores' partitions are tolerated:
-            // they can only arise when cores actually share
-            // addresses, which the paper's multiprogrammed workloads
-            // never do, and each core's view stays consistent.
-            if (r.sig[b] != r.sig[a] || r.tag[b] != r.tag[a])
-                continue;
-            const bool shared_a = (r.st[a] & stShared) != 0;
-            const bool shared_b = (r.st[b] & stShared) != 0;
-            if (shared_a && shared_b)
-                return "duplicate tag in the shared partition";
-            if (shared_a != shared_b)
-                return "tag duplicated across the shared and a private "
-                       "partition";
-            if (homeOf(a) == homeOf(b))
-                return "duplicate tag within one local cache";
+            // Every core hits the first copy the probe finds, so a
+            // second copy would be stale and never looked up.
+            if (r.sig[b] == r.sig[a] && r.tag[b] == r.tag[a])
+                return "duplicate tag in the set";
         }
     }
     return nullptr;

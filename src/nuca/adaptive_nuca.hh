@@ -14,8 +14,13 @@
  * demotion of a private-LRU block into the shared partition.
  *
  * Partition model. Every slot is labeled private or shared. Private
- * blocks live in their owner's local cache and are invisible to (and
- * protected from) other cores. The per-core quota (`max blocks in
+ * blocks live in their owner's local cache and are protected from
+ * other cores' replacements. The paper also makes them "inaccessible
+ * by the other cores" (Section 2); on its multiprogrammed mixes no
+ * two cores share an address, so no other core ever asks for one.
+ * Here any core may hit any block: a line that threads do share is
+ * pulled over by the neighbor-hit swap, never duplicated, so a set
+ * holds each tag at most once. The per-core quota (`max blocks in
  * set`, adapted by the SharingEngine) bounds the number of blocks a
  * core may keep per global set; Algorithm 1 enforces it lazily by
  * preferring victims whose owner is over quota.
@@ -51,14 +56,6 @@ struct AdaptiveNucaParams
     unsigned shadowSampleShift = 0;
     /** Ablation: freeze the quotas at the initial equal split. */
     bool adaptationEnabled = true;
-    /**
-     * Parallel-workload extension: let remote cores hit (and pull
-     * over) blocks in other cores' private partitions instead of
-     * duplicating shared data. The paper's multiprogrammed setting
-     * keeps this off: private partitions are "inaccessible by the
-     * other cores" (Section 2).
-     */
-    bool allowRemotePrivateHits = false;
 };
 
 /** The adaptive shared/private NUCA L3. */
@@ -212,10 +209,8 @@ class AdaptiveNuca : public L3Organization
      * checkInvariants (which panics) and restore (which throws). */
     const char *setDefect(unsigned set) const;
 
-    /** Slot holding @p tag and visible to @p core, or -1. */
-    int findVisible(unsigned set, CoreId core, Addr tag) const;
-    /** Slot holding @p tag regardless of visibility, or -1. */
-    int findAny(unsigned set, Addr tag) const;
+    /** Slot holding @p tag, or -1. Any core may hit any block. */
+    int find(unsigned set, Addr tag) const;
     /** The slot of @p core's local cache that takes an incoming
      * block: the first invalid one, else the private-LRU block, else
      * the local shared-LRU block; -1 if none. */

@@ -99,7 +99,6 @@ encodeConfig(Serializer &s, const SystemConfig &c)
     s.putU64(c.epochMisses);
     s.putU32(c.shadowSampleShift);
     s.putBool(c.adaptationEnabled);
-    s.putBool(c.coherentSharing);
     s.putU32(static_cast<std::uint32_t>(c.l3ReplPolicy));
     s.putU64(c.schemeSeed);
 }

@@ -38,23 +38,15 @@ CmpSystem::CmpSystem(const SystemConfig &config,
     fatal_if(apps.size() != config_.numCores,
              "need exactly one workload per core (", config_.numCores,
              " cores, ", apps.size(), " workloads)");
-    // Without remote private hits, the adaptive scheme gives each core
-    // its own copy of a shared line and later demotes one next to
-    // another, a state its structural check (and checkpoint restore)
-    // rejects. Shared data needs the coherent-sharing extension.
-    for (const WorkloadProfile &app : apps) {
-        fatal_if(config_.scheme == L3Scheme::Adaptive &&
-                     !config_.coherentSharing && app.sharedFrac > 0.0,
-                 "workload '", app.name, "' shares data (sharedFrac ",
-                 app.sharedFrac, "), which the adaptive L3 supports "
-                 "only with coherentSharing");
-    }
     for (unsigned c = 0; c < config_.numCores; ++c) {
         workloads_.push_back(std::make_unique<SynthWorkload>(
             apps[c], static_cast<CoreId>(c),
             seed + c * 0x9e3779b9ull));
     }
-    buildSystem();
+    buildSystem(std::any_of(apps.begin(), apps.end(),
+                            [](const WorkloadProfile &app) {
+                                return app.sharedFrac > 0.0;
+                            }));
 }
 
 CmpSystem::CmpSystem(const SystemConfig &config,
@@ -71,11 +63,11 @@ CmpSystem::CmpSystem(const SystemConfig &config,
         fatal_if(source == nullptr, "null instruction source");
         workloads_.push_back(std::move(source));
     }
-    buildSystem();
+    buildSystem(false);
 }
 
 void
-CmpSystem::buildSystem()
+CmpSystem::buildSystem(bool coherent)
 {
     switch (config_.scheme) {
       case L3Scheme::Private: {
@@ -108,7 +100,6 @@ CmpSystem::buildSystem()
           p.epochMisses = config_.epochMisses;
           p.shadowSampleShift = config_.shadowSampleShift;
           p.adaptationEnabled = config_.adaptationEnabled;
-          p.allowRemotePrivateHits = config_.coherentSharing;
           auto adaptive =
               std::make_unique<AdaptiveNuca>(root_, p, memory_);
           adaptive_ = adaptive.get();
@@ -129,7 +120,7 @@ CmpSystem::buildSystem()
       }
     }
 
-    if (config_.coherentSharing)
+    if (coherent)
         coherence_ = std::make_unique<CoherenceHub>(root_);
 
     for (unsigned c = 0; c < config_.numCores; ++c) {

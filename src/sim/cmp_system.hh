@@ -40,7 +40,9 @@ class CmpSystem
   public:
     /**
      * @param config system parameters
-     * @param apps one workload profile per core
+     * @param apps one workload profile per core; if any of them
+     *        shares data (sharedFrac > 0), the private L1/L2
+     *        hierarchies are kept coherent through a CoherenceHub
      * @param seed workload seed (models the random fast-forward)
      */
     CmpSystem(const SystemConfig &config,
@@ -50,7 +52,7 @@ class CmpSystem
     /**
      * Build a system driven by caller-provided instruction sources
      * (e.g. TraceReplaySource), one per core. The system takes
-     * ownership.
+     * ownership and builds no coherence hub.
      */
     CmpSystem(const SystemConfig &config,
               std::vector<std::unique_ptr<InstSource>> sources);
@@ -212,7 +214,7 @@ class CmpSystem
     /** The adaptive organization, or nullptr for other schemes. */
     AdaptiveNuca *adaptive() { return adaptive_; }
     MainMemory &memory() { return memory_; }
-    /** The coherence hub, or nullptr outside parallel mode. */
+    /** The coherence hub, or nullptr unless a profile shares data. */
     CoherenceHub *coherence() { return coherence_.get(); }
     OooCore &coreAt(CoreId core);
     MemorySystem &memOf(CoreId core);
@@ -225,8 +227,9 @@ class CmpSystem
     std::unique_ptr<L3Organization> l3_;
     AdaptiveNuca *adaptive_ = nullptr;
 
-    /** Shared tail of both constructors. */
-    void buildSystem();
+    /** Shared tail of both constructors; @p coherent adds the
+     * coherence hub. */
+    void buildSystem(bool coherent);
 
     std::vector<std::unique_ptr<InstSource>> workloads_;
     std::unique_ptr<CoherenceHub> coherence_;

@@ -57,12 +57,6 @@ struct SystemConfig
     unsigned shadowSampleShift = 0;
     /** Ablation: freeze the adaptive quotas at the 75/25 split. */
     bool adaptationEnabled = true;
-    /**
-     * Parallel-workload extension: write-invalidate coherence
-     * between the private L1/L2 hierarchies, and remote hits into
-     * private L3 partitions (no duplication of shared blocks).
-     */
-    bool coherentSharing = false;
 
     /** L3 replacement policy for the private/shared baselines
      * (ablation study; the paper uses LRU throughout). */

@@ -17,7 +17,9 @@
 #include "nuca/shared_l3.hh"
 #include "nuca/sharing_engine.hh"
 #include "sim/cmp_system.hh"
+#include "sim/experiment.hh"
 #include "workload/reuse_model.hh"
+#include "workload/spec_profiles.hh"
 #include "workload/synth_workload.hh"
 
 namespace nuca {
@@ -193,23 +195,37 @@ TEST(ConfigValidation, WorkloadProfileGuards)
                 "sharedRegions");
 }
 
-TEST(ConfigValidation, AdaptiveL3SharedDataNeedsCoherentSharing)
+TEST(ConfigValidation, CoherenceHubFollowsSharedData)
 {
+    // Profiles that share data get a coherence hub under every
+    // scheme, and the adaptive L3 serves them without duplicating a
+    // tag.
     WorkloadProfile p;
     p.name = "sharer";
     p.regions = {{64 * 1024, 1.0, RegionPattern::Random}};
     p.sharedFrac = 0.5;
     p.sharedRegions = {{256 * 1024, 1.0, RegionPattern::Random}};
     const std::vector<WorkloadProfile> apps(4, p);
-    const auto cfg = SystemConfig::baseline(L3Scheme::Adaptive);
-    EXPECT_EXIT(CmpSystem(cfg, apps, 1), ExitedWithCode(1),
-                "coherentSharing");
+    for (const auto scheme :
+         {L3Scheme::Private, L3Scheme::Shared, L3Scheme::Adaptive,
+          L3Scheme::RandomReplacement}) {
+        CmpSystem system(SystemConfig::baseline(scheme), apps, 1);
+        EXPECT_NE(system.coherence(), nullptr) << to_string(scheme);
+        if (scheme == L3Scheme::Adaptive) {
+            system.run(100000);
+            system.checkStructuralInvariants();
+        }
+    }
 
-    // The coherent configuration and the other schemes still build.
-    auto coherent = cfg;
-    coherent.coherentSharing = true;
-    CmpSystem ok(coherent, apps, 1);
-    CmpSystem shared(SystemConfig::baseline(L3Scheme::Shared), apps, 1);
+    // Fig 6's first mix shares no address: no hub.
+    const ExperimentSpec mix =
+        makeMixes(llcIntensiveNames(), 1, 4, 20070201).front();
+    std::vector<WorkloadProfile> disjoint;
+    for (const auto &name : mix.apps)
+        disjoint.push_back(specProfile(name));
+    CmpSystem system(SystemConfig::baseline(L3Scheme::Adaptive),
+                     disjoint, mix.seed);
+    EXPECT_EQ(system.coherence(), nullptr);
 }
 
 } // namespace

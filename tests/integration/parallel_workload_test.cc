@@ -1,7 +1,7 @@
 /** @file
  * Integration tests for the parallel-workload extension (the
  * paper's Section 3 future work): shared data regions, coherence,
- * and the relaxed-visibility adaptive L3.
+ * and remote hits into the adaptive L3's private partitions.
  */
 
 #include <gtest/gtest.h>
@@ -63,8 +63,7 @@ TEST(ParallelWorkload, CoherentSystemRunsAllSchemes)
     for (const auto scheme :
          {L3Scheme::Private, L3Scheme::Shared, L3Scheme::Adaptive,
           L3Scheme::RandomReplacement}) {
-        auto cfg = SystemConfig::baseline(scheme);
-        cfg.coherentSharing = true;
+        const auto cfg = SystemConfig::baseline(scheme);
         EnvCmpSystem system(cfg, threads, 3);
         system.run(150000);
         EXPECT_NE(system.coherence(), nullptr);
@@ -81,10 +80,9 @@ TEST(ParallelWorkload, CoherentSystemRunsAllSchemes)
 
 TEST(ParallelWorkload, AdaptiveDoesNotDuplicateSharedBlocks)
 {
-    // With remote-private hits allowed, a block fetched privately by
-    // one core is *pulled over*, not re-fetched, by another.
-    auto cfg = SystemConfig::baseline(L3Scheme::Adaptive);
-    cfg.coherentSharing = true;
+    // A block fetched privately by one core is *pulled over*, not
+    // re-fetched, by another.
+    const auto cfg = SystemConfig::baseline(L3Scheme::Adaptive);
     const std::vector<WorkloadProfile> threads(
         4, parallelThread(0.9, 64 * 1024));
     EnvCmpSystem system(cfg, threads, 5);
@@ -110,8 +108,7 @@ TEST(ParallelWorkload, SharingSchemesBeatPrivateOnReadSharedData)
     const std::vector<WorkloadProfile> threads(4, t);
 
     const auto run = [&](L3Scheme scheme) {
-        auto cfg = SystemConfig::baseline(scheme);
-        cfg.coherentSharing = true;
+        const auto cfg = SystemConfig::baseline(scheme);
         EnvCmpSystem system(cfg, threads, 7);
         system.run(400000);
         system.resetStats();
@@ -132,8 +129,7 @@ TEST(ParallelWorkload, WriteSharingCausesCoherenceMisses)
     WorkloadProfile t = parallelThread(0.5, 16 * 1024);
     t.storeFrac = 0.20;
     const std::vector<WorkloadProfile> threads(4, t);
-    auto cfg = SystemConfig::baseline(L3Scheme::Shared);
-    cfg.coherentSharing = true;
+    const auto cfg = SystemConfig::baseline(L3Scheme::Shared);
     EnvCmpSystem system(cfg, threads, 9);
     system.run(300000);
     EXPECT_GT(system.coherence()->invalidations(), 5000u);

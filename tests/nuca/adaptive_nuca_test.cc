@@ -183,14 +183,18 @@ TEST(AdaptiveNuca, RemoteHitSwapsBlocks)
     EXPECT_EQ(again.where, L3Result::Where::LocalHit);
 }
 
-TEST(AdaptiveNuca, PrivateBlocksInvisibleToOtherCores)
+TEST(AdaptiveNuca, PrivateBlocksVisibleToOtherCores)
 {
     Fixture f;
     const Addr a = f.addr(4, 1);
     f.read(0, a, 0); // private to core 0
-    // Core 1 cannot see it: its access misses and fetches a copy.
+    // Core 1 hits it remotely and pulls it over instead of fetching
+    // a second copy: the set holds the tag once, in core 1's cache.
     const auto res = f.read(1, a, 100);
-    EXPECT_EQ(res.where, L3Result::Where::Miss);
+    EXPECT_EQ(res.where, L3Result::Where::RemoteHit);
+    EXPECT_EQ(f.nuca->missesOf(1), 0u);
+    EXPECT_EQ(f.nuca->ownedCount(4, 0), 0u);
+    EXPECT_EQ(f.nuca->privateCount(4, 1), 1u);
     f.nuca->checkInvariants();
 }
 
@@ -431,13 +435,12 @@ struct TrafficDigest
  * footprint (sizes 10, 2, 6 and 24 lines per set, rotated between
  * the cores at half time so quota flows both ways). Blocks demoted
  * into a neighbour's cache give the swaps and promotions. With
- * @p remote_private_hits (the parallel-workload mode, the only one
- * in which cores share addresses) one access in eight also goes to
- * a few hot lines every core reads. The run asserts that every event
+ * @p shared_lines one access in eight also goes to a few hot lines
+ * every core reads. The run asserts that every event
  * kind of the scheme happened, so the digests cover them all.
  */
 TrafficDigest
-runPinnedTraffic(unsigned sample_shift, bool remote_private_hits,
+runPinnedTraffic(unsigned sample_shift, bool shared_lines,
                  std::uint64_t seed, int steps)
 {
     stats::Group root("digest");
@@ -448,7 +451,6 @@ runPinnedTraffic(unsigned sample_shift, bool remote_private_hits,
     params.localAssoc = 4;
     params.epochMisses = 64;
     params.shadowSampleShift = sample_shift;
-    params.allowRemotePrivateHits = remote_private_hits;
     AdaptiveNuca nuca(root, params, memory);
     const unsigned sets = nuca.numSets();
 
@@ -464,7 +466,7 @@ runPinnedTraffic(unsigned sample_shift, bool remote_private_hits,
             (static_cast<std::size_t>(core) + (i >= steps / 2 ? 1 : 0)) %
             4;
         std::uint64_t tag;
-        if (remote_private_hits && rng.below(8) == 0) {
+        if (shared_lines && rng.below(8) == 0) {
             tag = 1000 + rng.below(3); // shared hot lines
         } else {
             tag = 100 * (static_cast<std::uint64_t>(core) + 1) +

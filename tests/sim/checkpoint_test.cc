@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -591,6 +592,47 @@ TEST_F(CheckpointMutation, OwnerOutsideTheCoresIsRefused)
         at += slotBytes;
     ASSERT_LT(at, sec.engine) << "no valid slot";
     putU64At(payload, at + 10, 7);
+    Deserializer d(payload);
+    EXPECT_THROW(target.restore(d), CheckpointError);
+}
+
+TEST_F(CheckpointMutation, DuplicatePrivateTagAcrossCoresIsRefused)
+{
+    auto payload = smallPayload(L3Scheme::Adaptive);
+    CmpSystem target(smallConfig(L3Scheme::Adaptive), smallApps(), 17);
+    const auto &nuca = dynamic_cast<const AdaptiveNuca &>(target.l3());
+    const unsigned ways = nuca.totalWays();
+    const NucaSection sec =
+        findNuca(payload, std::uint64_t{nuca.numSets()} * ways);
+
+    // Find a set with a valid private block in each core's local
+    // cache, then give core 1's block core 0's tag. Any core may hit
+    // any block, so the second copy could never be looked up.
+    const auto record = [&](unsigned set, unsigned slot) {
+        return sec.slots + (std::size_t{set} * ways + slot) * slotBytes;
+    };
+    const auto privateIn = [&](unsigned set, unsigned core) {
+        for (unsigned w = 0; w < nuca.localAssoc(); ++w) {
+            const unsigned slot = core * nuca.localAssoc() + w;
+            const std::size_t at = record(set, slot);
+            if (payload[at + 8] != 0 && payload[at + 35] == 0)
+                return static_cast<int>(slot);
+        }
+        return -1;
+    };
+    bool planted = false;
+    for (unsigned set = 0; set < nuca.numSets() && !planted; ++set) {
+        const int a = privateIn(set, 0);
+        const int b = privateIn(set, 1);
+        if (a < 0 || b < 0)
+            continue;
+        const std::size_t from = record(set, static_cast<unsigned>(a));
+        const std::size_t to = record(set, static_cast<unsigned>(b));
+        std::copy_n(payload.begin() + static_cast<std::ptrdiff_t>(from),
+                    8, payload.begin() + static_cast<std::ptrdiff_t>(to));
+        planted = true;
+    }
+    ASSERT_TRUE(planted) << "no set with private blocks of both cores";
     Deserializer d(payload);
     EXPECT_THROW(target.restore(d), CheckpointError);
 }

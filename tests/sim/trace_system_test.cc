@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "sim/cmp_system.hh"
+#include "sim/experiment.hh"
 #include "workload/spec_profiles.hh"
 #include "workload/synth_workload.hh"
 #include "workload/trace.hh"
@@ -62,6 +63,38 @@ TEST(TraceSystem, ReplayMatchesLiveGenerationExactly)
         EXPECT_EQ(live.coreAt(static_cast<CoreId>(c)).committed(),
                   replay.coreAt(static_cast<CoreId>(c)).committed())
             << "core " << c;
+    }
+}
+
+TEST(TraceSystem, SourceAndProfileConstructorsAgree)
+{
+    // The same streams through either constructor build the same
+    // system: same components (no coherence hub for a mix that shares
+    // nothing), same statistics. Source-built runs that count ops
+    // check their stats against profile-built ones.
+    const ExperimentSpec mix =
+        makeMixes(llcIntensiveNames(), 1, 4, 20070201).front();
+    std::vector<WorkloadProfile> apps;
+    for (const auto &name : mix.apps)
+        apps.push_back(specProfile(name));
+    for (const auto scheme :
+         {L3Scheme::Private, L3Scheme::Shared, L3Scheme::Adaptive,
+          L3Scheme::RandomReplacement}) {
+        const auto cfg = SystemConfig::baseline(scheme);
+        CmpSystem from_profiles(cfg, apps, mix.seed);
+        std::vector<std::unique_ptr<InstSource>> sources;
+        for (unsigned c = 0; c < 4; ++c) {
+            sources.push_back(std::make_unique<SynthWorkload>(
+                apps[c], static_cast<CoreId>(c),
+                mix.seed + c * 0x9e3779b9ull));
+        }
+        CmpSystem from_sources(cfg, std::move(sources));
+        from_profiles.run(200000);
+        from_sources.run(200000);
+        std::ostringstream a, b;
+        from_profiles.statsRoot().dump(a);
+        from_sources.statsRoot().dump(b);
+        EXPECT_EQ(a.str(), b.str()) << to_string(scheme);
     }
 }
 
