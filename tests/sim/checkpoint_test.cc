@@ -388,6 +388,58 @@ TEST_F(CheckpointCodec, EveryPrimitiveEncodingIsPinned)
               0x14443bc913a7708bull);
 }
 
+TEST_F(CheckpointCodec, ConfigKeysArePinned)
+{
+    // The config digest names every warm-up artifact, every resume
+    // sidecar record and every daemon result-cache entry: a changed
+    // byte in the encoding silently orphans them all.
+    const std::vector<std::string> apps = {"mcf", "gzip", "ammp", "art"};
+    const auto runKeyOf = [&](const SystemConfig &config) {
+        return runKey(config, apps, 20070201, 300000, 300000);
+    };
+    const struct
+    {
+        SystemConfig (*preset)(L3Scheme);
+        L3Scheme scheme;
+        std::uint64_t config;
+        std::uint64_t run;
+    } pinned[] = {
+        {SystemConfig::baseline, L3Scheme::Private,
+         0xb32e0cfb81f47000ull, 0xb9e45cca2bcfa3c5ull},
+        {SystemConfig::baseline, L3Scheme::Shared,
+         0xddc4d043b30fee23ull, 0x10187a1e0ff7657eull},
+        {SystemConfig::baseline, L3Scheme::Adaptive,
+         0x36c648a74c437c92ull, 0xeadd2f83767b39fbull},
+        {SystemConfig::baseline, L3Scheme::RandomReplacement,
+         0x3149ac94ffa474e5ull, 0xb729de980309198cull},
+        {SystemConfig::large8MB, L3Scheme::Private,
+         0x57fe6c5a18934870ull, 0x8b30081137a67675ull},
+        {SystemConfig::large8MB, L3Scheme::Shared,
+         0x72accf33c5ce4b13ull, 0x390947878539aaaeull},
+        {SystemConfig::large8MB, L3Scheme::Adaptive,
+         0x97f1e6e0a0b124c2ull, 0xe3e8252dadfc5f2bull},
+        {SystemConfig::large8MB, L3Scheme::RandomReplacement,
+         0xc035aded27565135ull, 0x3cb6258cd5bc191cull},
+        {SystemConfig::scaledTech, L3Scheme::Private,
+         0x35917b95a68cb5e9ull, 0xdfe252f1712bd9d0ull},
+        {SystemConfig::scaledTech, L3Scheme::Shared,
+         0x12e2432d0d3b2606ull, 0x9f013a952982b80full},
+        {SystemConfig::scaledTech, L3Scheme::Adaptive,
+         0xf2bc20738595360full, 0xf9cc91157a7d0c2aull},
+        {SystemConfig::scaledTech, L3Scheme::RandomReplacement,
+         0x9e5387b948ec853cull, 0xb6824b57e0971241ull},
+    };
+    for (const auto &pin : pinned) {
+        const SystemConfig config = pin.preset(pin.scheme);
+        EXPECT_EQ(configHash(config), pin.config)
+            << to_string(pin.scheme);
+        EXPECT_EQ(runKeyOf(config), pin.run) << to_string(pin.scheme);
+    }
+    const SystemConfig quad = SystemConfig::quadSizePrivate();
+    EXPECT_EQ(configHash(quad), 0x1030ed9259f8b3f4ull);
+    EXPECT_EQ(runKeyOf(quad), 0xe19df283d7980749ull);
+}
+
 TEST_F(CheckpointCodec, EveryTruncatedPrefixIsRefused)
 {
     // Private keeps its L3 in SACC sections too; adaptive has the
