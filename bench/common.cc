@@ -1,6 +1,5 @@
 #include "common.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -8,7 +7,6 @@
 #include <utility>
 
 #include "base/logging.hh"
-#include "sim/checkpoint.hh"
 #include "sim/proc_pool.hh"
 #include "sim/sweep_store.hh"
 
@@ -17,46 +15,84 @@ namespace bench {
 
 namespace {
 
-/** One (scheme, mix) cell of the sweep matrix. */
-struct SweepJob
+/** One results-document record; only a non-ok cell carries a
+ *  status, so a fault-free sweep's document keeps the
+ *  pre-supervisor format. */
+json::Value
+recordJson(const std::string &label,
+           const std::vector<std::string> &apps, std::uint64_t seed,
+           const MixResult &result, JobStatus status,
+           const std::string &error)
 {
-    std::size_t scheme;
-    std::size_t mix;
-};
+    json::Value record = json::Value::object();
+    record.set("label", label);
+    json::Value mix = json::Value::array();
+    for (const auto &app : apps)
+        mix.append(app);
+    record.set("mix", std::move(mix));
+    // As a decimal string: 64-bit seeds exceed a double's 53-bit
+    // mantissa and would lose precision as numbers.
+    record.set("seed", std::to_string(seed));
+    json::Value ipc = json::Value::array();
+    for (const double v : result.ipc)
+        ipc.append(v);
+    record.set("ipc", std::move(ipc));
+    record.set("harmonic", mixHarmonic(result));
+    if (!result.curve.empty()) {
+        json::Value curve = json::Value::array();
+        for (const double v : result.curve)
+            curve.append(v);
+        record.set("curve", std::move(curve));
+    }
+    if (status != JobStatus::Ok) {
+        record.set("status", to_string(status));
+        record.set("error", error);
+    }
+    return record;
+}
+
+json::Value
+documentJson(const SimWindow &window, std::size_t mix_count,
+             json::Value records)
+{
+    json::Value doc = json::Value::object();
+    doc.set("warmup_cycles", window.warmupCycles);
+    doc.set("measure_cycles", window.measureCycles);
+    doc.set("mix_count", static_cast<std::uint64_t>(mix_count));
+    doc.set("results", std::move(records));
+    return doc;
+}
 
 } // namespace
 
-std::vector<SchemeResults>
-runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
-       const std::vector<ExperimentSpec> &mixes,
-       const SimWindow &window, unsigned jobs)
+void
+SchemeResults::add(JobOutcome<MixResult> outcome)
+{
+    mixes.push_back(std::move(outcome.value));
+    statuses.push_back(outcome.status);
+    errors.push_back(std::move(outcome.error));
+}
+
+std::vector<JobOutcome<MixResult>>
+runSweep(const std::vector<SweepJob> &jobs, const SimWindow &window,
+         unsigned mix_count, unsigned pool)
 {
     profilerFromEnv();
     const SweepPolicy policy = sweepPolicyFromEnv();
     const RunPolicy run = runPolicyFromEnv();
     const FaultSpec &fault = run.robust.fault;
 
-    // Flatten the sweep scheme-major — the same order the serial
-    // loop used — so results land in identical submission slots.
     // Each job's content key goes into its sidecar record; a planted
     // simulator fault changes results without changing the key, so
     // such runs write none and are never reused.
-    std::vector<SweepJob> sweep;
-    std::vector<std::string> labels;
-    std::vector<std::optional<std::uint64_t>> keys;
-    for (std::size_t s = 0; s < configs.size(); ++s) {
-        for (std::size_t m = 0; m < mixes.size(); ++m) {
-            sweep.push_back({s, m});
-            labels.push_back(configs[s].first + ".mix" +
-                             std::to_string(m));
-            keys.emplace_back();
-            if (!fault.isSimFault()) {
-                keys.back() = runKey(configs[s].second, mixes[m].apps,
-                                     mixes[m].seed, window.warmupCycles,
-                                     window.measureCycles);
-            }
-        }
+    std::vector<std::optional<std::uint64_t>> keys(jobs.size());
+    if (!fault.isSimFault()) {
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            keys[i] = jobs[i].spec.resultKey();
     }
+    const auto labelOf = [&](std::size_t i) {
+        return jobs[i].spec.displayLabel();
+    };
 
     const ProcIsolation isolate = isolationFromEnv();
     // A crash fault kills whatever process runs the job; without a
@@ -71,8 +107,8 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
     // Resume: reuse the sidecar's ok results whose label and key
     // both match; everything else (failed, torn, absent, keyless or
     // from another window or config) is re-simulated.
-    std::vector<JobOutcome<MixResult>> outcomes(sweep.size());
-    std::vector<bool> resumed(sweep.size(), false);
+    std::vector<JobOutcome<MixResult>> outcomes(jobs.size());
+    std::vector<bool> resumed(jobs.size(), false);
     if (!jsonPath.empty() && run.resume) {
         std::map<std::pair<std::string, std::uint64_t>, MixResult>
             completed;
@@ -84,10 +120,10 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
             }
         }
         std::size_t reused = 0;
-        for (std::size_t i = 0; i < sweep.size(); ++i) {
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
             if (!keys[i])
                 continue;
-            const auto it = completed.find({labels[i], *keys[i]});
+            const auto it = completed.find({labelOf(i), *keys[i]});
             if (it == completed.end())
                 continue;
             outcomes[i].status = JobStatus::Ok;
@@ -99,14 +135,14 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
             std::fprintf(stderr,
                          "  resume: reusing %zu of %zu results "
                          "from %s\n",
-                         reused, sweep.size(),
+                         reused, jobs.size(),
                          SweepStore::sidecarPathFor(jsonPath).c_str());
         }
     }
 
     std::vector<std::size_t> pending;
-    pending.reserve(sweep.size());
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
+    pending.reserve(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
         if (!resumed[i])
             pending.push_back(i);
     }
@@ -118,7 +154,6 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
             envOr("REPRO_SYNC", 0) != 0);
     }
 
-    const unsigned pool = jobs == 0 ? jobsFromEnv() : jobs;
     // Graceful shutdown: SIGINT/SIGTERM raises a flag instead of
     // killing the sweep mid-record. Workers stop claiming, in-flight
     // jobs finish and reach the sidecar, the unattempted remainder
@@ -129,25 +164,20 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
     auto settled = runParallelOutcomes(
         pending,
         [&](std::size_t i) {
-            const auto runOne = [&]() {
-                injectJobFault(fault, i, labels[i]);
-                // The label makes REPRO_TRACE write one file per
-                // (scheme, mix) experiment, so concurrent workers
-                // never share a trace writer.
-                const SweepJob &job = sweep[i];
-                return runMix(configs[job.scheme].second,
-                              mixes[job.mix], window, labels[i], run);
-            };
             // Under REPRO_ISOLATE=proc the fault (and the job) runs
             // inside the forked child, so a crash fault proves the
-            // sandbox contains exactly what it claims to. Without
-            // isolation this is runOne() in-process.
-            return runMixSandboxed(isolate, runOne);
+            // sandbox contains exactly what it claims to. The label
+            // makes REPRO_TRACE write one file per job, so
+            // concurrent workers never share a trace writer.
+            return runMixSandboxed(isolate, [&] {
+                injectJobFault(fault, i, labelOf(i));
+                return service::runJob(jobs[i].spec, run);
+            });
         },
-        pool, &progress, policy,
+        pool == 0 ? jobsFromEnv() : pool, &progress, policy,
         [&](std::size_t k, const JobOutcome<MixResult> &outcome) {
             if (store) {
-                store->append({labels[pending[k]], keys[pending[k]],
+                store->append({labelOf(pending[k]), keys[pending[k]],
                                outcome.status, outcome.error,
                                outcome.value});
             }
@@ -155,8 +185,7 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
     progress.finish();
     restoreSweepInterruptHandlers();
 
-    const bool interrupted = sweepInterruptRequested();
-    if (interrupted) {
+    if (sweepInterruptRequested()) {
         std::fprintf(stderr,
                      "  sweep interrupted by signal %d: in-flight "
                      "jobs flushed, remainder recorded interrupted "
@@ -173,7 +202,7 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
         // the file ends whole, with every job accounted for.
         if (store &&
             settled[k].status == JobStatus::Interrupted) {
-            store->append({labels[pending[k]], keys[pending[k]],
+            store->append({labelOf(pending[k]), keys[pending[k]],
                            settled[k].status, settled[k].error,
                            settled[k].value});
         }
@@ -197,25 +226,20 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
         }
     }
 
-    std::vector<SchemeResults> out;
-    out.reserve(configs.size());
-    for (std::size_t s = 0; s < configs.size(); ++s) {
-        SchemeResults results;
-        results.label = configs[s].first;
-        results.mixes.reserve(mixes.size());
-        for (std::size_t m = 0; m < mixes.size(); ++m) {
-            auto &outcome = outcomes[s * mixes.size() + m];
-            results.mixes.push_back(std::move(outcome.value));
-            if (!allOk) {
-                results.statuses.push_back(outcome.status);
-                results.errors.push_back(outcome.error);
-            }
-        }
-        out.push_back(std::move(results));
-    }
-
     if (!jsonPath.empty()) {
-        writeResultsJson(jsonPath, mixes, out, window);
+        json::Value records = json::Value::array();
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            const service::JobSpec &spec = jobs[i].spec;
+            records.append(recordJson(jobs[i].group, spec.apps,
+                                      spec.seed, outcomes[i].value,
+                                      outcomes[i].status,
+                                      outcomes[i].error));
+        }
+        json::writeFileAtomic(
+            jsonPath,
+            documentJson(window, mix_count, std::move(records)));
+        std::fprintf(stderr, "  results written to %s\n",
+                     jsonPath.c_str());
         // A fully ok sweep no longer needs its sidecar (and a stale
         // one must not feed a later resume of a different sweep);
         // keep it when any job failed so the failure is inspectable
@@ -223,6 +247,56 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
         if (allOk)
             std::remove(
                 SweepStore::sidecarPathFor(jsonPath).c_str());
+    }
+    return outcomes;
+}
+
+std::vector<SchemeResults>
+groupResults(const std::vector<SweepJob> &jobs,
+             std::vector<JobOutcome<MixResult>> outcomes)
+{
+    std::vector<SchemeResults> out;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (out.empty() || out.back().label != jobs[i].group)
+            out.push_back(SchemeResults{jobs[i].group, {}, {}, {}});
+        out.back().add(std::move(outcomes[i]));
+    }
+    return out;
+}
+
+std::vector<SweepJob>
+sweepJobs(const std::vector<std::pair<std::string, SystemConfig>> &configs,
+          const std::vector<ExperimentSpec> &mixes,
+          const SimWindow &window)
+{
+    std::vector<SweepJob> sweep;
+    for (const auto &[label, config] : configs) {
+        for (std::size_t m = 0; m < mixes.size(); ++m) {
+            SweepJob job{label, service::specFor(config)};
+            job.spec.apps = mixes[m].apps;
+            job.spec.seed = mixes[m].seed;
+            job.spec.warmupCycles = window.warmupCycles;
+            job.spec.measureCycles = window.measureCycles;
+            job.spec.label = label + ".mix" + std::to_string(m);
+            sweep.push_back(std::move(job));
+        }
+    }
+    return sweep;
+}
+
+std::vector<SchemeResults>
+runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
+       const std::vector<ExperimentSpec> &mixes,
+       const SimWindow &window, unsigned jobs)
+{
+    auto outcomes =
+        runSweep(sweepJobs(configs, mixes, window), window,
+                 static_cast<unsigned>(mixes.size()), jobs);
+    std::vector<SchemeResults> out(configs.size());
+    for (std::size_t s = 0; s < configs.size(); ++s) {
+        out[s].label = configs[s].first;
+        for (std::size_t m = 0; m < mixes.size(); ++m)
+            out[s].add(std::move(outcomes[s * mixes.size() + m]));
     }
     return out;
 }
@@ -255,53 +329,19 @@ resultsToJson(const std::vector<ExperimentSpec> &mixes,
               const std::vector<SchemeResults> &results,
               const SimWindow &window)
 {
-    json::Value doc = json::Value::object();
-    doc.set("warmup_cycles", window.warmupCycles);
-    doc.set("measure_cycles", window.measureCycles);
-    doc.set("mix_count", static_cast<std::uint64_t>(mixes.size()));
-
     json::Value records = json::Value::array();
     for (const auto &scheme : results) {
         panic_if(scheme.mixes.size() != mixes.size(),
                  "result/mix count mismatch");
         for (std::size_t m = 0; m < mixes.size(); ++m) {
-            json::Value record = json::Value::object();
-            record.set("label", scheme.label);
-            json::Value apps = json::Value::array();
-            for (const auto &app : mixes[m].apps)
-                apps.append(app);
-            record.set("mix", std::move(apps));
-            // As a decimal string: 64-bit seeds exceed a double's
-            // 53-bit mantissa and would lose precision as numbers.
-            record.set("seed", std::to_string(mixes[m].seed));
-            json::Value ipc = json::Value::array();
-            for (const double v : scheme.mixes[m].ipc)
-                ipc.append(v);
-            record.set("ipc", std::move(ipc));
-            record.set("harmonic", mixHarmonic(scheme.mixes[m]));
-            // Only non-ok cells carry a status, so a fault-free
-            // sweep's document is byte-identical to the
-            // pre-supervisor format.
-            if (!scheme.okAt(m)) {
-                record.set("status",
-                           to_string(scheme.statuses[m]));
-                record.set("error", scheme.errors[m]);
-            }
-            records.append(std::move(record));
+            const bool ok = scheme.okAt(m);
+            records.append(recordJson(
+                scheme.label, mixes[m].apps, mixes[m].seed,
+                scheme.mixes[m], ok ? JobStatus::Ok : scheme.statuses[m],
+                ok ? std::string() : scheme.errors[m]));
         }
     }
-    doc.set("results", std::move(records));
-    return doc;
-}
-
-void
-writeResultsJson(const std::string &path,
-                 const std::vector<ExperimentSpec> &mixes,
-                 const std::vector<SchemeResults> &results,
-                 const SimWindow &window)
-{
-    json::writeFileAtomic(path, resultsToJson(mixes, results, window));
-    std::fprintf(stderr, "  results written to %s\n", path.c_str());
+    return documentJson(window, mixes.size(), std::move(records));
 }
 
 double
@@ -352,12 +392,6 @@ meanOfMap(const std::map<std::string, double> &values)
     for (const auto &[_, v] : values)
         sum += v;
     return sum / static_cast<double>(values.size());
-}
-
-unsigned
-mixCountFromEnv(unsigned def)
-{
-    return static_cast<unsigned>(envOr("REPRO_MIXES", def));
 }
 
 void

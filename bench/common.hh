@@ -1,16 +1,16 @@
 /**
  * @file
- * Shared infrastructure for the figure-reproduction harnesses: run
- * the same multiprogrammed mixes under several system configurations
- * and aggregate per-experiment and per-application results the way
+ * Shared infrastructure for the figure-reproduction harnesses: the
+ * sweep supervisor that runs a list of job specs, and the
+ * aggregation of per-experiment and per-application results the way
  * the paper's figures report them.
  *
  * Sweeps fan out over a worker pool (REPRO_JOBS threads, default
  * hardware_concurrency) and are bit-identical to the serial loop for
- * any pool size: every (scheme, mix) job builds its own CmpSystem
- * from its explicit per-mix seed, and results are collected by
- * submission index. REPRO_JSON=<path> additionally writes the sweep
- * results as machine-readable JSON.
+ * any pool size: every job builds its own CmpSystem from its
+ * explicit seed, and results are collected by submission index.
+ * REPRO_JSON=<path> additionally writes the sweep results as
+ * machine-readable JSON.
  */
 
 #ifndef NUCA_BENCH_COMMON_HH
@@ -25,6 +25,7 @@
 #include "sim/json_writer.hh"
 #include "sim/metrics.hh"
 #include "sim/parallel_runner.hh"
+#include "service/job_spec.hh"
 
 namespace nuca {
 namespace bench {
@@ -44,8 +45,8 @@ struct SchemeResults
     std::vector<MixResult> mixes;
     /**
      * Per-mix job status, parallel to `mixes`; empty means every job
-     * was ok (the serial paths never populate it). A non-ok cell
-     * keeps a default MixResult and its error text in `errors`.
+     * was ok (runAllSerial never populates it). A non-ok cell keeps
+     * a default MixResult and its error text in `errors`.
      */
     std::vector<JobStatus> statuses;
     std::vector<std::string> errors;
@@ -55,24 +56,64 @@ struct SchemeResults
     {
         return statuses.empty() || statuses[m] == JobStatus::Ok;
     }
+
+    /** Append one settled job as the next mix. */
+    void add(JobOutcome<MixResult> outcome);
+};
+
+/** One job of a sweep, and the label its results-document record
+ *  and its reporter group carry ("private" for "private.mix3"). */
+struct SweepJob
+{
+    std::string group;
+    service::JobSpec spec;
 };
 
 /**
- * Run @p mixes under each configuration on the worker pool
- * (printing thread-safe completed/total progress to stderr, since
- * full sweeps take minutes). @p jobs selects the pool size; the
- * default 0 reads REPRO_JOBS / the hardware. When REPRO_JSON is set,
- * the results are also written there via writeResultsJson.
+ * The sweep supervisor: run @p jobs through service::runJob on the
+ * worker pool (printing thread-safe completed/total progress to
+ * stderr, since full sweeps take minutes), returning one outcome per
+ * job in list order. @p pool selects the pool size; 0 reads
+ * REPRO_JOBS / the hardware.
  *
  * The sweep runs under the REPRO_FAIL supervisor policy: "abort"
  * (default) rethrows the first failure after in-flight jobs drain,
- * "skip" records the failure and keeps sweeping. With REPRO_JSON
- * set, every settled job is additionally appended to the
+ * "skip" records the failure and keeps sweeping. REPRO_ISOLATE=proc
+ * runs each job in a forked sandbox. With REPRO_JSON set, the
+ * document (one record per job, plus @p window and @p mix_count) is
+ * written there, every settled job is additionally appended to the
  * "<path>.partial" JSONL sidecar as it completes, and REPRO_RESUME=1
  * reuses the sidecar's ok results whose label and content key
- * (runKey) both match instead of re-simulating them.
+ * (JobSpec::resultKey) both match instead of re-simulating them.
  * REPRO_FAULT=throw_job:K makes sweep job K throw (fault injection
- * for the supervisor).
+ * for the supervisor). SIGINT/SIGTERM drain the pool and record the
+ * unattempted jobs as interrupted.
+ */
+std::vector<JobOutcome<MixResult>>
+runSweep(const std::vector<SweepJob> &jobs, const SimWindow &window,
+         unsigned mix_count, unsigned pool = 0);
+
+/** Consecutive jobs of one group, gathered into one SchemeResults
+ *  per group in list order. */
+std::vector<SchemeResults>
+groupResults(const std::vector<SweepJob> &jobs,
+             std::vector<JobOutcome<MixResult>> outcomes);
+
+/**
+ * The job list of @p mixes under each configuration: scheme-major
+ * (the serial loop's order), labelled "<label>.mix<m>" in group
+ * <label>, each config expressed as its scheme's baseline plus
+ * overrides (service::specFor).
+ */
+std::vector<SweepJob>
+sweepJobs(const std::vector<std::pair<std::string, SystemConfig>> &configs,
+          const std::vector<ExperimentSpec> &mixes,
+          const SimWindow &window);
+
+/**
+ * Run sweepJobs(configs, mixes, window) through runSweep and return
+ * one SchemeResults per configuration. @p jobs selects the pool size
+ * (0: REPRO_JOBS / the hardware).
  */
 std::vector<SchemeResults>
 runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
@@ -100,12 +141,6 @@ resultsToJson(const std::vector<ExperimentSpec> &mixes,
               const std::vector<SchemeResults> &results,
               const SimWindow &window);
 
-/** Serialize resultsToJson to @p path. */
-void writeResultsJson(const std::string &path,
-                      const std::vector<ExperimentSpec> &mixes,
-                      const std::vector<SchemeResults> &results,
-                      const SimWindow &window);
-
 /** Harmonic-mean IPC of one mix. */
 double mixHarmonic(const MixResult &result);
 
@@ -121,9 +156,6 @@ perAppSpeedup(const std::vector<ExperimentSpec> &mixes,
 
 /** Mean of the per-app speedups (the figures' rightmost bar). */
 double meanOfMap(const std::map<std::string, double> &values);
-
-/** Read REPRO_MIXES (number of experiments), defaulting to @p def. */
-unsigned mixCountFromEnv(unsigned def);
 
 /** Print a header naming the experiment and the windows used. */
 void printHeader(const std::string &what, const SimWindow &window,

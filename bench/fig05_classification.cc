@@ -27,6 +27,7 @@
 #include "serialize/checkpoint_io.hh"
 #include "sim/checkpoint.hh"
 #include "sim/cmp_system.hh"
+#include "figures.hh"
 #include "sim/env_config.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/telemetry.hh"
@@ -121,7 +122,8 @@ main()
 {
     using namespace nuca;
 
-    const SimWindow window = windowFromEnv(1000000, 2000000);
+    const SimWindow window =
+        bench::figureEnvFromEnv({1000000, 2000000}, 0).window;
     const RunPolicy policy = runPolicyFromEnv();
 
     std::printf("Figure 5: L3 data accesses per 1000 cycles "

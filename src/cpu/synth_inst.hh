@@ -89,6 +89,13 @@ class InstSource
     virtual SynthInst next() = 0;
 
     /**
+     * True when this stream may touch addresses another core's
+     * stream also touches; CmpSystem then keeps the private L1/L2
+     * hierarchies coherent through a CoherenceHub.
+     */
+    virtual bool sharesData() const { return false; }
+
+    /**
      * Checkpoint the source's position/state. Sources that opt out
      * (bespoke test doubles) inherit these defaults, which refuse
      * with CheckpointError instead of silently dropping state.

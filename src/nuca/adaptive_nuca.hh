@@ -62,6 +62,9 @@ struct AdaptiveNucaParams
 class AdaptiveNuca : public L3Organization
 {
   public:
+    /** Cores the five owner bits of a slot's state byte can name. */
+    static constexpr unsigned maxCores = 32;
+
     AdaptiveNuca(stats::Group &parent,
                  const AdaptiveNucaParams &params, MainMemory &memory);
 
@@ -121,8 +124,6 @@ class AdaptiveNuca : public L3Organization
     static constexpr std::uint8_t stDirty = 2;
     static constexpr std::uint8_t stShared = 4;
     static constexpr unsigned stOwnerShift = 3;
-    /** Cores the five owner bits can name. */
-    static constexpr unsigned maxCores = 32;
 
     static std::uint8_t
     packState(CoreId owner, bool dirty, bool shared)

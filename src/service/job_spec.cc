@@ -2,10 +2,12 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 
 #include "base/parse_count.hh"
 #include "sim/checkpoint.hh"
+#include "workload/miss_curve.hh"
 #include "workload/spec_profiles.hh"
 
 namespace nuca {
@@ -115,27 +117,84 @@ getSeedOr(const json::Value &obj, const std::string &key,
     }
 }
 
-} // namespace
-
+/** The base + scheme preset a spec's overrides apply to. */
 SystemConfig
-JobSpec::config() const
+presetOf(const JobSpec &spec)
 {
-    const L3Scheme parsed = schemeFromString(scheme);
-    if (base == "baseline")
+    const L3Scheme parsed = schemeFromString(spec.scheme);
+    if (spec.base == "baseline")
         return SystemConfig::baseline(parsed);
-    if (base == "quad_private") {
+    if (spec.base == "quad_private") {
         if (parsed != L3Scheme::Private)
             throw SpecError(
                 "base \"quad_private\" implies scheme private");
         return SystemConfig::quadSizePrivate();
     }
-    if (base == "large8mb")
+    if (spec.base == "large8mb")
         return SystemConfig::large8MB(parsed);
-    if (base == "scaled_tech")
+    if (spec.base == "scaled_tech")
         return SystemConfig::scaledTech(parsed);
     throw SpecError(
-        "unknown base \"" + base +
+        "unknown base \"" + spec.base +
         "\" (want baseline|quad_private|large8mb|scaled_tech)");
+}
+
+/** l3MissCurve with REPRO_TRACE-style telemetry on its sample hook:
+ *  one trace per job, named by its display label. */
+MixResult
+missCurveJob(const JobSpec &spec, const TelemetryConfig &telemetry)
+{
+    const WorkloadProfile *profile = findProfile(spec.apps.at(0));
+    if (profile == nullptr)
+        throw SpecError("unknown application \"" + spec.apps.at(0) +
+                        "\"");
+    std::unique_ptr<TraceSink> trace;
+    if (telemetry.enabled())
+        trace = std::make_unique<JsonlTraceSink>(
+            tracePathFor(telemetry.tracePath, spec.displayLabel()));
+    MissCurveSampleFn sample;
+    if (trace) {
+        json::Value meta = json::Value::object();
+        meta.set("type", "meta");
+        meta.set("scheme", "fig3_replay");
+        meta.set("app", profile->name);
+        meta.set("period", telemetry.samplePeriod);
+        trace->write(meta);
+        sample = [&trace](std::uint64_t inst,
+                          const std::vector<Counter> &per_way) {
+            json::Value record = json::Value::object();
+            record.set("type", "sample");
+            record.set("inst", inst);
+            json::Value misses = json::Value::array();
+            for (const Counter m : per_way)
+                misses.append(m);
+            record.set("misses_per_way", std::move(misses));
+            trace->write(record);
+        };
+    }
+    MissCurveParams params;
+    params.insts = spec.insts;
+    const std::vector<Counter> counts =
+        l3MissCurve(*profile, params, sample, telemetry.samplePeriod);
+    MixResult result;
+    result.curve.assign(counts.begin(), counts.end());
+    return result;
+}
+
+} // namespace
+
+SystemConfig
+JobSpec::config() const
+{
+    const SystemConfig preset = presetOf(*this);
+    if (overrides.contains("scheme"))
+        throw SpecError("override \"scheme\": set the spec's "
+                        "\"scheme\" instead");
+    try {
+        return applyConfigOverrides(preset, overrides);
+    } catch (const ConfigError &e) {
+        throw SpecError(e.what());
+    }
 }
 
 void
@@ -146,6 +205,8 @@ JobSpec::validate() const
             throw SpecError("unknown application \"" + app + "\"");
     }
     if (kind == JobKind::MissCurve) {
+        if (overrides.size() != 0)
+            throw SpecError("miss_curve jobs take no overrides");
         if (apps.size() != 1)
             throw SpecError("miss_curve jobs take exactly one app");
         if (insts == 0)
@@ -200,6 +261,8 @@ JobSpec::toJson() const
     obj.set("kind", to_string(kind));
     obj.set("base", base);
     obj.set("scheme", scheme);
+    if (overrides.size() != 0)
+        obj.set("overrides", overrides);
     json::Value names = json::Value::array();
     for (const std::string &app : apps)
         names.append(app);
@@ -226,6 +289,11 @@ JobSpec::fromJson(const json::Value &obj)
     spec.kind = kindFromString(getStringOr(obj, "kind", "mix"));
     spec.base = getStringOr(obj, "base", "baseline");
     spec.scheme = getStringOr(obj, "scheme", "adaptive");
+    if (obj.contains("overrides")) {
+        spec.overrides = obj.at("overrides");
+        if (spec.overrides.type() != json::Value::Type::Object)
+            throw SpecError("field \"overrides\" must be an object");
+    }
 
     const json::Value &apps = member(obj, "apps");
     if (apps.type() != json::Value::Type::Array)
@@ -253,7 +321,30 @@ JobSpec::fromJson(const json::Value &obj)
     spec.label = getStringOr(obj, "label", "");
 
     spec.validate();
+    // Canonical form: table order, nothing the preset already says.
+    if (spec.kind == JobKind::Mix)
+        spec.overrides = configOverrides(spec.config(), presetOf(spec));
     return spec;
+}
+
+JobSpec
+specFor(const SystemConfig &config)
+{
+    JobSpec spec;
+    spec.scheme = schemeName(config.scheme);
+    spec.overrides =
+        configOverrides(config, SystemConfig::baseline(config.scheme));
+    return spec;
+}
+
+MixResult
+runJob(const JobSpec &spec, const RunPolicy &policy)
+{
+    if (spec.kind == JobKind::MissCurve)
+        return missCurveJob(spec, policy.telemetry);
+    return runMix(spec.config(), ExperimentSpec{spec.apps, spec.seed},
+                  SimWindow{spec.warmupCycles, spec.measureCycles},
+                  spec.displayLabel(), policy);
 }
 
 } // namespace service

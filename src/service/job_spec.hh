@@ -6,11 +6,15 @@
  *
  * A JobSpec is deliberately a *description*, not a SystemConfig dump:
  * clients name a base configuration (the paper's tables) plus a
- * scheme, and the daemon expands that to the full config. The result
- * key, however, is derived from the *expanded* configuration via the
+ * scheme, and list only the config fields that differ from that
+ * preset as `overrides` (SystemConfig's JSON codec). The result key,
+ * however, is derived from the *expanded* configuration via the
  * checkpoint layer's runKey — the same content-addressing the warmup
  * cache uses, extended over scheme + mix + run length — so any knob
  * that changes simulated state changes the key and misses the cache.
+ *
+ * runJob is the one job body: the sweep daemon and the bench sweep
+ * supervisor both run every spec through it.
  */
 
 #ifndef NUCA_SERVICE_JOB_SPEC_HH
@@ -55,6 +59,10 @@ struct JobSpec
     std::string base = "baseline";
     /** L3 scheme: "private", "shared", "adaptive", or "random". */
     std::string scheme = "adaptive";
+    /** Config fields that differ from the base + scheme preset, by
+     *  configFields() name; kept canonical (in table order, none
+     *  equal to the preset) by fromJson. Mix jobs only. */
+    json::Value overrides = json::Value::object();
     /** Application names; numCores of them for Mix, one for
      *  MissCurve. */
     std::vector<std::string> apps;
@@ -71,8 +79,9 @@ struct JobSpec
     /** Display label; defaulted from the spec when empty. */
     std::string label;
 
-    /** Expand base+scheme into the full configuration.
-     *  @throws SpecError on unknown names. */
+    /** Expand base+scheme into the full configuration and apply the
+     *  overrides. @throws SpecError on unknown names or a config
+     *  CmpSystem would refuse. */
     SystemConfig config() const;
 
     /** Validate everything (names, app count); @throws SpecError. */
@@ -98,6 +107,20 @@ struct JobSpec
 
 /** Parse an L3 scheme name; @throws SpecError. */
 L3Scheme schemeFromString(const std::string &name);
+
+/**
+ * A Mix spec that runs exactly @p config: base "baseline", the
+ * config's scheme, and every other difference as overrides.
+ */
+JobSpec specFor(const SystemConfig &config);
+
+/**
+ * Run @p spec under @p policy: runMix for a Mix job (traced under its
+ * display label), l3MissCurve for a MissCurve job (with
+ * policy.telemetry's trace on the replay's sample hook, the period
+ * counted in instructions).
+ */
+MixResult runJob(const JobSpec &spec, const RunPolicy &policy);
 
 } // namespace service
 } // namespace nuca

@@ -7,8 +7,6 @@
 #include "sim/checkpoint.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/robustness.hh"
-#include "workload/miss_curve.hh"
-#include "workload/spec_profiles.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define NUCA_SERVICE_HAVE_SOCKETS 1
@@ -143,29 +141,9 @@ SweepDaemon::execute(const JobSpec &spec, ProcJobHandle *handle)
     policy.robust = opts_.robust;
     policy.telemetry = opts_.telemetry;
 
-    const auto body = [spec, policy]() -> MixResult {
-        if (spec.kind == JobKind::MissCurve) {
-            const WorkloadProfile *profile =
-                findProfile(spec.apps.at(0));
-            if (profile == nullptr)
-                throw SpecError("unknown application \"" +
-                                spec.apps.at(0) + "\"");
-            MissCurveParams params;
-            params.insts = spec.insts;
-            const std::vector<Counter> counts =
-                l3MissCurve(*profile, params);
-            MixResult result;
-            result.curve.assign(counts.begin(), counts.end());
-            return result;
-        }
-        const ExperimentSpec mix{spec.apps, spec.seed};
-        const SimWindow window{spec.warmupCycles,
-                               spec.measureCycles};
-        return runMix(spec.config(), mix, window,
-                      spec.displayLabel(), policy);
-    };
-
-    return runMixSandboxed(opts_.isolation, body, handle);
+    return runMixSandboxed(
+        opts_.isolation, [&] { return service::runJob(spec, policy); },
+        handle);
 }
 
 std::optional<std::size_t>

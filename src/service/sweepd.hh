@@ -7,7 +7,8 @@
  * Jobs run on the figure sweeps' executor: a WorkerPool
  * (parallel_runner.hh) whose workers claim from the daemon's queue,
  * the most starved tenant's job first (see scheduler.hh), and
- * execute through the proc_pool sandbox when isolation is on. The
+ * execute the sweeps' job body, runJob (job_spec.hh), through the
+ * proc_pool sandbox when isolation is on. The
  * daemon adds two mechanisms:
  *
  *  - Preemptive fair share: a long-running job of an over-served
@@ -166,7 +167,8 @@ class SweepDaemon
     void preempterLoop();
     void acceptLoop();
 
-    /** Run one job attempt (sandboxed when configured). */
+    /** Run one job attempt through service::runJob (sandboxed when
+     *  configured). */
     MixResult execute(const JobSpec &spec, ProcJobHandle *handle);
 
     /** Append a journal record for @p job's current state. */

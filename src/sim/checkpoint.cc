@@ -37,70 +37,27 @@ fnv1a(std::uint64_t hash, const std::uint8_t *data, std::size_t size)
 
 constexpr std::uint64_t fnvOffsetBasis = 0xcbf29ce484222325ull;
 
-void
-putCacheLevelParams(Serializer &s, const CacheLevelParams &p)
-{
-    s.putU64(p.sizeBytes);
-    s.putU32(p.assoc);
-    s.putU64(p.hitLatency);
-    s.putU32(p.mshrs);
-}
-
 /**
- * Canonical encoding of every SystemConfig field. Uses the same
- * fixed-width wire format as checkpoints, so the digest is stable
- * across platforms and compiler settings.
+ * Canonical encoding of every SystemConfig field, in configFields()
+ * order. Uses the same fixed-width wire format as checkpoints, so the
+ * digest is stable across platforms and compiler settings.
  */
 void
 encodeConfig(Serializer &s, const SystemConfig &c)
 {
-    s.putU32(c.numCores);
-    s.putU32(static_cast<std::uint32_t>(c.scheme));
-
-    s.putU32(c.core.ruuSize);
-    s.putU32(c.core.lsqSize);
-    s.putU32(c.core.fetchQueueSize);
-    s.putU32(c.core.fetchWidth);
-    s.putU32(c.core.dispatchWidth);
-    s.putU32(c.core.issueWidth);
-    s.putU32(c.core.commitWidth);
-    s.putU64(c.core.mispredictPenalty);
-    s.putU32(c.core.predictor.bimodalEntries);
-    s.putU32(c.core.predictor.historyEntries);
-    s.putU32(c.core.predictor.historyBits);
-    s.putU32(c.core.predictor.chooserEntries);
-    s.putU32(c.core.predictor.btbEntries);
-    s.putU32(c.core.predictor.btbAssoc);
-    s.putU32(c.core.funcUnits.intAlus);
-    s.putU32(c.core.funcUnits.fpAlus);
-    s.putU32(c.core.funcUnits.intMultDiv);
-    s.putU32(c.core.funcUnits.fpMultDiv);
-    s.putU32(c.core.funcUnits.memPorts);
-
-    putCacheLevelParams(s, c.coreMem.l1i);
-    putCacheLevelParams(s, c.coreMem.l1d);
-    putCacheLevelParams(s, c.coreMem.l2i);
-    putCacheLevelParams(s, c.coreMem.l2d);
-    s.putU32(c.coreMem.tlbEntries);
-    s.putU64(c.coreMem.tlbMissPenalty);
-    s.putBool(c.coreMem.enablePrefetcher);
-    s.putU32(c.coreMem.prefetcher.tableEntries);
-    s.putU32(c.coreMem.prefetcher.degree);
-    s.putU32(c.coreMem.prefetcher.confidenceThreshold);
-    s.putBool(c.coreMem.prefetcher.zoneStreams);
-    s.putU32(c.coreMem.prefetcher.zoneEntries);
-
-    s.putU64(c.l3SizePerCoreBytes);
-    s.putU32(c.l3LocalAssoc);
-    s.putU64(c.l3LocalLatency);
-    s.putU64(c.l3SharedLatency);
-    s.putU64(c.memFirstChunkShared);
-    s.putU64(c.memFirstChunkPrivate);
-    s.putU64(c.epochMisses);
-    s.putU32(c.shadowSampleShift);
-    s.putBool(c.adaptationEnabled);
-    s.putU32(static_cast<std::uint32_t>(c.l3ReplPolicy));
-    s.putU64(c.schemeSeed);
+    for (const ConfigField &field : configFields()) {
+        const std::uint64_t value = field.get(c);
+        switch (field.type) {
+          case ConfigField::Type::U64:
+            s.putU64(value);
+            break;
+          case ConfigField::Type::Bool:
+            s.putBool(value != 0);
+            break;
+          default:
+            s.putU32(static_cast<std::uint32_t>(value));
+        }
+    }
 }
 
 std::uint64_t

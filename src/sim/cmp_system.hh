@@ -52,7 +52,8 @@ class CmpSystem
     /**
      * Build a system driven by caller-provided instruction sources
      * (e.g. TraceReplaySource), one per core. The system takes
-     * ownership and builds no coherence hub.
+     * ownership; when any source sharesData(), the private L1/L2
+     * hierarchies are kept coherent through a CoherenceHub.
      */
     CmpSystem(const SystemConfig &config,
               std::vector<std::unique_ptr<InstSource>> sources);
@@ -214,7 +215,7 @@ class CmpSystem
     /** The adaptive organization, or nullptr for other schemes. */
     AdaptiveNuca *adaptive() { return adaptive_; }
     MainMemory &memory() { return memory_; }
-    /** The coherence hub, or nullptr unless a profile shares data. */
+    /** The coherence hub, or nullptr unless a source shares data. */
     CoherenceHub *coherence() { return coherence_.get(); }
     OooCore &coreAt(CoreId core);
     MemorySystem &memOf(CoreId core);
@@ -227,9 +228,9 @@ class CmpSystem
     std::unique_ptr<L3Organization> l3_;
     AdaptiveNuca *adaptive_ = nullptr;
 
-    /** Shared tail of both constructors; @p coherent adds the
-     * coherence hub. */
-    void buildSystem(bool coherent);
+    /** Both constructors' tail: the L3, the coherence hub when a
+     *  source shares data, and the cores. */
+    void buildSystem();
 
     std::vector<std::unique_ptr<InstSource>> workloads_;
     std::unique_ptr<CoherenceHub> coherence_;

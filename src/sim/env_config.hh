@@ -3,41 +3,43 @@
  * The one door between the process environment and the simulator:
  * library code reads no environment. The bench/, tools/ and
  * examples/ mains call these parsers once and hand the typed structs
- * down. Every variable, its parser, and who reads it ("runAll" is
- * bench::runAll, which every sweep figure goes through; fig08's
- * anecdote runs share its RunPolicy variables):
+ * down. Every variable, its parser, and who reads it ("runSweep" is
+ * bench::runSweep, the sweep supervisor every sweep figure and
+ * bench::runAll go through; "figureEnv" is bench::figureEnvFromEnv,
+ * read once by each figure's main and by nuca_subctl figures):
  *
  *   variable                    parser                read by
- *   REPRO_WARMUP_CYCLES         windowFromEnv         bench mains,
- *   REPRO_MEASURE_CYCLES        windowFromEnv           nuca_subctl
- *   REPRO_MIXES                 bench::mixCountFromEnv  (the same)
- *   REPRO_FIG3_INSTS            envOr                 fig03, nuca_subctl
- *   REPRO_JOBS                  jobsFromEnv           bench mains,
+ *   REPRO_WARMUP_CYCLES         windowFromEnv         figureEnv, fig05
+ *   REPRO_MEASURE_CYCLES        windowFromEnv           (the same)
+ *   REPRO_MIXES                 envOr                 figureEnv
+ *   REPRO_FIG3_INSTS            envOr                 figureEnv
+ *   REPRO_JOBS                  jobsFromEnv           runSweep, fig05,
+ *                                                       printHeader,
  *                                                       scheme_shootout
- *   REPRO_JSON                  envString             runAll
- *   REPRO_RESUME                runPolicyFromEnv      runAll
- *   REPRO_FAIL                  sweepPolicyFromEnv    runAll
- *   REPRO_ISOLATE               isolationFromEnv      runAll
- *   REPRO_JOB_MEM_MB            isolationFromEnv      runAll, nuca_sweepd
- *   REPRO_JOB_CPU_S             isolationFromEnv      runAll, nuca_sweepd
- *   REPRO_JOB_TIMEOUT_S         isolationFromEnv      runAll, nuca_sweepd
- *   REPRO_JOB_GRACE_MS          isolationFromEnv      runAll, nuca_sweepd
- *   REPRO_SYNC                  envOr                 runAll, nuca_sweepd
- *   REPRO_CKPT_DIR              checkpointFromEnv     runAll, fig05
- *   REPRO_CKPT_PERIOD           checkpointFromEnv     runAll
- *   REPRO_CKPT_MAX_MB           checkpointFromEnv     runAll, nuca_sweepd
- *   REPRO_FAULT                 faultFromEnv          runAll, nuca_sweepd
- *   REPRO_CHECK                 robustnessFromEnv     runAll, fig05,
+ *   REPRO_JSON                  envString             runSweep
+ *   REPRO_RESUME                runPolicyFromEnv      runSweep
+ *   REPRO_FAIL                  sweepPolicyFromEnv    runSweep
+ *   REPRO_ISOLATE               isolationFromEnv      runSweep
+ *   REPRO_JOB_MEM_MB            isolationFromEnv      runSweep, nuca_sweepd
+ *   REPRO_JOB_CPU_S             isolationFromEnv      runSweep, nuca_sweepd
+ *   REPRO_JOB_TIMEOUT_S         isolationFromEnv      runSweep, nuca_sweepd
+ *   REPRO_JOB_GRACE_MS          isolationFromEnv      runSweep, nuca_sweepd
+ *   REPRO_SYNC                  envOr                 runSweep, nuca_sweepd
+ *   REPRO_CKPT_DIR              checkpointFromEnv     runSweep, fig05
+ *   REPRO_CKPT_PERIOD           checkpointFromEnv     runSweep
+ *   REPRO_CKPT_MAX_MB           checkpointFromEnv     runSweep, nuca_sweepd
+ *   REPRO_FAULT                 faultFromEnv          runSweep, nuca_sweepd
+ *   REPRO_CHECK                 robustnessFromEnv     runSweep, fig05,
  *   REPRO_CHECK_PERIOD          robustnessFromEnv       nuca_sim and
  *   REPRO_WATCHDOG              robustnessFromEnv       nuca_sweepd
  *   REPRO_WATCHDOG_WINDOW       robustnessFromEnv       read each of
  *   REPRO_MAX_CYCLES            robustnessFromEnv       these five
- *   REPRO_TRACE                 telemetryFromEnv      runAll, fig03,
- *   REPRO_TRACE_PERIOD          telemetryFromEnv        fig05, nuca_sim,
+ *   REPRO_TRACE                 telemetryFromEnv      runSweep, fig05,
+ *   REPRO_TRACE_PERIOD          telemetryFromEnv        nuca_sim,
  *   REPRO_HEATMAP               telemetryFromEnv        scheme_shootout
  *   REPRO_PERFETTO              telemetryFromEnv        and nuca_sweepd
  *                                                       read these four
- *   REPRO_PROFILE               profilerFromEnv       runAll, nuca_sim,
+ *   REPRO_PROFILE               profilerFromEnv       runSweep, nuca_sim,
  *   REPRO_PROFILE_OUT           profilerFromEnv         scheme_shootout,
  *                                                       nuca_sweepd
  *   SWEEPD_WAIT_MS              envOr                 nuca_subctl

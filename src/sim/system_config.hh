@@ -5,17 +5,25 @@
  * evaluation section uses (the 4x-sized private caches of Figure 7,
  * the 8 MB L3 of Figure 9 and the technology-scaled timing of
  * Figure 10).
+ *
+ * A configuration is also data: configFields() lists every field
+ * once, in the order the checkpoint layer's config digest encodes
+ * them, and the JSON overrides codec (a sweep job's "overrides")
+ * walks the same list.
  */
 
 #ifndef NUCA_SIM_SYSTEM_CONFIG_HH
 #define NUCA_SIM_SYSTEM_CONFIG_HH
 
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "base/types.hh"
 #include "cache/set_assoc_cache.hh"
 #include "cpu/memory_system.hh"
 #include "cpu/ooo_core.hh"
+#include "sim/json_writer.hh"
 
 namespace nuca {
 
@@ -30,6 +38,10 @@ enum class L3Scheme
 
 /** Printable name of a scheme. */
 std::string to_string(L3Scheme scheme);
+
+/** A scheme's name in job specs and config overrides:
+ *  private|shared|adaptive|random. */
+const char *schemeName(L3Scheme scheme);
 
 /** Every parameter needed to build a CmpSystem. */
 struct SystemConfig
@@ -85,6 +97,56 @@ struct SystemConfig
      */
     static SystemConfig scaledTech(L3Scheme scheme);
 };
+
+/** One field of SystemConfig, as the digest and the codec see it. */
+struct ConfigField
+{
+    /** Wire width in the digest; Enum is a U32 named in JSON. */
+    enum class Type { U32, U64, Bool, Enum };
+
+    /** JSON name: snake_case, nested structs joined by '.'. */
+    const char *name;
+    Type type;
+    /** Inclusive range the codec accepts (an Enum's value index). */
+    std::uint64_t min;
+    std::uint64_t max;
+    /** An Enum's value names, indexed by value; else nullptr. */
+    const char *const *names;
+    std::uint64_t (*get)(const SystemConfig &);
+    void (*set)(SystemConfig &, std::uint64_t);
+};
+
+/** Every SystemConfig field, in the config digest's order. */
+const std::vector<ConfigField> &configFields();
+
+/** A malformed or unbuildable configuration from the codec. */
+class ConfigError : public std::invalid_argument
+{
+  public:
+    using std::invalid_argument::invalid_argument;
+};
+
+/**
+ * The fields of @p config that differ from @p preset, as a JSON
+ * object of name -> value in table order (empty when they agree).
+ * @throws ConfigError for a value the codec would refuse to read.
+ */
+json::Value configOverrides(const SystemConfig &config,
+                            const SystemConfig &preset);
+
+/**
+ * @p preset with @p overrides applied. @throws ConfigError on a
+ * non-object, an unknown name, a value of the wrong type or out of
+ * range, or a result that CmpSystem would refuse (configError).
+ */
+SystemConfig applyConfigOverrides(SystemConfig preset,
+                                  const json::Value &overrides);
+
+/**
+ * Why building a CmpSystem from @p config would stop the process
+ * (the components' fatal checks, restated); empty when it builds.
+ */
+std::string configError(const SystemConfig &config);
 
 } // namespace nuca
 

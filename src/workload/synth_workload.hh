@@ -37,6 +37,10 @@ class SynthWorkload : public InstSource
 
     SynthInst next() override;
 
+    /** A profile with a shared fraction reaches the shared regions
+     *  every core's stream maps to the same addresses. */
+    bool sharesData() const override { return profile_.sharedFrac > 0.0; }
+
     /**
      * Checkpoint the stream position: the RNG, the reuse-model
      * cursors, the branch-site loop positions, and the PC walk. The

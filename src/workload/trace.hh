@@ -62,6 +62,10 @@ class TraceReplaySource : public InstSource
 
     SynthInst next() override;
 
+    /** Replayed addresses are raw, and every capture is written in
+     *  core 0's address space, so two replays can collide. */
+    bool sharesData() const override { return true; }
+
     /** Checkpoint the replay position (the trace itself is input). */
     void checkpoint(Serializer &s) const override;
     void restore(Deserializer &d) override;

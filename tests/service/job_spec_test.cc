@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/checkpoint.hh"
 #include "sim/json_writer.hh"
 
 namespace {
@@ -212,6 +213,64 @@ TEST(JobSpecTest, QuadPrivateImpliesPrivateScheme)
     EXPECT_THROW(spec.config(), SpecError);
     spec.scheme = "private";
     EXPECT_EQ(spec.config().numCores, 4u);
+}
+
+TEST(JobSpecTest, OverridesCoverTheKeyAndStayCanonical)
+{
+    JobSpec spec = validMix();
+    // Out of table order, one equal to the preset: fromJson keeps the
+    // fields that differ, in table order.
+    json::Value obj = spec.toJson();
+    obj.set("overrides",
+            json::Value::parse("{\"adaptation_enabled\": false, "
+                               "\"num_cores\": 4, "
+                               "\"epoch_misses\": 250}"));
+    const JobSpec parsed = JobSpec::fromJson(obj);
+    EXPECT_EQ(parsed.overrides.dump(),
+              "{\"epoch_misses\":250,\"adaptation_enabled\":false}");
+    EXPECT_EQ(JobSpec::fromJson(parsed.toJson()).toJson().dump(),
+              parsed.toJson().dump());
+
+    SystemConfig expect = SystemConfig::baseline(L3Scheme::Adaptive);
+    expect.epochMisses = 250;
+    expect.adaptationEnabled = false;
+    EXPECT_EQ(parsed.resultKey(),
+              runKey(expect, spec.apps, spec.seed, spec.warmupCycles,
+                     spec.measureCycles));
+    EXPECT_NE(parsed.resultKey(), spec.resultKey());
+
+    // No overrides: the spec line and its key are what they were.
+    EXPECT_FALSE(spec.toJson().contains("overrides"));
+}
+
+TEST(JobSpecTest, SpecForReproducesAnyConfig)
+{
+    SystemConfig frozen = SystemConfig::baseline(L3Scheme::Adaptive);
+    frozen.adaptationEnabled = false;
+    for (const SystemConfig &config :
+         {SystemConfig::quadSizePrivate(),
+          SystemConfig::large8MB(L3Scheme::Shared),
+          SystemConfig::scaledTech(L3Scheme::RandomReplacement),
+          frozen}) {
+        JobSpec spec = specFor(config);
+        spec.apps = validMix().apps;
+        const JobSpec back = JobSpec::fromJson(spec.toJson());
+        EXPECT_EQ(configHash(back.config()), configHash(config))
+            << spec.toJson().dump();
+    }
+}
+
+TEST(JobSpecTest, OverridesRejectMissCurvesAndTheScheme)
+{
+    JobSpec curve;
+    curve.kind = JobKind::MissCurve;
+    curve.apps = {"mcf"};
+    curve.overrides.set("epoch_misses", 250);
+    EXPECT_THROW(curve.validate(), SpecError);
+
+    JobSpec spec = validMix();
+    spec.overrides.set("scheme", "private");
+    EXPECT_THROW(spec.validate(), SpecError);
 }
 
 } // namespace

@@ -43,6 +43,18 @@ mixSpec()
     return spec;
 }
 
+/** A spec carrying overrides: numbers, a bool and an enum name. */
+JobSpec
+overridesSpec()
+{
+    JobSpec spec = mixSpec();
+    spec.scheme = "shared";
+    spec.overrides = json::Value::parse(
+        "{\"core_mem.enable_prefetcher\":true,\"epoch_misses\":250,"
+        "\"l3_repl_policy\":\"nru\"}");
+    return spec;
+}
+
 JobSpec
 curveSpec()
 {
@@ -82,7 +94,8 @@ expectSpecRoundTrips(const json::Value &obj, const std::string &what)
 
 TEST(ProtocolMutation, JobSpecSurvivesEveryFlipAndTruncation)
 {
-    for (const JobSpec &clean : {mixSpec(), curveSpec()}) {
+    for (const JobSpec &clean :
+         {mixSpec(), overridesSpec(), curveSpec()}) {
         std::size_t accepted = 0;
         forEachMutation(
             clean.toJson().dump(),
@@ -154,6 +167,88 @@ TEST(ProtocolMutation, DaemonAnswersEveryMutatedRequestLine)
                 }
             });
         }
+    }
+    std::filesystem::remove_all(state);
+}
+
+TEST(ProtocolMutation, MalformedOverridesGetSpecErrors)
+{
+    const std::string state =
+        (std::filesystem::temp_directory_path() /
+         ("nuca_protocol_overrides_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(state);
+    DaemonOptions opts;
+    opts.socketPath.clear();
+    opts.stateDir = state;
+    opts.workers = 1;
+    opts.isolation.enabled = false;
+    {
+        SweepDaemon daemon(opts);
+        const auto submit = [&](const std::string &scheme,
+                                const std::string &overrides,
+                                unsigned cores) {
+            json::Value spec = mixSpec().toJson();
+            spec.set("scheme", scheme);
+            json::Value apps = json::Value::array();
+            for (unsigned c = 0; c < cores; ++c)
+                apps.append("gzip");
+            spec.set("apps", std::move(apps));
+            const auto parsed = json::Value::tryParse(overrides);
+            spec.set("overrides", parsed ? *parsed : json::Value());
+            json::Value request = json::Value::object();
+            request.set("op", "submit");
+            request.set("spec", std::move(spec));
+            return daemon.handle(request);
+        };
+        // One case per line: the codec's type and range errors, then
+        // values that stop CmpSystem construction (fatal, or a crash
+        // before its own check runs).
+        const struct
+        {
+            const char *scheme;
+            const char *overrides;
+            unsigned cores;
+        } cases[] = {
+            {"adaptive", "{\"no_such_field\": 1}", 4},
+            {"adaptive", "{\"epoch_misses\": \"250\"}", 4},
+            {"adaptive", "{\"epoch_misses\": -1}", 4},
+            {"adaptive", "{\"scheme_seed\": 18446744073709551616}", 4},
+            {"adaptive", "{\"adaptation_enabled\": \"no\"}", 4},
+            {"adaptive", "{\"scheme\": \"private\"}", 4},
+            {"adaptive", "[1, 2]", 4},
+            {"private", "{\"num_cores\": 0}", 0},
+            {"adaptive", "{\"num_cores\": 1}", 1},
+            {"random", "{\"num_cores\": 1}", 1},
+            {"adaptive", "{\"num_cores\": 33}", 33},
+            {"adaptive", "{\"l3_local_assoc\": 0}", 4},
+            {"adaptive", "{\"l3_local_assoc\": 3}", 4},
+            {"adaptive", "{\"epoch_misses\": 0}", 4},
+            {"adaptive", "{\"shadow_sample_shift\": 13}", 4},
+            {"private", "{\"l3_local_latency\": 0}", 4},
+            {"shared", "{\"mem_first_chunk_shared\": 0}", 4},
+            {"private", "{\"core_mem.l1d.size_bytes\": 1000}", 4},
+            {"private", "{\"core_mem.l2d.mshrs\": 0}", 4},
+            {"private", "{\"core_mem.tlb_entries\": 0}", 4},
+            {"private", "{\"core.ruu_size\": 0}", 4},
+            {"private", "{\"core.predictor.history_bits\": 17}", 4},
+            {"private", "{\"core.predictor.btb_assoc\": 3}", 4},
+            {"private", "{\"core.func_units.int_alus\": 0}", 4},
+        };
+        for (const auto &c : cases) {
+            const json::Value reply = submit(c.scheme, c.overrides, c.cores);
+            EXPECT_FALSE(reply.at("ok").asBool())
+                << c.scheme << " " << c.overrides;
+            EXPECT_FALSE(reply.at("error").asString().empty())
+                << c.overrides;
+        }
+        // Still serving: a valid override is accepted.
+        const json::Value ok =
+            submit("adaptive", "{\"epoch_misses\": 250}", 4);
+        EXPECT_TRUE(ok.at("ok").asBool()) << ok.dump();
+        json::Value ping = json::Value::object();
+        ping.set("op", "ping");
+        EXPECT_TRUE(daemon.handle(ping).at("ok").asBool());
     }
     std::filesystem::remove_all(state);
 }

@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "sim/checkpoint.hh"
+#include "sim/cmp_system.hh"
 #include "sim/system_config.hh"
+#include "workload/spec_profiles.hh"
 
 namespace nuca {
 namespace {
@@ -94,6 +100,167 @@ TEST(SystemConfig, SchemeNames)
     EXPECT_EQ(to_string(L3Scheme::Adaptive), "adaptive");
     EXPECT_EQ(to_string(L3Scheme::RandomReplacement),
               "random-replacement");
+}
+
+TEST(ConfigCodec, EveryFieldRoundTripsAndMovesTheDigest)
+{
+    // Each field, moved to another value the codec accepts, shows up
+    // in the overrides under its own name alone, comes back through
+    // them, and changes the config digest: the table reaches every
+    // field the digest encodes.
+    const SystemConfig base = SystemConfig::baseline(L3Scheme::Adaptive);
+    std::set<std::string> names;
+    for (const ConfigField &field : configFields()) {
+        if (std::string(field.name) == "scheme")
+            continue; // a different preset, covered below
+        EXPECT_TRUE(names.insert(field.name).second) << field.name;
+        const std::uint64_t value = field.get(base);
+        SystemConfig changed = base;
+        bool found = false;
+        for (const std::uint64_t v :
+             {value * 2, value / 2, value + 1, value - 1, field.min,
+              field.max}) {
+            changed = base;
+            field.set(changed, v);
+            if (v != value && v >= field.min && v <= field.max &&
+                configError(changed).empty()) {
+                found = true;
+                break;
+            }
+        }
+        ASSERT_TRUE(found) << field.name;
+        const json::Value overrides = configOverrides(changed, base);
+        ASSERT_EQ(overrides.size(), 1u) << field.name;
+        EXPECT_TRUE(overrides.contains(field.name));
+        const SystemConfig back = applyConfigOverrides(
+            base, json::Value::parse(overrides.dump()));
+        EXPECT_EQ(configHash(back), configHash(changed)) << field.name;
+        EXPECT_NE(configHash(changed), configHash(base)) << field.name;
+    }
+}
+
+TEST(ConfigCodec, PresetsRoundTripThroughOverrides)
+{
+    for (const auto scheme :
+         {L3Scheme::Private, L3Scheme::Shared, L3Scheme::Adaptive,
+          L3Scheme::RandomReplacement}) {
+        const SystemConfig base = SystemConfig::baseline(scheme);
+        for (const SystemConfig &config :
+             {SystemConfig::large8MB(scheme), SystemConfig::scaledTech(scheme),
+              SystemConfig::quadSizePrivate()}) {
+            if (config.scheme != scheme)
+                continue;
+            const auto overrides = json::Value::parse(
+                configOverrides(config, base).dump());
+            EXPECT_EQ(configHash(applyConfigOverrides(base, overrides)),
+                      configHash(config))
+                << to_string(scheme) << " " << overrides.dump();
+        }
+        EXPECT_EQ(configOverrides(base, base).size(), 0u);
+    }
+    const auto overrides = configOverrides(
+        SystemConfig::quadSizePrivate(),
+        SystemConfig::baseline(L3Scheme::Private));
+    EXPECT_EQ(overrides.dump(),
+              "{\"l3_size_per_core_bytes\":4194304,\"l3_local_assoc\":16}");
+}
+
+TEST(ConfigCodec, RefusesMalformedOverrides)
+{
+    const SystemConfig base = SystemConfig::baseline(L3Scheme::Adaptive);
+    for (const char *text :
+         {"[]", "{\"no_such_field\": 1}", "{\"epoch_misses\": \"250\"}",
+          "{\"epoch_misses\": -1}", "{\"epoch_misses\": 2.5}",
+          "{\"scheme_seed\": 18446744073709551616}",
+          "{\"num_cores\": 4294967297}",
+          "{\"adaptation_enabled\": 1}",
+          "{\"l3_repl_policy\": \"mru\"}",
+          "{\"l3_repl_policy\": 3}"}) {
+        EXPECT_THROW(applyConfigOverrides(base, json::Value::parse(text)),
+                     ConfigError)
+            << text;
+    }
+    EXPECT_EQ(applyConfigOverrides(
+                  base, json::Value::parse("{\"l3_repl_policy\": \"nru\"}"))
+                  .l3ReplPolicy,
+              ReplPolicy::Nru);
+}
+
+/** Single-field edits CmpSystem construction refuses (fatal, or a
+ *  crash before its own check runs), each with the scheme it needs. */
+struct Unbuildable
+{
+    L3Scheme scheme;
+    void (*edit)(SystemConfig &);
+};
+
+const Unbuildable unbuildable[] = {
+    {L3Scheme::Adaptive, [](SystemConfig &c) { c.l3LocalAssoc = 0; }},
+    {L3Scheme::Adaptive, [](SystemConfig &c) { c.l3LocalAssoc = 1; }},
+    {L3Scheme::Adaptive, [](SystemConfig &c) { c.l3LocalAssoc = 3; }},
+    {L3Scheme::Adaptive, [](SystemConfig &c) { c.numCores = 1; }},
+    {L3Scheme::Adaptive, [](SystemConfig &c) { c.epochMisses = 0; }},
+    {L3Scheme::Adaptive,
+     [](SystemConfig &c) { c.shadowSampleShift = 13; }},
+    {L3Scheme::Private, [](SystemConfig &c) { c.numCores = 0; }},
+    {L3Scheme::Private, [](SystemConfig &c) { c.l3LocalAssoc = 3; }},
+    {L3Scheme::Private, [](SystemConfig &c) { c.l3LocalLatency = 0; }},
+    {L3Scheme::Shared, [](SystemConfig &c) { c.l3SharedLatency = 0; }},
+    {L3Scheme::Shared,
+     [](SystemConfig &c) { c.memFirstChunkShared = 0; }},
+    {L3Scheme::RandomReplacement, [](SystemConfig &c) { c.numCores = 1; }},
+    {L3Scheme::Private,
+     [](SystemConfig &c) { c.coreMem.l1d.sizeBytes = 1000; }},
+    {L3Scheme::Private, [](SystemConfig &c) { c.coreMem.l2d.assoc = 0; }},
+    {L3Scheme::Private, [](SystemConfig &c) { c.coreMem.l1i.mshrs = 0; }},
+    {L3Scheme::Private, [](SystemConfig &c) { c.coreMem.tlbEntries = 0; }},
+    {L3Scheme::Private, [](SystemConfig &c) { c.core.ruuSize = 0; }},
+    {L3Scheme::Private,
+     [](SystemConfig &c) { c.core.predictor.bimodalEntries = 1000; }},
+    {L3Scheme::Private,
+     [](SystemConfig &c) { c.core.predictor.historyBits = 17; }},
+    {L3Scheme::Private,
+     [](SystemConfig &c) { c.core.predictor.btbAssoc = 3; }},
+    {L3Scheme::Private,
+     [](SystemConfig &c) { c.core.funcUnits.memPorts = 0; }},
+    {L3Scheme::Private,
+     [](SystemConfig &c) {
+         c.coreMem.enablePrefetcher = true;
+         c.coreMem.prefetcher.degree = 0;
+     }},
+};
+
+TEST(ConfigCodec, RefusesWhatCmpSystemRefuses)
+{
+    for (const Unbuildable &bad : unbuildable) {
+        SystemConfig config = SystemConfig::baseline(bad.scheme);
+        bad.edit(config);
+        // Refused as a value out of the codec's range (when writing
+        // the overrides) or as an unbuildable whole (when reading).
+        const SystemConfig base = SystemConfig::baseline(bad.scheme);
+        EXPECT_THROW(
+            applyConfigOverrides(base, configOverrides(config, base)),
+            ConfigError)
+            << configError(config);
+    }
+}
+
+TEST(ConfigCodecDeathTest, EveryRefusedConfigStopsCmpSystem)
+{
+    // The other half of the contract: each refusal above is a config
+    // the simulator itself would stop on.
+    for (const Unbuildable &bad : unbuildable) {
+        SystemConfig config = SystemConfig::baseline(bad.scheme);
+        bad.edit(config);
+        EXPECT_DEATH(
+            {
+                std::vector<WorkloadProfile> apps(
+                    config.numCores, specProfile("gzip"));
+                CmpSystem system(config, apps, 1);
+            },
+            "")
+            << configError(config);
+    }
 }
 
 } // namespace

@@ -98,6 +98,29 @@ TEST(TraceSystem, SourceAndProfileConstructorsAgree)
     }
 }
 
+TEST(TraceSystem, ReplaysOfOneCaptureShareDataCoherently)
+{
+    // Replayed addresses are raw, so two cores replaying one capture
+    // touch the same lines: the system builds a coherence hub, and
+    // each core's store invalidates the other's L1D copy.
+    std::vector<SynthInst> capture(8);
+    capture[0].op = OpClass::Load;
+    capture[0].effAddr = 0x10000;
+    capture[1].op = OpClass::Store;
+    capture[1].effAddr = 0x10000;
+    for (std::size_t i = 0; i < capture.size(); ++i)
+        capture[i].pc = 0x400000 + 4 * i;
+    std::vector<std::unique_ptr<InstSource>> sources;
+    for (int c = 0; c < 2; ++c)
+        sources.push_back(std::make_unique<TraceReplaySource>(capture));
+    SystemConfig config = SystemConfig::baseline(L3Scheme::Private);
+    config.numCores = 2;
+    CmpSystem system(config, std::move(sources));
+    ASSERT_NE(system.coherence(), nullptr);
+    system.run(20000);
+    EXPECT_GT(system.coherence()->invalidations(), 0u);
+}
+
 TEST(TraceSystem, WrongSourceCountIsFatal)
 {
     auto sources = captureMix(1000);

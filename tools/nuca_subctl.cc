@@ -14,9 +14,12 @@
  *   drain                   stop accepting new submits
  *   stats                   daemon counters and tenant service
  *   shutdown                stop the daemon
- *   figures <fig03|fig05|fig08|all>
- *                           drive the paper figures through the
- *                           daemon; rerunning hits the result cache
+ *   figures <name|all>      run a sweep figure of the bench registry
+ *                           (fig03, fig06 ... ext_core_scaling; see
+ *                           bench/figures.hh) or the reduced fig05
+ *                           through the daemon, printing the bench
+ *                           binary's report; rerunning hits the
+ *                           result cache
  *
  * Spec flags for submit: --kind mix|miss_curve, --base, --scheme,
  * --apps a,b,c,d, --seed, --warmup, --measure, --insts, --tenant,
@@ -31,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "common.hh"
+#include "figures.hh"
 #include "service/client.hh"
 #include "sim/env_config.hh"
 #include "sim/sweep_store.hh"
@@ -94,45 +97,10 @@ struct FigureSubmitter
 };
 
 void
-figuresFig03(FigureSubmitter &figures)
-{
-    const std::uint64_t insts = envOr("REPRO_FIG3_INSTS", 20000000);
-    const std::vector<std::string> apps = {"mcf", "gzip", "parser",
-                                           "twolf", "ammp"};
-    std::vector<std::uint64_t> ids;
-    for (const std::string &app : apps) {
-        JobSpec spec;
-        spec.kind = JobKind::MissCurve;
-        spec.apps = {app};
-        spec.insts = insts;
-        spec.tenant = "figures";
-        ids.push_back(figures.submit(spec));
-    }
-    std::vector<MixResult> curves;
-    for (const std::uint64_t id : ids)
-        curves.push_back(figures.wait(id));
-
-    std::printf("Figure 3 (via nuca_sweepd): L3 misses vs blocks "
-                "per set, %llu instructions per app\n",
-                static_cast<unsigned long long>(insts));
-    std::printf("%-6s", "ways");
-    for (const std::string &app : apps)
-        std::printf(" %10s", app.c_str());
-    std::printf("\n");
-    for (std::size_t w = 0; w < 16; ++w) {
-        std::printf("%-6zu", w + 1);
-        for (const MixResult &curve : curves)
-            std::printf(" %10.0f", w < curve.curve.size()
-                                       ? curve.curve[w]
-                                       : 0.0);
-        std::printf("\n");
-    }
-}
-
-void
 figuresFig05(FigureSubmitter &figures)
 {
-    const SimWindow window = windowFromEnv(1000000, 2000000);
+    const SimWindow window =
+        bench::figureEnvFromEnv({1000000, 2000000}, 0).window;
     const std::vector<std::string> apps = allProfileNames();
     std::vector<std::uint64_t> ids;
     for (const std::string &app : apps) {
@@ -159,81 +127,57 @@ figuresFig05(FigureSubmitter &figures)
     }
 }
 
+/** Submit a registry figure's job list, wait for every result and
+ *  print it through the bench binary's reporter. */
 void
-figuresFig08(FigureSubmitter &figures)
+runFigure(FigureSubmitter &submitter, const bench::Figure &figure)
 {
-    using namespace nuca::bench;
-    const SimWindow window = windowFromEnv(3000000, 3000000);
-    const unsigned num_mixes = mixCountFromEnv(16);
-    const auto mixes =
-        makeMixes(allProfileNames(), num_mixes, 4, 20070202);
-    const std::vector<std::string> schemes = {"private", "shared",
-                                              "adaptive"};
-
-    std::vector<std::vector<std::uint64_t>> ids(schemes.size());
-    for (std::size_t s = 0; s < schemes.size(); ++s) {
-        for (const ExperimentSpec &mix : mixes) {
-            JobSpec spec;
-            spec.scheme = schemes[s];
-            spec.apps = mix.apps;
-            spec.seed = mix.seed;
-            spec.warmupCycles = window.warmupCycles;
-            spec.measureCycles = window.measureCycles;
-            spec.tenant = "figures";
-            ids[s].push_back(figures.submit(spec));
-        }
+    const bench::FigureEnv env =
+        bench::figureEnvFromEnv(figure.window, figure.mixes);
+    const auto jobs = figure.jobs(env);
+    std::vector<std::uint64_t> ids;
+    for (bench::SweepJob job : jobs) {
+        job.spec.tenant = "figures";
+        ids.push_back(submitter.submit(job.spec));
     }
-    std::vector<SchemeResults> results(schemes.size());
-    for (std::size_t s = 0; s < schemes.size(); ++s) {
-        results[s].label = schemes[s];
-        for (const std::uint64_t id : ids[s])
-            results[s].mixes.push_back(figures.wait(id));
-    }
-
-    const auto shared = perAppSpeedup(mixes, results[1], results[0]);
-    const auto adaptive =
-        perAppSpeedup(mixes, results[2], results[0]);
-    std::printf("\nFigure 8 (via nuca_sweepd): per-application "
-                "speedup vs private caches (%u mixes)\n",
-                num_mixes);
-    std::printf("%-10s %9s %10s\n", "app", "shared", "adaptive");
-    for (const auto &[app, s] : adaptive) {
-        std::printf("%-10s %8.3fx %9.3fx  %s\n", app.c_str(),
-                    shared.count(app) ? shared.at(app) : 0.0, s,
-                    bar(s).c_str());
-    }
-    std::printf("%-10s %8.3fx %9.3fx\n", "mean",
-                meanOfMap(shared), meanOfMap(adaptive));
+    std::vector<JobOutcome<MixResult>> outcomes(ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        outcomes[i].value = submitter.wait(ids[i]);
+    bench::reportFigure(figure, env, jobs, std::move(outcomes));
 }
 
 int
 runFigures(const SweepClient &client, const std::string &which)
 {
-    if (which != "fig03" && which != "fig05" && which != "fig08" &&
-        which != "all") {
-        std::fprintf(stderr,
-                     "unknown figure \"%s\" (want "
-                     "fig03|fig05|fig08|all)\n",
-                     which.c_str());
+    const bool all = which == "all";
+    const bench::Figure *figure = bench::findFigure(which);
+    if (!all && figure == nullptr && which != "fig05") {
+        std::string names;
+        for (const bench::Figure &f : bench::figures())
+            names += std::string(f.name) + "|";
+        std::fprintf(stderr, "unknown figure \"%s\" (want %sfig05|all)\n",
+                     which.c_str(), names.c_str());
         return 2;
     }
-    FigureSubmitter figures{client};
-    if (which == "fig03" || which == "all")
-        figuresFig03(figures);
-    if (which == "fig05" || which == "all")
-        figuresFig05(figures);
-    if (which == "fig08" || which == "all")
-        figuresFig08(figures);
+    FigureSubmitter submitter{client};
+    if (all) {
+        for (const bench::Figure &f : bench::figures())
+            runFigure(submitter, f);
+    } else if (figure != nullptr) {
+        runFigure(submitter, *figure);
+    }
+    if (all || which == "fig05")
+        figuresFig05(submitter);
 
     std::printf("\n%llu of %llu jobs served from the result "
                 "cache\n",
-                static_cast<unsigned long long>(figures.cacheHits),
-                static_cast<unsigned long long>(figures.submitted));
-    if (figures.submitted > 0 &&
-        figures.cacheHits == figures.submitted)
+                static_cast<unsigned long long>(submitter.cacheHits),
+                static_cast<unsigned long long>(submitter.submitted));
+    if (submitter.submitted > 0 &&
+        submitter.cacheHits == submitter.submitted)
         std::printf("all %llu jobs served from the result cache\n",
                     static_cast<unsigned long long>(
-                        figures.submitted));
+                        submitter.submitted));
     std::printf("figures complete\n");
     return 0;
 }
@@ -247,7 +191,7 @@ usage()
         "commands: ping [--retry N] | submit [spec flags] | "
         "status [id] | result <id> [--wait] | preempt <id> | "
         "cancel <id> | drain | stats | shutdown | "
-        "figures <fig03|fig05|fig08|all>\n");
+        "figures <name|all>\n");
     return 2;
 }
 

@@ -1,7 +1,9 @@
 #!/bin/sh
-# Warm-cache smoke for the sweep daemon: run `figures fig03` twice
-# against a fresh daemon and require the second pass to be served
-# entirely from the cross-run result cache. Invoked by ctest as
+# Warm-cache smoke for the sweep daemon: run `figures fig03`,
+# `figures fig06` and `figures abl_epoch_sweep` (whose configs travel
+# as overrides) twice each against a fresh daemon, and require every
+# second pass to be served entirely from the cross-run result cache.
+# Invoked by ctest as
 #   sh sweepd_figures_smoke.sh <nuca_sweepd> <nuca_subctl>
 # from the build directory (the state dir stays relative so the
 # socket path fits sun_path).
@@ -29,9 +31,14 @@ trap 'kill "$DAEMON" 2>/dev/null || true; wait "$DAEMON" 2>/dev/null || true' EX
 "$SUBCTL" --socket "$SOCK" ping --retry 25
 
 # Cold pass populates the cache; warm pass must not execute anything.
-"$SUBCTL" --socket "$SOCK" figures fig03
-"$SUBCTL" --socket "$SOCK" figures fig03
+for figure in fig03 fig06 abl_epoch_sweep; do
+    "$SUBCTL" --socket "$SOCK" figures "$figure"
+    warm=$("$SUBCTL" --socket "$SOCK" figures "$figure")
+    echo "$warm"
+    echo "$warm" | grep -q "^all [0-9]* jobs served from the result cache$"
+done
 
 "$SUBCTL" --socket "$SOCK" shutdown
 wait "$DAEMON"
 trap - EXIT
+echo "figures smoke: every warm pass served from the result cache"
