@@ -124,6 +124,76 @@ fig03Report(const FigureEnv &env, const std::vector<SchemeResults> &groups)
     }
 }
 
+// Figure 5: each application alone on core 0 of the private
+// baseline, idle companions on the other cores; above 9 L3 data
+// accesses per kilocycle it is LLC-intensive (paper Section 4.1).
+// The other columns are the diagnostics the synthetic profiles were
+// calibrated with.
+
+std::vector<SweepJob>
+fig05Jobs(const FigureEnv &env)
+{
+    std::vector<SweepJob> jobs;
+    for (const auto &app : allProfileNames()) {
+        SweepJob job{"fig5." + app,
+                     service::specFor(SystemConfig::baseline(
+                         L3Scheme::Private))};
+        job.spec.apps = {app, "idle", "idle", "idle"};
+        job.spec.seed = 12345;
+        job.spec.warmupCycles = env.window.warmupCycles;
+        job.spec.measureCycles = env.window.measureCycles;
+        job.spec.label = job.group;
+        jobs.push_back(std::move(job));
+    }
+    return jobs;
+}
+
+void
+fig05Report(const FigureEnv &env, const std::vector<SchemeResults> &groups)
+{
+    std::printf("Figure 5: L3 data accesses per 1000 cycles "
+                "(threshold: 9)\n");
+    std::printf("windows: warmup %llu, measure %llu cycles\n\n",
+                static_cast<unsigned long long>(env.window.warmupCycles),
+                static_cast<unsigned long long>(env.window.measureCycles));
+    std::printf("%-10s %9s %6s %7s %7s %7s %7s %9s %s\n", "app",
+                "l3acc/kc", "IPC", "L1D%", "L2D%", "L3miss%",
+                "bpred%", "expected", "class");
+
+    const auto &profiles = specProfiles();
+    unsigned classified = 0, misclassified = 0;
+    for (std::size_t a = 0; a < profiles.size(); ++a) {
+        const WorkloadProfile &profile = profiles[a];
+        const SchemeResults &group = groups[a];
+        const MixResult &core0 = group.mixes[0];
+        // A decoded result with IPCs has every per-core field; an
+        // ok one without (a hand-edited cache entry) is no row.
+        if (!group.okAt(0) || core0.ipc.empty()) {
+            std::printf("%-10s %s\n", profile.name.c_str(),
+                        group.okAt(0) ? "no result"
+                                      : to_string(group.statuses[0]));
+            continue;
+        }
+        const double intensity = core0.l3AccessesPerKilocycle[0];
+        const bool intensive = intensity > 9.0;
+        ++classified;
+        misclassified += intensive != profile.llcIntensive;
+        std::printf("%-10s %9.2f %6.3f %7.2f %7.2f %7.2f %7.2f %9s "
+                    "%s%s\n",
+                    profile.name.c_str(), intensity, core0.ipc[0],
+                    100.0 * core0.l1dMissRatio[0],
+                    100.0 * core0.l2dMissRatio[0],
+                    100.0 * core0.l3MissRatio[0],
+                    100.0 * core0.mispredictRate[0],
+                    profile.llcIntensive ? "intensive" : "light",
+                    intensive ? "intensive" : "light",
+                    intensive == profile.llcIntensive
+                        ? ""
+                        : "  <-- MISCLASSIFIED");
+    }
+    std::printf("\nmisclassified: %u of %u\n", misclassified, classified);
+}
+
 // Figure 6: harmonic-mean IPC per intensive mix, sorted by the
 // adaptive scheme's speedup over private (paper: +21% / +13% over
 // private, +2% / +5% over shared).
@@ -764,6 +834,7 @@ figures()
     constexpr SimWindow paper{3000000, 3000000};
     static const std::vector<Figure> all = {
         {"fig03", nullptr, {0, 0}, 0, fig03Jobs, fig03Report},
+        {"fig05", nullptr, {1000000, 2000000}, 0, fig05Jobs, fig05Report},
         {"fig06",
          "Figure 6: harmonic mean IPC per experiment (LLC-intensive "
          "pool)",

@@ -11,12 +11,13 @@
  * working set.
  *
  * Usage: parallel_sharing [sharedKB] [sharedFrac%] [cycles]
+ * (sharedFrac% is a whole percentage, 0-100)
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "base/parse_count.hh"
 #include "sim/cmp_system.hh"
 #include "sim/metrics.hh"
 #include "workload/synth_workload.hh"
@@ -27,11 +28,16 @@ main(int argc, char **argv)
     using namespace nuca;
 
     const std::uint64_t shared_kb =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2048;
+        argc > 1 ? flagCount("parallel_sharing", "sharedKB", argv[1])
+                 : 2048;
     const double shared_frac =
-        argc > 2 ? std::atof(argv[2]) / 100.0 : 0.5;
+        argc > 2 ? static_cast<double>(flagCount(
+                       "parallel_sharing", "sharedFrac%", argv[2], 100)) /
+                       100.0
+                 : 0.5;
     const Cycle cycles =
-        argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1000000;
+        argc > 3 ? flagCount("parallel_sharing", "cycles", argv[3])
+                 : 1000000;
 
     WorkloadProfile thread;
     thread.name = "pthread";

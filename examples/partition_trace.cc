@@ -9,10 +9,11 @@
  * Usage: partition_trace [intervals] [cycles_per_interval]
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "base/parse_count.hh"
 #include "sim/cmp_system.hh"
 #include "workload/spec_profiles.hh"
 
@@ -32,10 +33,14 @@ main(int argc, char **argv)
 {
     using namespace nuca;
 
-    const unsigned intervals =
-        argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 20;
+    const auto intervals = static_cast<unsigned>(
+        argc > 1 ? flagCount("partition_trace", "intervals", argv[1],
+                             UINT_MAX)
+                 : 20);
     const Cycle step =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 350000;
+        argc > 2 ? flagCount("partition_trace", "cycles_per_interval",
+                             argv[2])
+                 : 350000;
 
     // art hoards capacity; wupwise and mesa barely need the L3; mcf
     // thrashes without profiting from more space.

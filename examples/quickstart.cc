@@ -7,9 +7,9 @@
  * Usage: quickstart [cycles]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "base/parse_count.hh"
 #include "sim/cmp_system.hh"
 #include "sim/metrics.hh"
 #include "workload/spec_profiles.hh"
@@ -20,7 +20,7 @@ main(int argc, char **argv)
     using namespace nuca;
 
     const Cycle cycles =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 500000;
+        argc > 1 ? flagCount("quickstart", "cycles", argv[1]) : 500000;
 
     // A classic mix: one cache-hog (ammp), one streaming thrasher
     // (mcf), one moderate (gzip), one nearly L2-resident (wupwise).

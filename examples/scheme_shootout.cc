@@ -14,7 +14,7 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -80,9 +80,9 @@ main(int argc, char **argv)
             names[static_cast<std::size_t>(i)] = argv[i + 1];
     }
     if (argc == 2)
-        cycles = std::strtoull(argv[1], nullptr, 10);
+        cycles = flagCount("scheme_shootout", "cycles", argv[1]);
     if (argc >= 6)
-        cycles = std::strtoull(argv[5], nullptr, 10);
+        cycles = flagCount("scheme_shootout", "cycles", argv[5]);
 
     std::vector<WorkloadProfile> apps;
     for (const auto &name : names)
@@ -100,13 +100,17 @@ main(int argc, char **argv)
     const std::vector<L3Scheme> schemes = {
         L3Scheme::Private, L3Scheme::Shared, L3Scheme::Adaptive,
         L3Scheme::RandomReplacement};
-    const auto rows = runParallel(
+    const auto rows = runParallelOutcomes(
         schemes,
         [&](L3Scheme s) { return runScheme(s, apps, cycles, telemetry); },
         jobsFromEnv());
+    for (const auto &outcome : rows) {
+        if (outcome.exception)
+            std::rethrow_exception(outcome.exception);
+    }
 
     for (std::size_t s = 0; s < schemes.size(); ++s) {
-        const auto &row = rows[s];
+        const auto &row = rows[s].value;
         std::printf("%-19s %8.4f %8.4f %8.4f %8.4f %9.4f %9.4f %10llu\n",
                     to_string(schemes[s]).c_str(), row.ipcs[0],
                     row.ipcs[1], row.ipcs[2], row.ipcs[3],

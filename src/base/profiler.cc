@@ -2,16 +2,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iomanip>
 #include <mutex>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
 #include <pthread.h>
-
-#include "base/logging.hh"
 
 namespace nuca {
 namespace prof {
@@ -224,6 +220,12 @@ phaseSampleShift(Phase p)
     return kPhases[static_cast<unsigned>(p)].sampleShift;
 }
 
+const char *
+counterName(Counter c)
+{
+    return kCounterNames[static_cast<unsigned>(c)];
+}
+
 void
 setEnabled(bool on)
 {
@@ -367,56 +369,7 @@ writeReport(std::ostream &os, double wall_seconds)
           "timed calls\n";
 }
 
-void
-writeJsonReport(std::ostream &os)
-{
-    // Hand-written JSON: every key is a static identifier and every
-    // value an integer, so no escaping is needed (nuca_base sits
-    // below the JSON layer in nuca_sim).
-    const Snapshot snap = snapshot();
-    os << "{\"version\": 1, \"enabled\": "
-       << (enabled() ? "true" : "false") << ", \"phases\": [";
-    bool first = true;
-    for (unsigned i = 0; i < kNumPhases; ++i) {
-        const auto p = static_cast<Phase>(i);
-        if (snap.estCalls(p) == 0)
-            continue;
-        if (!first)
-            os << ", ";
-        first = false;
-        os << "{\"name\": \"" << phaseName(p) << "\", \"parent\": ";
-        if (phaseParent(p) == Phase::NumPhases)
-            os << "null";
-        else
-            os << "\"" << phaseName(phaseParent(p)) << "\"";
-        os << ", \"est_ns\": " << snap.estNs(p)
-           << ", \"calls_est\": " << snap.estCalls(p)
-           << ", \"timed_calls\": " << snap.timed[i]
-           << ", \"sample_shift\": " << phaseSampleShift(p) << "}";
-    }
-    os << "], \"counters\": {";
-    first = true;
-    for (unsigned i = 0; i < kNumCounters; ++i) {
-        if (!first)
-            os << ", ";
-        first = false;
-        os << "\"" << kCounterNames[i] << "\": " << snap.counters[i];
-    }
-    os << "}}";
-}
-
-std::string
-jsonReport()
-{
-    std::ostringstream os;
-    writeJsonReport(os);
-    return os.str();
-}
-
 namespace {
-
-/** Where reportAtExit writes the JSON report; empty = nowhere. */
-std::string g_exitJsonPath;
 
 void
 reportAtExit()
@@ -426,27 +379,17 @@ reportAtExit()
     std::ostringstream os;
     writeReport(os);
     std::fputs(os.str().c_str(), stderr);
-    if (!g_exitJsonPath.empty()) {
-        std::ofstream f(g_exitJsonPath);
-        if (f) {
-            writeJsonReport(f);
-            f << "\n";
-        }
-        if (!f)
-            warn("profiler: could not write ", g_exitJsonPath);
-    }
 }
 
 } // namespace
 
 void
-enableWithExitReport(const std::string &json_path)
+enableWithExitReport()
 {
     static bool done = false;
     if (done)
         return;
     done = true;
-    g_exitJsonPath = json_path;
     setEnabled(true);
     std::atexit(reportAtExit);
 }

@@ -41,9 +41,9 @@
  * the main thread reports — needs no synchronization in the scopes
  * themselves.
  *
- * This lives in nuca_base and deliberately has no dependency on the
- * JSON layer in nuca_sim: the machine-readable report is written by
- * hand (names are static strings, values are integers).
+ * This lives in nuca_base, below the JSON layer in nuca_sim; the
+ * machine-readable report is built there, over snapshot()
+ * (profilerReportJson in sim/env_config.hh).
  */
 
 #ifndef NUCA_BASE_PROFILER_HH
@@ -113,6 +113,8 @@ const char *phaseName(Phase p);
 Phase phaseParent(Phase p);
 /** log2 of the phase's sampling divisor (0 = every entry timed). */
 unsigned phaseSampleShift(Phase p);
+/** Display name of a counter ("trace_records", ...). */
+const char *counterName(Counter c);
 
 /** Master switch (off by default; harnesses and tests flip it). */
 void setEnabled(bool on);
@@ -321,17 +323,13 @@ void resetAll();
  */
 void writeReport(std::ostream &os, double wall_seconds = 0.0);
 
-/** The same data as a JSON object (phases array + counters map). */
-void writeJsonReport(std::ostream &os);
-std::string jsonReport();
-
 /**
  * Enable profiling and install the exit hook: while profiling is
- * enabled at process exit, print the text report to stderr and, if
- * @p json_path is non-empty, write the JSON report there. Harnesses
- * call this once (see profilerFromEnv); calling it again is harmless.
+ * enabled at process exit, print the text report to stderr.
+ * Harnesses call this once (see profilerFromEnv); calling it again
+ * is harmless.
  */
-void enableWithExitReport(const std::string &json_path);
+void enableWithExitReport();
 
 } // namespace prof
 } // namespace nuca

@@ -1,6 +1,7 @@
 #include "sim/env_config.hh"
 
 #include <cstdlib>
+#include <fstream>
 #include <stdexcept>
 #include <thread>
 
@@ -204,12 +205,72 @@ runPolicyFromEnv()
     return policy;
 }
 
+json::Value
+profilerReportJson()
+{
+    const prof::Snapshot snap = prof::snapshot();
+    json::Value phases = json::Value::array();
+    for (unsigned i = 0; i < prof::kNumPhases; ++i) {
+        const auto p = static_cast<prof::Phase>(i);
+        if (snap.estCalls(p) == 0)
+            continue;
+        const prof::Phase parent = prof::phaseParent(p);
+        phases.append(
+            json::Value::object()
+                .set("name", prof::phaseName(p))
+                .set("parent", parent == prof::Phase::NumPhases
+                                   ? json::Value()
+                                   : json::Value(prof::phaseName(parent)))
+                .set("est_ns", snap.estNs(p))
+                .set("calls_est", snap.estCalls(p))
+                .set("timed_calls", snap.timed[i])
+                .set("sample_shift", static_cast<std::uint64_t>(
+                                         prof::phaseSampleShift(p))));
+    }
+    json::Value counters = json::Value::object();
+    for (unsigned i = 0; i < prof::kNumCounters; ++i)
+        counters.set(prof::counterName(static_cast<prof::Counter>(i)),
+                     snap.counters[i]);
+    return json::Value::object()
+        .set("version", 1)
+        .set("enabled", prof::enabled())
+        .set("phases", std::move(phases))
+        .set("counters", std::move(counters));
+}
+
+namespace {
+
+/** REPRO_PROFILE_OUT. Constructed before writeProfileAtExit is
+ *  registered, so it is destroyed only after the hook has run. */
+std::string profileOutPath;
+
+void
+writeProfileAtExit()
+{
+    if (!prof::enabled())
+        return;
+    std::ofstream f(profileOutPath);
+    if (f)
+        f << profilerReportJson().dump() << "\n";
+    if (!f)
+        warn("profiler: could not write ", profileOutPath);
+}
+
+} // namespace
+
 void
 profilerFromEnv()
 {
     const std::string on = envString("REPRO_PROFILE");
-    if (!on.empty() && on != "0")
-        prof::enableWithExitReport(envString("REPRO_PROFILE_OUT"));
+    if (on.empty() || on == "0")
+        return;
+    prof::enableWithExitReport();
+    static bool hooked = false;
+    profileOutPath = envString("REPRO_PROFILE_OUT");
+    if (!hooked && !profileOutPath.empty()) {
+        hooked = true;
+        std::atexit(writeProfileAtExit);
+    }
 }
 
 } // namespace nuca

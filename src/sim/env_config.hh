@@ -9,11 +9,11 @@
  * read once by each figure's main and by nuca_subctl figures):
  *
  *   variable                    parser                read by
- *   REPRO_WARMUP_CYCLES         windowFromEnv         figureEnv, fig05
+ *   REPRO_WARMUP_CYCLES         windowFromEnv         figureEnv
  *   REPRO_MEASURE_CYCLES        windowFromEnv           (the same)
  *   REPRO_MIXES                 envOr                 figureEnv
  *   REPRO_FIG3_INSTS            envOr                 figureEnv
- *   REPRO_JOBS                  jobsFromEnv           runSweep, fig05,
+ *   REPRO_JOBS                  jobsFromEnv           runSweep,
  *                                                       printHeader,
  *                                                       scheme_shootout
  *   REPRO_JSON                  envString             runSweep
@@ -25,16 +25,16 @@
  *   REPRO_JOB_TIMEOUT_S         isolationFromEnv      runSweep, nuca_sweepd
  *   REPRO_JOB_GRACE_MS          isolationFromEnv      runSweep, nuca_sweepd
  *   REPRO_SYNC                  envOr                 runSweep, nuca_sweepd
- *   REPRO_CKPT_DIR              checkpointFromEnv     runSweep, fig05
+ *   REPRO_CKPT_DIR              checkpointFromEnv     runSweep
  *   REPRO_CKPT_PERIOD           checkpointFromEnv     runSweep
  *   REPRO_CKPT_MAX_MB           checkpointFromEnv     runSweep, nuca_sweepd
  *   REPRO_FAULT                 faultFromEnv          runSweep, nuca_sweepd
- *   REPRO_CHECK                 robustnessFromEnv     runSweep, fig05,
+ *   REPRO_CHECK                 robustnessFromEnv     runSweep,
  *   REPRO_CHECK_PERIOD          robustnessFromEnv       nuca_sim and
  *   REPRO_WATCHDOG              robustnessFromEnv       nuca_sweepd
  *   REPRO_WATCHDOG_WINDOW       robustnessFromEnv       read each of
  *   REPRO_MAX_CYCLES            robustnessFromEnv       these five
- *   REPRO_TRACE                 telemetryFromEnv      runSweep, fig05,
+ *   REPRO_TRACE                 telemetryFromEnv      runSweep,
  *   REPRO_TRACE_PERIOD          telemetryFromEnv        nuca_sim,
  *   REPRO_HEATMAP               telemetryFromEnv        scheme_shootout
  *   REPRO_PERFETTO              telemetryFromEnv        and nuca_sweepd
@@ -53,6 +53,7 @@
 
 #include "base/parse_count.hh"
 #include "sim/experiment.hh"
+#include "sim/json_writer.hh"
 #include "sim/proc_pool.hh"
 
 namespace nuca {
@@ -82,8 +83,15 @@ TelemetryConfig telemetryFromEnv();
 /** checkpoint, resume, robustness and telemetry together. */
 RunPolicy runPolicyFromEnv();
 
-/** Arm the host self-profiler (idempotent); it reports at exit. */
+/** Arm the host self-profiler (idempotent): it prints its text
+ *  report at exit, and writes profilerReportJson() to
+ *  REPRO_PROFILE_OUT when that is set. */
 void profilerFromEnv();
+
+/** The profiler's totals as JSON: version, enabled, a phases array
+ *  ({name, parent, est_ns, calls_est, timed_calls, sample_shift}
+ *  for each phase entered) and a counters map. */
+json::Value profilerReportJson();
 
 } // namespace nuca
 

@@ -168,10 +168,24 @@ runMix(const SystemConfig &config, const ExperimentSpec &spec,
 
     MixResult result;
     result.ipc = system->ipcs();
-    result.l3AccessesPerKilocycle.reserve(system->numCores());
+    for (auto *v : {&result.l3AccessesPerKilocycle, &result.l1dMissRatio,
+                    &result.l2dMissRatio, &result.l3MissRatio,
+                    &result.mispredictRate})
+        v->reserve(system->numCores());
     for (unsigned c = 0; c < system->numCores(); ++c) {
+        const auto core = static_cast<CoreId>(c);
+        MemorySystem &mem = system->memOf(core);
+        const Counter l3 = mem.l3DataAccesses();
         result.l3AccessesPerKilocycle.push_back(
-            system->l3AccessesPerKilocycle(static_cast<CoreId>(c)));
+            system->l3AccessesPerKilocycle(core));
+        result.l1dMissRatio.push_back(mem.l1d().tags().missRatio());
+        result.l2dMissRatio.push_back(mem.l2d().tags().missRatio());
+        result.l3MissRatio.push_back(
+            l3 == 0 ? 0.0
+                    : static_cast<double>(mem.l3DataMisses()) /
+                          static_cast<double>(l3));
+        result.mispredictRate.push_back(
+            system->coreAt(core).predictor().mispredictRate());
     }
     return result;
 }

@@ -34,6 +34,12 @@ struct MixResult
 {
     std::vector<double> ipc;
     std::vector<double> l3AccessesPerKilocycle;
+    /** Fig 5's diagnostics, one fraction per core: the L1D, L2D and
+     *  L3 data miss ratios and the branch misprediction rate. */
+    std::vector<double> l1dMissRatio;
+    std::vector<double> l2dMissRatio;
+    std::vector<double> l3MissRatio;
+    std::vector<double> mispredictRate;
     /**
      * Auxiliary per-way payload carried by miss-curve jobs run
      * through the service daemon; empty (and never serialized) for

@@ -288,36 +288,6 @@ runParallelOutcomes(
     return outcomes;
 }
 
-/**
- * Run fn(jobs[i]) for every job and return the bare results in
- * submission order; the first failure (after the pool drains — the
- * stop flag keeps the leftover jobs unclaimed) is rethrown. This is
- * the pre-supervisor contract, kept for callers whose jobs cannot
- * fail in normal operation; sweeps that must survive bad points go
- * through runParallelOutcomes.
- *
- * @p fn must be safe to invoke concurrently from multiple threads
- * (the experiment harness guarantees this: runMix touches only its
- * own CmpSystem). Its result type must be default-constructible.
- */
-template <typename Job, typename Fn>
-auto
-runParallel(const std::vector<Job> &jobs, Fn fn, unsigned num_threads,
-            ProgressReporter *progress = nullptr)
-    -> std::vector<std::invoke_result_t<Fn &, const Job &>>
-{
-    using Result = std::invoke_result_t<Fn &, const Job &>;
-    auto outcomes = runParallelOutcomes(jobs, std::move(fn),
-                                        num_threads, progress);
-    std::vector<Result> results(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (outcomes[i].exception)
-            std::rethrow_exception(outcomes[i].exception);
-        results[i] = std::move(outcomes[i].value);
-    }
-    return results;
-}
-
 } // namespace nuca
 
 #endif // NUCA_SIM_PARALLEL_RUNNER_HH

@@ -1,6 +1,7 @@
 #include "sim/sweep_store.hh"
 
 #include <cstdlib>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -38,6 +39,31 @@ numberVector(const json::Value &arr, const char *key)
         out.push_back(arr.at(i).asNumber());
     }
     return out;
+}
+
+/** The per-core diagnostic vectors and their payload names; a
+ *  result with IPCs carries each of them, one entry per core. */
+constexpr std::pair<const char *, std::vector<double> MixResult::*>
+    perCoreFields[] = {{"l1d_miss", &MixResult::l1dMissRatio},
+                       {"l2d_miss", &MixResult::l2dMissRatio},
+                       {"l3_miss", &MixResult::l3MissRatio},
+                       {"mispredict", &MixResult::mispredictRate}};
+
+/** Set mixResultToJson's members on @p obj (a sidecar line gets
+ *  them without a copy). */
+void
+setPayload(json::Value &obj, const MixResult &result)
+{
+    obj.set("ipc", doubleArray(result.ipc));
+    obj.set("l3apk", doubleArray(result.l3AccessesPerKilocycle));
+    if (!result.ipc.empty()) {
+        for (const auto &[key, field] : perCoreFields)
+            obj.set(key, doubleArray(result.*field));
+    }
+    // Only miss-curve service jobs carry a curve; omitting the key
+    // otherwise keeps classic records byte-identical.
+    if (!result.curve.empty())
+        obj.set("curve", doubleArray(result.curve));
 }
 
 /** Inverse of hex16. @throws SimulationError unless @p text is
@@ -92,12 +118,7 @@ json::Value
 mixResultToJson(const MixResult &result)
 {
     json::Value obj = json::Value::object();
-    obj.set("ipc", doubleArray(result.ipc));
-    obj.set("l3apk", doubleArray(result.l3AccessesPerKilocycle));
-    // Only miss-curve service jobs carry a curve; omitting the key
-    // otherwise keeps classic records byte-identical.
-    if (!result.curve.empty())
-        obj.set("curve", doubleArray(result.curve));
+    setPayload(obj, result);
     return obj;
 }
 
@@ -112,6 +133,22 @@ mixResultFromJson(const json::Value &obj)
     if (obj.contains("l3apk")) {
         result.l3AccessesPerKilocycle =
             numberVector(obj.at("l3apk"), "l3apk");
+    }
+    // A payload written before the diagnostics existed must not
+    // decode as a row of zeros: it is as unusable as a torn one.
+    if (!result.ipc.empty()) {
+        if (result.l3AccessesPerKilocycle.size() != result.ipc.size())
+            throw SimulationError(
+                "result field \"l3apk\" is not one per core");
+        for (const auto &[key, field] : perCoreFields) {
+            if (!obj.contains(key))
+                throw SimulationError(std::string("result field \"") +
+                                      key + "\" is missing");
+            result.*field = numberVector(obj.at(key), key);
+            if ((result.*field).size() != result.ipc.size())
+                throw SimulationError(std::string("result field \"") +
+                                      key + "\" is not one per core");
+        }
     }
     if (obj.contains("curve"))
         result.curve = numberVector(obj.at("curve"), "curve");
@@ -141,11 +178,7 @@ SweepStore::append(const SweepRecord &record)
     line.set("status", to_string(record.status));
     if (!record.error.empty())
         line.set("error", record.error);
-    const json::Value payload = mixResultToJson(record.result);
-    line.set("ipc", payload.at("ipc"));
-    line.set("l3apk", payload.at("l3apk"));
-    if (payload.contains("curve"))
-        line.set("curve", payload.at("curve"));
+    setPayload(line, record.result);
     if (record.timed) {
         line.set("queue_ms", record.queueMs);
         line.set("preempts", record.preempts);

@@ -32,7 +32,9 @@ namespace nuca {
 
 /**
  * Serialize a MixResult's payload fields into a JSON object with
- * "ipc" and "l3apk" number arrays. Shared by the sidecar records and
+ * "ipc" and "l3apk" number arrays; a result with IPCs adds the
+ * per-core "l1d_miss", "l2d_miss", "l3_miss" and "mispredict"
+ * fractions, a miss curve adds "curve". Shared by the sidecar records and
  * the proc-pool wire protocol: both go through json::Value's exact
  * double round-trip, which is what makes a proc-isolated sweep's
  * REPRO_JSON byte-identical to the in-process pool's.
@@ -41,7 +43,9 @@ json::Value mixResultToJson(const MixResult &result);
 
 /** Parse the fields written by mixResultToJson (absent keys yield
  *  empty vectors). @throws SimulationError when @p obj is not an
- *  object or a present field is not an array of numbers. */
+ *  object, a present field is not an array of numbers, or a result
+ *  with IPCs lacks a per-core fraction, or has it or "l3apk" at
+ *  another length. */
 MixResult mixResultFromJson(const json::Value &obj);
 
 /** One settled sweep job as persisted in the sidecar. */

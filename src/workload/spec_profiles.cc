@@ -307,9 +307,8 @@ findProfile(const std::string &name)
         if (p.name == name)
             return &p;
     }
-    // "idle" resolves too: experiment specs submitted to the service
-    // daemon name the no-interference companion the same way the
-    // characterization benches build it by hand.
+    // "idle" resolves too: job specs, Fig 5's among them, name the
+    // no-interference companion like any application.
     if (name == idleProfile().name)
         return &idleProfile();
     return nullptr;

@@ -13,6 +13,7 @@
 
 #include "base/profiler.hh"
 #include "sim/cmp_system.hh"
+#include "sim/env_config.hh"
 #include "sim/json_writer.hh"
 #include "workload/spec_profiles.hh"
 
@@ -203,9 +204,10 @@ TEST_F(ProfilerTest, JsonReportParsesAndCarriesTotals)
     }
     prof::add(prof::Counter::CheckpointBytesIn, 9);
 
-    // The profiler writes its JSON by hand (it sits below the json
-    // library in the layering); the document must still parse.
-    const auto doc = json::Value::tryParse(prof::jsonReport());
+    // The sim layer builds the report over the profiler's snapshot;
+    // the document it writes must parse back.
+    const auto doc =
+        json::Value::tryParse(profilerReportJson().dump());
     ASSERT_TRUE(doc.has_value());
     EXPECT_TRUE(doc->at("enabled").asBool());
     EXPECT_EQ(doc->at("counters").at("checkpoint_bytes_in")

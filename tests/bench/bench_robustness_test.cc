@@ -242,6 +242,9 @@ TEST_F(SweepSupervisor, ResumeReusesSidecarResultsVerbatim)
         fake.key = cellKey(0, 0, kWindow);
         fake.result.ipc = {123.0, 456.0, 789.0, 1011.0};
         fake.result.l3AccessesPerKilocycle = {1.0, 2.0, 3.0, 4.0};
+        fake.result.l1dMissRatio = fake.result.l2dMissRatio =
+            fake.result.l3MissRatio = fake.result.mispredictRate =
+                {0.5, 0.5, 0.5, 0.5};
         store.append(fake);
     }
     ::setenv("REPRO_JSON", path.c_str(), 1);
@@ -274,6 +277,9 @@ TEST_F(SweepSupervisor, ResumeResimulatesRecordsOfAnotherRun)
         stale.key = cellKey(0, 0, {kWindow.warmupCycles,
                                    4 * kWindow.measureCycles});
         stale.result.ipc = {123.0, 456.0, 789.0, 1011.0};
+        stale.result.l3AccessesPerKilocycle = stale.result.l1dMissRatio =
+            stale.result.l2dMissRatio = stale.result.l3MissRatio =
+                stale.result.mispredictRate = {0.5, 0.5, 0.5, 0.5};
         store.append(stale);
         SweepRecord keyless = stale;
         keyless.label = "private.mix1";

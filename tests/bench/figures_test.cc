@@ -3,7 +3,8 @@
  * The figure registry end to end: a figure that runs several sweeps
  * (fig10: today's and the scaled technology) writes one REPRO_JSON
  * document and one resume sidecar for all of them, so a failure in
- * its second sweep resumes without re-simulating the first.
+ * its second sweep resumes without re-simulating the first; fig05's
+ * per-application runs resume the same way.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 
 #include "figures.hh"
 #include "sim/sweep_store.hh"
+#include "workload/spec_profiles.hh"
 
 namespace nuca {
 namespace bench {
@@ -100,6 +102,49 @@ TEST_F(FigureSweep, ResumeAfterAScaledJobFailsReusesEveryCompletedJob)
     EXPECT_EQ(f, nullptr); // a clean finish removes the sidecar
     if (f)
         std::fclose(f);
+    std::remove(path.c_str());
+}
+
+TEST_F(FigureSweep, Fig05ResumesASkippedJobIntoTheCleanTable)
+{
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(figureMain("fig05"), 0);
+    const std::string clean = testing::internal::GetCapturedStdout();
+    EXPECT_NE(clean.find("misclassified: "), std::string::npos) << clean;
+
+    const std::string path = testing::TempDir() + "fig05_resume.json";
+    const std::string sidecar = SweepStore::sidecarPathFor(path);
+    std::remove(path.c_str());
+    std::remove(sidecar.c_str());
+    ::setenv("REPRO_JSON", path.c_str(), 1);
+
+    // Job 3 fails; the skip policy prints it as failed and finishes
+    // the other 23, which reach the sidecar.
+    ::setenv("REPRO_FAIL", "skip", 1);
+    ::setenv("REPRO_FAULT", "throw_job:3", 1);
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(figureMain("fig05"), 0);
+    const std::string skipped = testing::internal::GetCapturedStdout();
+    char failedRow[64];
+    std::snprintf(failedRow, sizeof(failedRow), "\n%-10s failed\n",
+                  allProfileNames().at(3).c_str());
+    EXPECT_NE(skipped.find(failedRow), std::string::npos) << skipped;
+    // The failed job is left out of the count (this short window
+    // classifies some light applications as intensive).
+    EXPECT_NE(skipped.find(" of 23\n"), std::string::npos) << skipped;
+
+    ::unsetenv("REPRO_FAULT");
+    ::setenv("REPRO_RESUME", "1", 1);
+    testing::internal::CaptureStderr();
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(figureMain("fig05"), 0);
+    const std::string resumed = testing::internal::GetCapturedStdout();
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("resume: reusing 23 of 24 results"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(resumed, clean);
+    EXPECT_EQ(labelsIn(path).size(), 24u);
     std::remove(path.c_str());
 }
 

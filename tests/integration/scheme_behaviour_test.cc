@@ -260,14 +260,15 @@ TEST(Telemetry, ParallelExperimentsWriteCompleteSeparateTraces)
     const SimWindow window{100000, 200000};
 
     std::vector<unsigned> idx = {0, 1, 2, 3};
-    runParallel(
-        idx,
-        [&](unsigned m) {
-            return runMix(SystemConfig::baseline(L3Scheme::Adaptive),
-                          mixes[m], window,
-                          "adaptive.mix" + std::to_string(m), policy);
-        },
-        /*jobs=*/4);
+    for (const auto &outcome : runParallelOutcomes(
+             idx,
+             [&](unsigned m) {
+                 return runMix(SystemConfig::baseline(L3Scheme::Adaptive),
+                               mixes[m], window,
+                               "adaptive.mix" + std::to_string(m), policy);
+             },
+             /*jobs=*/4))
+        ASSERT_TRUE(outcome.ok()) << outcome.error;
 
     for (unsigned m = 0; m < 4; ++m) {
         const std::string path = tracePathFor(

@@ -51,6 +51,10 @@ class ResultCacheTest : public ::testing::Test
                       2.5};
         result.l3AccessesPerKilocycle = {12.000000000000002, 0.0,
                                          7.5, 1e-9};
+        result.l1dMissRatio = {0.1, 0.7, 1.0 / 7.0, 0.0};
+        result.l2dMissRatio = {0.5, 0.1 + 0.7, 1.0, 0.25};
+        result.l3MissRatio = {0.0, 0.9, 0.3333333333333333, 1e-12};
+        result.mispredictRate = {0.05, 0.01, 0.125, 2.0 / 3.0};
         return result;
     }
 
@@ -118,11 +122,15 @@ TEST_F(ResultCacheTest, CorruptEntryIsAMissAndIsDropped)
                                 .filename()
                                 .string()
                                 .substr(0, 16);
-    // A torn file, and well-formed JSON whose payload is mistyped:
-    // each must be dropped rather than served (or abort the reader).
+    // A torn file, well-formed JSON whose payload is mistyped, and
+    // a Mix payload from before the per-core miss ratios and
+    // mispredict rates existed: each must be dropped rather than
+    // served (or abort the reader).
     for (const std::string &corrupt :
          {std::string("{\"key\": \"truncated"),
           "{\"key\":\"" + hex + "\",\"result\":{\"ipc\":[\"x\"]}}",
+          "{\"key\":\"" + hex +
+              "\",\"result\":{\"ipc\":[0.5],\"l3apk\":[12.5]}}",
           "{\"key\":\"" + hex + "\",\"result\":{\"l3apk\":\"x\"}}",
           "{\"key\":\"" + hex + "\",\"result\":7}"}) {
         cache.put(key, spec, sampleResult());

@@ -110,6 +110,7 @@ TEST(JsonWriter, ParseRejectsMalformedInput)
     EXPECT_FALSE(Value::tryParse("\"unterminated").has_value());
     EXPECT_FALSE(Value::tryParse("123 trailing").has_value());
     EXPECT_FALSE(Value::tryParse("nul").has_value());
+    EXPECT_FALSE(Value::tryParse("+1").has_value());
 }
 
 TEST(JsonWriter, ParseRejectsOverflowingNumbers)
@@ -119,6 +120,10 @@ TEST(JsonWriter, ParseRejectsOverflowingNumbers)
     EXPECT_FALSE(Value::tryParse("1e999").has_value());
     EXPECT_FALSE(Value::tryParse("[-1e400]").has_value());
     EXPECT_TRUE(Value::tryParse("1e300").has_value());
+    // An underflow is a zero, which dump() can write.
+    const auto tiny = Value::tryParse("[1e-400]");
+    ASSERT_TRUE(tiny.has_value());
+    EXPECT_EQ(tiny->at(0).asNumber(), 0.0);
 }
 
 TEST(JsonWriter, ParseUnescapesUnicodeEscapes)

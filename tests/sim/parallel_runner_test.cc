@@ -16,13 +16,26 @@
 namespace nuca {
 namespace {
 
+/** The values of @p outcomes, each of which must have settled ok. */
+template <typename T>
+std::vector<T>
+okValues(std::vector<JobOutcome<T>> outcomes)
+{
+    std::vector<T> values;
+    for (auto &outcome : outcomes) {
+        EXPECT_TRUE(outcome.ok()) << outcome.error;
+        values.push_back(std::move(outcome.value));
+    }
+    return values;
+}
+
 TEST(ParallelRunner, ResultsArriveInSubmissionOrder)
 {
     std::vector<int> jobs(100);
     std::iota(jobs.begin(), jobs.end(), 0);
     for (const unsigned threads : {1u, 2u, 8u}) {
-        const auto results = runParallel(
-            jobs, [](int i) { return i * i; }, threads);
+        const auto results = okValues(runParallelOutcomes(
+            jobs, [](int i) { return i * i; }, threads));
         ASSERT_EQ(results.size(), jobs.size());
         for (int i = 0; i < 100; ++i)
             EXPECT_EQ(results[static_cast<std::size_t>(i)], i * i);
@@ -34,13 +47,13 @@ TEST(ParallelRunner, EveryJobRunsExactlyOnce)
     std::vector<int> jobs(257);
     std::iota(jobs.begin(), jobs.end(), 0);
     std::atomic<int> invocations{0};
-    const auto results = runParallel(
+    const auto results = okValues(runParallelOutcomes(
         jobs,
         [&](int i) {
             invocations.fetch_add(1);
             return i;
         },
-        8);
+        8));
     EXPECT_EQ(invocations.load(), 257);
     for (int i = 0; i < 257; ++i)
         EXPECT_EQ(results[static_cast<std::size_t>(i)], i);
@@ -50,15 +63,15 @@ TEST(ParallelRunner, EmptyJobListReturnsEmpty)
 {
     const std::vector<int> jobs;
     const auto results =
-        runParallel(jobs, [](int i) { return i; }, 4);
+        runParallelOutcomes(jobs, [](int i) { return i; }, 4);
     EXPECT_TRUE(results.empty());
 }
 
 TEST(ParallelRunner, MoreThreadsThanJobsIsSafe)
 {
     const std::vector<int> jobs = {1, 2};
-    const auto results =
-        runParallel(jobs, [](int i) { return i + 10; }, 64);
+    const auto results = okValues(
+        runParallelOutcomes(jobs, [](int i) { return i + 10; }, 64));
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0], 11);
     EXPECT_EQ(results[1], 12);
@@ -68,25 +81,9 @@ TEST(ParallelRunner, ZeroThreadsFallsBackToSerial)
 {
     const std::vector<int> jobs = {5};
     const auto results =
-        runParallel(jobs, [](int i) { return i; }, 0u);
+        okValues(runParallelOutcomes(jobs, [](int i) { return i; }, 0u));
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0], 5);
-}
-
-TEST(ParallelRunner, WorkerExceptionPropagates)
-{
-    std::vector<int> jobs(16);
-    std::iota(jobs.begin(), jobs.end(), 0);
-    EXPECT_THROW(
-        runParallel(
-            jobs,
-            [](int i) {
-                if (i == 7)
-                    throw std::runtime_error("job 7 failed");
-                return i;
-            },
-            4),
-        std::runtime_error);
 }
 
 TEST(ParallelRunner, ProgressCountsEveryCompletion)
@@ -94,7 +91,7 @@ TEST(ParallelRunner, ProgressCountsEveryCompletion)
     std::vector<int> jobs(40);
     std::iota(jobs.begin(), jobs.end(), 0);
     ProgressReporter progress("test", jobs.size(), /*quiet=*/true);
-    runParallel(jobs, [](int i) { return i; }, 4, &progress);
+    runParallelOutcomes(jobs, [](int i) { return i; }, 4, &progress);
     EXPECT_EQ(progress.done(), 40u);
     progress.finish();
 }
@@ -369,19 +366,19 @@ TEST(ParallelRunner, RunMixIsBitIdenticalAcrossPoolSizes)
     const SystemConfig config =
         SystemConfig::baseline(L3Scheme::Adaptive);
 
-    const auto reference = runParallel(
+    const auto reference = okValues(runParallelOutcomes(
         mixes,
         [&](const ExperimentSpec &mix) {
             return runMix(config, mix, window);
         },
-        1);
+        1));
     for (const unsigned threads : {2u, 8u}) {
-        const auto results = runParallel(
+        const auto results = okValues(runParallelOutcomes(
             mixes,
             [&](const ExperimentSpec &mix) {
                 return runMix(config, mix, window);
             },
-            threads);
+            threads));
         ASSERT_EQ(results.size(), reference.size());
         for (std::size_t m = 0; m < results.size(); ++m) {
             // Exact equality, not tolerance: the parallel path must

@@ -96,6 +96,10 @@ fakeResult()
     MixResult result;
     result.ipc = {1.5, 0.125, 2.0 / 3.0, 0.1};
     result.l3AccessesPerKilocycle = {7.25, 8.0, 9.5, 0.3};
+    result.l1dMissRatio = {0.1, 0.2, 0.3, 0.4};
+    result.l2dMissRatio = {0.5, 0.25, 0.125, 1.0 / 3.0};
+    result.l3MissRatio = {0.0, 0.75, 1.0, 0.1 + 0.2};
+    result.mispredictRate = {0.05, 0.01, 0.02, 0.0};
     return result;
 }
 

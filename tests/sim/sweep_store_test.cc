@@ -28,6 +28,10 @@ okRecord(const std::string &label, double ipc0)
     record.label = label;
     record.result.ipc = {ipc0, ipc0 * 2};
     record.result.l3AccessesPerKilocycle = {7.5, 8.25};
+    record.result.l1dMissRatio = {0.03125, 0.5};
+    record.result.l2dMissRatio = {0.25, 0.125};
+    record.result.l3MissRatio = {0.75, 0.0};
+    record.result.mispredictRate = {0.0625, 1.0 / 3.0};
     return record;
 }
 
@@ -60,6 +64,14 @@ TEST(SweepStore, AppendLoadRoundTripsEveryField)
               (std::vector<double>{1.25, 2.5}));
     EXPECT_EQ(records[0].result.l3AccessesPerKilocycle,
               (std::vector<double>{7.5, 8.25}));
+    EXPECT_EQ(records[0].result.l1dMissRatio,
+              (std::vector<double>{0.03125, 0.5}));
+    EXPECT_EQ(records[0].result.l2dMissRatio,
+              (std::vector<double>{0.25, 0.125}));
+    EXPECT_EQ(records[0].result.l3MissRatio,
+              (std::vector<double>{0.75, 0.0}));
+    EXPECT_EQ(records[0].result.mispredictRate,
+              (std::vector<double>{0.0625, 1.0 / 3.0}));
 
     EXPECT_EQ(records[1].label, "adaptive.mix1");
     EXPECT_FALSE(records[1].key.has_value());
@@ -141,10 +153,8 @@ TEST(SweepStore, ServiceStatusesRoundTrip)
         preempted.status = JobStatus::Preempted;
         preempted.error = "preempted at cycle 40000 of 400000";
         store.append(preempted);
-        SweepRecord hit;
-        hit.label = "job2:mix";
+        SweepRecord hit = okRecord("job2:mix", 1.5);
         hit.status = JobStatus::CacheHit;
-        hit.result.ipc = {1.5, 0.5};
         store.append(hit);
         SweepRecord interrupted;
         interrupted.label = "job3:mix";
@@ -164,7 +174,7 @@ TEST(SweepStore, ServiceStatusesRoundTrip)
               std::string::npos);
     EXPECT_EQ(records[2].status, JobStatus::CacheHit);
     EXPECT_EQ(records[2].result.ipc,
-              (std::vector<double>{1.5, 0.5}));
+              (std::vector<double>{1.5, 3.0}));
     EXPECT_EQ(records[3].status, JobStatus::Interrupted);
     EXPECT_EQ(records[4].status, JobStatus::Cancelled);
     // None of the new states may ever be reused as an ok result.
@@ -204,8 +214,7 @@ TEST(SweepStore, SchedulingTelemetryRoundTripsOnlyWhenTimed)
 
 TEST(SweepStore, CurvePayloadRoundTripsAndStaysOptional)
 {
-    MixResult plain;
-    plain.ipc = {1.0};
+    const MixResult plain = okRecord("plain", 1.0).result;
     EXPECT_EQ(mixResultToJson(plain).dump().find("curve"),
               std::string::npos);
 
@@ -224,13 +233,22 @@ TEST(SweepStore, MixResultCodecRoundTripsEveryBit)
     MixResult result;
     result.ipc = {1.0 / 3.0, 0.1, 1e-300, 12345.6789012345678,
                   2.0 / 7.0};
-    result.l3AccessesPerKilocycle = {0.0, 1e300, 0.3333333333333333};
+    result.l3AccessesPerKilocycle = {0.0, 1e300, 0.3333333333333333,
+                                     7.25, 1e-300};
+    result.l1dMissRatio = {0.1, 0.2, 0.3, 1e-17, 1.0};
+    result.l2dMissRatio = {2.0 / 3.0, 0.0, 1.0, 0.5, 0.9999999999999999};
+    result.l3MissRatio = {0.0, 0.0, 0.7, 0.1 + 0.2, 1.0 / 7.0};
+    result.mispredictRate = {0.05, 0.01, 0.0, 1e-300, 0.125};
     const std::string wire = mixResultToJson(result).dump();
     const auto back =
         mixResultFromJson(json::Value::parse(wire));
     EXPECT_EQ(back.ipc, result.ipc);
     EXPECT_EQ(back.l3AccessesPerKilocycle,
               result.l3AccessesPerKilocycle);
+    EXPECT_EQ(back.l1dMissRatio, result.l1dMissRatio);
+    EXPECT_EQ(back.l2dMissRatio, result.l2dMissRatio);
+    EXPECT_EQ(back.l3MissRatio, result.l3MissRatio);
+    EXPECT_EQ(back.mispredictRate, result.mispredictRate);
     // And a second pass through text is byte-stable.
     EXPECT_EQ(mixResultToJson(back).dump(), wire);
 }
@@ -320,6 +338,22 @@ TEST(SweepStore, LoadSkipsTornTrailingLine)
                "\"key\":81985529216486895}\n"
                "{\"label\":\"private.mix1\",\"status\":\"ok\","
                "\"key\":\"0123456789ABCDEF\"}\n",
+               f);
+    // A Mix payload from before the per-core miss ratios and
+    // mispredict rates existed, or with one of them short, must be
+    // re-simulated, not resumed as a row of zeros.
+    std::fputs("{\"label\":\"private.mix1\",\"status\":\"ok\","
+               "\"ipc\":[1.5,0.5],\"l3apk\":[7.5,8.25]}\n",
+               f);
+    std::fputs("{\"label\":\"private.mix1\",\"status\":\"ok\","
+               "\"ipc\":[1.5,0.5],\"l3apk\":[7.5,8.25],"
+               "\"l1d_miss\":[0.1,0.1],\"l2d_miss\":[0.1,0.1],"
+               "\"l3_miss\":[0.1],\"mispredict\":[0.1,0.1]}\n",
+               f);
+    std::fputs("{\"label\":\"private.mix1\",\"status\":\"ok\","
+               "\"ipc\":[1.5,0.5],\"l3apk\":[7.5],"
+               "\"l1d_miss\":[0.1,0.1],\"l2d_miss\":[0.1,0.1],"
+               "\"l3_miss\":[0.1,0.1],\"mispredict\":[0.1,0.1]}\n",
                f);
     // Simulate a kill mid-append: a final line cut off mid-object.
     std::fputs("{\"label\":\"private.mix1\",\"status\":\"o", f);

@@ -15,22 +15,21 @@
  *   stats                   daemon counters and tenant service
  *   shutdown                stop the daemon
  *   figures <name|all>      run a sweep figure of the bench registry
- *                           (fig03, fig06 ... ext_core_scaling; see
- *                           bench/figures.hh) or the reduced fig05
- *                           through the daemon, printing the bench
- *                           binary's report; rerunning hits the
- *                           result cache
+ *                           (fig03, fig05 ... ext_core_scaling; see
+ *                           bench/figures.hh) through the daemon,
+ *                           printing the bench binary's report;
+ *                           rerunning hits the result cache
  *
  * Spec flags for submit: --kind mix|miss_curve, --base, --scheme,
  * --apps a,b,c,d, --seed, --warmup, --measure, --insts, --tenant,
  * --priority, --label.
  */
 
+#include <charconv>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -38,7 +37,6 @@
 #include "service/client.hh"
 #include "sim/env_config.hh"
 #include "sim/sweep_store.hh"
-#include "workload/spec_profiles.hh"
 
 namespace {
 
@@ -61,6 +59,23 @@ splitCsv(const std::string &text)
         start = comma + 1;
     }
     return parts;
+}
+
+/** --priority by JobSpec's rule, an integer within int; anything
+ *  else exits 2 naming the flag, like the count flags. */
+int
+priorityFlag(const std::string &text)
+{
+    int value = 0;
+    const char *last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    if (ec != std::errc() || end != last) {
+        std::fprintf(stderr,
+                     "nuca_subctl: --priority must be an int: '%s'\n",
+                     text.c_str());
+        std::exit(2);
+    }
+    return value;
 }
 
 std::uint64_t
@@ -96,37 +111,6 @@ struct FigureSubmitter
     }
 };
 
-void
-figuresFig05(FigureSubmitter &figures)
-{
-    const SimWindow window =
-        bench::figureEnvFromEnv({1000000, 2000000}, 0).window;
-    const std::vector<std::string> apps = allProfileNames();
-    std::vector<std::uint64_t> ids;
-    for (const std::string &app : apps) {
-        JobSpec spec;
-        spec.scheme = "private";
-        spec.apps = {app, "idle", "idle", "idle"};
-        spec.seed = 12345;
-        spec.warmupCycles = window.warmupCycles;
-        spec.measureCycles = window.measureCycles;
-        spec.tenant = "figures";
-        ids.push_back(figures.submit(spec));
-    }
-    std::printf("\nFigure 5 (via nuca_sweepd): L3 access intensity "
-                "(accesses per kilocycle, core 0)\n");
-    std::printf("%-10s %10s %s\n", "app", "l3apk", "class");
-    for (std::size_t a = 0; a < apps.size(); ++a) {
-        const MixResult result = figures.wait(ids[a]);
-        const double apk =
-            result.l3AccessesPerKilocycle.empty()
-                ? 0.0
-                : result.l3AccessesPerKilocycle[0];
-        std::printf("%-10s %10.2f %s\n", apps[a].c_str(), apk,
-                    apk > 9.0 ? "intensive" : "light");
-    }
-}
-
 /** Submit a registry figure's job list, wait for every result and
  *  print it through the bench binary's reporter. */
 void
@@ -151,11 +135,11 @@ runFigures(const SweepClient &client, const std::string &which)
 {
     const bool all = which == "all";
     const bench::Figure *figure = bench::findFigure(which);
-    if (!all && figure == nullptr && which != "fig05") {
+    if (!all && figure == nullptr) {
         std::string names;
         for (const bench::Figure &f : bench::figures())
             names += std::string(f.name) + "|";
-        std::fprintf(stderr, "unknown figure \"%s\" (want %sfig05|all)\n",
+        std::fprintf(stderr, "unknown figure \"%s\" (want %sall)\n",
                      which.c_str(), names.c_str());
         return 2;
     }
@@ -163,11 +147,9 @@ runFigures(const SweepClient &client, const std::string &which)
     if (all) {
         for (const bench::Figure &f : bench::figures())
             runFigure(submitter, f);
-    } else if (figure != nullptr) {
+    } else {
         runFigure(submitter, *figure);
     }
-    if (all || which == "fig05")
-        figuresFig05(submitter);
 
     std::printf("\n%llu of %llu jobs served from the result "
                 "cache\n",
@@ -270,8 +252,7 @@ main(int argc, char **argv)
                 } else if (flag == "--tenant") {
                     spec.tenant = value();
                 } else if (flag == "--priority") {
-                    spec.priority = static_cast<int>(std::strtol(
-                        value().c_str(), nullptr, 10));
+                    spec.priority = priorityFlag(value());
                 } else if (flag == "--label") {
                     spec.label = value();
                 } else {
