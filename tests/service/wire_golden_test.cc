@@ -1,0 +1,410 @@
+/**
+ * @file
+ * Golden bytes of every place a result payload leaves the process: a
+ * result cache entry, a sweep sidecar / daemon journal line, the
+ * daemon's submit and result response lines, and the fork sandbox's
+ * pipe line, for a 4-core mix payload and a miss-curve payload.
+ *
+ * Any change to how a payload is encoded must leave these strings
+ * alone: caches, journals and clients written by one build are read
+ * by the next.
+ */
+
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "service/job_spec.hh"
+#include "service/result_cache.hh"
+#include "service/sweepd.hh"
+#include "sim/proc_pool.hh"
+#include "sim/robustness.hh"
+#include "sim/sweep_store.hh"
+
+namespace {
+
+using namespace nuca;
+using namespace nuca::service;
+
+/** A 4-core payload whose doubles exercise every number form the
+ *  writer has: integers, round-trip fractions, exponents. */
+MixResult
+mixPayload()
+{
+    MixResult r;
+    r.ipc = {0.1 + 0.2, 1.0 / 3.0, 0.9999999999999999, 2.0};
+    r.l3AccessesPerKilocycle = {12.000000000000002, 0.0,
+                                123456789012345.0, 1e-9};
+    r.l1dMissRatio = {0.1, 0.7, 1.0 / 7.0, 1e15};
+    r.l2dMissRatio = {0.5, 0.1 + 0.7, 1.0, 1e20};
+    r.l3MissRatio = {0.0, 0.9, 0.3333333333333333, 1e-12};
+    r.mispredictRate = {0.05, 0.01, 0.125, 2.0 / 3.0};
+    return r;
+}
+
+MixResult
+curvePayload()
+{
+    MixResult r;
+    r.curve = {1048576.0, 524288.5, 0.1, 0.0};
+    return r;
+}
+
+JobSpec
+mixSpec()
+{
+    JobSpec spec;
+    spec.apps = {"mcf", "gzip", "ammp", "art"};
+    spec.seed = 42;
+    spec.warmupCycles = 20000;
+    spec.measureCycles = 40000;
+    spec.tenant = "alice";
+    spec.priority = 3;
+    return spec;
+}
+
+JobSpec
+curveSpec()
+{
+    JobSpec spec;
+    spec.kind = JobKind::MissCurve;
+    spec.apps = {"mcf"};
+    spec.insts = 1000;
+    return spec;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+const char *const kMixEntry = R"({
+  "key": "0123456789abcdef",
+  "spec": {
+    "kind": "mix",
+    "base": "baseline",
+    "scheme": "adaptive",
+    "apps": [
+      "mcf",
+      "gzip",
+      "ammp",
+      "art"
+    ],
+    "seed": "42",
+    "warmup_cycles": 20000,
+    "measure_cycles": 40000,
+    "tenant": "alice",
+    "priority": 3
+  },
+  "result": {
+    "ipc": [
+      0.30000000000000004,
+      0.33333333333333331,
+      0.99999999999999989,
+      2
+    ],
+    "l3apk": [
+      12.000000000000002,
+      0,
+      123456789012345,
+      1.0000000000000001e-09
+    ],
+    "l1d_miss": [
+      0.10000000000000001,
+      0.69999999999999996,
+      0.14285714285714285,
+      1000000000000000
+    ],
+    "l2d_miss": [
+      0.5,
+      0.79999999999999993,
+      1,
+      1e+20
+    ],
+    "l3_miss": [
+      0,
+      0.90000000000000002,
+      0.33333333333333331,
+      9.9999999999999998e-13
+    ],
+    "mispredict": [
+      0.050000000000000003,
+      0.01,
+      0.125,
+      0.66666666666666663
+    ]
+  }
+}
+)";
+
+const char *const kCurveEntry = R"({
+  "key": "00000000000000ff",
+  "spec": {
+    "kind": "miss_curve",
+    "base": "baseline",
+    "scheme": "adaptive",
+    "apps": [
+      "mcf"
+    ],
+    "seed": "0",
+    "warmup_cycles": 200000,
+    "measure_cycles": 1000000,
+    "insts": 1000,
+    "tenant": "default",
+    "priority": 0
+  },
+  "result": {
+    "ipc": [],
+    "l3apk": [],
+    "curve": [
+      1048576,
+      524288.5,
+      0.10000000000000001,
+      0
+    ]
+  }
+}
+)";
+
+TEST(WireGolden, ResultCacheEntryFiles)
+{
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("nuca_wire_golden_cache_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(dir);
+    const ResultCache cache(dir);
+    cache.put(0x0123456789abcdefULL, mixSpec(), mixPayload());
+    cache.put(0xffULL, curveSpec(), curvePayload());
+    EXPECT_EQ(slurp(cache.pathFor(0x0123456789abcdefULL)), kMixEntry);
+    EXPECT_EQ(slurp(cache.pathFor(0xffULL)), kCurveEntry);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(WireGolden, SidecarLines)
+{
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("nuca_wire_golden_" + std::to_string(::getpid()) + ".jsonl"))
+            .string();
+    std::filesystem::remove(path);
+    {
+        SweepStore store(path);
+        SweepRecord sweep;
+        sweep.label = "adaptive.mix0";
+        sweep.key = 0x0123456789abcdefULL;
+        sweep.result = mixPayload();
+        store.append(sweep);
+
+        SweepRecord timed;
+        timed.label = "job7:mcf \"curve\"";
+        timed.key = 0xffULL;
+        timed.status = JobStatus::CacheHit;
+        timed.result = curvePayload();
+        timed.timed = true;
+        timed.queueMs = 12;
+        timed.preempts = 2;
+        store.append(timed);
+
+        SweepRecord failed;
+        failed.label = "shared.mix3";
+        failed.status = JobStatus::Crashed;
+        failed.error = "killed by\tSIGSEGV\n";
+        failed.timed = true;
+        store.append(failed);
+    }
+    EXPECT_EQ(
+        slurp(path),
+        R"({"label":"adaptive.mix0","key":"0123456789abcdef","status":"ok","ipc":[0.30000000000000004,0.33333333333333331,0.99999999999999989,2],"l3apk":[12.000000000000002,0,123456789012345,1.0000000000000001e-09],"l1d_miss":[0.10000000000000001,0.69999999999999996,0.14285714285714285,1000000000000000],"l2d_miss":[0.5,0.79999999999999993,1,1e+20],"l3_miss":[0,0.90000000000000002,0.33333333333333331,9.9999999999999998e-13],"mispredict":[0.050000000000000003,0.01,0.125,0.66666666666666663]}
+{"label":"job7:mcf \"curve\"","key":"00000000000000ff","status":"cache_hit","ipc":[],"l3apk":[],"curve":[1048576,524288.5,0.10000000000000001,0],"queue_ms":12,"preempts":2}
+{"label":"shared.mix3","status":"crashed","error":"killed by\tSIGSEGV\n","ipc":[],"l3apk":[],"queue_ms":0,"preempts":0}
+)");
+    std::filesystem::remove(path);
+}
+
+/** Send @p line on @p fd and read one response line back. */
+std::string
+roundTrip(int fd, const std::string &line)
+{
+    const std::string out = line + "\n";
+    EXPECT_EQ(::write(fd, out.data(), out.size()),
+              static_cast<ssize_t>(out.size()));
+    std::string response;
+    char c;
+    while (::read(fd, &c, 1) == 1) {
+        response.push_back(c);
+        if (c == '\n')
+            break;
+    }
+    return response;
+}
+
+TEST(WireGolden, DaemonResponseAndJournalLines)
+{
+    const std::string state =
+        (std::filesystem::temp_directory_path() /
+         ("nuca_wire_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(state);
+    DaemonOptions opts;
+    opts.stateDir = state;
+    opts.socketPath = state + "/sock";
+    if (opts.socketPath.size() >= 100)
+        GTEST_SKIP() << "tmp path too long for sun_path";
+    opts.workers = 1;
+    opts.quantumMs = 0;
+    opts.isolation.enabled = false;
+
+    const JobSpec mix = mixSpec();
+    const JobSpec curve = curveSpec();
+    const ResultCache seed(state + "/results");
+    seed.put(mix.resultKey(), mix, mixPayload());
+    seed.put(curve.resultKey(), curve, curvePayload());
+
+    SweepDaemon daemon(opts);
+    daemon.start();
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
+                  opts.socketPath.c_str());
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+
+    EXPECT_EQ(
+        roundTrip(fd, R"({"op":"submit","spec":)" + mix.toJson().dump() +
+                         "}"),
+        R"({"ok":true,"id":1,"state":"cache_hit","key":"0b56de954ac55736","label":"mix:adaptive.baseline mcf+gzip+ammp+art#42"})"
+        "\n");
+    EXPECT_EQ(
+        roundTrip(fd, R"({"op":"result","id":1})"),
+        R"({"state":"cache_hit","preempts":0,"queue_ms":0,"ok":true,"result":{"ipc":[0.30000000000000004,0.33333333333333331,0.99999999999999989,2],"l3apk":[12.000000000000002,0,123456789012345,1.0000000000000001e-09],"l1d_miss":[0.10000000000000001,0.69999999999999996,0.14285714285714285,1000000000000000],"l2d_miss":[0.5,0.79999999999999993,1,1e+20],"l3_miss":[0,0.90000000000000002,0.33333333333333331,9.9999999999999998e-13],"mispredict":[0.050000000000000003,0.01,0.125,0.66666666666666663]}})"
+        "\n");
+    EXPECT_EQ(
+        roundTrip(fd, R"({"op":"submit","spec":)" +
+                         curve.toJson().dump() + "}"),
+        R"({"ok":true,"id":2,"state":"cache_hit","key":"076996bacbf674c3","label":"miss_curve:adaptive.baseline mcf#0"})"
+        "\n");
+    EXPECT_EQ(
+        roundTrip(fd, R"({"op":"result","id":2})"),
+        R"({"state":"cache_hit","preempts":0,"queue_ms":0,"ok":true,"result":{"ipc":[],"l3apk":[],"curve":[1048576,524288.5,0.10000000000000001,0]}})"
+        "\n");
+    EXPECT_EQ(roundTrip(fd, R"({"op":"shutdown"})"),
+              "{\"ok\":true,\"stopping\":true}\n");
+    ::close(fd);
+    daemon.join();
+
+    EXPECT_EQ(
+        slurp(state + "/jobs.jsonl"),
+        R"({"label":"job1:mix:adaptive.baseline mcf+gzip+ammp+art#42","key":"0b56de954ac55736","status":"cache_hit","ipc":[0.30000000000000004,0.33333333333333331,0.99999999999999989,2],"l3apk":[12.000000000000002,0,123456789012345,1.0000000000000001e-09],"l1d_miss":[0.10000000000000001,0.69999999999999996,0.14285714285714285,1000000000000000],"l2d_miss":[0.5,0.79999999999999993,1,1e+20],"l3_miss":[0,0.90000000000000002,0.33333333333333331,9.9999999999999998e-13],"mispredict":[0.050000000000000003,0.01,0.125,0.66666666666666663],"queue_ms":0,"preempts":0}
+{"label":"job2:miss_curve:adaptive.baseline mcf#0","key":"076996bacbf674c3","status":"cache_hit","ipc":[],"l3apk":[],"curve":[1048576,524288.5,0.10000000000000001,0],"queue_ms":0,"preempts":0}
+)");
+    std::filesystem::remove_all(state);
+}
+
+#if defined(__linux__)
+
+/** Open descriptors of this process. */
+std::set<int>
+openFds()
+{
+    std::set<int> fds;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        fds.insert(std::stoi(entry.path().filename().string()));
+    return fds;
+}
+
+/**
+ * The sandbox child's settlement line for a body returning @p make's
+ * result or throwing. The body runs in the child: it points the
+ * result pipe's write end (the one write-only FIFO the fork added)
+ * at a capture file, so the parent reads EOF and reports a crash
+ * while the file holds the exact bytes the child wrote.
+ */
+template <typename Body>
+std::string
+pipeLine(Body body)
+{
+    const std::string capture =
+        (std::filesystem::temp_directory_path() /
+         ("nuca_wire_pipe_" + std::to_string(::getpid())))
+            .string();
+    const std::set<int> before = openFds();
+    ProcIsolation iso;
+    iso.enabled = true;
+    EXPECT_THROW(runMixSandboxed(
+                     iso,
+                     [&] {
+                         const int out = ::open(capture.c_str(),
+                                                O_WRONLY | O_CREAT |
+                                                    O_TRUNC,
+                                                0600);
+                         for (const int fd : openFds()) {
+                             struct stat st;
+                             if (before.count(fd) == 0 &&
+                                 ::fstat(fd, &st) == 0 &&
+                                 S_ISFIFO(st.st_mode) &&
+                                 (::fcntl(fd, F_GETFL) & O_ACCMODE) ==
+                                     O_WRONLY)
+                                 ::dup2(out, fd);
+                         }
+                         return body();
+                     },
+                     nullptr),
+                 JobCrashed);
+    const std::string line = slurp(capture);
+    std::filesystem::remove(capture);
+    return line;
+}
+
+TEST(WireGolden, SandboxPipeLines)
+{
+    if (!procIsolationSupported())
+        GTEST_SKIP() << "no fork on this platform";
+    EXPECT_EQ(
+        pipeLine([] { return mixPayload(); }),
+        R"({"ipc":[0.30000000000000004,0.33333333333333331,0.99999999999999989,2],"l3apk":[12.000000000000002,0,123456789012345,1.0000000000000001e-09],"l1d_miss":[0.10000000000000001,0.69999999999999996,0.14285714285714285,1000000000000000],"l2d_miss":[0.5,0.79999999999999993,1,1e+20],"l3_miss":[0,0.90000000000000002,0.33333333333333331,9.9999999999999998e-13],"mispredict":[0.050000000000000003,0.01,0.125,0.66666666666666663],"status":"ok"})"
+        "\n");
+    EXPECT_EQ(
+        pipeLine([] { return curvePayload(); }),
+        R"({"ipc":[],"l3apk":[],"curve":[1048576,524288.5,0.10000000000000001,0],"status":"ok"})"
+        "\n");
+    EXPECT_EQ(pipeLine([]() -> MixResult {
+                  throw SimulationStalled("no \"progress\"");
+              }),
+              R"({"status":"stalled","error":"no \"progress\""})"
+              "\n");
+
+    // And the parent decodes an untouched line back to the payload.
+    ProcIsolation iso;
+    iso.enabled = true;
+    for (const MixResult &payload : {mixPayload(), curvePayload()}) {
+        const MixResult back = runMixSandboxed(
+            iso, [&] { return payload; }, nullptr);
+        EXPECT_EQ(mixResultToJson(back).dump(),
+                  mixResultToJson(payload).dump());
+    }
+}
+
+#endif // __linux__
+
+} // namespace
