@@ -12,8 +12,14 @@
  *
  * Loads are defensive, mirroring the checkpoint cache: a missing file
  * is a silent miss, a corrupt or key-mismatched file is a miss (and
- * is deleted). Rerunning the simulation is always the fallback, never
- * a wrong result.
+ * is deleted). For a torn, truncated or mistyped entry, rerunning the
+ * simulation is always the fallback, never a wrong result. Entries
+ * carry no checksum, though: a flipped digit inside a number still
+ * parses, and is served as that other number.
+ *
+ * An entry is read in one pass (sweep_store.hh's payload reader),
+ * with json::Value::tryParse's rules: the stored spec is checked for
+ * syntax, not decoded, since the key is the entry's identity.
  */
 
 #ifndef NUCA_SERVICE_RESULT_CACHE_HH
@@ -51,8 +57,8 @@ class ResultCache
     /**
      * Store @p result under @p key (atomically, via tmp + rename),
      * together with the originating spec for human inspection.
-     * Best-effort: an unwritable directory warns instead of failing
-     * the job.
+     * Best-effort: an unwritable directory or entry path warns on
+     * stderr instead of failing the job.
      */
     void put(std::uint64_t key, const JobSpec &spec,
              const MixResult &result) const;

@@ -113,13 +113,12 @@ SweepDaemon::journal(const Job &job)
         record.key = job.key;
     record.status = job.state;
     record.error = job.error;
-    if (job.state == JobStatus::Ok ||
-        job.state == JobStatus::CacheHit)
-        record.result = job.result;
     record.queueMs = job.queueMs;
     record.preempts = job.preempts;
     record.timed = true;
-    journal_->append(record);
+    static const std::string noResult = encodeMixResult({});
+    journal_->append(record,
+                     job.payload.empty() ? noResult : job.payload);
 }
 
 Job *
@@ -204,7 +203,7 @@ SweepDaemon::runJob(std::uint64_t id, int track)
     settled.state = outcome.status;
     settled.error = outcome.error;
     if (outcome.ok()) {
-        settled.result = outcome.value;
+        settled.payload = encodeMixResult(outcome.value);
         if (!opts_.robust.fault.isSimFault())
             cache_.put(key, spec, outcome.value);
     } else if (outcome.status == JobStatus::Preempted) {
@@ -293,9 +292,9 @@ SweepDaemon::opSubmit(const json::Value &request)
     job.spec = spec;
     job.key = key;
 
-    if (auto cached = cache_.get(key)) {
+    if (const auto cached = cache_.get(key)) {
         job.state = JobStatus::CacheHit;
-        job.result = std::move(*cached);
+        job.payload = encodeMixResult(*cached);
     } else {
         job.state = JobStatus::Queued;
         job.enqueuedAt = std::chrono::steady_clock::now();
@@ -356,7 +355,7 @@ SweepDaemon::opStatus(const json::Value &request)
     return resp;
 }
 
-json::Value
+std::string
 SweepDaemon::opResult(const json::Value &request)
 {
     const std::uint64_t id = requestId(request, "result");
@@ -364,25 +363,33 @@ SweepDaemon::opResult(const json::Value &request)
     std::lock_guard<std::mutex> lock(mutex_);
     const Job *job = findJob(id);
     if (job == nullptr)
-        return errorResponse("no such job " + std::to_string(id));
+        return errorResponse("no such job " + std::to_string(id)).dump();
 
-    json::Value resp = json::Value::object();
-    resp.set("state", to_string(job->state));
-    resp.set("preempts", job->preempts);
-    resp.set("queue_ms", job->queueMs);
+    std::string text;
+    json::Writer resp(text);
+    resp.beginObject();
+    resp.key("state");
+    resp.string(to_string(job->state));
+    resp.key("preempts");
+    resp.number(static_cast<double>(job->preempts));
+    resp.key("queue_ms");
+    resp.number(static_cast<double>(job->queueMs));
+    resp.key("ok");
     if (job->state == JobStatus::Ok ||
         job->state == JobStatus::CacheHit) {
-        resp.set("ok", true);
-        resp.set("result", mixResultToJson(job->result));
+        resp.boolean(true);
+        resp.key("result");
+        resp.raw(job->payload);
     } else if (isTerminal(job->state)) {
-        resp.set("ok", false);
-        resp.set("error", job->error.empty()
-                              ? std::string(to_string(job->state))
-                              : job->error);
+        resp.boolean(false);
+        resp.key("error");
+        resp.string(job->error.empty() ? to_string(job->state)
+                                       : job->error);
     } else {
-        resp.set("ok", true); // not done yet: poll again
+        resp.boolean(true); // not done yet: poll again
     }
-    return resp;
+    resp.endObject();
+    return text;
 }
 
 json::Value
@@ -466,49 +473,61 @@ SweepDaemon::opStats()
     return resp;
 }
 
-json::Value
-SweepDaemon::handle(const json::Value &request)
+std::string
+SweepDaemon::respond(const json::Value &request)
 {
     try {
         if (request.type() != json::Value::Type::Object ||
             !request.contains("op") ||
             request.at("op").type() != json::Value::Type::String)
             return errorResponse(
-                "request must be an object with an \"op\" string");
+                       "request must be an object with an \"op\" string")
+                .dump();
         const std::string &op = request.at("op").asString();
-
-        if (op == "ping") {
-            json::Value resp = json::Value::object();
-            resp.set("ok", true);
-            resp.set("pong", true);
-            resp.set("now_ms", nowMs());
-            return resp;
-        }
-        if (op == "submit")
-            return opSubmit(request);
-        if (op == "status")
-            return opStatus(request);
         if (op == "result")
             return opResult(request);
-        if (op == "preempt")
-            return opPreempt(request);
-        if (op == "cancel")
-            return opCancel(request);
-        if (op == "drain")
-            return opDrain();
-        if (op == "stats")
-            return opStats();
-        if (op == "shutdown") {
-            requestStop();
-            json::Value resp = json::Value::object();
-            resp.set("ok", true);
-            resp.set("stopping", true);
-            return resp;
-        }
-        return errorResponse("unknown op \"" + op + "\"");
+        return dispatch(op, request).dump();
     } catch (const std::exception &e) {
-        return errorResponse(e.what());
+        return errorResponse(e.what()).dump();
     }
+}
+
+json::Value
+SweepDaemon::handle(const json::Value &request)
+{
+    return json::Value::parse(respond(request));
+}
+
+json::Value
+SweepDaemon::dispatch(const std::string &op, const json::Value &request)
+{
+    if (op == "ping") {
+        json::Value resp = json::Value::object();
+        resp.set("ok", true);
+        resp.set("pong", true);
+        resp.set("now_ms", nowMs());
+        return resp;
+    }
+    if (op == "submit")
+        return opSubmit(request);
+    if (op == "status")
+        return opStatus(request);
+    if (op == "preempt")
+        return opPreempt(request);
+    if (op == "cancel")
+        return opCancel(request);
+    if (op == "drain")
+        return opDrain();
+    if (op == "stats")
+        return opStats();
+    if (op == "shutdown") {
+        requestStop();
+        json::Value resp = json::Value::object();
+        resp.set("ok", true);
+        resp.set("stopping", true);
+        return resp;
+    }
+    return errorResponse("unknown op \"" + op + "\"");
 }
 
 void
@@ -619,8 +638,8 @@ SweepDaemon::acceptLoop()
                      sizeof(timeout));
 
         // False once the client stops taking the reply.
-        auto reply = [fd](const json::Value &response) {
-            const std::string out = response.dump() + "\n";
+        auto reply = [fd](std::string out) {
+            out += '\n';
             std::size_t sent = 0;
             while (sent < out.size()) {
                 const ssize_t w = ::write(fd, out.data() + sent,
@@ -648,16 +667,18 @@ SweepDaemon::acceptLoop()
                 if (line.empty())
                     continue;
                 const auto request = json::Value::tryParse(line);
-                open = reply(request ? handle(*request)
+                open = reply(request ? respond(*request)
                                      : errorResponse("request line is "
-                                                     "not valid JSON"));
+                                                     "not valid JSON")
+                                           .dump());
             }
             // A client streaming bytes with no newline would grow the
             // buffer without bound; refuse it and hang up.
             if (open && buffer.size() > kMaxRequestLine) {
-                reply(errorResponse(
-                    "request line exceeds " +
-                    std::to_string(kMaxRequestLine) + " bytes"));
+                reply(errorResponse("request line exceeds " +
+                                    std::to_string(kMaxRequestLine) +
+                                    " bytes")
+                          .dump());
                 open = false;
             }
         }

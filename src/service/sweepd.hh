@@ -101,7 +101,10 @@ struct Job
     JobSpec spec;
     std::uint64_t key = 0;
     JobStatus state = JobStatus::Queued;
-    MixResult result;
+    /** The result as encodeMixResult's compact text, encoded once
+     *  when the job settles ok or hits the cache (empty before):
+     *  the journal line and the result response splice it. */
+    std::string payload;
     std::string error;
     std::uint64_t preempts = 0;
     /** Total ms spent waiting in the queue, across all attempts. */
@@ -123,11 +126,14 @@ class SweepDaemon
     SweepDaemon &operator=(const SweepDaemon &) = delete;
 
     /**
-     * Dispatch one protocol request and build its response. Public
-     * and thread-safe: the socket loop calls it per line, tests call
-     * it directly. Never throws — every error becomes an
-     * {ok: false, error} response.
+     * Dispatch one protocol request and write its response line (no
+     * newline). Public and thread-safe: the socket loop calls it per
+     * line. Never throws — every error becomes an {ok: false, error}
+     * response.
      */
+    std::string respond(const json::Value &request);
+
+    /** respond() as a document, for callers without a socket. */
     json::Value handle(const json::Value &request);
 
     /** Spawn the worker pool, the fair-share preempter, and (when
@@ -150,9 +156,12 @@ class SweepDaemon
     const DaemonOptions &options() const { return opts_; }
 
   private:
+    /** Every op but result, whose response splices a payload. */
+    json::Value dispatch(const std::string &op,
+                         const json::Value &request);
     json::Value opSubmit(const json::Value &request);
     json::Value opStatus(const json::Value &request);
-    json::Value opResult(const json::Value &request);
+    std::string opResult(const json::Value &request);
     json::Value opPreempt(const json::Value &request);
     json::Value opCancel(const json::Value &request);
     json::Value opDrain();

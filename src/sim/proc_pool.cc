@@ -180,17 +180,24 @@ childMain(int fd, const ProcIsolation &iso,
     if (iso.preemptible)
         std::signal(SIGTERM, procPreemptHandler);
     ::pthread_sigmask(SIG_SETMASK, &mask, nullptr);
-    json::Value record = json::Value::object();
+    std::string line;
+    json::Writer record(line);
+    record.beginObject();
     try {
         const MixResult result = body();
-        record = mixResultToJson(result);
-        record.set("status", "ok");
+        writeMixResultMembers(record, result);
+        record.key("status");
+        record.string("ok");
     } catch (...) {
         const std::exception_ptr failure = std::current_exception();
-        record.set("status", to_string(classifyFailure(failure)));
-        record.set("error", failureMessage(failure));
+        record.key("status");
+        record.string(to_string(classifyFailure(failure)));
+        record.key("error");
+        record.string(failureMessage(failure));
     }
-    if (!writeAll(fd, record.dump() + "\n"))
+    record.endObject();
+    line += '\n';
+    if (!writeAll(fd, line))
         ::_exit(123);
     ::_exit(0);
 }
@@ -285,24 +292,32 @@ awaitChild(pid_t pid)
 MixResult
 settleWire(const std::string &payload)
 {
-    using Type = json::Value::Type;
-    const auto parsed = json::Value::tryParse(payload);
-    if (parsed && parsed->contains("status") &&
-        parsed->at("status").type() == Type::String) {
-        const JobStatus status =
-            jobStatusFromString(parsed->at("status").asString());
-        if (status != JobStatus::Ok) {
-            const bool why = parsed->contains("error") &&
-                             parsed->at("error").type() == Type::String &&
-                             !parsed->at("error").asString().empty();
-            rethrowAs(status, why ? parsed->at("error").asString()
-                                  : "isolated job failed");
+    // One pass over the line's object: "status" and "error" here,
+    // the result's members into the reader; the last of a repeated
+    // member counts, as in a json::Value.
+    json::Cursor in(payload);
+    in.skipWs();
+    std::optional<std::string> status, error;
+    MixResultReader reader;
+    const auto member = [&](const std::string &name, unsigned depth) {
+        if (name == "status")
+            return in.maybeString(status, depth);
+        if (name == "error")
+            return in.maybeString(error, depth);
+        return reader.member(in, name, depth);
+    };
+    const bool parsed = in.canEnter(0) && in.peek() == '{' &&
+                        in.object(0, member) && in.atDocumentEnd();
+    if (parsed && status) {
+        const JobStatus settled = jobStatusFromString(*status);
+        if (settled != JobStatus::Ok) {
+            rethrowAs(settled, error && !error->empty()
+                                   ? *error
+                                   : "isolated job failed");
         }
-        try {
-            return mixResultFromJson(*parsed);
-        } catch (const SimulationError &) {
-            // a mistyped payload is no result at all
-        }
+        // a mistyped payload is no result at all
+        if (std::optional<MixResult> result = reader.take())
+            return std::move(*result);
     }
     throw JobCrashed("isolated job exited cleanly but returned no "
                      "parsable result");

@@ -18,8 +18,8 @@
  *    grace to die cleanly, then SIGKILL. A deadline catches what
  *    RLIMIT_CPU cannot — a job wedged in a sleep loop burns no CPU.
  *
- *  - Results cross a pipe as one JSON line built by the same
- *    mixResultToJson codec the results sidecar uses; doubles
+ *  - Results cross a pipe as one JSON line written and read by the
+ *    one-pass payload codec the results sidecar uses; doubles
  *    round-trip exactly, so a clean proc-isolated sweep produces
  *    byte-identical REPRO_JSON to the in-process pool. A job that
  *    throws in the child ships to_string(classifyFailure(...)) the

@@ -1,6 +1,7 @@
 #include "sim/sweep_store.hh"
 
 #include <cstdlib>
+#include <span>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -41,30 +42,20 @@ numberVector(const json::Value &arr, const char *key)
     return out;
 }
 
-/** The per-core diagnostic vectors and their payload names; a
- *  result with IPCs carries each of them, one entry per core. */
+/** Every payload field and its name, in write order. */
 constexpr std::pair<const char *, std::vector<double> MixResult::*>
-    perCoreFields[] = {{"l1d_miss", &MixResult::l1dMissRatio},
+    payloadFields[] = {{"ipc", &MixResult::ipc},
+                       {"l3apk", &MixResult::l3AccessesPerKilocycle},
+                       {"l1d_miss", &MixResult::l1dMissRatio},
                        {"l2d_miss", &MixResult::l2dMissRatio},
                        {"l3_miss", &MixResult::l3MissRatio},
-                       {"mispredict", &MixResult::mispredictRate}};
+                       {"mispredict", &MixResult::mispredictRate},
+                       {"curve", &MixResult::curve}};
+constexpr std::size_t kIpc = 0, kL3apk = 1, kCurve = 6;
 
-/** Set mixResultToJson's members on @p obj (a sidecar line gets
- *  them without a copy). */
-void
-setPayload(json::Value &obj, const MixResult &result)
-{
-    obj.set("ipc", doubleArray(result.ipc));
-    obj.set("l3apk", doubleArray(result.l3AccessesPerKilocycle));
-    if (!result.ipc.empty()) {
-        for (const auto &[key, field] : perCoreFields)
-            obj.set(key, doubleArray(result.*field));
-    }
-    // Only miss-curve service jobs carry a curve; omitting the key
-    // otherwise keeps classic records byte-identical.
-    if (!result.curve.empty())
-        obj.set("curve", doubleArray(result.curve));
-}
+/** The per-core diagnostic vectors; a result with IPCs carries each
+ *  of them, one entry per core. */
+constexpr std::span perCoreFields(payloadFields + 2, 4);
 
 /** Inverse of hex16. @throws SimulationError unless @p text is
  *  exactly hex16's form. */
@@ -114,11 +105,140 @@ recordFromJson(const json::Value &line)
 
 } // namespace
 
+void
+writeMixResultMembers(json::Writer &out, const MixResult &result)
+{
+    const auto numbers = [&](const char *key,
+                             const std::vector<double> &values) {
+        out.key(key);
+        out.beginArray();
+        for (const double v : values)
+            out.number(v);
+        out.endArray();
+    };
+    numbers("ipc", result.ipc);
+    numbers("l3apk", result.l3AccessesPerKilocycle);
+    if (!result.ipc.empty()) {
+        for (const auto &[key, field] : perCoreFields)
+            numbers(key, result.*field);
+    }
+    if (!result.curve.empty())
+        numbers("curve", result.curve);
+}
+
+std::string
+encodeMixResult(const MixResult &result)
+{
+    std::string text;
+    json::Writer out(text);
+    out.beginObject();
+    writeMixResultMembers(out, result);
+    out.endObject();
+    return text;
+}
+
+bool
+MixResultReader::member(json::Cursor &in, const std::string &name,
+                        unsigned depth)
+{
+    Slot *slot = nullptr;
+    for (std::size_t i = 0; i < std::size(payloadFields); ++i) {
+        if (name == payloadFields[i].first) {
+            slot = &slots_[i];
+            break;
+        }
+    }
+    if (slot == nullptr)
+        return in.skip(depth);
+    slot->values.clear();
+    if (in.peek() != '[') {
+        slot->state = Field::Bad;
+        return in.skip(depth);
+    }
+    slot->state = Field::Numbers;
+    return in.array(depth, [&](unsigned d) {
+        if (!in.atNumber()) {
+            slot->state = Field::Bad;
+            return in.skip(d);
+        }
+        double v;
+        if (!in.number(v))
+            return false;
+        slot->values.push_back(v);
+        return true;
+    });
+}
+
+std::optional<MixResult>
+MixResultReader::take()
+{
+    // mixResultFromJson's checks, in terms of the slots: an absent
+    // field reads as empty, a bad one throws wherever it is read.
+    for (const std::size_t i : {kIpc, kL3apk, kCurve}) {
+        if (slots_[i].state == Field::Bad)
+            return std::nullopt;
+    }
+    MixResult result;
+    result.ipc = std::move(slots_[kIpc].values);
+    result.l3AccessesPerKilocycle = std::move(slots_[kL3apk].values);
+    if (!result.ipc.empty()) {
+        if (result.l3AccessesPerKilocycle.size() != result.ipc.size())
+            return std::nullopt;
+        for (std::size_t i = 0; i < perCoreFields.size(); ++i) {
+            Slot &slot = slots_[2 + i];
+            if (slot.state != Field::Numbers ||
+                slot.values.size() != result.ipc.size())
+                return std::nullopt;
+            result.*perCoreFields[i].second = std::move(slot.values);
+        }
+    }
+    result.curve = std::move(slots_[kCurve].values);
+    return result;
+}
+
+bool
+readMixResult(json::Cursor &in, unsigned depth,
+              std::optional<MixResult> &out)
+{
+    out.reset();
+    if (!in.canEnter(depth))
+        return false;
+    if (in.peek() != '{')
+        return in.skip(depth);
+    MixResultReader reader;
+    if (!in.object(depth, [&](const std::string &name, unsigned d) {
+            return reader.member(in, name, d);
+        }))
+        return false;
+    out = reader.take();
+    return true;
+}
+
+std::optional<MixResult>
+decodeMixResult(std::string_view text)
+{
+    json::Cursor in(text);
+    in.skipWs();
+    std::optional<MixResult> result;
+    if (!readMixResult(in, 0, result) || !in.atDocumentEnd())
+        return std::nullopt;
+    return result;
+}
+
 json::Value
 mixResultToJson(const MixResult &result)
 {
     json::Value obj = json::Value::object();
-    setPayload(obj, result);
+    obj.set("ipc", doubleArray(result.ipc));
+    obj.set("l3apk", doubleArray(result.l3AccessesPerKilocycle));
+    if (!result.ipc.empty()) {
+        for (const auto &[key, field] : perCoreFields)
+            obj.set(key, doubleArray(result.*field));
+    }
+    // Only miss-curve service jobs carry a curve; omitting the key
+    // otherwise keeps classic records byte-identical.
+    if (!result.curve.empty())
+        obj.set("curve", doubleArray(result.curve));
     return obj;
 }
 
@@ -171,19 +291,37 @@ SweepStore::~SweepStore()
 void
 SweepStore::append(const SweepRecord &record)
 {
-    json::Value line = json::Value::object();
-    line.set("label", record.label);
-    if (record.key)
-        line.set("key", hex16(*record.key));
-    line.set("status", to_string(record.status));
-    if (!record.error.empty())
-        line.set("error", record.error);
-    setPayload(line, record.result);
-    if (record.timed) {
-        line.set("queue_ms", record.queueMs);
-        line.set("preempts", record.preempts);
+    append(record, encodeMixResult(record.result));
+}
+
+void
+SweepStore::append(const SweepRecord &record, std::string_view payload)
+{
+    std::string text;
+    json::Writer line(text);
+    line.beginObject();
+    line.key("label");
+    line.string(record.label);
+    if (record.key) {
+        line.key("key");
+        line.string(hex16(*record.key));
     }
-    const std::string text = line.dump() + "\n";
+    line.key("status");
+    line.string(to_string(record.status));
+    if (!record.error.empty()) {
+        line.key("error");
+        line.string(record.error);
+    }
+    // The payload's members, spliced between its braces.
+    line.rawMembers(payload.substr(1, payload.size() - 2));
+    if (record.timed) {
+        line.key("queue_ms");
+        line.number(static_cast<double>(record.queueMs));
+        line.key("preempts");
+        line.number(static_cast<double>(record.preempts));
+    }
+    line.endObject();
+    text += '\n';
 
     std::lock_guard<std::mutex> guard(mutex_);
     const std::size_t written =

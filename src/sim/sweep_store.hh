@@ -22,6 +22,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/experiment.hh"
@@ -47,6 +48,59 @@ json::Value mixResultToJson(const MixResult &result);
  *  with IPCs lacks a per-core fraction, or has it or "l3apk" at
  *  another length. */
 MixResult mixResultFromJson(const json::Value &obj);
+
+/*
+ * The same codec in one pass, without a json::Value tree: what the
+ * daemon's cache hits, journal lines and the sandbox pipe use. The
+ * tree functions above stay as the reference the tests hold these
+ * to, byte for byte and accept for accept.
+ */
+
+/** mixResultToJson(result)'s members, written into the object
+ *  @p out has open. */
+void writeMixResultMembers(json::Writer &out, const MixResult &result);
+
+/** mixResultToJson(result).dump(): the compact payload text. */
+std::string encodeMixResult(const MixResult &result);
+
+/**
+ * Collects a MixResult from an object read member by member with a
+ * json::Cursor, so a caller can read its own members (a cache
+ * entry's key, the pipe's status) from the same object.
+ */
+class MixResultReader
+{
+  public:
+    /** Read the value of member @p name at @p depth: a payload
+     *  field's numbers are kept, anything else is checked and
+     *  skipped. False on a syntax error. */
+    bool member(json::Cursor &in, const std::string &name,
+                unsigned depth);
+
+    /** mixResultFromJson's result over the members read (the last
+     *  of a repeated name counts), nullopt where it would throw. */
+    std::optional<MixResult> take();
+
+  private:
+    enum class Field : unsigned char { Absent, Numbers, Bad };
+    struct Slot
+    {
+        Field state = Field::Absent;
+        std::vector<double> values;
+    };
+    /** One per payload field, in write order. */
+    Slot slots_[7];
+};
+
+/** A value at @p depth read as mixResultFromJson reads it: @p out is
+ *  the result, nullopt where that throws (a non-object included).
+ *  False on a syntax error. */
+bool readMixResult(json::Cursor &in, unsigned depth,
+                   std::optional<MixResult> &out);
+
+/** mixResultFromJson(*json::Value::tryParse(text)) in one pass:
+ *  nullopt where the parse fails or the decode throws. */
+std::optional<MixResult> decodeMixResult(std::string_view text);
 
 /** One settled sweep job as persisted in the sidecar. */
 struct SweepRecord
@@ -98,6 +152,10 @@ class SweepStore
 
     /** Persist one record: serialize, append, flush. */
     void append(const SweepRecord &record);
+
+    /** append() with the result already encoded: @p payload is
+     *  encodeMixResult's text, and record.result is not read. */
+    void append(const SweepRecord &record, std::string_view payload);
 
     const std::string &path() const { return path_; }
 

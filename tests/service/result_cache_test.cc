@@ -5,12 +5,18 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "service/job_spec.hh"
+#include "sim/checkpoint.hh"
+#include "sim/json_writer.hh"
 #include "sim/sweep_store.hh"
+#include "support/mutation.hh"
 
 namespace {
 
@@ -170,6 +176,108 @@ TEST_F(ResultCacheTest, DisabledCacheNeverHitsAndNeverWrites)
     cache.put(spec.resultKey(), spec, sampleResult());
     EXPECT_FALSE(cache.get(spec.resultKey()).has_value());
     EXPECT_EQ(cache.count(), 0u);
+}
+
+TEST_F(ResultCacheTest, BlockedTempPathWarnsInsteadOfExiting)
+{
+    const ResultCache cache(dir_);
+    const JobSpec spec = sampleSpec();
+    const std::uint64_t key = spec.resultKey();
+    // A directory where the entry's temporary file goes: the write
+    // cannot even open (chmod would not stop root).
+    std::filesystem::create_directories(cache.pathFor(key) + ".tmp");
+
+    ::testing::internal::CaptureStderr();
+    cache.put(key, spec, sampleResult());
+    const std::string warning = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(warning.find("not stored"), std::string::npos) << warning;
+    EXPECT_FALSE(cache.get(key).has_value());
+    EXPECT_EQ(cache.count(), 0u);
+
+    // Once the path is free again, the same put stores the entry.
+    std::filesystem::remove(cache.pathFor(key) + ".tmp");
+    cache.put(key, spec, sampleResult());
+    EXPECT_TRUE(cache.get(key).has_value());
+}
+
+/**
+ * The reference reading of an entry: json::Value::tryParse, then the
+ * shape, key and mixResultFromJson checks ResultCache::get applies.
+ */
+std::optional<MixResult>
+treeEntry(const std::string &text, const std::string &hex)
+{
+    const auto doc = json::Value::tryParse(text);
+    if (!doc || doc->type() != json::Value::Type::Object ||
+        !doc->contains("key") ||
+        doc->at("key").type() != json::Value::Type::String ||
+        !doc->contains("result") || doc->at("key").asString() != hex)
+        return std::nullopt;
+    try {
+        return mixResultFromJson(doc->at("result"));
+    } catch (const SimulationError &) {
+        return std::nullopt;
+    }
+}
+
+/** get() over every flip and truncation of a stored entry. */
+class ResultCacheMutation : public ResultCacheTest
+{
+};
+
+TEST_F(ResultCacheMutation, ServesWhatTheTreeReadsOrDropsTheEntry)
+{
+    const ResultCache cache(dir_);
+    JobSpec curveSpec;
+    curveSpec.kind = JobKind::MissCurve;
+    curveSpec.apps = {"mcf"};
+    curveSpec.insts = 1000;
+    MixResult curve;
+    curve.curve = {1048576.0, 524288.5, 0.1, 0.0};
+
+    for (const auto &[spec, stored] :
+         {std::pair{sampleSpec(), sampleResult()},
+          std::pair{curveSpec, curve}}) {
+        const std::uint64_t key = spec.resultKey();
+        const std::string path = cache.pathFor(key);
+        cache.put(key, spec, stored);
+        std::string clean;
+        {
+            std::ifstream in(path, std::ios::binary);
+            clean.assign(std::istreambuf_iterator<char>(in), {});
+        }
+        ASSERT_FALSE(clean.empty());
+
+        std::size_t served = 0, dropped = 0;
+        forEachMutation(clean, [&](const std::string &mutant,
+                                   const std::string &what) {
+            {
+                std::ofstream out(path,
+                                  std::ios::trunc | std::ios::binary);
+                out << mutant;
+            }
+            const std::optional<MixResult> tree =
+                treeEntry(mutant, hex16(key));
+            std::optional<MixResult> got;
+            ::testing::internal::CaptureStderr();
+            ASSERT_NO_THROW(got = cache.get(key)) << what;
+            ::testing::internal::GetCapturedStderr();
+            ASSERT_EQ(got.has_value(), tree.has_value()) << what;
+            if (tree) {
+                ++served;
+                // Bit for bit: the same bytes on re-encoding.
+                EXPECT_EQ(mixResultToJson(*got).dump(),
+                          mixResultToJson(*tree).dump())
+                    << what;
+                EXPECT_TRUE(std::filesystem::exists(path)) << what;
+            } else {
+                ++dropped;
+                EXPECT_FALSE(std::filesystem::exists(path)) << what;
+            }
+        });
+        EXPECT_GT(served, 0u);
+        EXPECT_GT(dropped, 0u);
+    }
 }
 
 TEST_F(ResultCacheTest, CurvePayloadRoundTrips)

@@ -531,6 +531,33 @@ TEST_F(SweepdE2eTest, FairShareSpreadsWorkersAcrossTenants)
     daemon.join();
 }
 
+TEST_F(SweepdE2eTest, UnwritableCacheEntryStillSettlesOk)
+{
+    SweepDaemon daemon(baseOptions());
+    daemon.start();
+    const JobSpec spec = quickMix();
+    // A directory in the way of the entry's temporary file: the
+    // cache write fails, and that must cost the cache entry only.
+    std::filesystem::create_directories(
+        daemon.resultCache().pathFor(spec.resultKey()) + ".tmp");
+
+    const auto id = static_cast<std::uint64_t>(
+        submit(daemon, spec).at("id").asNumber());
+    const json::Value done = await(daemon, id);
+    EXPECT_EQ(done.at("state").asString(), "ok");
+    EXPECT_EQ(done.at("result").dump(),
+              mixResultToJson(directRun(spec)).dump());
+    EXPECT_EQ(daemon.resultCache().count(), 0u);
+
+    // The daemon keeps serving; the spec is simply not cached.
+    json::Value ping = json::Value::object();
+    ping.set("op", "ping");
+    EXPECT_TRUE(daemon.handle(ping).at("ok").asBool());
+    EXPECT_EQ(submit(daemon, spec).at("state").asString(), "queued");
+    daemon.requestStop();
+    daemon.join();
+}
+
 TEST_F(SweepdE2eTest, SocketRoundTripThroughSweepClient)
 {
     DaemonOptions opts = baseOptions();

@@ -26,10 +26,10 @@ TEST(JsonWriter, ScalarsDump)
 
 TEST(JsonWriter, StringsAreEscaped)
 {
-    EXPECT_EQ(json::escape("a\"b\\c"), "a\\\"b\\\\c");
-    EXPECT_EQ(json::escape("line\nbreak\ttab"),
-              "line\\nbreak\\ttab");
-    EXPECT_EQ(json::escape(std::string(1, '\x01')), "\\u0001");
+    EXPECT_EQ(Value("a\"b\\c").dump(), "\"a\\\"b\\\\c\"");
+    EXPECT_EQ(Value("line\nbreak\ttab").dump(),
+              "\"line\\nbreak\\ttab\"");
+    EXPECT_EQ(Value(std::string(1, '\x01')).dump(), "\"\\u0001\"");
 }
 
 TEST(JsonWriter, ObjectsPreserveInsertionOrder)
@@ -60,6 +60,80 @@ TEST(JsonWriter, PrettyPrintIndents)
     Value obj = Value::object();
     obj.set("a", 1);
     EXPECT_EQ(obj.dump(2), "{\n  \"a\": 1\n}");
+}
+
+TEST(JsonWriter, StreamingWriterLaysOutLikeDump)
+{
+    // Written member by member, and as a tree, the same document
+    // lays out the same at every indent; empty containers stay "[]"
+    // and "{}" on their line.
+    Value doc = Value::object();
+    doc.set("empty", Value::array());
+    doc.set("none", Value::object());
+    Value arr = Value::array();
+    arr.append(1).append(Value::object()).append("s\n");
+    Value inner = Value::object();
+    inner.set("k", Value());
+    inner.set("b", true);
+    arr.append(std::move(inner));
+    doc.set("arr", std::move(arr));
+
+    const std::string compact =
+        R"({"empty":[],"none":{},"arr":[1,{},"s\n",{"k":null,"b":true}]})";
+    const std::string pretty = R"({
+  "empty": [],
+  "none": {},
+  "arr": [
+    1,
+    {},
+    "s\n",
+    {
+      "k": null,
+      "b": true
+    }
+  ]
+})";
+    for (const unsigned indent : {0u, 2u}) {
+        std::string text;
+        json::Writer out(text, indent);
+        out.beginObject();
+        out.key("empty");
+        out.beginArray();
+        out.endArray();
+        out.key("none");
+        out.beginObject();
+        out.endObject();
+        out.key("arr");
+        out.beginArray();
+        out.number(1);
+        out.beginObject();
+        out.endObject();
+        out.string("s\n");
+        out.beginObject();
+        out.key("k");
+        out.null();
+        out.key("b");
+        out.boolean(true);
+        out.endObject();
+        out.endArray();
+        out.endObject();
+        const std::string &expected = indent == 0 ? compact : pretty;
+        EXPECT_EQ(text, expected);
+        EXPECT_EQ(doc.dump(indent), expected);
+    }
+
+    // Spliced compact text lands where a written value would.
+    std::string text;
+    json::Writer out(text);
+    out.beginObject();
+    out.key("a");
+    out.number(1);
+    out.rawMembers("\"b\":[2],\"c\":{}");
+    out.rawMembers("");
+    out.key("d");
+    out.raw("[3,4]");
+    out.endObject();
+    EXPECT_EQ(text, R"({"a":1,"b":[2],"c":{},"d":[3,4]})");
 }
 
 TEST(JsonWriter, ParseRoundTripsDump)
@@ -166,6 +240,12 @@ TEST(JsonMutation, TryParseSurvivesEveryFlipAndTruncation)
                                const std::string &what) {
         std::optional<Value> doc;
         ASSERT_NO_THROW(doc = Value::tryParse(mutant)) << what;
+        // The cursor's skip, which one-pass decoders use to pass over
+        // members they do not keep, accepts exactly the same texts.
+        json::Cursor in(mutant);
+        in.skipWs();
+        EXPECT_EQ(in.skip(0) && in.atDocumentEnd(), doc.has_value())
+            << what;
         if (!doc)
             return;
         ++accepted;
