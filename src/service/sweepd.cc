@@ -81,7 +81,7 @@ waiting(JobStatus state)
 } // namespace
 
 SweepDaemon::SweepDaemon(DaemonOptions options)
-    : opts_(std::move(options)), cache_(opts_.stateDir + "/results")
+    : opts_(std::move(options))
 {
     std::error_code ec;
     std::filesystem::create_directories(opts_.stateDir, ec);
@@ -91,8 +91,19 @@ SweepDaemon::SweepDaemon(DaemonOptions options)
     opts_.isolation.enabled =
         opts_.isolation.enabled && procIsolationSupported();
     opts_.isolation.preemptible = true;
-    journal_ = std::make_unique<SweepStore>(
-        opts_.stateDir + "/jobs.jsonl", opts_.sync);
+    const std::string journalPath = opts_.stateDir + "/jobs.jsonl";
+    // Replay the journal into the result index. A record without a
+    // key (run under a planted fault) is never served; load() has
+    // already skipped torn, mistyped and outdated lines.
+    for (const SweepRecord &record : SweepStore::load(journalPath)) {
+        if (!record.key || (record.status != JobStatus::Ok &&
+                            record.status != JobStatus::CacheHit))
+            continue;
+        const auto [slot, fresh] = settled_.try_emplace(*record.key);
+        if (fresh)
+            slot->second = encodeMixResult(record.result);
+    }
+    journal_ = std::make_unique<SweepStore>(journalPath, opts_.sync);
 }
 
 SweepDaemon::~SweepDaemon()
@@ -107,8 +118,8 @@ SweepDaemon::journal(const Job &job)
     SweepRecord record;
     record.label = "job" + std::to_string(job.id) + ":" +
                    job.spec.displayLabel();
-    // Same rule as the result cache: a planted simulator fault's
-    // result is not the key's result.
+    // A planted simulator fault's result is not the key's result:
+    // without a key the record is never served from the cache.
     if (!opts_.robust.fault.isSimFault())
         record.key = job.key;
     record.status = job.state;
@@ -205,7 +216,7 @@ SweepDaemon::runJob(std::uint64_t id, int track)
     if (outcome.ok()) {
         settled.payload = encodeMixResult(outcome.value);
         if (!opts_.robust.fault.isSimFault())
-            cache_.put(key, spec, outcome.value);
+            settled_.try_emplace(key, settled.payload);
     } else if (outcome.status == JobStatus::Preempted) {
         if (settled.cancelRequested) {
             settled.state = JobStatus::Cancelled;
@@ -292,9 +303,9 @@ SweepDaemon::opSubmit(const json::Value &request)
     job.spec = spec;
     job.key = key;
 
-    if (const auto cached = cache_.get(key)) {
+    if (const auto hit = settled_.find(key); hit != settled_.end()) {
         job.state = JobStatus::CacheHit;
-        job.payload = encodeMixResult(*cached);
+        job.payload = hit->second;
     } else {
         job.state = JobStatus::Queued;
         job.enqueuedAt = std::chrono::steady_clock::now();
@@ -467,7 +478,7 @@ SweepDaemon::opStats()
     resp.set("jobs", static_cast<std::uint64_t>(jobs_.size()));
     resp.set("executed", executed_);
     resp.set("cache_entries",
-             static_cast<std::uint64_t>(cache_.count()));
+             static_cast<std::uint64_t>(settled_.size()));
     resp.set("tenant_service_ms", std::move(tenants));
     resp.set("workers", static_cast<std::uint64_t>(opts_.workers));
     return resp;

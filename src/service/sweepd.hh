@@ -23,7 +23,10 @@
  *    JobSpec::resultKey() (the checkpoint layer's runKey over config
  *    + scheme + mix + run length): a spec the daemon has already
  *    simulated settles as cache_hit at submit time, with no worker
- *    involved.
+ *    involved. The cache is an in-memory index over the journal:
+ *    built once at construction from <state>/jobs.jsonl, so results
+ *    settled by an earlier daemon on the same state directory are
+ *    served too, and extended at every ok settle.
  *
  * A worker settles each attempt through the sweeps' settleJob, so a
  * job settles `crashed`, `timed_out` or `stalled` exactly as in a
@@ -48,9 +51,9 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 
 #include "service/job_spec.hh"
-#include "service/result_cache.hh"
 #include "service/scheduler.hh"
 #include "sim/job_status.hh"
 #include "sim/json_writer.hh"
@@ -68,8 +71,8 @@ struct DaemonOptions
     /** Unix-domain socket path; empty = no socket (tests drive
      *  handle() directly). --socket. */
     std::string socketPath;
-    /** State directory: jobs.jsonl journal, ckpt/ snapshots,
-     *  results/ cache. --state. */
+    /** State directory: the jobs.jsonl journal, which is also the
+     *  result cache, and ckpt/ snapshots. --state. */
     std::string stateDir = ".sweepd";
     /** Worker pool size. --workers. */
     unsigned workers = 2;
@@ -152,7 +155,6 @@ class SweepDaemon
     /** Worker executions started (cache hits never increment it). */
     std::uint64_t executedJobs() const;
 
-    const ResultCache &resultCache() const { return cache_; }
     const DaemonOptions &options() const { return opts_; }
 
   private:
@@ -186,12 +188,14 @@ class SweepDaemon
     Job *findJob(std::uint64_t id);
 
     DaemonOptions opts_;
-    ResultCache cache_;
     std::unique_ptr<SweepStore> journal_;
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;
     std::map<std::uint64_t, Job> jobs_;
+    /** Result key -> compact payload text of every ok or cache_hit
+     *  journal record with a key: what a submit is served from. */
+    std::unordered_map<std::uint64_t, std::string> settled_;
     std::uint64_t nextId_ = 1;
     TenantService tenantService_;
     unsigned busyWorkers_ = 0;

@@ -1,7 +1,6 @@
 #include "sim/env_config.hh"
 
 #include <cstdlib>
-#include <fstream>
 #include <stdexcept>
 #include <thread>
 
@@ -249,11 +248,10 @@ writeProfileAtExit()
 {
     if (!prof::enabled())
         return;
-    std::ofstream f(profileOutPath);
-    if (f)
-        f << profilerReportJson().dump() << "\n";
-    if (!f)
-        warn("profiler: could not write ", profileOutPath);
+    const std::string error = json::tryWriteTextAtomic(
+        profileOutPath, profilerReportJson().dump() + "\n");
+    if (!error.empty())
+        warn("profiler: ", error);
 }
 
 } // namespace

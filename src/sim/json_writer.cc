@@ -543,13 +543,6 @@ writeText(const std::string &path, std::string_view text)
 } // namespace
 
 void
-writeFile(const std::string &path, const Value &value)
-{
-    const std::string error = writeText(path, value.dump(2) + "\n");
-    fatal_if(!error.empty(), "json: ", error);
-}
-
-void
 writeFileAtomic(const std::string &path, const Value &value)
 {
     const std::string error =

@@ -286,12 +286,10 @@ Cursor::object(unsigned depth, Member &&member)
     }
 }
 
-/** Write @p value to @p path (trailing newline added); fatal on I/O
- *  errors so a misspelled REPRO_JSON directory fails loudly. */
-void writeFile(const std::string &path, const Value &value);
-
-/** writeFile via a sibling ".tmp" file renamed into place, so a
- *  crash mid-write never leaves a truncated document at @p path. */
+/** Write @p value, indented and with a trailing newline, to @p path
+ *  via a sibling ".tmp" file renamed into place, so a crash
+ *  mid-write never leaves a truncated document at @p path. Fatal on
+ *  I/O errors so a misspelled REPRO_JSON directory fails loudly. */
 void writeFileAtomic(const std::string &path, const Value &value);
 
 /**

@@ -278,9 +278,18 @@ mixResultFromJson(const json::Value &obj)
 SweepStore::SweepStore(std::string path, bool sync)
     : path_(std::move(path)), sync_(sync)
 {
-    file_ = std::fopen(path_.c_str(), "a");
+    file_ = std::fopen(path_.c_str(), "a+");
     fatal_if(file_ == nullptr, "sweep store: cannot open '", path_,
              "' for appending");
+    // A killed run can leave a torn last line. End it, so the first
+    // record appended now is a line of its own and not glued onto
+    // the fragment (which load() would skip, record and all).
+    const bool torn = std::fseek(file_, -1, SEEK_END) == 0 &&
+                      std::fgetc(file_) != '\n';
+    std::fseek(file_, 0, SEEK_END); // a write after a read needs it
+    fatal_if(torn && (std::fputc('\n', file_) == EOF ||
+                      std::fflush(file_) != 0),
+             "sweep store: short write to '", path_, "'");
 }
 
 SweepStore::~SweepStore()

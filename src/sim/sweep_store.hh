@@ -137,7 +137,9 @@ class SweepStore
 {
   public:
     /**
-     * Open @p path for appending; fatal when it cannot be opened.
+     * Open @p path for appending; fatal when it cannot be opened. An
+     * unterminated last line (the torn tail of a killed run) is ended
+     * with a newline first, so the next record starts a line.
      * @p sync upgrades every append from fflush (data reaches the
      * kernel; survives the *process* dying) to fflush+fsync (data
      * reaches the disk; survives the *machine* dying). The default

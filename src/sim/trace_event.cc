@@ -1,6 +1,5 @@
 #include "sim/trace_event.hh"
 
-#include <cstdio>
 #include <cstring>
 #include <map>
 #include <utility>
@@ -183,22 +182,11 @@ TraceEventLog::toJson() const
 bool
 TraceEventLog::writeTo(const std::string &path) const
 {
-    const std::string text = toJson().dump() + "\n";
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        warn("trace events: cannot open ", tmp, " for writing");
-        return false;
-    }
-    const bool wrote =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    const bool closed = std::fclose(f) == 0;
-    if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str())) {
-        warn("trace events: failed to write ", path);
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+    const std::string error =
+        json::tryWriteTextAtomic(path, toJson().dump() + "\n");
+    if (!error.empty())
+        warn("trace events: ", error);
+    return error.empty();
 }
 
 bool

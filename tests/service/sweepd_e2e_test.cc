@@ -8,7 +8,7 @@
  *  (b) a job preempted mid-run and resumed finishes with a result
  *      identical to an uninterrupted run;
  *  (c) a repeated spec is served from the result cache without
- *      spawning a worker.
+ *      spawning a worker, by the same daemon or a restarted one.
  *
  * Most tests drive SweepDaemon::handle() directly (no socket); the
  * socket tests at the bottom run the full wire path through
@@ -34,6 +34,7 @@
 
 #include "base/profiler.hh"
 #include "service/client.hh"
+#include "sim/checkpoint.hh"
 #include "sim/proc_pool.hh"
 #include "sim/sweep_store.hh"
 #include "sim/trace_event.hh"
@@ -531,31 +532,71 @@ TEST_F(SweepdE2eTest, FairShareSpreadsWorkersAcrossTenants)
     daemon.join();
 }
 
-TEST_F(SweepdE2eTest, UnwritableCacheEntryStillSettlesOk)
+// The journal is the result cache: a second daemon on the same state
+// directory serves what the first one settled, byte for byte, and
+// runs nothing. Records without a key (a planted fault's) and mix
+// payloads from before the per-core miss ratios are never served.
+TEST_F(SweepdE2eTest, RestartServesJournaledResults)
 {
-    SweepDaemon daemon(baseOptions());
-    daemon.start();
-    const JobSpec spec = quickMix();
-    // A directory in the way of the entry's temporary file: the
-    // cache write fails, and that must cost the cache entry only.
-    std::filesystem::create_directories(
-        daemon.resultCache().pathFor(spec.resultKey()) + ".tmp");
+    JobSpec curve;
+    curve.kind = JobKind::MissCurve;
+    curve.apps = {"mcf"};
+    curve.insts = 200000;
+    const std::vector<JobSpec> specs = {quickMix(), curve};
 
-    const auto id = static_cast<std::uint64_t>(
-        submit(daemon, spec).at("id").asNumber());
-    const json::Value done = await(daemon, id);
-    EXPECT_EQ(done.at("state").asString(), "ok");
-    EXPECT_EQ(done.at("result").dump(),
-              mixResultToJson(directRun(spec)).dump());
-    EXPECT_EQ(daemon.resultCache().count(), 0u);
+    std::vector<std::string> firstBytes;
+    {
+        SweepDaemon a(baseOptions());
+        a.start();
+        for (const JobSpec &spec : specs) {
+            const json::Value done = await(
+                a, static_cast<std::uint64_t>(
+                       submit(a, spec).at("id").asNumber()));
+            ASSERT_EQ(done.at("state").asString(), "ok");
+            firstBytes.push_back(done.at("result").dump());
+        }
+        a.requestStop();
+        a.join();
+    }
 
-    // The daemon keeps serving; the spec is simply not cached.
-    json::Value ping = json::Value::object();
-    ping.set("op", "ping");
-    EXPECT_TRUE(daemon.handle(ping).at("ok").asBool());
-    EXPECT_EQ(submit(daemon, spec).at("state").asString(), "queued");
-    daemon.requestStop();
-    daemon.join();
+    // Two records the next daemon must not serve: one without a key,
+    // and one whose mix payload lacks l1d_miss and the other per-core
+    // fractions.
+    const JobSpec outdated = quickMix("shared");
+    {
+        std::FILE *f =
+            std::fopen((state_ + "/jobs.jsonl").c_str(), "a");
+        ASSERT_NE(f, nullptr);
+        std::fputs("{\"label\":\"job9:x\",\"status\":\"ok\","
+                   "\"ipc\":[1,1,1,1],\"l3apk\":[1,1,1,1],"
+                   "\"l1d_miss\":[0,0,0,0],\"l2d_miss\":[0,0,0,0],"
+                   "\"l3_miss\":[0,0,0,0],\"mispredict\":[0,0,0,0]}\n",
+                   f);
+        std::fputs(("{\"label\":\"job10:x\",\"key\":\"" +
+                    hex16(outdated.resultKey()) +
+                    "\",\"status\":\"ok\",\"ipc\":[1,1,1,1],"
+                    "\"l3apk\":[1,1,1,1]}\n")
+                       .c_str(),
+                   f);
+        std::fclose(f);
+    }
+
+    SweepDaemon b(baseOptions()); // no workers: nothing can run
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const json::Value sub = submit(b, specs[i]);
+        ASSERT_EQ(sub.at("state").asString(), "cache_hit") << i;
+        const auto id =
+            static_cast<std::uint64_t>(sub.at("id").asNumber());
+        const json::Value hit = idOp(b, "result", id);
+        EXPECT_EQ(hit.at("result").dump(), firstBytes[i]) << i;
+    }
+    EXPECT_EQ(submit(b, outdated).at("state").asString(), "queued");
+    EXPECT_EQ(b.executedJobs(), 0u);
+    // Only the two ok records with a key and a current payload are
+    // indexed.
+    json::Value stats = json::Value::object();
+    stats.set("op", "stats");
+    EXPECT_EQ(b.handle(stats).at("cache_entries").asNumber(), 2.0);
 }
 
 TEST_F(SweepdE2eTest, SocketRoundTripThroughSweepClient)

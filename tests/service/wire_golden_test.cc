@@ -1,9 +1,9 @@
 /**
  * @file
  * Golden bytes of every place a result payload leaves the process: a
- * result cache entry, a sweep sidecar / daemon journal line, the
- * daemon's submit and result response lines, and the fork sandbox's
- * pipe line, for a 4-core mix payload and a miss-curve payload.
+ * sweep sidecar / daemon journal line, the daemon's submit and result
+ * response lines, and the fork sandbox's pipe line, for a 4-core mix
+ * payload and a miss-curve payload.
  *
  * Any change to how a payload is encoded must leave these strings
  * alone: caches, journals and clients written by one build are read
@@ -27,7 +27,6 @@
 #include <gtest/gtest.h>
 
 #include "service/job_spec.hh"
-#include "service/result_cache.hh"
 #include "service/sweepd.hh"
 #include "sim/proc_pool.hh"
 #include "sim/robustness.hh"
@@ -92,109 +91,6 @@ slurp(const std::string &path)
     std::ostringstream text;
     text << in.rdbuf();
     return text.str();
-}
-
-const char *const kMixEntry = R"({
-  "key": "0123456789abcdef",
-  "spec": {
-    "kind": "mix",
-    "base": "baseline",
-    "scheme": "adaptive",
-    "apps": [
-      "mcf",
-      "gzip",
-      "ammp",
-      "art"
-    ],
-    "seed": "42",
-    "warmup_cycles": 20000,
-    "measure_cycles": 40000,
-    "tenant": "alice",
-    "priority": 3
-  },
-  "result": {
-    "ipc": [
-      0.30000000000000004,
-      0.33333333333333331,
-      0.99999999999999989,
-      2
-    ],
-    "l3apk": [
-      12.000000000000002,
-      0,
-      123456789012345,
-      1.0000000000000001e-09
-    ],
-    "l1d_miss": [
-      0.10000000000000001,
-      0.69999999999999996,
-      0.14285714285714285,
-      1000000000000000
-    ],
-    "l2d_miss": [
-      0.5,
-      0.79999999999999993,
-      1,
-      1e+20
-    ],
-    "l3_miss": [
-      0,
-      0.90000000000000002,
-      0.33333333333333331,
-      9.9999999999999998e-13
-    ],
-    "mispredict": [
-      0.050000000000000003,
-      0.01,
-      0.125,
-      0.66666666666666663
-    ]
-  }
-}
-)";
-
-const char *const kCurveEntry = R"({
-  "key": "00000000000000ff",
-  "spec": {
-    "kind": "miss_curve",
-    "base": "baseline",
-    "scheme": "adaptive",
-    "apps": [
-      "mcf"
-    ],
-    "seed": "0",
-    "warmup_cycles": 200000,
-    "measure_cycles": 1000000,
-    "insts": 1000,
-    "tenant": "default",
-    "priority": 0
-  },
-  "result": {
-    "ipc": [],
-    "l3apk": [],
-    "curve": [
-      1048576,
-      524288.5,
-      0.10000000000000001,
-      0
-    ]
-  }
-}
-)";
-
-TEST(WireGolden, ResultCacheEntryFiles)
-{
-    const std::string dir =
-        (std::filesystem::temp_directory_path() /
-         ("nuca_wire_golden_cache_" + std::to_string(::getpid())))
-            .string();
-    std::filesystem::remove_all(dir);
-    const ResultCache cache(dir);
-    cache.put(0x0123456789abcdefULL, mixSpec(), mixPayload());
-    cache.put(0xffULL, curveSpec(), curvePayload());
-    EXPECT_EQ(slurp(cache.pathFor(0x0123456789abcdefULL)), kMixEntry);
-    EXPECT_EQ(slurp(cache.pathFor(0xffULL)), kCurveEntry);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(WireGolden, SidecarLines)
@@ -273,9 +169,22 @@ TEST(WireGolden, DaemonResponseAndJournalLines)
 
     const JobSpec mix = mixSpec();
     const JobSpec curve = curveSpec();
-    const ResultCache seed(state + "/results");
-    seed.put(mix.resultKey(), mix, mixPayload());
-    seed.put(curve.resultKey(), curve, curvePayload());
+    {
+        // An earlier daemon's journal on this state directory: its ok
+        // records are what the submits below are served from.
+        std::filesystem::create_directories(state);
+        SweepStore seed(state + "/jobs.jsonl");
+        SweepRecord record;
+        record.timed = true;
+        record.label = "job1:" + mix.displayLabel();
+        record.key = mix.resultKey();
+        record.result = mixPayload();
+        seed.append(record);
+        record.label = "job2:" + curve.displayLabel();
+        record.key = curve.resultKey();
+        record.result = curvePayload();
+        seed.append(record);
+    }
 
     SweepDaemon daemon(opts);
     daemon.start();
@@ -314,7 +223,9 @@ TEST(WireGolden, DaemonResponseAndJournalLines)
 
     EXPECT_EQ(
         slurp(state + "/jobs.jsonl"),
-        R"({"label":"job1:mix:adaptive.baseline mcf+gzip+ammp+art#42","key":"0b56de954ac55736","status":"cache_hit","ipc":[0.30000000000000004,0.33333333333333331,0.99999999999999989,2],"l3apk":[12.000000000000002,0,123456789012345,1.0000000000000001e-09],"l1d_miss":[0.10000000000000001,0.69999999999999996,0.14285714285714285,1000000000000000],"l2d_miss":[0.5,0.79999999999999993,1,1e+20],"l3_miss":[0,0.90000000000000002,0.33333333333333331,9.9999999999999998e-13],"mispredict":[0.050000000000000003,0.01,0.125,0.66666666666666663],"queue_ms":0,"preempts":0}
+        R"({"label":"job1:mix:adaptive.baseline mcf+gzip+ammp+art#42","key":"0b56de954ac55736","status":"ok","ipc":[0.30000000000000004,0.33333333333333331,0.99999999999999989,2],"l3apk":[12.000000000000002,0,123456789012345,1.0000000000000001e-09],"l1d_miss":[0.10000000000000001,0.69999999999999996,0.14285714285714285,1000000000000000],"l2d_miss":[0.5,0.79999999999999993,1,1e+20],"l3_miss":[0,0.90000000000000002,0.33333333333333331,9.9999999999999998e-13],"mispredict":[0.050000000000000003,0.01,0.125,0.66666666666666663],"queue_ms":0,"preempts":0}
+{"label":"job2:miss_curve:adaptive.baseline mcf#0","key":"076996bacbf674c3","status":"ok","ipc":[],"l3apk":[],"curve":[1048576,524288.5,0.10000000000000001,0],"queue_ms":0,"preempts":0}
+{"label":"job1:mix:adaptive.baseline mcf+gzip+ammp+art#42","key":"0b56de954ac55736","status":"cache_hit","ipc":[0.30000000000000004,0.33333333333333331,0.99999999999999989,2],"l3apk":[12.000000000000002,0,123456789012345,1.0000000000000001e-09],"l1d_miss":[0.10000000000000001,0.69999999999999996,0.14285714285714285,1000000000000000],"l2d_miss":[0.5,0.79999999999999993,1,1e+20],"l3_miss":[0,0.90000000000000002,0.33333333333333331,9.9999999999999998e-13],"mispredict":[0.050000000000000003,0.01,0.125,0.66666666666666663],"queue_ms":0,"preempts":0}
 {"label":"job2:miss_curve:adaptive.baseline mcf#0","key":"076996bacbf674c3","status":"cache_hit","ipc":[],"l3apk":[],"curve":[1048576,524288.5,0.10000000000000001,0],"queue_ms":0,"preempts":0}
 )");
     std::filesystem::remove_all(state);

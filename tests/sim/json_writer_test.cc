@@ -213,7 +213,7 @@ TEST(JsonWriter, FileRoundTrip)
         testing::TempDir() + "json_writer_test.json";
     Value doc = Value::object();
     doc.set("answer", 42);
-    json::writeFile(path, doc);
+    json::writeFileAtomic(path, doc);
     const auto parsed = Value::parse(json::readFile(path));
     EXPECT_EQ(parsed.at("answer").asNumber(), 42.0);
     std::remove(path.c_str());

@@ -212,15 +212,8 @@ TEST(PayloadCodecMutation, ReaderAcceptsExactlyWhatTheTreeAccepts)
         line.set("preempts", record.preempts);
         journal = line.dump();
     }
-    // A cache entry's text (the whole document, "result" nested).
-    json::Value entry = json::Value::object();
-    entry.set("key", hex16(*record.key));
-    entry.set("spec", json::Value::parse(R"({"kind":"mix","seed":"7"})"));
-    entry.set("result", mixResultToJson(fourCore()));
-
     for (const std::string &clean :
-         {encodeMixResult(fourCore()), encodeMixResult(curve), journal,
-          entry.dump(2)}) {
+         {encodeMixResult(fourCore()), encodeMixResult(curve), journal}) {
         SCOPED_TRACE(clean);
         forEachMutation(clean, [&](const std::string &mutant,
                                    const std::string &what) {

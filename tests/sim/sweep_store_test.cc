@@ -295,19 +295,48 @@ TEST(SweepStore, ResumeStyleLoadSurvivesTornMidRecordWrite)
         std::fclose(f);
     }
     {
-        // ...then the resumed run appends a complete record. The
-        // torn bytes and the new record share one physical line.
+        // ...then the resumed run appends complete records.
         SweepStore store(path);
         store.append(okRecord("a.mix2", 3.0));
         store.append(okRecord("a.mix3", 4.0));
     }
     const auto records = SweepStore::load(path);
     std::remove(path.c_str());
-    // The torn line (glued to a.mix2's record) is unparsable and
-    // skipped; the first and last records survive.
-    ASSERT_EQ(records.size(), 2u);
+    // The torn line is unparsable and skipped; every complete record
+    // before and after it survives.
+    ASSERT_EQ(records.size(), 3u);
     EXPECT_EQ(records[0].label, "a.mix0");
-    EXPECT_EQ(records[1].label, "a.mix3");
+    EXPECT_EQ(records[1].label, "a.mix2");
+    EXPECT_EQ(records[2].label, "a.mix3");
+}
+
+TEST(SweepStore, AppendAfterTornTailKeepsTheNewRecord)
+{
+    // The daemon's journal is its result cache: the first result
+    // settled after a crash restart must not be lost to the torn
+    // line the crash left.
+    const std::string path = tempPath("sweep_store_tail.jsonl");
+    std::remove(path.c_str());
+    {
+        SweepStore store(path);
+        store.append(okRecord("a", 1.0));
+    }
+    {
+        std::FILE *f = std::fopen(path.c_str(), "a");
+        ASSERT_NE(f, nullptr);
+        std::fputs("{\"label\":\"b\",\"ipc\":[0.5,", f);
+        std::fclose(f);
+    }
+    {
+        SweepStore store(path);
+        store.append(okRecord("c", 3.0));
+    }
+    const auto records = SweepStore::load(path);
+    std::remove(path.c_str());
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].label, "a");
+    EXPECT_EQ(records[1].label, "c");
+    EXPECT_EQ(records[1].result.ipc, okRecord("c", 3.0).result.ipc);
 }
 
 TEST(SweepStore, LoadSkipsTornTrailingLine)

@@ -8,7 +8,8 @@
  * See docs/SERVICE.md.
  *
  *   --socket PATH    socket to listen on (default <state>/sock)
- *   --state DIR      state directory (journal, snapshots, cache)
+ *   --state DIR      state directory: jobs.jsonl (the journal, which
+ *                    is also the result cache) and ckpt/ snapshots
  *   --workers N      worker pool size
  *   --period CYCLES  snapshot/preemption period
  *   --quantum-ms MS  fair-share quantum (0 = no automatic preemption)

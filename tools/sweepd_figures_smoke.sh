@@ -1,8 +1,10 @@
 #!/bin/sh
 # Warm-cache smoke for the sweep daemon: run `figures fig03`,
 # `figures fig06` and `figures abl_epoch_sweep` (whose configs travel
-# as overrides) twice each against a fresh daemon, and require every
-# second pass to be served entirely from the cross-run result cache.
+# as overrides) twice each, stopping and restarting the daemon on the
+# same state directory between the two passes, and require every
+# second pass to be served entirely from the cross-run result cache
+# (which the restarted daemon rebuilds from its journal).
 # Invoked by ctest as
 #   sh sweepd_figures_smoke.sh <nuca_sweepd> <nuca_subctl>
 # from the build directory (the state dir stays relative so the
@@ -24,21 +26,33 @@ esac
 
 rm -rf "$STATE"
 
-"$SWEEPD" --state "$STATE" --socket "$SOCK" --workers 2 &
-DAEMON=$!
-trap 'kill "$DAEMON" 2>/dev/null || true; wait "$DAEMON" 2>/dev/null || true' EXIT
+DAEMON=
+trap '[ -z "$DAEMON" ] || { kill "$DAEMON"; wait "$DAEMON"; } 2>/dev/null || true' EXIT
 
-"$SUBCTL" --socket "$SOCK" ping --retry 25
+start_daemon() {
+    "$SWEEPD" --state "$STATE" --socket "$SOCK" --workers 2 &
+    DAEMON=$!
+    "$SUBCTL" --socket "$SOCK" ping --retry 25
+}
 
-# Cold pass populates the cache; warm pass must not execute anything.
+stop_daemon() {
+    "$SUBCTL" --socket "$SOCK" shutdown
+    wait "$DAEMON"
+    DAEMON=
+}
+
+# Cold pass populates the cache; the restarted daemon's warm pass
+# must not execute anything.
 for figure in fig03 fig06 abl_epoch_sweep; do
+    start_daemon
     "$SUBCTL" --socket "$SOCK" figures "$figure"
+    stop_daemon
+    start_daemon
     warm=$("$SUBCTL" --socket "$SOCK" figures "$figure")
+    stop_daemon
     echo "$warm"
     echo "$warm" | grep -q "^all [0-9]* jobs served from the result cache$"
 done
 
-"$SUBCTL" --socket "$SOCK" shutdown
-wait "$DAEMON"
 trap - EXIT
 echo "figures smoke: every warm pass served from the result cache"
