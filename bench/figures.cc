@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "sim/env_config.hh"
+#include "workload/miss_curve.hh"
 #include "workload/spec_profiles.hh"
 
 namespace nuca {
@@ -54,11 +55,11 @@ baselineWith(L3Scheme scheme, Edit edit)
     return cfg;
 }
 
-// Figure 3: L3 misses vs ways per set (4096 sets), one functional
-// replay per application. Paper: mcf flat after one way, gzip after
-// about four, the cache-hungry applications keep improving.
+// Figure 3: L3 misses vs ways per set at a fixed set count
+// (workload/miss_curve.hh), one functional replay per application.
+// Paper: mcf flat after one way, gzip after about four, the
+// cache-hungry applications keep improving.
 
-constexpr unsigned maxWays = 16;
 const std::vector<std::string> fig3Apps = {"mcf", "gzip", "parser",
                                            "twolf", "ammp"};
 
@@ -80,8 +81,9 @@ fig03Jobs(const FigureEnv &env)
 void
 fig03Report(const FigureEnv &env, const std::vector<SchemeResults> &groups)
 {
-    std::printf("Figure 3: L3 misses vs blocks per set (4096 sets "
+    std::printf("Figure 3: L3 misses vs blocks per set (%u sets "
                 "fixed, %llu instructions per app)\n\n",
+                missCurveSets,
                 static_cast<unsigned long long>(env.fig3Insts));
     std::printf("%-6s", "ways");
     for (const auto &app : fig3Apps)
@@ -91,11 +93,11 @@ fig03Report(const FigureEnv &env, const std::vector<SchemeResults> &groups)
     std::vector<std::vector<Counter>> curves;
     for (const SchemeResults &group : groups) {
         const auto &curve = group.mixes.at(0).curve;
-        curves.emplace_back(maxWays, 0);
-        for (std::size_t w = 0; w < maxWays && w < curve.size(); ++w)
+        curves.emplace_back(missCurveWays, 0);
+        for (std::size_t w = 0; w < missCurveWays && w < curve.size(); ++w)
             curves.back()[w] = static_cast<Counter>(curve[w]);
     }
-    for (unsigned w = 0; w < maxWays; ++w) {
+    for (unsigned w = 0; w < missCurveWays; ++w) {
         std::printf("%-6u", w + 1);
         for (const auto &curve : curves)
             std::printf(" %10llu",
@@ -108,14 +110,14 @@ fig03Report(const FigureEnv &env, const std::vector<SchemeResults> &groups)
     std::printf("\nsaturation (ways where the curve flattens, <5%% "
                 "further gain):\n");
     for (std::size_t a = 0; a < curves.size(); ++a) {
-        unsigned sat = maxWays;
-        for (unsigned w = 0; w + 1 < maxWays; ++w) {
+        unsigned sat = missCurveWays;
+        for (unsigned w = 0; w + 1 < missCurveWays; ++w) {
             const double cur = static_cast<double>(curves[a][w]);
             const double rest =
-                static_cast<double>(curves[a][maxWays - 1]);
+                static_cast<double>(curves[a][missCurveWays - 1]);
             if (cur - rest < 0.05 * static_cast<double>(
                                         curves[a][0] -
-                                        curves[a][maxWays - 1] + 1)) {
+                                        curves[a][missCurveWays - 1] + 1)) {
                 sat = w + 1;
                 break;
             }

@@ -23,12 +23,6 @@ mkdir -p "$OUT"
     REPRO_JSON=fig03.json REPRO_TRACE=trace.jsonl \
     REPRO_TRACE_PERIOD=300000 "$BIN" > stdout.txt 2> stderr.txt)
 rm "$OUT/stderr.txt"
-
-(cd "$GOLDEN" && ls) > "$OUT.want"
-(cd "$OUT" && ls) > "$OUT.got"
-diff "$OUT.want" "$OUT.got"
-for f in $(cat "$OUT.want"); do
-    cmp "$GOLDEN/$f" "$OUT/$f"
-done
-rm "$OUT.want" "$OUT.got"
+# Same file names, same bytes.
+diff -r "$GOLDEN" "$OUT"
 echo "fig03 golden: stdout, document and traces match"

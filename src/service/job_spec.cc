@@ -172,10 +172,8 @@ missCurveJob(const JobSpec &spec, const TelemetryConfig &telemetry)
             trace->write(record);
         };
     }
-    MissCurveParams params;
-    params.insts = spec.insts;
-    const std::vector<Counter> counts =
-        l3MissCurve(*profile, params, sample, telemetry.samplePeriod);
+    const std::vector<Counter> counts = l3MissCurve(
+        *profile, spec.insts, sample, telemetry.samplePeriod);
     MixResult result;
     result.curve.assign(counts.begin(), counts.end());
     return result;
@@ -242,11 +240,13 @@ JobSpec::resultKey() const
 {
     if (kind == JobKind::MissCurve) {
         // The replay depends only on the app, the instruction count,
-        // and the (fixed) geometry/seed of MissCurveParams; the tag
+        // and the fixed geometry and seed of miss_curve.hh; the tag
         // versions the key space away from mix runKeys.
-        const std::string material = "miss_curve.v1|" + apps.at(0) +
-                                     "|" + std::to_string(insts) +
-                                     "|4096|16|2024";
+        const std::string material =
+            "miss_curve.v1|" + apps.at(0) + "|" + std::to_string(insts) +
+            "|" + std::to_string(missCurveSets) + "|" +
+            std::to_string(missCurveWays) + "|" +
+            std::to_string(missCurveSeed);
         return hashBytes(
             reinterpret_cast<const std::uint8_t *>(material.data()),
             material.size());

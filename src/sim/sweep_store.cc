@@ -1,6 +1,7 @@
 #include "sim/sweep_store.hh"
 
 #include <cstdlib>
+#include <fstream>
 #include <span>
 #include <utility>
 
@@ -353,23 +354,11 @@ std::vector<SweepRecord>
 SweepStore::load(const std::string &path)
 {
     std::vector<SweepRecord> out;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        return out;
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
-
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t end = text.find('\n', pos);
-        if (end == std::string::npos)
-            end = text.size();
-        const std::string line = text.substr(pos, end - pos);
-        pos = end + 1;
+    // One line at a time through one reused buffer, so the file is
+    // never held whole; a missing file reads as empty.
+    std::ifstream in(path, std::ios::binary);
+    std::string line;
+    while (std::getline(in, line)) {
         if (line.empty())
             continue;
         const auto parsed = json::Value::tryParse(line);

@@ -1,7 +1,7 @@
 #include "workload/miss_curve.hh"
 
-#include <memory>
-#include <string>
+#include <algorithm>
+#include <array>
 
 #include "base/stats.hh"
 #include "cache/set_assoc_cache.hh"
@@ -10,34 +10,37 @@
 namespace nuca {
 
 std::vector<Counter>
-l3MissCurve(const WorkloadProfile &profile,
-            const MissCurveParams &params,
-            const MissCurveSampleFn &sample,
-            std::uint64_t samplePeriod)
+l3MissCurve(const WorkloadProfile &profile, std::uint64_t insts,
+            const MissCurveSampleFn &sample, std::uint64_t samplePeriod)
 {
+    static_assert((missCurveSets & (missCurveSets - 1)) == 0,
+                  "set index is a mask of the block number");
     stats::Group root("fig3");
     SetAssocCache l1(root, "l1d", 64ull << 10, 2);
     SetAssocCache l2(root, "l2d", 256ull << 10, 4);
-    std::vector<std::unique_ptr<SetAssocCache>> l3s;
-    for (unsigned ways = 1; ways <= params.maxWays; ++ways) {
-        l3s.push_back(std::make_unique<SetAssocCache>(
-            root, "l3_" + std::to_string(ways),
-            static_cast<std::uint64_t>(ways) * params.l3Sets *
-                blockBytes,
-            ways));
-    }
+
+    // Per set, its block numbers from MRU (depth 0) down; an empty
+    // slot holds a block number no address maps to.
+    constexpr Addr empty = ~Addr{0};
+    std::vector<Addr> stacks(
+        static_cast<std::size_t>(missCurveSets) * missCurveWays, empty);
+    std::array<Counter, missCurveWays> hitsAtDepth{};
+    Counter l3Accesses = 0;
 
     const auto counts = [&] {
         std::vector<Counter> curve;
-        curve.reserve(l3s.size());
-        for (const auto &l3 : l3s)
-            curve.push_back(l3->misses());
+        curve.reserve(missCurveWays);
+        Counter misses = l3Accesses;
+        for (const Counter hits : hitsAtDepth) {
+            misses -= hits;
+            curve.push_back(misses);
+        }
         return curve;
     };
     const bool sampling = sample && samplePeriod != 0;
 
-    SynthWorkload workload(profile, 0, params.seed);
-    for (std::uint64_t i = 0; i < params.insts; ++i) {
+    SynthWorkload workload(profile, 0, missCurveSeed);
+    for (std::uint64_t i = 0; i < insts; ++i) {
         const SynthInst inst = workload.next();
         if (sampling && i > 0 && i % samplePeriod == 0)
             sample(i, counts());
@@ -50,13 +53,23 @@ l3MissCurve(const WorkloadProfile &profile,
         if (l2.access(inst.effAddr, false))
             continue;
         l2.fill(inst.effAddr, false, 0);
-        for (auto &l3 : l3s) {
-            if (!l3->access(inst.effAddr, false))
-                l3->fill(inst.effAddr, false, 0);
-        }
+
+        ++l3Accesses;
+        const Addr block = blockNumber(inst.effAddr);
+        Addr *const stack =
+            &stacks[static_cast<std::size_t>(block & (missCurveSets - 1)) *
+                    missCurveWays];
+        Addr *const end = stack + missCurveWays;
+        Addr *found = std::find(stack, end, block);
+        if (found != end)
+            ++hitsAtDepth[found - stack];
+        else
+            found = end - 1; // a miss at every depth: drop the LRU tag
+        std::copy_backward(stack, found, found + 1);
+        stack[0] = block;
     }
     if (sampling)
-        sample(params.insts, counts());
+        sample(insts, counts());
 
     return counts();
 }

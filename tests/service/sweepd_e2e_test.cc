@@ -38,6 +38,8 @@
 #include "sim/proc_pool.hh"
 #include "sim/sweep_store.hh"
 #include "sim/trace_event.hh"
+#include "workload/miss_curve.hh"
+#include "workload/spec_profiles.hh"
 
 namespace {
 
@@ -337,14 +339,20 @@ TEST_F(SweepdE2eTest, MissCurveJobMatchesDirectReplay)
 
     const MixResult result =
         mixResultFromJson(done.at("result"));
-    ASSERT_EQ(result.curve.size(), 16u);
-    // Monotone non-increasing: more ways never add misses.
-    for (std::size_t w = 1; w < result.curve.size(); ++w)
-        EXPECT_LE(result.curve[w], result.curve[w - 1]);
+    const std::vector<Counter> direct =
+        l3MissCurve(*findProfile("mcf"), spec.insts);
+    ASSERT_EQ(result.curve.size(), direct.size());
+    for (std::size_t w = 0; w < direct.size(); ++w)
+        EXPECT_EQ(result.curve[w], static_cast<double>(direct[w]))
+            << (w + 1) << " ways";
 
     // Repeat is a cache hit with the same curve.
     const json::Value again = submit(daemon, spec);
     EXPECT_EQ(again.at("state").asString(), "cache_hit");
+    const auto againId =
+        static_cast<std::uint64_t>(again.at("id").asNumber());
+    EXPECT_EQ(await(daemon, againId).at("result").dump(),
+              done.at("result").dump());
 
     daemon.requestStop();
     daemon.join();
