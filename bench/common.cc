@@ -112,13 +112,14 @@ runSweep(const std::vector<SweepJob> &jobs, const SimWindow &window,
     if (!jsonPath.empty() && run.resume) {
         std::map<std::pair<std::string, std::uint64_t>, MixResult>
             completed;
-        for (auto &record :
-             SweepStore::load(SweepStore::sidecarPathFor(jsonPath))) {
-            if (record.status == JobStatus::Ok && record.key) {
-                completed[{record.label, *record.key}] =
-                    std::move(record.result);
-            }
-        }
+        SweepStore::load(SweepStore::sidecarPathFor(jsonPath),
+                         [&](SweepRecord &&record) {
+                             if (record.status == JobStatus::Ok &&
+                                 record.key) {
+                                 completed[{record.label, *record.key}] =
+                                     std::move(record.result);
+                             }
+                         });
         std::size_t reused = 0;
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             if (!keys[i])

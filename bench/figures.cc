@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "base/stats.hh"
+#include "nuca/sharing_engine.hh"
 #include "sim/env_config.hh"
 #include "workload/miss_curve.hh"
 #include "workload/spec_profiles.hh"
@@ -53,6 +55,76 @@ baselineWith(L3Scheme scheme, Edit edit)
     SystemConfig cfg = SystemConfig::baseline(scheme);
     edit(cfg);
     return cfg;
+}
+
+// Section 2.7: the implementation-cost arithmetic of the scheme for
+// the baseline configuration — storage for shadow tags (in the
+// sampled 1/16 of the sets), the per-block core IDs, and the
+// per-core counters/registers. No jobs: a formula over the config.
+// Paper: 152 Kbits total, of which 16% shadow tags and 84% core IDs,
+// a 0.5% overhead on the 4 MB last-level cache. Those figures imply
+// a 24-bit tag, which this table uses.
+
+std::vector<SweepJob>
+noJobs(const FigureEnv &)
+{
+    return {};
+}
+
+void
+storageCostReport(const FigureEnv &, const std::vector<SchemeResults> &)
+{
+    stats::Group root("cost");
+    SharingEngineParams params;
+    params.numCores = 4;
+    params.numSets = 4096;
+    params.totalWays = 16;
+    params.localAssoc = 4;
+    params.initialQuota = 4;
+    params.shadowSampleShift = 4; // monitor 1/16 ~ 6% of the sets
+    params.tagBits = 24;
+    params.counterBits = 16;
+    SharingEngine engine(root, params);
+
+    const double total =
+        static_cast<double>(engine.storageCostBits());
+    const double shadow =
+        static_cast<double>(engine.shadowTagBits());
+    const double core_ids =
+        static_cast<double>(engine.coreIdBits());
+    const double counters = total - shadow - core_ids;
+    const double l3_bits = 4.0 * 1024 * 1024 * 8;
+
+    std::printf("Section 2.7: storage cost of the sharing engine "
+                "(baseline: 4096 sets, 4 cores, 16 ways, 24-bit "
+                "tags, 16-bit counters)\n\n");
+    std::printf("%-28s %10s %8s\n", "component", "bits", "share");
+    std::printf("%-28s %10.0f %7.1f%%   (paper: 16%%)\n",
+                "shadow tags (6% of sets)", shadow,
+                100.0 * shadow / total);
+    std::printf("%-28s %10.0f %7.1f%%   (paper: 84%%)\n",
+                "core IDs in blocks", core_ids,
+                100.0 * core_ids / total);
+    std::printf("%-28s %10.0f %7.1f%%\n",
+                "counters and registers", counters,
+                100.0 * counters / total);
+    std::printf("%-28s %10.0f = %.1f Kbits   (paper: 152 Kbits)\n",
+                "total", total, total / 1024.0);
+    std::printf("\noverhead on the 4 MB L3 data array: %.2f%% "
+                "(paper: 0.5%%)\n",
+                100.0 * total / l3_bits);
+
+    // Full (unsampled) shadow tags for contrast.
+    params.shadowSampleShift = 0;
+    stats::Group root2("cost_full");
+    SharingEngine full(root2, params);
+    std::printf("\nwith shadow tags in every set the cost would be "
+                "%.1f Kbits (%.2f%% of the L3) — Section 4.6 shows "
+                "the sampled version performs identically.\n",
+                static_cast<double>(full.storageCostBits()) / 1024.0,
+                100.0 *
+                    static_cast<double>(full.storageCostBits()) /
+                    l3_bits);
 }
 
 // Figure 3: L3 misses vs ways per set at a fixed set count
@@ -835,6 +907,8 @@ figures()
 {
     constexpr SimWindow paper{3000000, 3000000};
     static const std::vector<Figure> all = {
+        {"tab_storage_cost", nullptr, {0, 0}, 0, noJobs,
+         storageCostReport},
         {"fig03", nullptr, {0, 0}, 0, fig03Jobs, fig03Report},
         {"fig05", nullptr, {1000000, 2000000}, 0, fig05Jobs, fig05Report},
         {"fig06",
@@ -908,6 +982,15 @@ findFigure(const std::string &name)
     return nullptr;
 }
 
+std::string
+figureNames()
+{
+    std::string names;
+    for (const Figure &figure : figures())
+        names += std::string(names.empty() ? "" : "|") + figure.name;
+    return names;
+}
+
 void
 reportFigure(const Figure &figure, const FigureEnv &env,
              const std::vector<SweepJob> &jobs,
@@ -922,7 +1005,14 @@ int
 figureMain(const std::string &name)
 {
     const Figure *figure = findFigure(name);
-    panic_if(figure == nullptr, "no figure named ", name);
+    if (figure == nullptr) {
+        if (!name.empty())
+            std::fprintf(stderr, "nuca_figures: unknown figure \"%s\"\n",
+                         name.c_str());
+        std::fprintf(stderr, "usage: nuca_figures <%s>\n",
+                     figureNames().c_str());
+        return 2;
+    }
     const FigureEnv env = figureEnvFromEnv(figure->window, figure->mixes);
     const auto jobs = figure->jobs(env);
     reportFigure(*figure, env, jobs,

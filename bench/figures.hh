@@ -1,9 +1,10 @@
 /**
  * @file
- * The paper's sweep figures as data. Each entry names a figure, its
- * default window and mix count, the job list it runs and the
- * reporter that prints its tables from the grouped results. A bench
- * binary's main is figureMain("<name>"); `nuca_subctl figures
+ * The paper's tables and figures as data, and the only list of them.
+ * Each entry names a figure, its default window and mix count, the
+ * job list it runs (empty for Section 2.7's storage-cost arithmetic)
+ * and the reporter that prints its tables from the grouped results.
+ * `nuca_figures <name>` runs figureMain(name); `nuca_subctl figures
  * <name>` submits the same job list to nuca_sweepd and prints
  * through the same reporter, so both front ends print the same
  * tables for the same environment.
@@ -33,7 +34,7 @@ struct FigureEnv
  *  REPRO_FIG3_INSTS over the given defaults. */
 FigureEnv figureEnvFromEnv(const SimWindow &window, unsigned mixes);
 
-/** One sweep figure. */
+/** One table or figure of the paper. */
 struct Figure
 {
     const char *name;
@@ -48,19 +49,25 @@ struct Figure
                    const std::vector<SchemeResults> &groups);
 };
 
-/** Every sweep figure, in the paper's order. */
+/** Every figure, in the paper's order. */
 const std::vector<Figure> &figures();
 
 /** The figure called @p name, or nullptr. */
 const Figure *findFigure(const std::string &name);
+
+/** Every figure's name, in registry order, joined by '|': what both
+ *  front ends print for a missing or unknown name. */
+std::string figureNames();
 
 /** Print @p figure's header and tables from its settled jobs. */
 void reportFigure(const Figure &figure, const FigureEnv &env,
                   const std::vector<SweepJob> &jobs,
                   std::vector<JobOutcome<MixResult>> outcomes);
 
-/** A bench binary's main: read the environment, run the figure's
- *  jobs through runSweep, print its report. */
+/** nuca_figures' main for the figure called @p name: read the
+ *  environment, run the figure's jobs through runSweep, print its
+ *  report. An empty or unknown @p name prints the usage line, with
+ *  figureNames(), to stderr and returns 2. */
 int figureMain(const std::string &name);
 
 } // namespace bench

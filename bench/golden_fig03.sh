@@ -1,12 +1,12 @@
 #!/bin/sh
-# Figure 3 against its recorded outputs: fig03_miss_curves at 2 M
+# Figure 3 against its recorded outputs: `nuca_figures fig03` at 2 M
 # instructions per app must reproduce, byte for byte, the stdout, the
 # REPRO_JSON document and the five REPRO_TRACE files under
 # tests/data/fig03/. At 2 M instructions mcf, parser and ammp still
 # lose misses at every way up to 16, so a wrong count at any stack
 # depth changes the curves.
 # Invoked by ctest as
-#   sh golden_fig03.sh <fig03_miss_curves> <golden dir>
+#   sh golden_fig03.sh <nuca_figures> <golden dir>
 # from the build directory. To re-record after an intended change,
 # run it and copy the run directory's files (all but stderr.txt) over
 # the golden ones.
@@ -21,7 +21,7 @@ mkdir -p "$OUT"
 # Only the variables named here reach the binary.
 (cd "$OUT" && env -i PATH="$PATH" REPRO_FIG3_INSTS=2000000 REPRO_JOBS=2 \
     REPRO_JSON=fig03.json REPRO_TRACE=trace.jsonl \
-    REPRO_TRACE_PERIOD=300000 "$BIN" > stdout.txt 2> stderr.txt)
+    REPRO_TRACE_PERIOD=300000 "$BIN" fig03 > stdout.txt 2> stderr.txt)
 rm "$OUT/stderr.txt"
 # Same file names, same bytes.
 diff -r "$GOLDEN" "$OUT"

@@ -9,7 +9,7 @@
  * Interaction with the partitioning scheme is the interesting part:
  * prefetches inflate a core's L3/memory traffic and can pollute,
  * which is exactly the behaviour the quota mechanism bounds — see
- * bench/ext_prefetch.
+ * `nuca_figures ext_prefetch`.
  */
 
 #ifndef NUCA_CACHE_STRIDE_PREFETCHER_HH

@@ -92,17 +92,19 @@ SweepDaemon::SweepDaemon(DaemonOptions options)
         opts_.isolation.enabled && procIsolationSupported();
     opts_.isolation.preemptible = true;
     const std::string journalPath = opts_.stateDir + "/jobs.jsonl";
-    // Replay the journal into the result index. A record without a
-    // key (run under a planted fault) is never served; load() has
-    // already skipped torn, mistyped and outdated lines.
-    for (const SweepRecord &record : SweepStore::load(journalPath)) {
-        if (!record.key || (record.status != JobStatus::Ok &&
-                            record.status != JobStatus::CacheHit))
-            continue;
+    // Replay the journal into the result index, one record at a
+    // time. Only ok records carry a payload: a cache hit's record
+    // carries none, and its key's ok record comes before it. A
+    // record without a key (run under a planted fault) is never
+    // served; load() has already skipped torn, mistyped and outdated
+    // lines.
+    SweepStore::load(journalPath, [this](SweepRecord &&record) {
+        if (!record.key || record.status != JobStatus::Ok)
+            return;
         const auto [slot, fresh] = settled_.try_emplace(*record.key);
         if (fresh)
             slot->second = encodeMixResult(record.result);
-    }
+    });
     journal_ = std::make_unique<SweepStore>(journalPath, opts_.sync);
 }
 
@@ -127,9 +129,12 @@ SweepDaemon::journal(const Job &job)
     record.queueMs = job.queueMs;
     record.preempts = job.preempts;
     record.timed = true;
+    // Only an ok record carries the payload: the index serves a
+    // cache hit from its key's ok record, so a hit's line stays
+    // small however often the key is submitted.
     static const std::string noResult = encodeMixResult({});
     journal_->append(record,
-                     job.payload.empty() ? noResult : job.payload);
+                     job.state == JobStatus::Ok ? job.payload : noResult);
 }
 
 Job *

@@ -33,7 +33,8 @@
  * classic sweep, with the same `job <id>` trace span and profiler
  * counters. Every settle is journaled to <state>/jobs.jsonl through
  * the sweep sidecar codec, with the job's content key and scheduling
- * telemetry (queue_ms, preempts) for `trace_report`.
+ * telemetry (queue_ms, preempts) for `trace_report`; only an ok
+ * record carries the payload, so a cache hit's line is small.
  *
  * Protocol ops: ping, submit, status, result, preempt, cancel, drain,
  * stats, shutdown — see docs/SERVICE.md for the wire format.
@@ -193,8 +194,8 @@ class SweepDaemon
     mutable std::mutex mutex_;
     std::condition_variable cv_;
     std::map<std::uint64_t, Job> jobs_;
-    /** Result key -> compact payload text of every ok or cache_hit
-     *  journal record with a key: what a submit is served from. */
+    /** Result key -> compact payload text of every ok journal record
+     *  with a key: what a submit is served from. */
     std::unordered_map<std::uint64_t, std::string> settled_;
     std::uint64_t nextId_ = 1;
     TenantService tenantService_;

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <mutex>
 #include <poll.h>
 #include <sys/resource.h>
 #include <sys/types.h>
@@ -36,6 +37,9 @@ namespace {
 
 /** Set in a preemptible sandbox child when SIGTERM arrives. */
 volatile std::sig_atomic_t g_proc_preempt = 0;
+
+/** Serializes the pipe-and-fork step of runMixSandboxed. */
+std::mutex g_fork_mutex;
 
 extern "C" void
 procPreemptHandler(int)
@@ -333,8 +337,14 @@ runMixSandboxed(const ProcIsolation &iso,
     if (!iso.enabled)
         return body();
 
+    // Held from pipe() until the parent has closed its write end, so
+    // no other worker's fork copies that end into its child: a
+    // sibling child holding it would delay this job's EOF until the
+    // sibling exits. Released before any in-process fallback.
+    std::unique_lock<std::mutex> forking(g_fork_mutex);
     int fds[2];
     if (::pipe(fds) != 0) {
+        forking.unlock();
         warn("proc pool: pipe() failed (", std::strerror(errno),
              "); running job in-process");
         return body();
@@ -354,6 +364,7 @@ runMixSandboxed(const ProcIsolation &iso,
     if (pid < 0) {
         ::close(fds[0]);
         ::close(fds[1]);
+        forking.unlock();
         warn("proc pool: fork() failed (", std::strerror(errno),
              "); running job in-process");
         return body();
@@ -367,6 +378,7 @@ runMixSandboxed(const ProcIsolation &iso,
 
     // Parent.
     ::close(fds[1]);
+    forking.unlock();
     if (handle != nullptr) {
         handle->pid.store(pid, std::memory_order_relaxed);
         // A preempt that raced the fork: deliver it now that there

@@ -350,10 +350,10 @@ SweepStore::append(const SweepRecord &record, std::string_view payload)
 #endif
 }
 
-std::vector<SweepRecord>
-SweepStore::load(const std::string &path)
+void
+SweepStore::load(const std::string &path,
+                 const std::function<void(SweepRecord &&)> &onRecord)
 {
-    std::vector<SweepRecord> out;
     // One line at a time through one reused buffer, so the file is
     // never held whole; a missing file reads as empty.
     std::ifstream in(path, std::ios::binary);
@@ -367,12 +367,14 @@ SweepStore::load(const std::string &path)
         // rather than die.
         if (!parsed)
             continue;
+        std::optional<SweepRecord> record;
         try {
-            out.push_back(recordFromJson(*parsed));
+            record = recordFromJson(*parsed);
         } catch (const SimulationError &) {
+            continue;
         }
+        onRecord(std::move(*record));
     }
-    return out;
 }
 
 } // namespace nuca

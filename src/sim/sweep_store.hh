@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -162,12 +163,14 @@ class SweepStore
     const std::string &path() const { return path_; }
 
     /**
-     * Parse an existing sidecar into records, in file order. A
-     * missing file yields no records; unparsable or mistyped lines
-     * (the torn tail of a killed run, a hand-edited record) are
-     * skipped.
+     * Parse an existing sidecar, handing each record to @p onRecord
+     * in file order as it is read, so no caller holds more than the
+     * records it keeps. A missing file yields no records;
+     * unparsable or mistyped lines (the torn tail of a killed run, a
+     * hand-edited record) are skipped.
      */
-    static std::vector<SweepRecord> load(const std::string &path);
+    static void load(const std::string &path,
+                     const std::function<void(SweepRecord &&)> &onRecord);
 
     /** True when every append is fsynced (see the constructor). */
     bool synced() const { return sync_; }

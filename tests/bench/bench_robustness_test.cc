@@ -18,6 +18,7 @@
 #include "sim/proc_pool.hh"
 #include "sim/robustness.hh"
 #include "sim/sweep_store.hh"
+#include "support/sweep_records.hh"
 
 namespace nuca {
 namespace bench {
@@ -120,7 +121,7 @@ TEST_F(SweepSupervisor, AbortPolicyThrowsButKeepsSidecar)
 
     // The failed job reached the sidecar before the rethrow, so a
     // post-mortem (or a resume) can see what happened.
-    const auto records = SweepStore::load(sidecar);
+    const auto records = loadRecords(sidecar);
     ASSERT_GE(records.size(), 1u);
     EXPECT_EQ(records[0].label, "private.mix0");
     EXPECT_EQ(records[0].status, JobStatus::Failed);
@@ -157,7 +158,7 @@ TEST_F(SweepSupervisor, FailedRecordsCarryStatusInFinalJson)
     }
     // A partially failed sweep keeps its sidecar for resume.
     const std::string sidecar = SweepStore::sidecarPathFor(path);
-    EXPECT_FALSE(SweepStore::load(sidecar).empty());
+    EXPECT_FALSE(loadRecords(sidecar).empty());
     std::remove(path.c_str());
     std::remove(sidecar.c_str());
 }
@@ -198,7 +199,7 @@ TEST_F(SweepSupervisor, KillAndResumeReproducesTheCleanSweep)
     ::setenv("REPRO_FAIL", "skip", 1);
     ::setenv("REPRO_FAULT", "throw_job:4", 1);
     runAll(configs, mixes, kWindow, 2);
-    const auto beforeResume = SweepStore::load(sidecar);
+    const auto beforeResume = loadRecords(sidecar);
     ASSERT_EQ(beforeResume.size(), 6u);
 
     // Resume without the fault: only the failed job re-runs, and the
@@ -362,7 +363,7 @@ TEST_F(SweepSupervisor, ProcSegvFaultRecordsCrashAndSiblingsSurvive)
 
     // The sidecar kept the crash for post-mortem and resume.
     bool sawCrash = false;
-    for (const auto &record : SweepStore::load(sidecar))
+    for (const auto &record : loadRecords(sidecar))
         sawCrash |= record.status == JobStatus::Crashed;
     EXPECT_TRUE(sawCrash);
     std::remove(path.c_str());
@@ -493,7 +494,7 @@ TEST_F(SweepSupervisor, SigtermStopsTheSweepGracefully)
     // The sidecar accounts for every job — one ok record plus one
     // interrupted record each for the rest, no torn lines — so a
     // REPRO_RESUME=1 rerun knows exactly where to continue.
-    const auto records = SweepStore::load(sidecar);
+    const auto records = loadRecords(sidecar);
     ASSERT_EQ(records.size(), configs.size() * mixes.size());
     std::size_t ok_records = 0, interrupted_records = 0;
     for (const auto &record : records) {

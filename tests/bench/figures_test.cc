@@ -16,6 +16,7 @@
 
 #include "figures.hh"
 #include "sim/sweep_store.hh"
+#include "support/sweep_records.hh"
 #include "workload/spec_profiles.hh"
 
 namespace nuca {
@@ -84,7 +85,7 @@ TEST_F(FigureSweep, ResumeAfterAScaledJobFailsReusesEveryCompletedJob)
     ::setenv("REPRO_FAULT", "throw_job:4", 1);
     EXPECT_THROW(figureMain("fig10"), SimulationError);
     std::size_t completed = 0;
-    for (const auto &record : SweepStore::load(sidecar))
+    for (const auto &record : loadRecords(sidecar))
         completed += record.status == JobStatus::Ok;
     EXPECT_GE(completed, 4u); // the whole first sweep, and private*
 

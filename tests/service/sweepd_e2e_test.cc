@@ -38,6 +38,7 @@
 #include "sim/proc_pool.hh"
 #include "sim/sweep_store.hh"
 #include "sim/trace_event.hh"
+#include "support/sweep_records.hh"
 #include "workload/miss_curve.hh"
 #include "workload/spec_profiles.hh"
 
@@ -262,7 +263,7 @@ TEST_F(SweepdE2eTest, PreemptedJobResumesBitIdentical)
     // The journal recorded the preemption lifecycle with timing
     // telemetry (queued wait + preempt count) for trace_report.
     const auto records =
-        SweepStore::load(state_ + "/jobs.jsonl");
+        loadRecords(state_ + "/jobs.jsonl");
     ASSERT_FALSE(records.empty());
     bool saw_preempted = false, saw_ok = false;
     for (const auto &record : records) {
@@ -472,7 +473,7 @@ TEST_F(SweepdE2eTest, WatchdogStallSettlesStalled)
     daemon.requestStop();
     daemon.join();
 
-    const auto records = SweepStore::load(state_ + "/jobs.jsonl");
+    const auto records = loadRecords(state_ + "/jobs.jsonl");
     ASSERT_EQ(records.size(), 1u);
     EXPECT_EQ(records[0].status, JobStatus::Stalled);
 }
@@ -605,6 +606,53 @@ TEST_F(SweepdE2eTest, RestartServesJournaledResults)
     json::Value stats = json::Value::object();
     stats.set("op", "stats");
     EXPECT_EQ(b.handle(stats).at("cache_entries").asNumber(), 2.0);
+}
+
+// Every hit is journaled, but only the key's ok record carries the
+// payload, so k hits of one key add k small lines; a restarted
+// daemon still serves the key from that one record.
+TEST_F(SweepdE2eTest, CacheHitsJournalNoPayload)
+{
+    const JobSpec spec = quickMix();
+    constexpr int hits = 3;
+    std::string bytes;
+    {
+        SweepDaemon daemon(baseOptions());
+        daemon.start();
+        const json::Value done = await(
+            daemon, static_cast<std::uint64_t>(
+                        submit(daemon, spec).at("id").asNumber()));
+        ASSERT_EQ(done.at("state").asString(), "ok");
+        bytes = done.at("result").dump();
+        for (int k = 0; k < hits; ++k)
+            ASSERT_EQ(submit(daemon, spec).at("state").asString(),
+                      "cache_hit");
+        daemon.requestStop();
+        daemon.join();
+    }
+
+    const MixResult result =
+        mixResultFromJson(json::Value::parse(bytes));
+    ASSERT_FALSE(result.ipc.empty());
+    std::size_t carrying = 0, cacheHits = 0;
+    const auto records = loadRecords(state_ + "/jobs.jsonl");
+    for (const SweepRecord &record : records) {
+        EXPECT_EQ(record.key, spec.resultKey());
+        carrying += record.result.ipc == result.ipc ? 1 : 0;
+        cacheHits += record.status == JobStatus::CacheHit ? 1 : 0;
+    }
+    EXPECT_EQ(records.size(), 1u + hits);
+    EXPECT_EQ(cacheHits, static_cast<std::size_t>(hits));
+    EXPECT_EQ(carrying, 1u);
+
+    SweepDaemon restarted(baseOptions()); // no workers
+    const json::Value sub = submit(restarted, spec);
+    ASSERT_EQ(sub.at("state").asString(), "cache_hit");
+    EXPECT_EQ(idOp(restarted, "result",
+                   static_cast<std::uint64_t>(sub.at("id").asNumber()))
+                  .at("result")
+                  .dump(),
+              bytes);
 }
 
 TEST_F(SweepdE2eTest, SocketRoundTripThroughSweepClient)

@@ -225,8 +225,8 @@ TEST(WireGolden, DaemonResponseAndJournalLines)
         slurp(state + "/jobs.jsonl"),
         R"({"label":"job1:mix:adaptive.baseline mcf+gzip+ammp+art#42","key":"0b56de954ac55736","status":"ok","ipc":[0.30000000000000004,0.33333333333333331,0.99999999999999989,2],"l3apk":[12.000000000000002,0,123456789012345,1.0000000000000001e-09],"l1d_miss":[0.10000000000000001,0.69999999999999996,0.14285714285714285,1000000000000000],"l2d_miss":[0.5,0.79999999999999993,1,1e+20],"l3_miss":[0,0.90000000000000002,0.33333333333333331,9.9999999999999998e-13],"mispredict":[0.050000000000000003,0.01,0.125,0.66666666666666663],"queue_ms":0,"preempts":0}
 {"label":"job2:miss_curve:adaptive.baseline mcf#0","key":"076996bacbf674c3","status":"ok","ipc":[],"l3apk":[],"curve":[1048576,524288.5,0.10000000000000001,0],"queue_ms":0,"preempts":0}
-{"label":"job1:mix:adaptive.baseline mcf+gzip+ammp+art#42","key":"0b56de954ac55736","status":"cache_hit","ipc":[0.30000000000000004,0.33333333333333331,0.99999999999999989,2],"l3apk":[12.000000000000002,0,123456789012345,1.0000000000000001e-09],"l1d_miss":[0.10000000000000001,0.69999999999999996,0.14285714285714285,1000000000000000],"l2d_miss":[0.5,0.79999999999999993,1,1e+20],"l3_miss":[0,0.90000000000000002,0.33333333333333331,9.9999999999999998e-13],"mispredict":[0.050000000000000003,0.01,0.125,0.66666666666666663],"queue_ms":0,"preempts":0}
-{"label":"job2:miss_curve:adaptive.baseline mcf#0","key":"076996bacbf674c3","status":"cache_hit","ipc":[],"l3apk":[],"curve":[1048576,524288.5,0.10000000000000001,0],"queue_ms":0,"preempts":0}
+{"label":"job1:mix:adaptive.baseline mcf+gzip+ammp+art#42","key":"0b56de954ac55736","status":"cache_hit","ipc":[],"l3apk":[],"queue_ms":0,"preempts":0}
+{"label":"job2:miss_curve:adaptive.baseline mcf#0","key":"076996bacbf674c3","status":"cache_hit","ipc":[],"l3apk":[],"queue_ms":0,"preempts":0}
 )");
     std::filesystem::remove_all(state);
 }

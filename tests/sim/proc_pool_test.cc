@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -279,6 +280,43 @@ TEST(ProcPoolSandbox, PreemptRacingTheForkStillYields)
                      },
                      &handle),
                  JobPreempted);
+}
+
+TEST(ProcPoolSandbox, SiblingForkDoesNotHoldAJobsPipe)
+{
+    if (!procIsolationSupported())
+        GTEST_SKIP() << "no fork on this platform";
+    // One job returns at once while three siblings, started with it,
+    // sleep in their children. A sibling that forks between the
+    // instant job's pipe() and its parent's close of the write end
+    // inherits that end, and the instant job then sees EOF only when
+    // that sibling's child exits.
+    using Clock = std::chrono::steady_clock;
+    constexpr auto slow = std::chrono::milliseconds(300);
+    constexpr int siblings = 3;
+    const ProcIsolation iso = enabledIsolation();
+    int held = 0;
+    for (int trial = 0; trial < 10; ++trial) {
+        std::barrier start(siblings + 1);
+        std::vector<std::thread> slowJobs;
+        for (int i = 0; i < siblings; ++i) {
+            slowJobs.emplace_back([&] {
+                start.arrive_and_wait();
+                runMixSandboxed(iso, [&] {
+                    std::this_thread::sleep_for(slow);
+                    return fakeResult();
+                });
+            });
+        }
+        start.arrive_and_wait();
+        const auto begin = Clock::now();
+        runMixSandboxed(iso, fakeResult);
+        held += Clock::now() - begin >= slow / 2 ? 1 : 0;
+        for (std::thread &job : slowJobs)
+            job.join();
+    }
+    EXPECT_EQ(held, 0) << "of 10 instant jobs, " << held
+                       << " waited for a sibling's child";
 }
 
 TEST(ProcPoolSandbox, MemoryLimitTurnsOomIntoJobCrashed)

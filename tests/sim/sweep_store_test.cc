@@ -11,6 +11,7 @@
 #include "sim/json_writer.hh"
 #include "sim/sweep_store.hh"
 #include "support/mutation.hh"
+#include "support/sweep_records.hh"
 
 namespace nuca {
 namespace {
@@ -51,7 +52,7 @@ TEST(SweepStore, AppendLoadRoundTripsEveryField)
         store.append(failed);
     }
 
-    const auto records = SweepStore::load(path);
+    const auto records = loadRecords(path);
     std::remove(path.c_str());
     ASSERT_EQ(records.size(), 2u);
 
@@ -97,7 +98,7 @@ TEST(SweepStore, CrashStatusesRoundTrip)
         timed.status = JobStatus::TimedOut;
         store.append(timed);
     }
-    const auto records = SweepStore::load(path);
+    const auto records = loadRecords(path);
     std::remove(path.c_str());
     ASSERT_EQ(records.size(), 2u);
     EXPECT_EQ(records[0].status, JobStatus::Crashed);
@@ -129,7 +130,7 @@ TEST(SweepStore, UnknownStatusLoadsAsFailed)
                "\"queue_ms\":5}\n",
                f);
     std::fclose(f);
-    const auto records = SweepStore::load(path);
+    const auto records = loadRecords(path);
     std::remove(path.c_str());
     ASSERT_EQ(records.size(), 2u);
     EXPECT_EQ(records[0].status, JobStatus::Failed);
@@ -165,7 +166,7 @@ TEST(SweepStore, ServiceStatusesRoundTrip)
         cancelled.status = JobStatus::Cancelled;
         store.append(cancelled);
     }
-    const auto records = SweepStore::load(path);
+    const auto records = loadRecords(path);
     std::remove(path.c_str());
     ASSERT_EQ(records.size(), 5u);
     EXPECT_EQ(records[0].status, JobStatus::Queued);
@@ -203,7 +204,7 @@ TEST(SweepStore, SchedulingTelemetryRoundTripsOnlyWhenTimed)
     EXPECT_EQ(raw.substr(0, first_eol).find("queue_ms"),
               std::string::npos);
 
-    const auto records = SweepStore::load(path);
+    const auto records = loadRecords(path);
     std::remove(path.c_str());
     ASSERT_EQ(records.size(), 2u);
     EXPECT_FALSE(records[0].timed);
@@ -269,7 +270,7 @@ TEST(SweepStore, SyncKnobIsReadPerStore)
     }
     // Synced and unsynced appends write the same bytes; the knob
     // changes durability, never content.
-    const auto records = SweepStore::load(path);
+    const auto records = loadRecords(path);
     std::remove(path.c_str());
     ASSERT_EQ(records.size(), 2u);
     EXPECT_EQ(records[0].label, "sync.mix0");
@@ -300,7 +301,7 @@ TEST(SweepStore, ResumeStyleLoadSurvivesTornMidRecordWrite)
         store.append(okRecord("a.mix2", 3.0));
         store.append(okRecord("a.mix3", 4.0));
     }
-    const auto records = SweepStore::load(path);
+    const auto records = loadRecords(path);
     std::remove(path.c_str());
     // The torn line is unparsable and skipped; every complete record
     // before and after it survives.
@@ -331,7 +332,7 @@ TEST(SweepStore, AppendAfterTornTailKeepsTheNewRecord)
         SweepStore store(path);
         store.append(okRecord("c", 3.0));
     }
-    const auto records = SweepStore::load(path);
+    const auto records = loadRecords(path);
     std::remove(path.c_str());
     ASSERT_EQ(records.size(), 2u);
     EXPECT_EQ(records[0].label, "a");
@@ -388,7 +389,7 @@ TEST(SweepStore, LoadSkipsTornTrailingLine)
     std::fputs("{\"label\":\"private.mix1\",\"status\":\"o", f);
     std::fclose(f);
 
-    const auto records = SweepStore::load(path);
+    const auto records = loadRecords(path);
     std::remove(path.c_str());
     ASSERT_EQ(records.size(), 1u);
     EXPECT_EQ(records[0].label, "private.mix0");
@@ -397,7 +398,7 @@ TEST(SweepStore, LoadSkipsTornTrailingLine)
 TEST(SweepStore, LoadOfMissingFileIsEmpty)
 {
     EXPECT_TRUE(
-        SweepStore::load(tempPath("sweep_store_absent.jsonl"))
+        loadRecords(tempPath("sweep_store_absent.jsonl"))
             .empty());
 }
 
@@ -415,7 +416,7 @@ TEST(SweepStore, AppendIsOpenedForAppendAcrossRuns)
         SweepStore second(path);
         second.append(okRecord("a.mix1", 2.0));
     }
-    const auto records = SweepStore::load(path);
+    const auto records = loadRecords(path);
     std::remove(path.c_str());
     ASSERT_EQ(records.size(), 2u);
     EXPECT_EQ(records[0].label, "a.mix0");
@@ -443,7 +444,7 @@ TEST(SweepStore, ConcurrentAppendsAllSurviveIntact)
         for (auto &thread : threads)
             thread.join();
     }
-    const auto records = SweepStore::load(path);
+    const auto records = loadRecords(path);
     std::remove(path.c_str());
     // Every record parses (no interleaved lines) and none is lost.
     EXPECT_EQ(records.size(), 4u * perThread);
@@ -463,7 +464,7 @@ expectLoadsSafely(const std::string &bytes, const std::string &what)
     std::fwrite(bytes.data(), 1, bytes.size(), f);
     std::fclose(f);
     std::vector<SweepRecord> records;
-    EXPECT_NO_THROW(records = SweepStore::load(path)) << what;
+    EXPECT_NO_THROW(records = loadRecords(path)) << what;
     std::remove(again.c_str());
     {
         SweepStore store(again);
@@ -471,7 +472,7 @@ expectLoadsSafely(const std::string &bytes, const std::string &what)
             store.append(record);
     }
     // load() skips any line that does not parse as a typed record.
-    EXPECT_EQ(SweepStore::load(again).size(), records.size()) << what;
+    EXPECT_EQ(loadRecords(again).size(), records.size()) << what;
     std::remove(path.c_str());
     std::remove(again.c_str());
 }

@@ -14,11 +14,11 @@
  *   drain                   stop accepting new submits
  *   stats                   daemon counters and tenant service
  *   shutdown                stop the daemon
- *   figures <name|all>      run a sweep figure of the bench registry
- *                           (fig03, fig05 ... ext_core_scaling; see
- *                           bench/figures.hh) through the daemon,
- *                           printing the bench binary's report;
- *                           rerunning hits the result cache
+ *   figures <name|all>      run a figure of the bench registry
+ *                           (tab_storage_cost, fig03 ...
+ *                           ext_core_scaling; see bench/figures.hh)
+ *                           through the daemon, printing nuca_figures'
+ *                           report; rerunning hits the result cache
  *
  * Spec flags for submit: --kind mix|miss_curve, --base, --scheme,
  * --apps a,b,c,d, --seed, --warmup, --measure, --insts, --tenant,
@@ -112,7 +112,7 @@ struct FigureSubmitter
 };
 
 /** Submit a registry figure's job list, wait for every result and
- *  print it through the bench binary's reporter. */
+ *  print it through nuca_figures' reporter. */
 void
 runFigure(FigureSubmitter &submitter, const bench::Figure &figure)
 {
@@ -136,11 +136,8 @@ runFigures(const SweepClient &client, const std::string &which)
     const bool all = which == "all";
     const bench::Figure *figure = bench::findFigure(which);
     if (!all && figure == nullptr) {
-        std::string names;
-        for (const bench::Figure &f : bench::figures())
-            names += std::string(f.name) + "|";
-        std::fprintf(stderr, "unknown figure \"%s\" (want %sall)\n",
-                     which.c_str(), names.c_str());
+        std::fprintf(stderr, "unknown figure \"%s\" (want %s|all)\n",
+                     which.c_str(), bench::figureNames().c_str());
         return 2;
     }
     FigureSubmitter submitter{client};

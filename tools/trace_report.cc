@@ -28,6 +28,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -528,46 +529,49 @@ telemetryToChromeTrace(const Trace &trace)
 int
 sweepReport(const std::string &path)
 {
-    const auto records = nuca::SweepStore::load(path);
-    if (records.empty()) {
+    // Counts over every record, and the terminal records the tables
+    // list, kept without their payloads.
+    std::size_t records = 0;
+    std::map<nuca::JobStatus, std::size_t> byStatus;
+    bool timed = false;
+    std::vector<nuca::SweepRecord> terminal;
+    nuca::SweepStore::load(path, [&](nuca::SweepRecord &&record) {
+        ++records;
+        ++byStatus[record.status];
+        timed = timed || record.timed;
+        // Progress records (queued/preempted) show a job's journey,
+        // not a failure; only its last settle carries final numbers.
+        if (!nuca::isTerminal(record.status))
+            return;
+        record.result = {};
+        terminal.push_back(std::move(record));
+    });
+    if (records == 0) {
         std::printf("sweep sidecar %s: no records\n", path.c_str());
         return 0;
     }
 
     // Count by status in the status table's (enum) order.
     std::printf("sweep sidecar: %s (%zu records)\n", path.c_str(),
-                records.size());
+                records);
     for (const auto &[status, name] : nuca::kJobStatusNames) {
-        std::size_t n = 0;
-        for (const auto &record : records)
-            n += record.status == status ? 1 : 0;
-        if (n != 0)
-            std::printf("  %-12s %zu\n", name, n);
+        const auto it = byStatus.find(status);
+        if (it != byStatus.end())
+            std::printf("  %-12s %zu\n", name, it->second);
     }
 
     // Daemon journals (nuca_sweepd's jobs.jsonl) carry scheduling
     // telemetry on every record; render the queue-wait and
     // preemption columns whenever any record has it. Classic sweep
     // sidecars have none and keep the classic report.
-    const bool timed = [&] {
-        for (const auto &record : records) {
-            if (record.timed)
-                return true;
-        }
-        return false;
-    }();
     if (timed) {
         std::printf("\nscheduling (terminal records):\n");
         std::printf("  %-32s %-10s %10s %9s\n", "job", "status",
                     "queue_ms", "preempts");
         std::uint64_t total_wait = 0, total_preempts = 0,
-                      terminal = 0;
-        for (const auto &record : records) {
+                      timedTerminal = 0;
+        for (const auto &record : terminal) {
             if (!record.timed)
-                continue;
-            // Progress records (queued/preempted) show a job's
-            // journey; only its last settle carries final numbers.
-            if (!nuca::isTerminal(record.status))
                 continue;
             std::printf("  %-32s %-10s %10llu %9llu\n",
                         record.label.c_str(),
@@ -578,25 +582,21 @@ sweepReport(const std::string &path)
                             record.preempts));
             total_wait += record.queueMs;
             total_preempts += record.preempts;
-            ++terminal;
+            ++timedTerminal;
         }
-        if (terminal != 0) {
+        if (timedTerminal != 0) {
             std::printf("  %-32s %-10s %10.1f %9.2f\n", "mean", "",
                         static_cast<double>(total_wait) /
-                            static_cast<double>(terminal),
+                            static_cast<double>(timedTerminal),
                         static_cast<double>(total_preempts) /
-                            static_cast<double>(terminal));
+                            static_cast<double>(timedTerminal));
         }
     }
 
     bool anyBad = false;
-    for (const auto &record : records) {
+    for (const auto &record : terminal) {
         if (record.status == nuca::JobStatus::Ok ||
             record.status == nuca::JobStatus::CacheHit)
-            continue;
-        // A preempted/queued progress record is a lifecycle event,
-        // not a failure; the triage list keeps to genuine problems.
-        if (!nuca::isTerminal(record.status))
             continue;
         if (!anyBad) {
             std::printf("\nnon-ok jobs:\n");
