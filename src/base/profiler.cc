@@ -67,6 +67,8 @@ constexpr PhaseInfo kPhases[kNumPhases] = {
     {"checkpoint_restore", Phase::NumPhases, 0},
     // Phase::Job
     {"job", Phase::NumPhases, 0},
+    // Phase::StreamFill
+    {"stream_fill", Phase::NumPhases, 0},
 };
 
 constexpr const char *kCounterNames[kNumCounters] = {
@@ -75,7 +77,7 @@ constexpr const char *kCounterNames[kNumCounters] = {
     "decoupled_batched_cycles", "wake_heap_pops",
     "horizon_recomputes",
     "checkpoint_bytes_out", "checkpoint_bytes_in", "jobs_finished",
-    "job_crashes",
+    "job_crashes",         "stream_waits",     "stream_inline_fills",
 };
 
 /** Exited-thread totals plus the registry of live thread states. */

@@ -83,6 +83,7 @@ enum class Phase : unsigned {
     CheckpointWrite,   ///< CRC + file write + rename, on the writer thread
     CheckpointRestore, ///< read + deserialize one checkpoint
     Job,               ///< one job attempt (settleJob)
+    StreamFill,        ///< one run-ahead block fill, on the producer thread
     NumPhases,
 };
 
@@ -100,6 +101,8 @@ enum class Counter : unsigned {
     CheckpointBytesIn, ///< bytes restored from checkpoints
     JobsFinished,      ///< jobs settled terminally (settleJob)
     JobCrashes,        ///< jobs settled crashed/timed_out
+    StreamWaits,       ///< draws that found a run-ahead ring empty
+    StreamInlineFills, ///< run-ahead blocks filled by a simulating thread
     NumCounters,
 };
 

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <system_error>
 
+#include "base/cpu_budget.hh"
 #include "sim/checkpoint.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/robustness.hh"
@@ -180,6 +181,7 @@ SweepDaemon::claimJob()
         const std::size_t pick =
             pickNextIndex(runnable, tenantService_);
         if (pick == kNone) {
+            const cpu_budget::Idle idle;
             cv_.wait(lock);
             continue;
         }

@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 
+#include "base/cpu_budget.hh"
 #include "base/logging.hh"
 #include "base/profiler.hh"
 #include "nuca/private_l3.hh"
@@ -42,10 +43,10 @@ CmpSystem::CmpSystem(const SystemConfig &config,
     fatal_if(apps.size() != config_.numCores,
              "need exactly one workload per core (", config_.numCores,
              " cores, ", apps.size(), " workloads)");
+    runAhead_ = std::make_unique<RunAheadStreams>();
     for (unsigned c = 0; c < config_.numCores; ++c) {
-        workloads_.push_back(std::make_unique<SynthWorkload>(
-            apps[c], static_cast<CoreId>(c),
-            seed + c * 0x9e3779b9ull));
+        sources_.push_back(&runAhead_->add(apps[c], static_cast<CoreId>(c),
+                                           seed + c * 0x9e3779b9ull));
     }
     buildSystem();
 }
@@ -62,6 +63,7 @@ CmpSystem::CmpSystem(const SystemConfig &config,
              " sources)");
     for (auto &source : sources) {
         fatal_if(source == nullptr, "null instruction source");
+        sources_.push_back(source.get());
         workloads_.push_back(std::move(source));
     }
     buildSystem();
@@ -121,8 +123,8 @@ CmpSystem::buildSystem()
       }
     }
 
-    if (std::any_of(workloads_.begin(), workloads_.end(),
-                    [](const auto &source) { return source->sharesData(); }))
+    if (std::any_of(sources_.begin(), sources_.end(),
+                    [](const auto *source) { return source->sharesData(); }))
         coherence_ = std::make_unique<CoherenceHub>(root_);
 
     for (unsigned c = 0; c < config_.numCores; ++c) {
@@ -136,7 +138,7 @@ CmpSystem::buildSystem()
         }
         cores_.push_back(std::make_unique<OooCore>(
             root_, "core" + std::to_string(c), core, config_.core,
-            *memSystems_.back(), *workloads_[c]));
+            *memSystems_.back(), *sources_[c]));
     }
 
     committedZero_.assign(config_.numCores, 0);
@@ -216,6 +218,7 @@ void
 CmpSystem::run(Cycle cycles)
 {
     prof::Scope profRun(prof::Phase::Run);
+    const cpu_budget::SimulatingThread simulating;
     const Cycle end = now_ + cycles;
     if (!fastForward_) {
         runReference(end);
@@ -912,8 +915,8 @@ CmpSystem::checkpoint(Serializer &s) const
     s.putU64(statsZero_);
     s.putVecU64(committedZero_);
     s.putVecU64(l3AccessZero_);
-    for (const auto &workload : workloads_)
-        workload->checkpoint(s);
+    for (const auto *source : sources_)
+        source->checkpoint(s);
     l3_->checkpoint(s);
     memory_.checkpoint(s);
     for (unsigned c = 0; c < config_.numCores; ++c) {
@@ -931,8 +934,8 @@ CmpSystem::restore(Deserializer &d)
     statsZero_ = d.getU64();
     d.getVecU64(committedZero_, "committed baselines");
     d.getVecU64(l3AccessZero_, "L3 access baselines");
-    for (auto &workload : workloads_)
-        workload->restore(d);
+    for (auto *source : sources_)
+        source->restore(d);
     l3_->restore(d);
     memory_.restore(d);
     for (unsigned c = 0; c < config_.numCores; ++c) {

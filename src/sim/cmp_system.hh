@@ -30,6 +30,7 @@
 #include "sim/telemetry.hh"
 #include "sim/trace_event.hh"
 #include "workload/profile.hh"
+#include "workload/run_ahead.hh"
 #include "workload/synth_workload.hh"
 
 namespace nuca {
@@ -232,7 +233,16 @@ class CmpSystem
      *  source shares data, and the cores. */
     void buildSystem();
 
+    /** Caller-provided instruction sources (the second
+     *  constructor); the cores call them directly. */
     std::vector<std::unique_ptr<InstSource>> workloads_;
+    /** The profile constructor's streams, generated ahead of the
+     *  cores (docs/PERFORMANCE.md, "Run-ahead instruction streams").
+     *  Declared before the cores, which hold its streams, so it
+     *  outlives them. */
+    std::unique_ptr<RunAheadStreams> runAhead_;
+    /** What core c fetches from: workloads_[c] or runAhead_'s. */
+    std::vector<InstSource *> sources_;
     std::unique_ptr<CoherenceHub> coherence_;
     std::vector<std::unique_ptr<MemorySystem>> memSystems_;
     std::vector<std::unique_ptr<OooCore>> cores_;

@@ -2,11 +2,16 @@
 
 #include <cstdio>
 
+#include "base/cpu_budget.hh"
+
 namespace nuca {
 
 WorkerPool::WorkerPool(unsigned workers, Claim claim, Run run)
 {
     TraceEventLog &log = TraceEventLog::global();
+    // Counted before any of them starts, so the first worker to build
+    // a system already sees its siblings (base/cpu_budget.hh).
+    cpu_budget::addSimulating(static_cast<int>(workers));
     threads_.reserve(workers);
     for (unsigned k = 0; k < workers; ++k) {
         // Distinct tracks keep concurrent job spans apart in the
@@ -17,6 +22,7 @@ WorkerPool::WorkerPool(unsigned workers, Claim claim, Run run)
                                 "worker " + std::to_string(k))
                 : static_cast<int>(k);
         threads_.emplace_back([claim, run, track] {
+            const cpu_budget::WorkerThread counted;
             while (const std::optional<std::size_t> index = claim())
                 run(*index, track);
         });

@@ -174,6 +174,11 @@ childMain(int fd, const ProcIsolation &iso,
           const std::function<MixResult()> &body, const sigset_t &mask)
 {
     applyLimits(iso);
+    // A sanitizer's fault handler would settle a crash as its own
+    // exit status; with the default action the parent sees the
+    // signal, as it does from an unsanitized child.
+    std::signal(SIGSEGV, SIG_DFL);
+    std::signal(SIGBUS, SIG_DFL);
     // Preemptible children turn SIGTERM into a yield request; the
     // job saves a snapshot at its next checkpoint boundary and the
     // settlement below ships "preempted". Non-preemptible children
