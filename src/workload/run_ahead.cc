@@ -23,8 +23,9 @@ static_assert((RunAheadStreams::ringBlocks & slotMask) == 0,
  *  8 MiB of address space per producer under a job's RLIMIT_AS. */
 constexpr std::size_t producerStackBytes = 256 << 10;
 
-/** Polls of a ring before a draw sleeps on it: a block takes a few
- *  microseconds to fill, a futex round trip about as long. */
+/** Polls of an empty ring before a draw sleeps on it. A block takes
+ *  about 10 us to fill, and a sleeping consumer costs a futex round
+ *  trip on each side. */
 constexpr unsigned spinPolls = 2000;
 
 inline void
@@ -253,6 +254,8 @@ RunAheadStreams::add(const WorkloadProfile &profile, CoreId core,
 void
 RunAheadStreams::fill(Lane &lane)
 {
+    // Nothing here allocates: measure() sized the scratch for this
+    // profile's snapshot, which never changes length.
     const std::uint32_t n = lane.filled_.load(std::memory_order_relaxed);
     const unsigned slot = n & slotMask;
     lane.scratch_.clear();
@@ -286,6 +289,8 @@ RunAheadStreams::start()
             at += bytes[c];
         }
     }
+    // Every lane holds a block before a producer starts, so that a
+    // checkpoint never reads a generator the producer is using.
     for (const auto &lane : lanes_) {
         if (!lane->hasBlock_) {
             prof::add(prof::Counter::StreamInlineFills, 1);
@@ -296,11 +301,11 @@ RunAheadStreams::start()
     startThread();
 }
 
-bool
+void
 RunAheadStreams::startThread()
 {
     if (!cpu_budget::tryClaimHelper())
-        return false;
+        return;
     // A full signal mask: process-directed signals (a sandbox child's
     // SIGTERM preempt, SIGINT) keep landing on the simulating thread.
     sigset_t all;
@@ -319,12 +324,10 @@ RunAheadStreams::startThread()
                    this) == 0;
     ::pthread_attr_destroy(&attr);
     ::pthread_sigmask(SIG_SETMASK, &old, nullptr);
-    if (!running_) {
+    if (running_)
+        forkGen_ = cpu_budget::forkGeneration();
+    else
         cpu_budget::releaseHelper();
-        return false;
-    }
-    forkGen_ = cpu_budget::forkGeneration();
-    return true;
 }
 
 void

@@ -24,7 +24,9 @@
  * The producer is a bare pthread with every signal blocked, and it
  * never calls malloc or free (the SnapshotWriter pattern,
  * docs/CHECKPOINT.md "Cost"): the rings, the snapshot scratch and the
- * twin are allocated by the simulating thread, on first use. No
+ * twin are allocated by the simulating thread, on first use. Only the
+ * profiler's per-thread state, under REPRO_PROFILE, is allocated on
+ * the producer. No
  * producer outlives its RunAheadStreams, and a forked child never
  * waits on one that exists only in its parent.
  */
@@ -85,7 +87,7 @@ class RunAheadStreams
      *  give every lane without a block its first one, and start a
      *  producer if a CPU is free. */
     void start();
-    bool startThread();
+    void startThread();
     /** The producer thread's loop. */
     void produce();
     /** After a fork: forget the parent's producer and bring every
