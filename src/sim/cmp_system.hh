@@ -45,6 +45,10 @@ class CmpSystem
      *        shares data (sharedFrac > 0), the private L1/L2
      *        hierarchies are kept coherent through a CoherenceHub
      * @param seed workload seed (models the random fast-forward)
+     *
+     * Each core's SynthWorkload stream is generated ahead of it, on a
+     * producer thread while a CPU is free (RunAheadStreams); results
+     * and checkpoints are those of streams called inline.
      */
     CmpSystem(const SystemConfig &config,
               const std::vector<WorkloadProfile> &apps,

@@ -54,6 +54,8 @@ roundUp(std::size_t n, std::size_t to)
  * core owns the current block cur_ and freed_. Block n may be filled
  * while n - freed_ < ringBlocks, so the current block, freed only
  * when the core moves past it, is never overwritten under the core.
+ * With no producer, a used-up block with nothing filled after it is
+ * refilled in place and keeps its number.
  */
 class RunAheadStreams::Lane final : public InstSource
 {
@@ -189,7 +191,7 @@ class RunAheadStreams::Lane final : public InstSource
         freed_.store(0, std::memory_order_relaxed);
     }
 
-    /** The current block is used up: free it and take the next. */
+    /** The current block is used up: move on to the next one. */
     void
     advance()
     {
@@ -203,6 +205,17 @@ class RunAheadStreams::Lane final : public InstSource
                 return; // start() gave this lane its first block
         }
         const std::uint32_t n = cur_ + 1;
+        if (!g.running_ &&
+            filled_.load(std::memory_order_relaxed) == n) {
+            // No producer and nothing filled ahead: refill the block
+            // just used up, in place, so the ring takes one block of
+            // cache per core.
+            prof::add(prof::Counter::StreamInlineFills, 1);
+            filled_.store(cur_, std::memory_order_relaxed);
+            fill(*this);
+            take(cur_);
+            return;
+        }
         freed_.store(n, std::memory_order_release);
         if (g.running_) {
             const std::uint32_t ahead =
@@ -211,9 +224,6 @@ class RunAheadStreams::Lane final : public InstSource
                 g.wake();
             if (ahead == 0)
                 waitFor(n);
-        } else if (filled_.load(std::memory_order_relaxed) == n) {
-            prof::add(prof::Counter::StreamInlineFills, 1);
-            fill(*this);
         }
         take(n);
     }
