@@ -278,6 +278,32 @@ INSTANTIATE_TEST_SUITE_P(Fills, RunAheadStream,
                          ::testing::Values(Fill::Thread, Fill::Inline),
                          fillName);
 
+// A restore decides again whether a producer runs. A stream that was
+// not restored keeps the blocks filled ahead of it and goes on
+// through them under the other fill, and so does the restored one.
+TEST(RunAheadSwitch, FillChangesAtARestoreKeepTheStreams)
+{
+    const WorkloadProfile profile = specProfile("twolf");
+    RunAheadStreams streams;
+    InstSource &a = streams.add(profile, 0, 8);
+    InstSource &b = streams.add(profile, 1, 9);
+    SynthWorkload refA(profile, 0, 8), refB(profile, 1, 9);
+    for (const bool producer : {true, false, true}) {
+        SCOPED_TRACE(producer ? "producer" : "no producer");
+        std::unique_ptr<NoFreeCpu> saturate;
+        if (!producer)
+            saturate = std::make_unique<NoFreeCpu>();
+        const auto image = bytesOf(refA);
+        Deserializer d(image);
+        a.restore(d);
+        ASSERT_TRUE(drawSame(a, refA, 3 * K + 9));
+        EXPECT_EQ(streams.producing(), producer);
+        ASSERT_TRUE(drawSame(b, refB, 6 * K + 1));
+        EXPECT_EQ(bytesOf(a), bytesOf(refA));
+        EXPECT_EQ(bytesOf(b), bytesOf(refB));
+    }
+}
+
 /** Wait up to 30 s for @p pid; kill it and report a hang after. */
 int
 waitChild(pid_t pid)
