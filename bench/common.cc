@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "base/logging.hh"
-#include "sim/proc_pool.hh"
+#include "service/job_runner.hh"
 #include "sim/sweep_store.hh"
 
 namespace nuca {
@@ -162,18 +162,21 @@ runSweep(const std::vector<SweepJob> &jobs, const SimWindow &window,
     // continues from exactly here.
     installSweepInterruptHandlers();
     ProgressReporter progress("sweep", pending.size());
+    // SIGTERM is aimed at the sweep, so that fault strikes this
+    // process wherever the job runs. The other job faults strike the
+    // job's own process: under REPRO_ISOLATE=proc its runner, so a
+    // crash fault proves the sandbox contains exactly what it claims
+    // to.
+    const bool sweepFault = fault.kind == FaultKind::SigtermJob;
     auto settled = runParallelOutcomes(
         pending,
         [&](std::size_t i) {
-            // Under REPRO_ISOLATE=proc the fault (and the job) runs
-            // inside the forked child, so a crash fault proves the
-            // sandbox contains exactly what it claims to. The label
-            // makes REPRO_TRACE write one file per job, so
-            // concurrent workers never share a trace writer.
-            return runMixSandboxed(isolate, [&] {
+            if (sweepFault)
                 injectJobFault(fault, i, labelOf(i));
-                return service::runJob(jobs[i].spec, run);
-            });
+            service::JobRequest request{jobs[i].spec, run, {}};
+            if (!sweepFault)
+                request.faultTarget = service::FaultTarget{i, labelOf(i)};
+            return service::runJobAttempt(isolate, request);
         },
         pool == 0 ? jobsFromEnv() : pool, &progress, policy,
         [&](std::size_t k, const JobOutcome<MixResult> &outcome) {

@@ -79,7 +79,8 @@ struct SweepJob
  * The sweep runs under the REPRO_FAIL supervisor policy: "abort"
  * (default) rethrows the first failure after in-flight jobs drain,
  * "skip" records the failure and keeps sweeping. REPRO_ISOLATE=proc
- * runs each job in a forked sandbox. With REPRO_JSON set, the
+ * runs each job in a spawned sandbox runner (service/job_runner.hh).
+ * With REPRO_JSON set, the
  * document (one record per job, plus @p window and @p mix_count) is
  * written there, every settled job is additionally appended to the
  * "<path>.partial" JSONL sidecar as it completes, and REPRO_RESUME=1

@@ -7,9 +7,14 @@
  */
 
 #include "figures.hh"
+#include "service/job_runner.hh"
 
 int
 main(int argc, char **argv)
 {
+    // Under REPRO_ISOLATE=proc each job runs in a copy of this
+    // program.
+    if (nuca::service::spawnedAsRunner(argc, argv))
+        return nuca::service::runJobMain();
     return nuca::bench::figureMain(argc == 2 ? argv[1] : "");
 }

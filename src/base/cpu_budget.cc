@@ -1,7 +1,5 @@
 #include "base/cpu_budget.hh"
 
-#include <pthread.h>
-
 #include <algorithm>
 #include <atomic>
 #include <thread>
@@ -13,17 +11,9 @@ namespace {
 
 std::atomic<int> simulating{0};
 std::atomic<int> helpers{0};
-std::atomic<unsigned> forkGen{0};
 
 /** The calling thread is in the simulating count. */
 thread_local bool threadCounted = false;
-
-/** A forked child has none of its parent's helper threads. */
-[[maybe_unused]] const int forkSafe = ::pthread_atfork(
-    nullptr, nullptr, [] {
-        helpers.store(0, std::memory_order_relaxed);
-        forkGen.fetch_add(1, std::memory_order_relaxed);
-    });
 
 } // namespace
 
@@ -115,10 +105,11 @@ releaseHelper()
     helpers.fetch_sub(1, std::memory_order_relaxed);
 }
 
-unsigned
-forkGeneration()
+void
+inheritSimulating(int count)
 {
-    return forkGen.load(std::memory_order_relaxed);
+    simulating.store(count, std::memory_order_relaxed);
+    threadCounted = count > 0;
 }
 
 } // namespace cpu_budget

@@ -13,11 +13,10 @@
  * with a worker per CPU starts no helper; one with half as many
  * workers starts one helper per worker.
  *
- * The counts are process-wide. A forked child keeps the simulating
- * count (its parent's workers still stand for CPUs in use, its own
- * job among them) but starts with no helper, since a parent's helper
- * threads do not exist in the child. forkGeneration() lets an object
- * built before a fork see that its helper is gone.
+ * The counts are process-wide. A sandboxed job's runner is a process
+ * of its own (sim/proc_pool.hh); it starts its simulating count from
+ * its parent's (inheritSimulating), since the parent's workers still
+ * stand for CPUs in use, its own job among them.
  */
 
 #ifndef NUCA_BASE_CPU_BUDGET_HH
@@ -89,9 +88,13 @@ bool tryClaimHelper();
 /** Give back a CPU tryClaimHelper granted. */
 void releaseHelper();
 
-/** Bumped in every forked child: a helper started under another
- *  generation belongs to an ancestor process. */
-unsigned forkGeneration();
+/**
+ * Start this process's simulating count at @p count, the count of the
+ * process that spawned it as a job runner. That count holds the
+ * parent's thread that waits on this runner, and the calling thread
+ * stands in for it. Call before this process starts any thread.
+ */
+void inheritSimulating(int count);
 
 } // namespace cpu_budget
 } // namespace nuca

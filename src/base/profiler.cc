@@ -7,8 +7,6 @@
 #include <sstream>
 #include <vector>
 
-#include <pthread.h>
-
 namespace nuca {
 namespace prof {
 
@@ -92,12 +90,6 @@ Registry &
 registry()
 {
     static Registry r;
-    // Hold the mutex across fork(): a sandbox child forked while
-    // another thread held it would deadlock as soon as a thread of
-    // its own (a checkpoint writer) registered.
-    [[maybe_unused]] static const int forkSafe = ::pthread_atfork(
-        [] { r.mutex.lock(); }, [] { r.mutex.unlock(); },
-        [] { r.mutex.unlock(); });
     return r;
 }
 

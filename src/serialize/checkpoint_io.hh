@@ -31,9 +31,9 @@ constexpr std::uint32_t checkpointFormatVersion = 2;
 
 /**
  * A fresh temporary name next to @p path: "<path>.tmp.<pid>.<n>",
- * where n counts every call in this process. No two threads, and no
- * two processes (forked children start from their parent's count
- * but not its pid), ever get the same name, so concurrent writers
+ * where n counts every call in this process. No two threads (they
+ * differ in n), and no two processes (they differ in pid, whatever
+ * their counts), ever get the same name, so concurrent writers
  * sharing a checkpoint directory never open each other's
  * temporaries.
  */

@@ -5,6 +5,7 @@
 #include <system_error>
 
 #include "base/cpu_budget.hh"
+#include "service/job_runner.hh"
 #include "sim/checkpoint.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/robustness.hh"
@@ -89,8 +90,6 @@ SweepDaemon::SweepDaemon(DaemonOptions options)
     if (ec)
         throw SimulationError("cannot create state dir " +
                               opts_.stateDir + ": " + ec.message());
-    opts_.isolation.enabled =
-        opts_.isolation.enabled && procIsolationSupported();
     opts_.isolation.preemptible = true;
     const std::string journalPath = opts_.stateDir + "/jobs.jsonl";
     // Replay the journal into the result index, one record at a
@@ -148,18 +147,16 @@ SweepDaemon::findJob(std::uint64_t id)
 MixResult
 SweepDaemon::execute(const JobSpec &spec, ProcJobHandle *handle)
 {
-    RunPolicy policy;
+    JobRequest request;
+    request.spec = spec;
+    RunPolicy &policy = request.policy;
     policy.ckpt.dir = opts_.stateDir + "/ckpt";
     policy.ckpt.period = opts_.preemptPeriod;
     policy.ckpt.maxMb = opts_.ckptMaxMb;
     policy.resume = true;
-    policy.preempt = &handle->preempt;
     policy.robust = opts_.robust;
     policy.telemetry = opts_.telemetry;
-
-    return runMixSandboxed(
-        opts_.isolation, [&] { return service::runJob(spec, policy); },
-        handle);
+    return runJobAttempt(opts_.isolation, request, handle);
 }
 
 std::optional<std::size_t>

@@ -7,14 +7,14 @@
  * Jobs run on the figure sweeps' executor: a WorkerPool
  * (parallel_runner.hh) whose workers claim from the daemon's queue,
  * the most starved tenant's job first (see scheduler.hh), and
- * execute the sweeps' job body, runJob (job_spec.hh), through the
- * proc_pool sandbox when isolation is on. The
- * daemon adds two mechanisms:
+ * execute the sweeps' job body, runJob (job_spec.hh), through
+ * runJobAttempt (job_runner.hh): in a spawned runner when isolation
+ * is on. The daemon adds two mechanisms:
  *
  *  - Preemptive fair share: a long-running job of an over-served
  *    tenant is asked to stop at its next REPRO_CKPT_PERIOD-style
  *    snapshot boundary (ProcJobHandle::requestPreempt — a flag for
- *    in-process jobs, SIGTERM for sandbox children). The run saves
+ *    in-process jobs, SIGTERM for sandboxed runners). The run saves
  *    its snapshot, throws JobPreempted, and the job is requeued; the
  *    next attempt resumes from the snapshot and finishes with a
  *    result bit-identical to an uninterrupted run.
@@ -84,8 +84,8 @@ struct DaemonOptions
      *  automatic preempter (explicit `preempt` ops still work).
      *  --quantum-ms. */
     std::uint64_t quantumMs = 1000;
-    /** The fork-per-attempt sandbox and its limits; --no-isolate
-     *  (or a platform without fork) clears `enabled`. */
+    /** The spawn-per-attempt sandbox and its limits; --no-isolate
+     *  clears `enabled`. */
     ProcIsolation isolation{.enabled = true};
     /** Every job's robustness layer. A result run under a planted
      *  simulator fault is never cached: it need not be clean. */

@@ -122,18 +122,16 @@ robustnessFromEnv()
     config.checkEnabled = envOr("REPRO_CHECK", 0) != 0;
     config.checkPeriod =
         envOr("REPRO_CHECK_PERIOD", config.checkPeriod);
-    fatal_if(config.checkEnabled && config.checkPeriod == 0,
-             "REPRO_CHECK_PERIOD must be positive");
 
     config.watchdogEnabled = envOr("REPRO_WATCHDOG", 1) != 0;
     config.watchdogWindow =
         envOr("REPRO_WATCHDOG_WINDOW", config.watchdogWindow);
-    fatal_if(config.watchdogEnabled && config.watchdogWindow == 0,
-             "REPRO_WATCHDOG_WINDOW must be positive");
     config.mshrAgeBound = config.watchdogWindow;
 
     config.maxCycles = envOr("REPRO_MAX_CYCLES", 0);
     config.fault = faultFromEnv();
+    const std::string why = config.problem();
+    fatal_if(!why.empty(), why);
     return config;
 }
 
@@ -145,11 +143,6 @@ isolationFromEnv()
     fatal_if(!mode.empty() && mode != "off" && mode != "proc",
              "REPRO_ISOLATE must be proc or off, got '", mode, "'");
     iso.enabled = mode == "proc";
-    if (iso.enabled && !procIsolationSupported()) {
-        warn("REPRO_ISOLATE=proc: fork is unavailable on this "
-             "platform; jobs will run in-process without limits");
-        iso.enabled = false;
-    }
     iso.memMb = envOr("REPRO_JOB_MEM_MB", iso.memMb);
     iso.cpuS = envOr("REPRO_JOB_CPU_S", iso.cpuS);
     iso.timeoutS = envOr("REPRO_JOB_TIMEOUT_S", iso.timeoutS);
@@ -186,8 +179,8 @@ telemetryFromEnv()
     config.tracePath = envString("REPRO_TRACE");
     config.samplePeriod =
         envOr("REPRO_TRACE_PERIOD", config.samplePeriod);
-    fatal_if(config.samplePeriod == 0,
-             "REPRO_TRACE_PERIOD must be positive");
+    const std::string why = config.problem();
+    fatal_if(!why.empty(), why);
     config.heatmap = envOr("REPRO_HEATMAP", 0) != 0;
     config.events = traceEventsFromEnv();
     return config;

@@ -75,7 +75,6 @@ SweepPolicy sweepPolicyFromEnv();
 FaultSpec faultFromEnv();
 /** Includes faultFromEnv; the MSHR age bound follows the window. */
 RobustnessConfig robustnessFromEnv();
-/** REPRO_ISOLATE=proc where fork is unavailable warns and disables. */
 ProcIsolation isolationFromEnv();
 /** `events` is the process-wide Chrome trace log (written at exit),
  *  or nullptr when REPRO_PERFETTO is unset. */

@@ -8,7 +8,6 @@
 #include "serialize/checkpoint_io.hh"
 #include "sim/checkpoint.hh"
 #include "sim/cmp_system.hh"
-#include "sim/proc_pool.hh"
 #include "sim/robustness.hh"
 #include "sim/telemetry.hh"
 #include "workload/spec_profiles.hh"
@@ -38,14 +37,13 @@ makeMixes(const std::vector<std::string> &pool, unsigned count,
 
 namespace {
 
-/** True when the scheduler (explicit flag or the proc-pool child's
- *  SIGTERM) wants this run to yield at the next snapshot boundary. */
+/** True when the scheduler wants this run to yield at the next
+ *  snapshot boundary. */
 bool
 preemptWanted(const RunPolicy &policy)
 {
-    return (policy.preempt != nullptr &&
-            policy.preempt->load(std::memory_order_relaxed)) ||
-           procPreemptSignalled();
+    return policy.preempt != nullptr &&
+           policy.preempt->load(std::memory_order_relaxed);
 }
 
 } // namespace

@@ -78,9 +78,9 @@ struct RunPolicy
     bool resume = false;
     /**
      * When non-null, polled at every snapshot boundary: once true
-     * the run saves a mid-run snapshot and throws JobPreempted. The
-     * proc-pool child has its own signal-driven flag that is polled
-     * alongside this one.
+     * the run saves a mid-run snapshot and throws JobPreempted. A
+     * sandboxed job's runner points it at the flag its SIGTERM
+     * handler raises.
      */
     const std::atomic<bool> *preempt = nullptr;
     /** Watchdog, invariant checker, cycle budget, planted fault. */

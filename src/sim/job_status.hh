@@ -1,7 +1,7 @@
 /**
  * @file
  * The one job lifecycle shared by every sweep executor: the worker
- * pool (runParallelOutcomes), the fork sandbox (runMixSandboxed) and
+ * pool (runParallelOutcomes), the sandbox (runJobAttempt) and
  * nuca_sweepd. A job is Queued, then Running (a daemon job may loop
  * through Preempted), and settles into one terminal status, which
  * classifyFailure decides and kJobStatusNames names.

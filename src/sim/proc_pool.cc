@@ -1,59 +1,25 @@
 #include "sim/proc_pool.hh"
 
-#include <string>
-
-#include "base/logging.hh"
-#include "sim/robustness.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define NUCA_HAVE_FORK 1
-#include <cerrno>
-#include <chrono>
-#include <csignal>
-#include <cstring>
-#include <mutex>
+#include <fcntl.h>
 #include <poll.h>
-#include <sys/resource.h>
+#include <spawn.h>
+#include <sys/mman.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
+#include <csignal>
+#include <cstring>
+#include <string>
+
+#include "sim/robustness.hh"
 #include "sim/sweep_store.hh"
-#else
-#define NUCA_HAVE_FORK 0
-#endif
+
+extern char **environ;
 
 namespace nuca {
-
-bool
-procIsolationSupported()
-{
-    return NUCA_HAVE_FORK != 0;
-}
-
-#if NUCA_HAVE_FORK
-
-namespace {
-
-/** Set in a preemptible sandbox child when SIGTERM arrives. */
-volatile std::sig_atomic_t g_proc_preempt = 0;
-
-/** Serializes the pipe-and-fork step of runMixSandboxed. */
-std::mutex g_fork_mutex;
-
-extern "C" void
-procPreemptHandler(int)
-{
-    g_proc_preempt = 1;
-}
-
-} // namespace
-
-bool
-procPreemptSignalled()
-{
-    return g_proc_preempt != 0;
-}
 
 void
 ProcJobHandle::requestPreempt()
@@ -67,26 +33,9 @@ ProcJobHandle::requestPreempt()
         ::kill(static_cast<pid_t>(p), SIGTERM);
 }
 
-#else // !NUCA_HAVE_FORK
-
-bool
-procPreemptSignalled()
-{
-    return false;
-}
-
-void
-ProcJobHandle::requestPreempt()
-{
-    preempt.store(true, std::memory_order_relaxed);
-}
-
-#endif
-
 std::string
 describeSignal(int sig)
 {
-#if NUCA_HAVE_FORK
     // A fixed table, not strsignal(): the names land in sidecar
     // records that tests and tooling grep, so they must not vary
     // with libc locale or version.
@@ -110,90 +59,16 @@ describeSignal(int sig)
       default:
         return "signal " + std::to_string(sig);
     }
-#else
-    return "signal " + std::to_string(sig);
-#endif
 }
 
-#if NUCA_HAVE_FORK
-
-namespace {
-
-/** Apply the child-side rlimit caps; never returns on failure (the
- *  wire protocol would misattribute a half-limited child). */
-void
-applyLimits(const ProcIsolation &iso)
+std::string
+settlementLine(const std::function<MixResult()> &job)
 {
-    if (iso.memMb != 0) {
-        rlimit lim{};
-        lim.rlim_cur = lim.rlim_max =
-            static_cast<rlim_t>(iso.memMb) * 1024 * 1024;
-        if (::setrlimit(RLIMIT_AS, &lim) != 0)
-            ::_exit(124);
-    }
-    if (iso.cpuS != 0) {
-        // Soft limit raises SIGXCPU (classified as a timeout); the
-        // hard limit one second later is the kernel's backstop if
-        // the child somehow survives it.
-        rlimit lim{};
-        lim.rlim_cur = static_cast<rlim_t>(iso.cpuS);
-        lim.rlim_max = static_cast<rlim_t>(iso.cpuS) + 1;
-        if (::setrlimit(RLIMIT_CPU, &lim) != 0)
-            ::_exit(124);
-    }
-}
-
-/** write(2) the whole buffer, riding out EINTR and short writes. */
-bool
-writeAll(int fd, const std::string &text)
-{
-    std::size_t off = 0;
-    while (off < text.size()) {
-        const ssize_t n =
-            ::write(fd, text.data() + off, text.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/**
- * Child side: run the body, encode the settlement as one JSON line
- * on @p fd, and _exit. _exit (not exit) on every path: the child is
- * a fork of a possibly multi-threaded parent and must not run the
- * parent's atexit hooks — those would re-write trace files and
- * profiler reports the parent still owns. The child starts with
- * SIGTERM blocked; @p mask is the signal mask to run the body under.
- */
-[[noreturn]] void
-childMain(int fd, const ProcIsolation &iso,
-          const std::function<MixResult()> &body, const sigset_t &mask)
-{
-    applyLimits(iso);
-    // A sanitizer's fault handler would settle a crash as its own
-    // exit status; with the default action the parent sees the
-    // signal, as it does from an unsanitized child.
-    std::signal(SIGSEGV, SIG_DFL);
-    std::signal(SIGBUS, SIG_DFL);
-    // Preemptible children turn SIGTERM into a yield request; the
-    // job saves a snapshot at its next checkpoint boundary and the
-    // settlement below ships "preempted". Non-preemptible children
-    // keep the default disposition so the deadline escalation
-    // (SIGTERM -> grace -> SIGKILL) kills them as before. A SIGTERM
-    // sent before this point stayed pending and is delivered to the
-    // chosen disposition once the mask is restored.
-    if (iso.preemptible)
-        std::signal(SIGTERM, procPreemptHandler);
-    ::pthread_sigmask(SIG_SETMASK, &mask, nullptr);
     std::string line;
     json::Writer record(line);
     record.beginObject();
     try {
-        const MixResult result = body();
+        const MixResult result = job();
         writeMixResultMembers(record, result);
         record.key("status");
         record.string("ok");
@@ -206,10 +81,37 @@ childMain(int fd, const ProcIsolation &iso,
     }
     record.endObject();
     line += '\n';
-    if (!writeAll(fd, line))
-        ::_exit(123);
-    ::_exit(0);
+    return line;
 }
+
+namespace {
+
+/** A JobCrashed naming the call that failed and its errno. */
+JobCrashed
+sandboxError(const std::string &what, int err)
+{
+    return JobCrashed("sandbox: " + what + " failed (" +
+                      std::strerror(err) + ")");
+}
+
+/** A descriptor closed with the object; -1 once it is closed. */
+struct Fd
+{
+    int fd;
+
+    explicit Fd(int f) : fd(f) {}
+    Fd(const Fd &) = delete;
+    Fd &operator=(const Fd &) = delete;
+    ~Fd() { reset(); }
+
+    void
+    reset()
+    {
+        if (fd >= 0)
+            ::close(fd);
+        fd = -1;
+    }
+};
 
 /** Parent-side watch result: the child's full pipe output plus
  *  whether the wall-clock deadline forced an escalation. */
@@ -335,69 +237,82 @@ settleWire(const std::string &payload)
 } // namespace
 
 MixResult
-runMixSandboxed(const ProcIsolation &iso,
-                const std::function<MixResult()> &body,
-                ProcJobHandle *handle)
+runSandboxed(const ProcIsolation &iso,
+             const std::vector<std::string> &argv,
+             const std::string &request, ProcJobHandle *handle)
 {
-    if (!iso.enabled)
-        return body();
-
-    // Held from pipe() until the parent has closed its write end, so
-    // no other worker's fork copies that end into its child: a
-    // sibling child holding it would delay this job's EOF until the
-    // sibling exits. Released before any in-process fallback.
-    std::unique_lock<std::mutex> forking(g_fork_mutex);
-    int fds[2];
-    if (::pipe(fds) != 0) {
-        forking.unlock();
-        warn("proc pool: pipe() failed (", std::strerror(errno),
-             "); running job in-process");
-        return body();
+    // The request is in a memory file, not a pipe, so it is whole
+    // before the child exists whatever its size, and a child that
+    // dies without reading it cannot raise SIGPIPE here. The memory
+    // file and both pipe ends are close-on-exec: the child gets its
+    // two through the spawn's dup2s, and no sibling worker's spawn
+    // can carry them past its exec.
+    const Fd request_in(::memfd_create("job-request", MFD_CLOEXEC));
+    if (request_in.fd < 0)
+        throw sandboxError("memfd_create", errno);
+    std::size_t off = 0;
+    while (off < request.size()) {
+        const ssize_t n = ::write(request_in.fd, request.data() + off,
+                                  request.size() - off);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0)
+            throw sandboxError("writing the job request", errno);
+        off += static_cast<std::size_t>(n);
     }
+    if (::lseek(request_in.fd, 0, SEEK_SET) != 0)
+        throw sandboxError("rewinding the job request", errno);
+    int ends[2];
+    if (::pipe2(ends, O_CLOEXEC) != 0)
+        throw sandboxError("pipe2", errno);
+    const Fd settlement_in(ends[0]);
+    Fd settlement_out(ends[1]);
 
-    // Block SIGTERM across the fork, so a preempt that reaches the
-    // child before it has installed its handler stays pending
-    // instead of killing it with the default disposition.
-    sigset_t term;
+    posix_spawn_file_actions_t actions;
+    ::posix_spawn_file_actions_init(&actions);
+    ::posix_spawn_file_actions_adddup2(&actions, request_in.fd,
+                                       STDIN_FILENO);
+    ::posix_spawn_file_actions_adddup2(&actions, settlement_out.fd,
+                                       settlementFd);
+    // SIGTERM and SIGINT stay blocked until the runner has chosen
+    // their dispositions (see the contract above).
+    posix_spawnattr_t attr;
+    ::posix_spawnattr_init(&attr);
     sigset_t mask;
-    sigemptyset(&term);
-    sigaddset(&term, SIGTERM);
-    ::pthread_sigmask(SIG_BLOCK, &term, &mask);
-    const pid_t pid = ::fork();
-    if (pid != 0)
-        ::pthread_sigmask(SIG_SETMASK, &mask, nullptr);
-    if (pid < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        forking.unlock();
-        warn("proc pool: fork() failed (", std::strerror(errno),
-             "); running job in-process");
-        return body();
-    }
-    if (pid == 0) {
-        // Child. Only this fork's own pipe end stays open; the read
-        // end (and anything else) is surplus.
-        ::close(fds[0]);
-        childMain(fds[1], iso, body, mask); // never returns
-    }
+    ::pthread_sigmask(SIG_BLOCK, nullptr, &mask);
+    sigaddset(&mask, SIGTERM);
+    sigaddset(&mask, SIGINT);
+    ::posix_spawnattr_setsigmask(&attr, &mask);
+    ::posix_spawnattr_setflags(&attr, POSIX_SPAWN_SETSIGMASK);
 
-    // Parent.
-    ::close(fds[1]);
-    forking.unlock();
+    std::vector<char *> args;
+    for (const std::string &arg : argv)
+        args.push_back(const_cast<char *>(arg.c_str()));
+    args.push_back(nullptr);
+    pid_t pid = 0;
+    const int spawned = ::posix_spawn(&pid, args[0], &actions, &attr,
+                                      args.data(), environ);
+    ::posix_spawnattr_destroy(&attr);
+    ::posix_spawn_file_actions_destroy(&actions);
+    if (spawned != 0)
+        throw sandboxError("spawning " + argv[0], spawned);
+    // Only the child holds the write end now, so the settlement pipe
+    // reaches EOF when the child (and anything it spawned) is gone.
+    settlement_out.reset();
+
     if (handle != nullptr) {
         handle->pid.store(pid, std::memory_order_relaxed);
-        // A preempt that raced the fork: deliver it now that there
+        // A preempt that raced the spawn: deliver it now that there
         // is a child to deliver it to.
         if (handle->preempt.load(std::memory_order_relaxed))
             ::kill(pid, SIGTERM);
     }
-    const WatchResult watch = watchChild(fds[0], pid, iso);
+    const WatchResult watch = watchChild(settlement_in.fd, pid, iso);
     // EOF means the child closed its pipe end (dead or exiting), so
     // its pid cannot be recycled until we reap it below: clearing
     // the handle here closes the requestPreempt() pid-reuse window.
     if (handle != nullptr)
         handle->pid.store(0, std::memory_order_relaxed);
-    ::close(fds[0]);
     const int status = awaitChild(pid);
 
     if (watch.timedOut) {
@@ -437,19 +352,5 @@ runMixSandboxed(const ProcIsolation &iso,
     }
     return settleWire(watch.payload);
 }
-
-#else // !NUCA_HAVE_FORK
-
-MixResult
-runMixSandboxed(const ProcIsolation &iso,
-                const std::function<MixResult()> &body,
-                ProcJobHandle *handle)
-{
-    (void)iso; // the REPRO_ISOLATE parser already warned and disabled
-    (void)handle;
-    return body();
-}
-
-#endif
 
 } // namespace nuca

@@ -1,37 +1,53 @@
 /**
  * @file
- * Opt-in process isolation for sweep jobs (REPRO_ISOLATE=proc): each
- * job runs in a forked child with optional resource limits, so a job
- * that segfaults, exhausts memory, or wedges takes down only its own
- * process — the parent classifies the death and the sweep supervisor
- * (REPRO_FAIL) decides what to do about it.
+ * Process isolation for sweep jobs (REPRO_ISOLATE=proc, and
+ * nuca_sweepd by default): each job attempt runs in a freshly spawned
+ * program, so a job that segfaults, exhausts memory, or wedges takes
+ * down only its own process. The parent classifies the death and the
+ * sweep supervisor (REPRO_FAIL) decides what to do about it.
  *
  * The sandbox contract:
  *
- *  - The child applies setrlimit caps before running the job:
- *    REPRO_JOB_MEM_MB bounds the address space (RLIMIT_AS) and
- *    REPRO_JOB_CPU_S bounds CPU seconds (RLIMIT_CPU; the kernel
- *    delivers SIGXCPU at the soft limit, SIGKILL one second later).
+ *  - runSandboxed spawns the argv it is given with posix_spawn. The
+ *    job runner (service/job_runner.hh) is the running program
+ *    itself, `/proc/self/exe --run-job`, so the child is a fresh
+ *    process that shares no thread, lock or heap with its parent.
+ *
+ *  - One request line goes to the child's stdin and one settlement
+ *    line comes back on its fd 3 (settlementFd). The request's stdin
+ *    is a memory file (memfd_create) written before the child
+ *    starts, so a request of any size arrives whole; the settlement
+ *    comes back over a pipe. Both are close-on-exec, so no sibling's
+ *    child inherits them. The child's stdout and stderr are the
+ *    parent's: nothing a job prints can corrupt its settlement.
+ *
+ *  - The settlement is one JSON line written with settlementLine and
+ *    read back by the one-pass payload codec the results sidecar
+ *    uses; doubles round-trip exactly, so a clean proc-isolated sweep
+ *    produces byte-identical REPRO_JSON to the in-process pool. A job
+ *    that throws ships to_string(classifyFailure(...)) and its
+ *    message, and the parent rebuilds it with rethrowAs, so every
+ *    executor classifies it exactly as if no sandbox existed.
+ *
+ *  - The child starts with SIGTERM and SIGINT blocked. The runner
+ *    unblocks them once it has chosen their dispositions, so a
+ *    preempt sent the moment the child exists waits for the runner's
+ *    handler instead of killing it.
+ *
+ *  - The runner applies the setrlimit caps itself: REPRO_JOB_MEM_MB
+ *    bounds the address space (RLIMIT_AS) and REPRO_JOB_CPU_S the
+ *    CPU seconds (RLIMIT_CPU; the kernel delivers SIGXCPU at the soft
+ *    limit, SIGKILL one second later).
  *
  *  - The parent enforces a wall-clock deadline (REPRO_JOB_TIMEOUT_S):
  *    past it the child gets SIGTERM, then REPRO_JOB_GRACE_MS of
  *    grace to die cleanly, then SIGKILL. A deadline catches what
  *    RLIMIT_CPU cannot — a job wedged in a sleep loop burns no CPU.
  *
- *  - Results cross a pipe as one JSON line written and read by the
- *    one-pass payload codec the results sidecar uses; doubles
- *    round-trip exactly, so a clean proc-isolated sweep produces
- *    byte-identical REPRO_JSON to the in-process pool. A job that
- *    throws in the child ships to_string(classifyFailure(...)) the
- *    same way and the parent rebuilds it with rethrowAs, so every
- *    executor classifies it exactly as if no sandbox existed.
- *
- *  - Abnormal deaths become typed exceptions: JobTimedOut for the
- *    deadline or SIGXCPU, JobCrashed for everything else (signal,
- *    nonzero exit, or an empty, unparsable or mistyped result).
- *
- * On platforms without fork the layer degrades gracefully: the knob
- * warns once and jobs run in-process, exactly as without it.
+ *  - Abnormal ends become typed exceptions: JobTimedOut for the
+ *    deadline or SIGXCPU, JobCrashed for everything else (a request
+ *    file, pipe or spawn that failed, a signal, a nonzero exit, or
+ *    an empty, unparsable or mistyped settlement).
  */
 
 #ifndef NUCA_SIM_PROC_POOL_HH
@@ -41,6 +57,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "sim/experiment.hh"
 
@@ -49,12 +66,12 @@ namespace nuca {
 /** The REPRO_ISOLATE process-sandbox knobs. */
 struct ProcIsolation
 {
-    /** Fork a child per job (REPRO_ISOLATE=proc). */
+    /** Run each job in a spawned runner (REPRO_ISOLATE=proc). */
     bool enabled = false;
-    /** Child address-space cap in MiB; 0 = unlimited
+    /** Runner address-space cap in MiB; 0 = unlimited
      *  (REPRO_JOB_MEM_MB). */
     std::uint64_t memMb = 0;
-    /** Child CPU-seconds cap; 0 = unlimited (REPRO_JOB_CPU_S). */
+    /** Runner CPU-seconds cap; 0 = unlimited (REPRO_JOB_CPU_S). */
     std::uint64_t cpuS = 0;
     /** Wall-clock deadline in seconds enforced by the parent; 0 =
      *  none (REPRO_JOB_TIMEOUT_S). */
@@ -63,9 +80,9 @@ struct ProcIsolation
      *  (REPRO_JOB_GRACE_MS). */
     std::uint64_t graceMs = 2000;
     /**
-     * Child treats SIGTERM as a preemption request instead of dying:
-     * a flag goes up, the running job saves a snapshot at its next
-     * checkpoint boundary, and the child ships a "preempted"
+     * The runner treats SIGTERM as a preemption request instead of
+     * dying: a flag goes up, the running job saves a snapshot at its
+     * next checkpoint boundary, and the runner ships a "preempted"
      * settlement. Set only by the service daemon (never from the
      * env) — the deadline escalation's SIGTERM semantics for
      * ordinary sweeps are unchanged, and the parent's timed-out
@@ -79,7 +96,7 @@ struct ProcIsolation
  * the worker executing it and the scheduler that may preempt it.
  * requestPreempt() raises the flag — polled by runMix at snapshot
  * boundaries for in-process jobs — and SIGTERMs the sandbox child
- * when one is running, so a blocked child yields at its next
+ * when one is running, so a sandboxed job yields at its next
  * boundary too.
  */
 struct ProcJobHandle
@@ -91,31 +108,33 @@ struct ProcJobHandle
     void requestPreempt();
 };
 
-/** True when this platform can fork a sandbox child at all. */
-bool procIsolationSupported();
+/** The descriptor a sandbox child writes its settlement line to. */
+constexpr int settlementFd = 3;
 
 /**
- * Run @p body to completion in a forked child under @p iso's limits
- * and return its result. Clean child failures (body threw) rethrow
- * in the parent with their original type and message; abnormal
- * deaths throw JobCrashed / JobTimedOut, and a preemptible child
- * that yielded rethrows JobPreempted. With isolation disabled (or
- * unsupported) this is exactly `return body()`.
+ * Spawn @p argv (argv[0] is the program's path; @pre not empty)
+ * under @p iso's deadline, give it @p request on its stdin, and
+ * settle the line it writes to settlementFd: its result, or its
+ * shipped failure rethrown with the original type and message.
+ * Abnormal ends throw JobCrashed / JobTimedOut, and a preemptible
+ * runner that yielded rethrows JobPreempted. @p iso.enabled is not
+ * consulted: the caller chose the sandbox.
  *
  * @p handle, when provided, is kept current with the child's pid so
- * a scheduler can requestPreempt() mid-run; it applies equally to
- * the non-isolated path (the flag is polled in-process).
+ * a scheduler can requestPreempt() mid-run.
  */
-MixResult runMixSandboxed(const ProcIsolation &iso,
-                          const std::function<MixResult()> &body,
-                          ProcJobHandle *handle = nullptr);
+MixResult runSandboxed(const ProcIsolation &iso,
+                       const std::vector<std::string> &argv,
+                       const std::string &request,
+                       ProcJobHandle *handle = nullptr);
 
 /**
- * True inside a preemptible sandbox child once SIGTERM arrived.
- * Polled by runMix at snapshot boundaries alongside the explicit
- * RunPolicy flag; always false in an ordinary process.
+ * Run @p job here and return the settlement line a sandbox child
+ * writes for it, newline included: the result's payload members
+ * followed by "status":"ok", or the classified status and message of
+ * what it threw.
  */
-bool procPreemptSignalled();
+std::string settlementLine(const std::function<MixResult()> &job);
 
 /** Human-readable signal description ("SIGSEGV (segmentation
  *  fault)"); used in JobCrashed messages and tested directly. */

@@ -49,6 +49,18 @@ faultKindFromString(const std::string &name)
     return FaultKind::None;
 }
 
+std::string
+RobustnessConfig::problem() const
+{
+    if (checkEnabled && checkPeriod == 0)
+        return "the invariant-check period (REPRO_CHECK_PERIOD) must "
+               "be positive";
+    if (watchdogEnabled && watchdogWindow == 0)
+        return "the watchdog window (REPRO_WATCHDOG_WINDOW) must be "
+               "positive";
+    return "";
+}
+
 namespace {
 
 /**
@@ -94,11 +106,11 @@ injectJobFault(const FaultSpec &fault, std::size_t job,
         for (;;)
             std::this_thread::sleep_for(std::chrono::seconds(1));
       case FaultKind::SigtermJob:
-        // Delivered to this very process: with the graceful-stop
-        // handlers installed the flag goes up, this job finishes
-        // normally, and the sweep winds down. Without them the
-        // default disposition kills the process — which is exactly
-        // why the supervisor installs the handlers first.
+        // Delivered to this very process, the sweep's: with the
+        // graceful-stop handlers installed the flag goes up, this
+        // job finishes normally, and the sweep winds down. Without
+        // them the default disposition kills the process — which is
+        // exactly why the supervisor installs the handlers first.
         std::raise(SIGTERM);
         return;
       default:

@@ -66,9 +66,10 @@ class CycleBudgetExceeded : public SimulationError
 };
 
 /**
- * A process-isolated job (REPRO_ISOLATE=proc) died abnormally: the
- * child exited nonzero or was killed by a signal (segfault, abort,
- * OOM kill). The message carries the decoded exit disposition.
+ * A process-isolated job (REPRO_ISOLATE=proc) died abnormally: its
+ * runner could not be spawned, exited nonzero, or was killed by a
+ * signal (segfault, abort, OOM kill). The message carries the
+ * decoded exit disposition.
  */
 class JobCrashed : public SimulationError
 {
@@ -79,7 +80,7 @@ class JobCrashed : public SimulationError
 /**
  * A process-isolated job blew its deadline: either the parent's
  * wall-clock REPRO_JOB_TIMEOUT_S (SIGTERM -> grace -> SIGKILL
- * escalation) or the child's RLIMIT_CPU budget (SIGXCPU).
+ * escalation) or the runner's RLIMIT_CPU budget (SIGXCPU).
  */
 class JobTimedOut : public SimulationError
 {
@@ -124,7 +125,7 @@ enum class FaultKind
     SegvJob,      ///< segfault in sweep job `arg` (proc pool's prey)
     OomJob,       ///< exhaust memory in job `arg` (RLIMIT_AS's prey)
     HangJob,      ///< hang sweep job `arg` (the deadline's prey)
-    SigtermJob,   ///< raise SIGTERM in job `arg` (graceful stop's prey)
+    SigtermJob,   ///< SIGTERM the sweep at job `arg` (graceful stop's prey)
 };
 
 /**
@@ -157,7 +158,7 @@ struct FaultSpec
     }
     /**
      * True for the kinds that take down their whole process — they
-     * need REPRO_ISOLATE=proc so only a forked child dies.
+     * need REPRO_ISOLATE=proc so only the job's runner dies.
      */
     bool isCrashFault() const
     {
@@ -170,9 +171,10 @@ struct FaultSpec
 /**
  * Plant @p fault in sweep job @p job (no-op unless the spec is a job
  * fault naming exactly that index). ThrowJob throws SimulationError;
- * segv/oom/hang never return — they kill or wedge the calling
- * process, so the sweep must only invoke this inside a forked child
- * (REPRO_ISOLATE=proc).
+ * SigtermJob raises SIGTERM in the calling process, which must be
+ * the sweep's; segv/oom/hang never return — they kill or wedge the
+ * calling process, so the sweep must only invoke them inside a
+ * sandboxed job's runner (REPRO_ISOLATE=proc).
  */
 void injectJobFault(const FaultSpec &fault, std::size_t job,
                     const std::string &label);
@@ -210,6 +212,10 @@ struct RobustnessConfig
 
     /** The deliberate defect to plant, if any (REPRO_FAULT). */
     FaultSpec fault;
+
+    /** What makes this config unrunnable (a zero period would wedge
+     *  or abort the run), or empty when it can run. */
+    std::string problem() const;
 };
 
 /**

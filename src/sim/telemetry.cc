@@ -70,6 +70,15 @@ JsonlTraceSink::drain(bool sync)
 }
 
 std::string
+TelemetryConfig::problem() const
+{
+    if (samplePeriod == 0)
+        return "the trace sample period (REPRO_TRACE_PERIOD) must be "
+               "positive";
+    return "";
+}
+
+std::string
 sanitizeLabel(const std::string &label)
 {
     std::string safe;

@@ -107,6 +107,10 @@ struct TelemetryConfig
     TraceEventLog *events = nullptr;
 
     bool enabled() const { return !tracePath.empty(); }
+
+    /** What makes this config unrunnable (a zero sample period), or
+     *  empty when it can run. */
+    std::string problem() const;
 };
 
 /**

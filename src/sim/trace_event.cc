@@ -4,8 +4,6 @@
 #include <map>
 #include <utility>
 
-#include <pthread.h>
-
 #include "base/logging.hh"
 
 namespace nuca {
@@ -14,12 +12,6 @@ TraceEventLog &
 TraceEventLog::global()
 {
     static TraceEventLog log;
-    // Hold the mutex across fork(), so a sandbox child forked while
-    // another thread was logging can still log (every checkpoint it
-    // saves emits a span) instead of deadlocking.
-    [[maybe_unused]] static const int forkSafe = ::pthread_atfork(
-        [] { log.mutex_.lock(); }, [] { log.mutex_.unlock(); },
-        [] { log.mutex_.unlock(); });
     return log;
 }
 

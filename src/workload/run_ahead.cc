@@ -106,19 +106,6 @@ class RunAheadStreams::Lane final : public InstSource
         reset();
     }
 
-    /** Bring gen_ to the core's position and empty the ring. */
-    void
-    resync()
-    {
-        if (hasBlock_) {
-            Serializer here;
-            checkpoint(here);
-            Deserializer d(here.bytes());
-            gen_.restore(d);
-        }
-        reset();
-    }
-
     /** Size the snapshot scratch from the generator and return the
      *  arena bytes this lane needs. A profile's checkpoint takes the
      *  same bytes whatever the generator's state. */
@@ -196,9 +183,6 @@ class RunAheadStreams::Lane final : public InstSource
     advance()
     {
         RunAheadStreams &g = group_;
-        if (g.running_ &&
-            cpu_budget::forkGeneration() != g.forkGen_) [[unlikely]]
-            g.orphan();
         if (!g.decided_) {
             g.start();
             if (pos_ != end_)
@@ -316,7 +300,7 @@ RunAheadStreams::startThread()
 {
     if (!cpu_budget::tryClaimHelper())
         return;
-    // A full signal mask: process-directed signals (a sandbox child's
+    // A full signal mask: process-directed signals (a job runner's
     // SIGTERM preempt, SIGINT) keep landing on the simulating thread.
     sigset_t all;
     sigset_t old;
@@ -334,9 +318,7 @@ RunAheadStreams::startThread()
                    this) == 0;
     ::pthread_attr_destroy(&attr);
     ::pthread_sigmask(SIG_SETMASK, &old, nullptr);
-    if (running_)
-        forkGen_ = cpu_budget::forkGeneration();
-    else
+    if (!running_)
         cpu_budget::releaseHelper();
 }
 
@@ -380,29 +362,12 @@ RunAheadStreams::stop()
     decided_ = false;
     if (!running_)
         return;
-    if (cpu_budget::forkGeneration() != forkGen_) {
-        orphan();
-        return;
-    }
     running_ = false;
     quit_.store(true, std::memory_order_release);
     wake();
     ::pthread_join(thread_, nullptr);
     quit_.store(false, std::memory_order_relaxed);
     cpu_budget::releaseHelper();
-}
-
-void
-RunAheadStreams::orphan()
-{
-    // The producer was the parent's, so there is nothing to join and
-    // no helper of this process to give back; it may have stopped in
-    // the middle of a block, so every generator is rebuilt from its
-    // core's position.
-    running_ = false;
-    decided_ = false;
-    for (const auto &lane : lanes_)
-        lane->resync();
 }
 
 } // namespace nuca

@@ -27,8 +27,7 @@
  * twin are allocated by the simulating thread, on first use. Only the
  * profiler's per-thread state, under REPRO_PROFILE, is allocated on
  * the producer. No
- * producer outlives its RunAheadStreams, and a forked child never
- * waits on one that exists only in its parent.
+ * producer outlives its RunAheadStreams.
  */
 
 #ifndef NUCA_WORKLOAD_RUN_AHEAD_HH
@@ -90,9 +89,6 @@ class RunAheadStreams
     void startThread();
     /** The producer thread's loop. */
     void produce();
-    /** After a fork: forget the parent's producer and bring every
-     *  generator back to its core's position. */
-    void orphan();
     /** Wake a sleeping producer: a ring is at least half free. */
     void wake();
     /** Fill @p lane's next block and publish it. */
@@ -108,7 +104,6 @@ class RunAheadStreams
     bool decided_ = false; ///< start() ran since construction or stop()
     bool running_ = false; ///< a producer thread was started
     pthread_t thread_{};
-    unsigned forkGen_ = 0; ///< cpu_budget::forkGeneration() at start
 
     // Shared with the producer.
     std::atomic<bool> quit_{false};

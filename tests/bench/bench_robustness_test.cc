@@ -15,7 +15,6 @@
 
 #include "common.hh"
 #include "sim/checkpoint.hh"
-#include "sim/proc_pool.hh"
 #include "sim/robustness.hh"
 #include "sim/sweep_store.hh"
 #include "support/sweep_records.hh"
@@ -299,8 +298,6 @@ TEST_F(SweepSupervisor, ResumeResimulatesRecordsOfAnotherRun)
 
 TEST_F(SweepSupervisor, ProcIsolatedCleanSweepIsByteIdentical)
 {
-    if (!procIsolationSupported())
-        GTEST_SKIP() << "no fork on this platform";
     const auto configs = smallConfigs();
     const auto mixes = smallMixes();
 
@@ -324,8 +321,6 @@ TEST_F(SweepSupervisor, ProcIsolatedCleanSweepIsByteIdentical)
 
 TEST_F(SweepSupervisor, ProcSegvFaultRecordsCrashAndSiblingsSurvive)
 {
-    if (!procIsolationSupported())
-        GTEST_SKIP() << "no fork on this platform";
     const auto configs = smallConfigs();
     const auto mixes = smallMixes();
     const auto reference = runAllSerial(configs, mixes, kWindow);
@@ -372,8 +367,6 @@ TEST_F(SweepSupervisor, ProcSegvFaultRecordsCrashAndSiblingsSurvive)
 
 TEST_F(SweepSupervisor, ProcHangFaultTimesOut)
 {
-    if (!procIsolationSupported())
-        GTEST_SKIP() << "no fork on this platform";
     ::setenv("REPRO_ISOLATE", "proc", 1);
     ::setenv("REPRO_JOB_TIMEOUT_S", "1", 1);
     ::setenv("REPRO_JOB_GRACE_MS", "200", 1);
@@ -397,8 +390,6 @@ TEST_F(SweepSupervisor, ProcCrashRecoversWithResume)
     // once its cause is gone: the five ok records are reused, the
     // crashed one re-simulated, and the document equals a clean
     // sweep's.
-    if (!procIsolationSupported())
-        GTEST_SKIP() << "no fork on this platform";
     const auto configs = smallConfigs();
     const auto mixes = smallMixes();
     const std::string cleanPath =
@@ -525,6 +516,35 @@ TEST_F(SweepSupervisor, SigtermStopsTheSweepGracefully)
     }
     std::remove(path.c_str());
     std::remove(sidecar.c_str());
+}
+
+TEST_F(SweepSupervisor, ProcIsolatedSigtermStopsTheSweepGracefully)
+{
+    // The sigterm fault aims at the sweep, so under REPRO_ISOLATE=proc
+    // too the sweep takes the signal, not job 0's runner: job 0
+    // finishes and the rest is recorded interrupted.
+    const auto configs = smallConfigs();
+    const auto mixes = smallMixes();
+    const auto reference = runAllSerial(configs, mixes, kWindow);
+
+    ::setenv("REPRO_ISOLATE", "proc", 1);
+    ::setenv("REPRO_FAULT", "sigterm:0", 1);
+    const auto results = runAll(configs, mixes, kWindow, 1);
+
+    EXPECT_TRUE(sweepInterruptRequested());
+    clearSweepInterrupt();
+    ASSERT_EQ(results.size(), configs.size());
+    EXPECT_TRUE(results[0].okAt(0));
+    EXPECT_EQ(results[0].mixes[0].ipc, reference[0].mixes[0].ipc);
+    for (std::size_t s = 0; s < results.size(); ++s) {
+        for (std::size_t m = 0; m < mixes.size(); ++m) {
+            if (s != 0 || m != 0) {
+                EXPECT_EQ(results[s].statuses[m],
+                          JobStatus::Interrupted)
+                    << "scheme " << s << " mix " << m;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -279,14 +279,11 @@ TEST_F(SweepdE2eTest, PreemptedJobResumesBitIdentical)
     EXPECT_TRUE(saw_ok);
 }
 
-// The same preemption contract through the proc-pool sandbox: the
-// preempt request becomes SIGTERM, the child snapshots and ships a
-// "preempted" settlement, and the resumed child is bit-identical.
+// The same preemption contract through the sandbox: the preempt
+// request becomes SIGTERM, the runner snapshots and ships a
+// "preempted" settlement, and the resumed runner is bit-identical.
 TEST_F(SweepdE2eTest, SandboxedPreemptionAlsoResumesBitIdentical)
 {
-    if (!procIsolationSupported())
-        GTEST_SKIP() << "no fork on this platform";
-
     DaemonOptions opts = baseOptions();
     opts.isolation.enabled = true;
     opts.preemptPeriod = 10000;

@@ -2,35 +2,36 @@
  * @file
  * Golden bytes of every place a result payload leaves the process: a
  * sweep sidecar / daemon journal line, the daemon's submit and result
- * response lines, and the fork sandbox's pipe line, for a 4-core mix
- * payload and a miss-curve payload.
+ * response lines, and the sandbox's settlement line, for a 4-core mix
+ * payload and a miss-curve payload; and the request line a sandboxed
+ * job's runner reads.
  *
  * Any change to how a payload is encoded must leave these strings
  * alone: caches, journals and clients written by one build are read
  * by the next.
  */
 
-#include <fcntl.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <set>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "service/job_runner.hh"
 #include "service/job_spec.hh"
 #include "service/sweepd.hh"
 #include "sim/proc_pool.hh"
 #include "sim/robustness.hh"
 #include "sim/sweep_store.hh"
+#include "support/job_request.hh"
 
 namespace {
 
@@ -231,66 +232,15 @@ TEST(WireGolden, DaemonResponseAndJournalLines)
     std::filesystem::remove_all(state);
 }
 
-#if defined(__linux__)
-
-/** Open descriptors of this process. */
-std::set<int>
-openFds()
-{
-    std::set<int> fds;
-    for (const auto &entry :
-         std::filesystem::directory_iterator("/proc/self/fd"))
-        fds.insert(std::stoi(entry.path().filename().string()));
-    return fds;
-}
-
-/**
- * The sandbox child's settlement line for a body returning @p make's
- * result or throwing. The body runs in the child: it points the
- * result pipe's write end (the one write-only FIFO the fork added)
- * at a capture file, so the parent reads EOF and reports a crash
- * while the file holds the exact bytes the child wrote.
- */
-template <typename Body>
+/** The settlement line a job runner writes for @p job. */
 std::string
-pipeLine(Body body)
+pipeLine(const std::function<MixResult()> &job)
 {
-    const std::string capture =
-        (std::filesystem::temp_directory_path() /
-         ("nuca_wire_pipe_" + std::to_string(::getpid())))
-            .string();
-    const std::set<int> before = openFds();
-    ProcIsolation iso;
-    iso.enabled = true;
-    EXPECT_THROW(runMixSandboxed(
-                     iso,
-                     [&] {
-                         const int out = ::open(capture.c_str(),
-                                                O_WRONLY | O_CREAT |
-                                                    O_TRUNC,
-                                                0600);
-                         for (const int fd : openFds()) {
-                             struct stat st;
-                             if (before.count(fd) == 0 &&
-                                 ::fstat(fd, &st) == 0 &&
-                                 S_ISFIFO(st.st_mode) &&
-                                 (::fcntl(fd, F_GETFL) & O_ACCMODE) ==
-                                     O_WRONLY)
-                                 ::dup2(out, fd);
-                         }
-                         return body();
-                     },
-                     nullptr),
-                 JobCrashed);
-    const std::string line = slurp(capture);
-    std::filesystem::remove(capture);
-    return line;
+    return settlementLine(job);
 }
 
 TEST(WireGolden, SandboxPipeLines)
 {
-    if (!procIsolationSupported())
-        GTEST_SKIP() << "no fork on this platform";
     EXPECT_EQ(
         pipeLine([] { return mixPayload(); }),
         R"({"ipc":[0.30000000000000004,0.33333333333333331,0.99999999999999989,2],"l3apk":[12.000000000000002,0,123456789012345,1.0000000000000001e-09],"l1d_miss":[0.10000000000000001,0.69999999999999996,0.14285714285714285,1000000000000000],"l2d_miss":[0.5,0.79999999999999993,1,1e+20],"l3_miss":[0,0.90000000000000002,0.33333333333333331,9.9999999999999998e-13],"mispredict":[0.050000000000000003,0.01,0.125,0.66666666666666663],"status":"ok"})"
@@ -305,17 +255,23 @@ TEST(WireGolden, SandboxPipeLines)
               R"({"status":"stalled","error":"no \"progress\""})"
               "\n");
 
-    // And the parent decodes an untouched line back to the payload.
-    ProcIsolation iso;
-    iso.enabled = true;
+    // And the parent decodes a line that crossed a real settlement
+    // pipe back to the payload: a shell child echoes it there.
     for (const MixResult &payload : {mixPayload(), curvePayload()}) {
-        const MixResult back = runMixSandboxed(
-            iso, [&] { return payload; }, nullptr);
+        const MixResult back =
+            runSandboxed(ProcIsolation{}, {"/bin/sh", "-c", "cat >&3"},
+                         pipeLine([&] { return payload; }));
         EXPECT_EQ(mixResultToJson(back).dump(),
                   mixResultToJson(payload).dump());
     }
 }
 
-#endif // __linux__
+TEST(WireGolden, JobRequestLine)
+{
+    EXPECT_EQ(
+        encodeJobRequest(sampleJobRequest()),
+        R"({"spec":{"kind":"mix","base":"baseline","scheme":"shared","overrides":{"epoch_misses":250},"apps":["mcf","gzip","ammp","art"],"seed":"42","warmup_cycles":20000,"measure_cycles":40000,"tenant":"default","priority":0,"label":"shared.mix2"},"ckpt":{"dir":"state/ckpt","period":10000,"max_mb":64},"resume":true,"robust":{"check":true,"check_period":50000,"watchdog":true,"watchdog_window":500000,"mshr_age_bound":500000,"max_cycles":90000000,"fault":{"kind":"segv","arg":2}},"trace":{"path":"out/trace.jsonl","period":300000,"heatmap":true},"fault_target":{"job":2,"label":"shared.mix2"},"mem_mb":4096,"cpu_s":60,"preemptible":true,"simulating":3})"
+        "\n");
+}
 
 } // namespace

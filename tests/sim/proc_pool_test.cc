@@ -1,18 +1,24 @@
 /**
  * @file
- * Tests for the fork-per-job sandbox: configuration parsing, the
- * transparent clean path (results and typed failures cross the pipe
- * unchanged), and crash/timeout classification — a child that
- * segfaults, aborts, or wedges must settle as a typed exception in
- * the parent, never take the test process down.
+ * Tests for the spawn primitive of the job sandbox: configuration
+ * parsing, the transparent clean path (results and typed failures
+ * cross the settlement pipe unchanged), and crash/timeout
+ * classification — a child that aborts, exits, or wedges must settle
+ * as a typed exception in the parent, never take the test process
+ * down. The children here are plain shell commands; the job runner's
+ * own cases (a segfault, memory exhaustion, a racing preempt) are in
+ * tests/service/job_runner_test.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <barrier>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,7 +67,7 @@ TEST_F(ProcIsolationEnv, ParsesModeAndLimits)
     ::setenv("REPRO_JOB_TIMEOUT_S", "60", 1);
     ::setenv("REPRO_JOB_GRACE_MS", "250", 1);
     const auto iso = isolationFromEnv();
-    EXPECT_EQ(iso.enabled, procIsolationSupported());
+    EXPECT_TRUE(iso.enabled);
     EXPECT_EQ(iso.memMb, 512u);
     EXPECT_EQ(iso.cpuS, 30u);
     EXPECT_EQ(iso.timeoutS, 60u);
@@ -104,32 +110,25 @@ fakeResult()
     return result;
 }
 
-ProcIsolation
-enabledIsolation()
+/** runSandboxed of `/bin/sh -c script` under @p iso. */
+MixResult
+shell(const std::string &script, const ProcIsolation &iso = {},
+      const std::string &request = "")
 {
-    ProcIsolation iso;
-    iso.enabled = procIsolationSupported();
-    return iso;
+    return runSandboxed(iso, {"/bin/sh", "-c", script}, request);
 }
 
-TEST(ProcPoolSandbox, DisabledIsolationRunsInline)
+/** A child that settles as @p job would: it echoes the settlement
+ *  line, handed over as its request, to its settlement pipe. */
+MixResult
+settledAs(const std::function<MixResult()> &job)
 {
-    ProcIsolation iso; // disabled
-    bool ran = false;
-    const auto result = runMixSandboxed(iso, [&]() {
-        ran = true; // visible only if body ran in THIS process
-        return fakeResult();
-    });
-    EXPECT_TRUE(ran);
-    EXPECT_EQ(result.ipc, fakeResult().ipc);
+    return shell("cat >&3", {}, settlementLine(job));
 }
 
 TEST(ProcPoolSandbox, CleanResultRoundTripsExactly)
 {
-    if (!procIsolationSupported())
-        GTEST_SKIP() << "no fork on this platform";
-    const auto result =
-        runMixSandboxed(enabledIsolation(), fakeResult);
+    const auto result = settledAs(fakeResult);
     // Exact double equality: the pipe codec must round-trip every
     // bit, or proc-isolated REPRO_JSON drifts from in-process.
     EXPECT_EQ(result.ipc, fakeResult().ipc);
@@ -139,23 +138,16 @@ TEST(ProcPoolSandbox, CleanResultRoundTripsExactly)
 
 TEST(ProcPoolSandbox, TypedFailuresCrossThePipe)
 {
-    if (!procIsolationSupported())
-        GTEST_SKIP() << "no fork on this platform";
-    const auto iso = enabledIsolation();
-    EXPECT_THROW(runMixSandboxed(iso,
-                                 []() -> MixResult {
-                                     throw SimulationStalled(
-                                         "wedged at cycle 42");
-                                 }),
+    EXPECT_THROW(settledAs([]() -> MixResult {
+                     throw SimulationStalled("wedged at cycle 42");
+                 }),
                  SimulationStalled);
-    EXPECT_THROW(runMixSandboxed(iso,
-                                 []() -> MixResult {
-                                     throw CycleBudgetExceeded(
-                                         "budget");
-                                 }),
+    EXPECT_THROW(settledAs([]() -> MixResult {
+                     throw CycleBudgetExceeded("budget");
+                 }),
                  CycleBudgetExceeded);
     try {
-        runMixSandboxed(iso, []() -> MixResult {
+        settledAs([]() -> MixResult {
             throw SimulationError("plain failure text");
         });
         FAIL() << "expected SimulationError";
@@ -167,44 +159,42 @@ TEST(ProcPoolSandbox, TypedFailuresCrossThePipe)
     }
 }
 
-TEST(ProcPoolSandbox, SegfaultBecomesJobCrashed)
+TEST(ProcPoolSandbox, RequestLargerThanAnyPipeReachesTheChild)
 {
-    if (!procIsolationSupported())
-        GTEST_SKIP() << "no fork on this platform";
+    // The whole request is written before the child exists. A daemon
+    // accepts request lines (and so labels) up to 1 MiB; 4 MiB is
+    // past both that and how far an unprivileged process may grow a
+    // pipe (pipe-max-size, 1 MiB by default).
+    const std::string message(4 * 1024 * 1024, 'x');
     try {
-        runMixSandboxed(enabledIsolation(), []() -> MixResult {
-            std::raise(SIGSEGV);
-            return MixResult{};
-        });
-        FAIL() << "expected JobCrashed";
+        settledAs([&]() -> MixResult { throw SimulationError(message); });
+        FAIL() << "expected SimulationError";
     } catch (const JobCrashed &e) {
-        EXPECT_NE(std::string(e.what()).find("SIGSEGV"),
-                  std::string::npos)
-            << e.what();
+        FAIL() << e.what();
+    } catch (const SimulationError &e) {
+        EXPECT_NE(std::string(e.what()).find(message), std::string::npos);
     }
 }
 
 TEST(ProcPoolSandbox, AbortBecomesJobCrashed)
 {
-    if (!procIsolationSupported())
-        GTEST_SKIP() << "no fork on this platform";
-    EXPECT_THROW(
-        runMixSandboxed(enabledIsolation(),
-                        []() -> MixResult { std::abort(); }),
-        JobCrashed);
+    try {
+        shell("kill -ABRT $$");
+        FAIL() << "expected JobCrashed";
+    } catch (const JobCrashed &e) {
+        EXPECT_NE(std::string(e.what()).find("SIGABRT"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(ProcPoolSandbox, NonzeroExitBecomesJobCrashed)
 {
-    if (!procIsolationSupported())
-        GTEST_SKIP() << "no fork on this platform";
     try {
-        runMixSandboxed(enabledIsolation(), []() -> MixResult {
-            std::_Exit(9); // dies without writing the pipe
-        });
+        shell("exit 3"); // dies without writing the pipe
         FAIL() << "expected JobCrashed";
     } catch (const JobCrashed &e) {
-        EXPECT_NE(std::string(e.what()).find("status 9"),
+        EXPECT_NE(std::string(e.what()).find("status 3"),
                   std::string::npos)
             << e.what();
     }
@@ -212,12 +202,9 @@ TEST(ProcPoolSandbox, NonzeroExitBecomesJobCrashed)
 
 TEST(ProcPoolSandbox, CleanExitWithoutResultBecomesJobCrashed)
 {
-    if (!procIsolationSupported())
-        GTEST_SKIP() << "no fork on this platform";
     try {
-        runMixSandboxed(enabledIsolation(), []() -> MixResult {
-            std::_Exit(0); // "succeeds" but ships nothing
-        });
+        // "Succeeds" but ships nothing.
+        runSandboxed(ProcIsolation{}, {"/bin/true"}, "");
         FAIL() << "expected JobCrashed";
     } catch (const JobCrashed &e) {
         EXPECT_NE(std::string(e.what()).find("no parsable result"),
@@ -226,22 +213,31 @@ TEST(ProcPoolSandbox, CleanExitWithoutResultBecomesJobCrashed)
     }
 }
 
+TEST(ProcPoolSandbox, SpawnFailureBecomesJobCrashed)
+{
+    // A runner that cannot be spawned is a crashed attempt naming
+    // the errno, never a job run without its sandbox.
+    try {
+        runSandboxed(ProcIsolation{}, {"/nonexistent/nuca_runner"},
+                     "");
+        FAIL() << "expected JobCrashed";
+    } catch (const JobCrashed &e) {
+        EXPECT_NE(std::string(e.what()).find(std::strerror(ENOENT)),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ProcPoolSandbox, WallClockDeadlineBecomesJobTimedOut)
 {
-    if (!procIsolationSupported())
-        GTEST_SKIP() << "no fork on this platform";
-    ProcIsolation iso = enabledIsolation();
+    ProcIsolation iso;
     iso.timeoutS = 1;
     iso.graceMs = 200;
     const auto start = std::chrono::steady_clock::now();
     try {
-        runMixSandboxed(iso, []() -> MixResult {
-            // A sleeping hang: burns no CPU, so only the parent's
-            // wall-clock deadline can catch it.
-            for (;;)
-                std::this_thread::sleep_for(
-                    std::chrono::seconds(1));
-        });
+        // A sleeping hang: burns no CPU, so only the parent's
+        // wall-clock deadline can catch it.
+        shell("exec sleep 60", iso);
         FAIL() << "expected JobTimedOut";
     } catch (const JobTimedOut &e) {
         EXPECT_NE(std::string(e.what()).find("wall-clock"),
@@ -249,52 +245,24 @@ TEST(ProcPoolSandbox, WallClockDeadlineBecomesJobTimedOut)
             << e.what();
     }
     // The escalation resolved promptly: deadline + grace + slack,
-    // not the child's infinite sleep.
+    // not the child's whole sleep.
     const auto elapsed = std::chrono::duration_cast<
         std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - start);
     EXPECT_LT(elapsed.count(), 10000);
 }
 
-TEST(ProcPoolSandbox, PreemptRacingTheForkStillYields)
+TEST(ProcPoolSandbox, SiblingSpawnDoesNotHoldAJobsPipe)
 {
-    if (!procIsolationSupported())
-        GTEST_SKIP() << "no fork on this platform";
-    ProcIsolation iso = enabledIsolation();
-    iso.preemptible = true;
-    // Raised before the fork: the parent signals the child the
-    // moment it exists, before the child has installed its SIGTERM
-    // handler. The signal must wait for the handler, not kill it.
-    ProcJobHandle handle;
-    handle.preempt.store(true);
-    EXPECT_THROW(runMixSandboxed(
-                     iso,
-                     []() -> MixResult {
-                         for (int i = 0; i < 10000; ++i) {
-                             if (procPreemptSignalled())
-                                 throw JobPreempted("yielded");
-                             std::this_thread::sleep_for(
-                                 std::chrono::milliseconds(1));
-                         }
-                         return MixResult{};
-                     },
-                     &handle),
-                 JobPreempted);
-}
-
-TEST(ProcPoolSandbox, SiblingForkDoesNotHoldAJobsPipe)
-{
-    if (!procIsolationSupported())
-        GTEST_SKIP() << "no fork on this platform";
-    // One job returns at once while three siblings, started with it,
-    // sleep in their children. A sibling that forks between the
-    // instant job's pipe() and its parent's close of the write end
-    // inherits that end, and the instant job then sees EOF only when
-    // that sibling's child exits.
+    // One job settles at once while three siblings, started with it,
+    // sleep in their children. Were the pipes inheritable, a sibling
+    // spawned between the instant job's pipe2() and its close of the
+    // write end would carry that end into its sleeping child, and
+    // the instant job would see EOF only when that child exits.
     using Clock = std::chrono::steady_clock;
     constexpr auto slow = std::chrono::milliseconds(300);
     constexpr int siblings = 3;
-    const ProcIsolation iso = enabledIsolation();
+    const std::string instant = settlementLine(fakeResult);
     int held = 0;
     for (int trial = 0; trial < 10; ++trial) {
         std::barrier start(siblings + 1);
@@ -302,40 +270,18 @@ TEST(ProcPoolSandbox, SiblingForkDoesNotHoldAJobsPipe)
         for (int i = 0; i < siblings; ++i) {
             slowJobs.emplace_back([&] {
                 start.arrive_and_wait();
-                runMixSandboxed(iso, [&] {
-                    std::this_thread::sleep_for(slow);
-                    return fakeResult();
-                });
+                EXPECT_THROW(shell("exec sleep 0.3"), JobCrashed);
             });
         }
         start.arrive_and_wait();
         const auto begin = Clock::now();
-        runMixSandboxed(iso, fakeResult);
+        shell("cat >&3", {}, instant);
         held += Clock::now() - begin >= slow / 2 ? 1 : 0;
         for (std::thread &job : slowJobs)
             job.join();
     }
     EXPECT_EQ(held, 0) << "of 10 instant jobs, " << held
                        << " waited for a sibling's child";
-}
-
-TEST(ProcPoolSandbox, MemoryLimitTurnsOomIntoJobCrashed)
-{
-    if (!procIsolationSupported())
-        GTEST_SKIP() << "no fork on this platform";
-    ProcIsolation iso = enabledIsolation();
-    iso.memMb = 256;
-    // The oom fault allocates until RLIMIT_AS makes new throw;
-    // bad_alloc escaping its noexcept frame aborts the child.
-    FaultSpec fault;
-    fault.kind = FaultKind::OomJob;
-    fault.arg = 0;
-    EXPECT_THROW(runMixSandboxed(iso,
-                                 [&fault]() -> MixResult {
-                                     injectJobFault(fault, 0, "oom");
-                                     return MixResult{};
-                                 }),
-                 JobCrashed);
 }
 
 } // namespace

@@ -9,12 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <chrono>
-#include <csignal>
 #include <optional>
 #include <string>
 #include <thread>
@@ -302,62 +297,6 @@ TEST(RunAheadSwitch, FillChangesAtARestoreKeepTheStreams)
         EXPECT_EQ(bytesOf(a), bytesOf(refA));
         EXPECT_EQ(bytesOf(b), bytesOf(refB));
     }
-}
-
-/** Wait up to 30 s for @p pid; kill it and report a hang after. */
-int
-waitChild(pid_t pid)
-{
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    int status = 0;
-    while (::waitpid(pid, &status, WNOHANG) == 0) {
-        if (std::chrono::steady_clock::now() > deadline) {
-            ::kill(pid, SIGKILL);
-            ::waitpid(pid, &status, 0);
-            return -1;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    return WIFEXITED(status) ? WEXITSTATUS(status) : 128;
-}
-
-// A forked child inherits streams whose producer exists only in the
-// parent, possibly stopped in the middle of a block. It must neither
-// wait on it (for a block or in stop()) nor lose its place.
-TEST(RunAheadFork, ChildNeverWaitsOnTheParentsProducer)
-{
-    const WorkloadProfile profile = specProfile("gzip");
-    RunAheadStreams streams;
-    InstSource &source = streams.add(profile, 0, 21);
-    SynthWorkload ref(profile, 0, 21);
-    ASSERT_TRUE(drawSame(source, ref, 3 * K + 5));
-    ASSERT_TRUE(streams.producing());
-
-    for (const bool stopFirst : {false, true}) {
-        SCOPED_TRACE(stopFirst ? "stop first" : "draw first");
-        const pid_t pid = ::fork();
-        ASSERT_GE(pid, 0);
-        if (pid == 0) {
-            // Fill inline here: a child that starts threads after a
-            // multi-threaded fork is refused by the thread sanitizer.
-            cpu_budget::addSimulating(
-                static_cast<int>(cpu_budget::hostCpus()));
-            bool ok = true;
-            if (stopFirst) {
-                streams.stop();
-                ok = !streams.producing();
-            }
-            ok = ok && drawSame(source, ref, 4 * K);
-            ok = ok && bytesOf(source) == bytesOf(ref);
-            streams.stop();
-            ::_exit(ok ? 0 : 1);
-        }
-        EXPECT_EQ(waitChild(pid), 0);
-    }
-    // The parent's producer is untouched by the children.
-    EXPECT_TRUE(streams.producing());
-    ASSERT_TRUE(drawSame(source, ref, 4 * K));
 }
 
 TEST(CpuBudget, HelperNeedsAFreeCpu)

@@ -13,7 +13,8 @@
  *   --workers N      worker pool size
  *   --period CYCLES  snapshot/preemption period
  *   --quantum-ms MS  fair-share quantum (0 = no automatic preemption)
- *   --no-isolate     run jobs in-process instead of forked children
+ *   --no-isolate     run jobs in the daemon's process instead of a
+ *                    spawned sandbox runner per attempt
  *
  * Jobs run under the REPRO_* robustness, telemetry and sandbox-limit
  * settings of the daemon's environment (src/sim/env_config.hh).
@@ -30,6 +31,7 @@
 #include <string>
 #include <thread>
 
+#include "service/job_runner.hh"
 #include "service/sweepd.hh"
 #include "sim/env_config.hh"
 #include "sim/robustness.hh"
@@ -39,6 +41,10 @@ main(int argc, char **argv)
 {
     using namespace nuca;
     using namespace nuca::service;
+
+    // Each sandboxed attempt runs in a copy of this program.
+    if (spawnedAsRunner(argc, argv))
+        return runJobMain();
 
     DaemonOptions opts;
     // Isolation is --no-isolate's call; REPRO_JOB_* set the limits.
