@@ -27,9 +27,10 @@
  *   simulating     the parent's cpu_budget::simulatingThreads()
  *
  * in that order; every member but spec may be absent and then takes
- * its default. The RunPolicy's two pointers do not cross: the runner
- * points `preempt` at its own SIGTERM flag, and a runner keeps no
- * Chrome trace-event log.
+ * its default. The RunPolicy's one pointer, `preempt`, does not
+ * cross: the runner points it at its own SIGTERM flag. A runner
+ * keeps no Chrome trace-event log; its job's simulated time is in
+ * the JSONL trace file the `trace` member names.
  */
 
 #ifndef NUCA_SERVICE_JOB_RUNNER_HH

@@ -476,13 +476,6 @@ CmpSystem::accountIdleGap(Cycle to)
     ffSkipped_ += skipped;
     prof::add(prof::Counter::FastForwardJumps, 1);
     prof::add(prof::Counter::FastForwardCycles, skipped);
-    if (events_ && events_->enabled()) {
-        events_->complete(evtPid_, 0, "ff_jump",
-                          static_cast<double>(frontier_),
-                          static_cast<double>(skipped),
-                          json::Value::object().set("cycles",
-                                                    skipped));
-    }
     frontier_ = to;
 }
 
@@ -494,9 +487,6 @@ CmpSystem::robustnessTick()
         plantFault();
     }
     if (robust_.checkEnabled && now_ >= nextCheck_) {
-        if (events_ && events_->enabled())
-            events_->instant(evtPid_, 0, "invariant_check",
-                             static_cast<double>(now_));
         checkStructuralInvariants();
         nextCheck_ += robust_.checkPeriod;
     }
@@ -505,9 +495,6 @@ CmpSystem::robustnessTick()
         nextWatchdog_ += watchdogPeriod_;
     }
     if (robust_.maxCycles != 0 && now_ >= robust_.maxCycles) {
-        if (events_ && events_->enabled())
-            events_->instant(evtPid_, 0, "cycle_budget_exceeded",
-                             static_cast<double>(now_));
         throw CycleBudgetExceeded(
             "cycle budget of " + std::to_string(robust_.maxCycles) +
             " exhausted at cycle " + std::to_string(now_) + "\n" +
@@ -562,9 +549,6 @@ CmpSystem::watchdogCheck()
         watchdogLastCommitted_ = committed;
         watchdogLastProgress_ = now_;
     } else if (now_ - watchdogLastProgress_ >= robust_.watchdogWindow) {
-        if (events_ && events_->enabled())
-            events_->instant(evtPid_, 0, "watchdog_stall",
-                             static_cast<double>(now_));
         throw SimulationStalled(
             "no instruction retired in " +
             std::to_string(now_ - watchdogLastProgress_) +
@@ -577,9 +561,6 @@ CmpSystem::watchdogCheck()
         const Cycle age =
             memSystems_[c]->l2d().mshrs().oldestAge(now_);
         if (age > robust_.mshrAgeBound) {
-            if (events_ && events_->enabled())
-                events_->instant(evtPid_, 0, "mshr_age_bound",
-                                 static_cast<double>(now_));
             throw SimulationStalled(
                 "core " + std::to_string(c) +
                 " has an L2D MSHR entry outstanding for " +
@@ -735,15 +716,12 @@ CmpSystem::emitSample()
     trace_->write(record);
     prof::add(prof::Counter::TraceRecords, 1);
 
-    // The add-on observability surfaces ride the sample boundary:
-    // the heatmap record follows its sample in the same JSONL
-    // stream, and the counter tracks land at the same cycle on the
-    // trace-event log. Both read counters the simulation maintains
-    // anyway, so enabling them cannot change simulated behaviour.
+    // The heatmap record rides the sample boundary, following its
+    // sample in the same JSONL stream. It reads counters the
+    // simulation maintains anyway, so enabling it cannot change
+    // simulated behaviour.
     if (heatBuckets_ != 0)
         emitHeatmap();
-    if (events_ && events_->enabled())
-        emitCounterEvents();
 }
 
 bool
@@ -819,51 +797,6 @@ CmpSystem::emitHeatmap()
 }
 
 void
-CmpSystem::attachTraceEvents(TraceEventLog *log,
-                             const std::string &label)
-{
-    events_ = log;
-    if (log == nullptr)
-        return;
-    evtPid_ = log->newProcess("sim:" + label);
-    evtPrevMshrStalls_.assign(config_.numCores, 0);
-    for (unsigned c = 0; c < config_.numCores; ++c) {
-        evtPrevMshrStalls_[c] =
-            memSystems_[c]->l2d().mshrs().structuralStalls();
-    }
-}
-
-void
-CmpSystem::emitCounterEvents()
-{
-    const double ts = static_cast<double>(now_);
-    json::Value ipc = json::Value::object();
-    json::Value stalls = json::Value::object();
-    for (unsigned c = 0; c < config_.numCores; ++c) {
-        const std::string key = "core" + std::to_string(c);
-        ipc.set(key, ipcOf(static_cast<CoreId>(c)));
-        const Counter total =
-            memSystems_[c]->l2d().mshrs().structuralStalls();
-        stalls.set(key, total - evtPrevMshrStalls_[c]);
-        evtPrevMshrStalls_[c] = total;
-    }
-    events_->counter(evtPid_, 0, "ipc", ts, std::move(ipc));
-    events_->counter(evtPid_, 0, "mshr_full_stalls", ts,
-                     std::move(stalls));
-
-    if (adaptive_) {
-        json::Value quota = json::Value::object();
-        for (unsigned c = 0; c < config_.numCores; ++c) {
-            quota.set("core" + std::to_string(c),
-                      static_cast<std::uint64_t>(
-                          adaptive_->engine().quota(
-                              static_cast<CoreId>(c))));
-        }
-        events_->counter(evtPid_, 0, "quota", ts, std::move(quota));
-    }
-}
-
-void
 CmpSystem::emitRepartition(const RepartitionEvent &event)
 {
     json::Value record = json::Value::object();
@@ -893,18 +826,6 @@ CmpSystem::emitRepartition(const RepartitionEvent &event)
     record.set("lru_hits", counterArray(event.lruHits));
     trace_->write(record);
     prof::add(prof::Counter::TraceRecords, 1);
-
-    if (events_ && events_->enabled()) {
-        json::Value args = json::Value::object();
-        args.set("epoch", event.epoch);
-        args.set("gainer", event.gainer);
-        args.set("loser", event.loser);
-        args.set("moved", event.moved);
-        args.set("quota_before", unsignedArray(event.quotaBefore));
-        args.set("quota_after", unsignedArray(event.quotaAfter));
-        events_->instant(evtPid_, 0, "repartition",
-                         static_cast<double>(now_), std::move(args));
-    }
 }
 
 void

@@ -8,6 +8,11 @@
  * and batches a lone runnable core's ticks without re-entering the
  * loop. The cycle-by-cycle reference loop (setFastForward(false)) is
  * kept as its test oracle; the two are bit-identical.
+ *
+ * The system reports simulated time through one channel, the JSONL
+ * telemetry of an attached TraceSink (sim/telemetry.hh): samples,
+ * repartitions and heatmaps. Per-system Chrome trace tracks are
+ * exported from those files offline (`trace_report --export-trace`).
  */
 
 #ifndef NUCA_SIM_CMP_SYSTEM_HH
@@ -28,7 +33,6 @@
 #include "sim/robustness.hh"
 #include "sim/system_config.hh"
 #include "sim/telemetry.hh"
-#include "sim/trace_event.hh"
 #include "workload/profile.hh"
 #include "workload/run_ahead.hh"
 #include "workload/synth_workload.hh"
@@ -166,16 +170,6 @@ class CmpSystem
     bool enableHeatmap(unsigned buckets = 64);
 
     /**
-     * Register this system on a trace-event log: fast-forward jumps,
-     * repartitions, watchdog/invariant events, and per-sample
-     * counter tracks (IPC, MSHR-full stalls, quotas) are emitted on
-     * an own Perfetto process track whose timestamps are simulated
-     * cycles. Pass nullptr to detach.
-     */
-    void attachTraceEvents(TraceEventLog *log,
-                           const std::string &label);
-
-    /**
      * Zero all statistics (the warm-up boundary). Cache contents
      * and predictor state are preserved.
      */
@@ -304,7 +298,7 @@ class CmpSystem
     void settlePending(std::uint32_t c, Cycle upTo);
 
     /** Account the machine-idle window [frontier_, to) against the
-     * fast-forward counters and trace events. */
+     * fast-forward counters. */
     void accountIdleGap(Cycle to);
 
     /**
@@ -321,8 +315,6 @@ class CmpSystem
     void emitSample();
     /** Emit one "heatmap" record (bucketized interval deltas). */
     void emitHeatmap();
-    /** Emit per-sample counter tracks on the trace-event log. */
-    void emitCounterEvents();
     /** Forward one sharing-engine epoch event to the sink. */
     void emitRepartition(const RepartitionEvent &event);
 
@@ -414,11 +406,6 @@ class CmpSystem
     unsigned heatBuckets_ = 0;
     std::vector<std::uint64_t> heatPrevAccess_;
     std::vector<std::uint64_t> heatPrevMiss_;
-
-    /** Trace-event emission (attachTraceEvents). */
-    TraceEventLog *events_ = nullptr;
-    int evtPid_ = 0;
-    std::vector<Counter> evtPrevMshrStalls_;
 };
 
 } // namespace nuca

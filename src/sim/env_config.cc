@@ -1,6 +1,7 @@
 #include "sim/env_config.hh"
 
 #include <cstdlib>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -150,28 +151,6 @@ isolationFromEnv()
     return iso;
 }
 
-namespace {
-
-/**
- * The process-wide Chrome trace log, configured on first call and
- * written at exit; nullptr when REPRO_PERFETTO is unset.
- */
-TraceEventLog *
-traceEventsFromEnv()
-{
-    static TraceEventLog *const log = []() -> TraceEventLog * {
-        const std::string path = envString("REPRO_PERFETTO");
-        if (path.empty())
-            return nullptr;
-        TraceEventLog::global().configure(path);
-        std::atexit([] { TraceEventLog::global().writeIfPending(); });
-        return &TraceEventLog::global();
-    }();
-    return log;
-}
-
-} // namespace
-
 TelemetryConfig
 telemetryFromEnv()
 {
@@ -182,7 +161,16 @@ telemetryFromEnv()
     const std::string why = config.problem();
     fatal_if(!why.empty(), why);
     config.heatmap = envOr("REPRO_HEATMAP", 0) != 0;
-    config.events = traceEventsFromEnv();
+    // The process-wide Chrome trace log (host time): configured on
+    // the first call, written at exit.
+    static std::once_flag perfetto;
+    std::call_once(perfetto, [] {
+        const std::string path = envString("REPRO_PERFETTO");
+        if (!path.empty()) {
+            TraceEventLog::global().configure(path);
+            std::atexit([] { TraceEventLog::global().writeIfPending(); });
+        }
+    });
     return config;
 }
 

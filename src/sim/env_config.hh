@@ -76,8 +76,8 @@ FaultSpec faultFromEnv();
 /** Includes faultFromEnv; the MSHR age bound follows the window. */
 RobustnessConfig robustnessFromEnv();
 ProcIsolation isolationFromEnv();
-/** `events` is the process-wide Chrome trace log (written at exit),
- *  or nullptr when REPRO_PERFETTO is unset. */
+/** Also configures the process-wide Chrome trace log (host time,
+ *  written at exit) when REPRO_PERFETTO is set. */
 TelemetryConfig telemetryFromEnv();
 /** checkpoint, resume, robustness and telemetry together. */
 RunPolicy runPolicyFromEnv();

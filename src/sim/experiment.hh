@@ -85,7 +85,7 @@ struct RunPolicy
     const std::atomic<bool> *preempt = nullptr;
     /** Watchdog, invariant checker, cycle budget, planted fault. */
     RobustnessConfig robust;
-    /** Sample trace, heatmaps and Chrome trace events. */
+    /** Sample trace and heatmaps. */
     TelemetryConfig telemetry;
 };
 

@@ -5,7 +5,6 @@
 #include "base/logging.hh"
 #include "base/profiler.hh"
 #include "sim/cmp_system.hh"
-#include "sim/trace_event.hh"
 
 namespace nuca {
 
@@ -133,9 +132,6 @@ attachTelemetry(CmpSystem &system, const TelemetryConfig &config,
         if (config.heatmap)
             system.enableHeatmap();
     }
-    if (config.events != nullptr)
-        system.attachTraceEvents(config.events,
-                                 label.empty() ? "system" : label);
     return sink;
 }
 

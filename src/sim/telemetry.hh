@@ -13,6 +13,11 @@
  *    before/after, the epoch's shadow-tag and LRU-hit counters, the
  *    chosen gainer/loser).
  *
+ * This is the one record of simulated time: the Chrome trace log
+ * (sim/trace_event.hh) keeps host time only, and `trace_report
+ * --export-trace` turns these files into per-system Chrome trace
+ * tracks offline.
+ *
  * Tracing is strictly observational: it reads counters the
  * simulation maintains anyway, so simulated results are bit-identical
  * with the sink attached or not (asserted by tests). With no sink
@@ -37,7 +42,6 @@
 namespace nuca {
 
 class CmpSystem;
-class TraceEventLog;
 
 /** Destination of trace records. Implementations are not
  *  thread-safe; give every concurrent experiment its own sink. */
@@ -103,8 +107,6 @@ struct TelemetryConfig
     /** Emit spatial heatmap records next to every sample
      * (REPRO_HEATMAP; needs a trace path to produce output). */
     bool heatmap = false;
-    /** Chrome trace-event log to feed (REPRO_PERFETTO); null = off. */
-    TraceEventLog *events = nullptr;
 
     bool enabled() const { return !tracePath.empty(); }
 
@@ -137,7 +139,7 @@ std::string tracePathFor(const std::string &base,
  * Attach @p config's telemetry to @p system for the experiment
  * labeled @p label: a JSONL sink at tracePathFor(config.tracePath,
  * label) sampled every config.samplePeriod cycles (plus heatmaps when
- * asked for), and the trace-event log. @return the owned sink (keep
+ * asked for). @return the owned sink (keep
  * it alive for the system's remaining run() calls), or nullptr when
  * tracing is off.
  */

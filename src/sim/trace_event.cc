@@ -1,6 +1,8 @@
 #include "sim/trace_event.hh"
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <utility>
 
@@ -27,7 +29,7 @@ TraceEventLog::configure(const std::string &path,
     epoch_ = std::chrono::steady_clock::now();
     meta_.clear();
     events_.clear();
-    nextPid_ = kHostPid + 1;
+    open_.clear();
     meta_.push_back(Event{0.0, 0.0, kHostPid, 0, 'M', "process_name",
                           json::Value::object().set("name", "host")});
     enabled_.store(true, std::memory_order_relaxed);
@@ -39,16 +41,6 @@ TraceEventLog::disable()
     std::lock_guard<std::mutex> lock(mutex_);
     enabled_.store(false, std::memory_order_relaxed);
     pending_ = false;
-}
-
-int
-TraceEventLog::newProcess(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const int pid = nextPid_++;
-    meta_.push_back(Event{0.0, 0.0, pid, 0, 'M', "process_name",
-                          json::Value::object().set("name", name)});
-    return pid;
 }
 
 int
@@ -82,7 +74,22 @@ TraceEventLog::push(Event e)
     std::lock_guard<std::mutex> lock(mutex_);
     if (!enabled_.load(std::memory_order_relaxed))
         return;
-    if (events_.size() >= maxEvents_) {
+    bool keep = events_.size() < maxEvents_;
+    const auto track = std::make_pair(e.pid, e.tid);
+    if (e.ph == 'B') {
+        open_[track].push_back(keep);
+    } else if (e.ph == 'E') {
+        // An E shares its B's fate: kept past the cap when the B was
+        // kept, so a full log still closes every span it opened.
+        const auto it = open_.find(track);
+        if (it != open_.end()) {
+            keep = it->second.back();
+            it->second.pop_back();
+            if (it->second.empty())
+                open_.erase(it);
+        }
+    }
+    if (!keep) {
         ++dropped_;
         return;
     }
@@ -115,13 +122,6 @@ TraceEventLog::instant(int pid, int tid, const std::string &name,
                        double ts_us, json::Value args)
 {
     push(Event{ts_us, 0.0, pid, tid, 'i', name, std::move(args)});
-}
-
-void
-TraceEventLog::counter(int pid, int tid, const std::string &name,
-                       double ts_us, json::Value args)
-{
-    push(Event{ts_us, 0.0, pid, tid, 'C', name, std::move(args)});
 }
 
 std::size_t
@@ -202,6 +202,24 @@ TraceEventLog::writeIfPending()
     return ok;
 }
 
+namespace {
+
+/** A pid or tid: an integral number in int range. */
+bool
+trackId(const json::Value &v, int &out)
+{
+    if (v.type() != json::Value::Type::Number)
+        return false;
+    const double n = v.asNumber();
+    if (n != std::trunc(n) || n < std::numeric_limits<int>::min() ||
+        n > std::numeric_limits<int>::max())
+        return false;
+    out = static_cast<int>(n);
+    return true;
+}
+
+} // namespace
+
 bool
 validateChromeTrace(const json::Value &doc, std::string *error)
 {
@@ -238,12 +256,12 @@ validateChromeTrace(const json::Value &doc, std::string *error)
             ev.at("ph").asString().size() != 1)
             return fail(where + ": missing one-char ph");
         const char ph = ev.at("ph").asString()[0];
-        if (!ev.contains("pid"))
-            return fail(where + ": missing pid");
-        const int pid = static_cast<int>(ev.at("pid").asNumber());
-        const int tid = ev.contains("tid")
-                            ? static_cast<int>(ev.at("tid").asNumber())
-                            : 0;
+        int pid = 0;
+        int tid = 0; // optional
+        if (!ev.contains("pid") || !trackId(ev.at("pid"), pid) ||
+            (ev.contains("tid") && !trackId(ev.at("tid"), tid)))
+            return fail(where + ": pid and tid must be integers in "
+                                "int range (pid is required)");
         if (ph == 'M')
             continue; // metadata carries no timestamp
 

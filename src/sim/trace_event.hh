@@ -2,24 +2,23 @@
  * @file
  * Chrome-trace-event (Perfetto-compatible) JSON exporter. One
  * process-wide TraceEventLog collects host-side spans (parallel
- * jobs, checkpoint I/O) and simulated-time events (epoch
- * repartitions, fast-forward jumps, MSHR-full stalls, watchdog and
- * invariant checks) and writes them as a single `.trace.json`
+ * jobs, checkpoint I/O) and writes them as a single `.trace.json`
  * openable in ui.perfetto.dev or chrome://tracing.
  *
- * Clock domains. Chrome traces have one timebase, but a sweep runs
- * many simulated systems whose cycle counts are unrelated to each
- * other and to the host clock. The log therefore assigns each clock
- * domain its own *process* track: pid 1 is the host (ts = wall-clock
- * microseconds since the log was configured) and every simulated
- * system registers its own pid (ts = simulated cycle, displayed as a
- * microsecond). Within a (pid, tid) track, timestamps are
- * monotonically nondecreasing — the property validateChromeTrace
- * checks, along with parseability and matched B/E nesting.
+ * The log keeps host time only: pid 1 is the host (ts = wall-clock
+ * microseconds since the log was configured), with one thread track
+ * per worker or writer. Simulated time is recorded once, by the JSONL
+ * telemetry (sim/telemetry.hh); `trace_report --export-trace` turns
+ * those files into per-system process tracks offline. Within a
+ * (pid, tid) track, timestamps are monotonically nondecreasing — the
+ * property validateChromeTrace checks, along with parseability and
+ * matched B/E nesting.
  *
  * The log is bounded: past `maxEvents` new events are counted as
  * dropped rather than stored, so a pathological run cannot eat the
- * heap or emit a multi-gigabyte artifact.
+ * heap or emit a multi-gigabyte artifact. An E whose B was kept is
+ * kept even past the cap, so a full log still closes every span it
+ * opened; the log holds at most twice the cap.
  */
 
 #ifndef NUCA_SIM_TRACE_EVENT_HH
@@ -28,8 +27,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/json_writer.hh"
@@ -56,13 +57,9 @@ class TraceEventLog
     {
         return enabled_.load(std::memory_order_relaxed);
     }
-    const std::string &path() const { return path_; }
 
-    /** Register a clock-domain track; @p name shows as the process
-     * name in Perfetto. The host track (pid 1, "host") always
-     * exists. */
-    int newProcess(const std::string &name);
-    /** Register a named thread track under @p pid. */
+    /** Register a named thread track under @p pid. The host process
+     * (pid 1, "host") always exists. */
     int newThread(int pid, const std::string &name);
 
     /** Host pid (wall-clock timebase). */
@@ -80,9 +77,6 @@ class TraceEventLog
     /** Instant event (ph i). */
     void instant(int pid, int tid, const std::string &name,
                  double ts_us, json::Value args = json::Value());
-    /** Counter event (ph C): @p args members become the series. */
-    void counter(int pid, int tid, const std::string &name,
-                 double ts_us, json::Value args);
 
     /** RAII host-track span (B on construction, E on destruction).
      * The enabled check is latched at construction: a log that turns
@@ -148,8 +142,10 @@ class TraceEventLog
     std::string path_;
     std::size_t maxEvents_ = kDefaultMaxEvents;
     std::uint64_t dropped_ = 0;
-    int nextPid_ = kHostPid + 1;
     std::vector<Event> events_;
+    /** Per (pid, tid) track, one entry per open B: whether it was
+     *  kept, so its E is kept (or dropped) with it. */
+    std::map<std::pair<int, int>, std::vector<bool>> open_;
     /** Metadata events (process/thread names) kept separately so
      * they never compete with real events for the cap. */
     std::vector<Event> meta_;
@@ -158,10 +154,11 @@ class TraceEventLog
 
 /**
  * Validate @p doc as Chrome trace-event JSON: an object with a
- * `traceEvents` array whose events parse, whose per-(pid, tid)
- * timestamps are monotonically nondecreasing, and whose B/E pairs
- * match LIFO with equal names. On failure fills @p error and
- * returns false.
+ * `traceEvents` array whose events parse, whose pid and tid are
+ * integral numbers in int range, whose per-(pid, tid) timestamps
+ * are monotonically nondecreasing, and whose B/E pairs match LIFO
+ * with equal names. On failure fills @p error and returns false;
+ * no document, however mistyped, makes it panic.
  */
 bool validateChromeTrace(const json::Value &doc, std::string *error);
 

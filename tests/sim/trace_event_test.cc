@@ -2,7 +2,8 @@
  * @file
  * TraceEventLog unit tests: event collection, the bounded-log drop
  * counter, JSON serialization, file round-trips, and the Chrome
- * trace-event validator the exported-trace ctests rely on.
+ * trace-event validator the exported-trace ctests rely on, including
+ * its byte-mutation sweep.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 
 #include "sim/json_writer.hh"
 #include "sim/trace_event.hh"
+#include "support/mutation.hh"
 
 namespace nuca {
 namespace {
@@ -43,19 +45,18 @@ TEST(TraceEventLog, CollectsAndSerializesAllEventKinds)
     log.configure("unused.trace.json");
     ASSERT_TRUE(log.enabled());
 
-    const int simPid = log.newProcess("sim:test");
-    EXPECT_GT(simPid, TraceEventLog::kHostPid);
     const int tid = log.newThread(TraceEventLog::kHostPid, "worker");
     EXPECT_GE(tid, 1);
+    const int writer =
+        log.newThread(TraceEventLog::kHostPid, "ckpt writer");
+    EXPECT_NE(writer, tid);
 
     log.begin(TraceEventLog::kHostPid, tid, "job", 1.0);
+    log.instant(TraceEventLog::kHostPid, tid, "job 0 failed", 3.0);
     log.end(TraceEventLog::kHostPid, tid, "job", 5.0);
-    log.complete(simPid, 0, "ff_jump", 100.0, 40.0,
-                 json::Value::object().set("cycles", 40));
-    log.instant(simPid, 0, "repartition", 150.0);
-    log.counter(simPid, 0, "ipc", 160.0,
-                json::Value::object().set("core0", 0.5));
-    EXPECT_EQ(log.events(), 5u);
+    log.complete(TraceEventLog::kHostPid, writer, "ckpt write", 2.0,
+                 4.0, json::Value::object().set("bytes", 64));
+    EXPECT_EQ(log.events(), 4u);
     EXPECT_EQ(log.dropped(), 0u);
 
     std::string error;
@@ -87,6 +88,32 @@ TEST(TraceEventLog, BoundedLogCountsDrops)
     EXPECT_EQ(doc.at("droppedEvents").asNumber(), 3.0);
 }
 
+TEST(TraceEventLog, FullLogStillClosesItsSpans)
+{
+    // Spans that straddle the cap: the Es of kept Bs are kept past
+    // it, and a B dropped at the cap takes its E with it.
+    constexpr int host = TraceEventLog::kHostPid;
+    TraceEventLog log;
+    log.configure("unused.trace.json", /*max_events=*/4);
+    const int tid = log.newThread(host, "worker");
+    log.begin(host, tid, "outer", 1.0);
+    log.begin(host, tid, "inner", 2.0);
+    log.instant(host, 0, "a", 3.0);
+    log.begin(host, 0, "other", 4.0); // the log is full from here
+    log.begin(host, tid, "late", 5.0);
+    log.instant(host, 0, "b", 6.0);
+    log.end(host, tid, "late", 7.0);
+    log.end(host, tid, "inner", 8.0);
+    log.end(host, 0, "other", 9.0);
+    log.end(host, tid, "outer", 10.0);
+    EXPECT_EQ(log.events(), 7u);
+    EXPECT_EQ(log.dropped(), 3u);
+    EXPECT_LE(log.events(), 2u * 4u);
+
+    std::string error;
+    EXPECT_TRUE(validateChromeTrace(log.toJson(), &error)) << error;
+}
+
 TEST(TraceEventLog, SpanEmitsMatchedPair)
 {
     TraceEventLog log;
@@ -106,8 +133,7 @@ TEST(TraceEventLog, WritesParseableFile)
         ::testing::TempDir() + "/trace_event_test.trace.json";
     TraceEventLog log;
     log.configure(path);
-    const int pid = log.newProcess("sim:file");
-    log.complete(pid, 0, "span", 10.0, 5.0);
+    log.complete(TraceEventLog::kHostPid, 0, "span", 10.0, 5.0);
     EXPECT_TRUE(log.writeIfPending());
     // writeIfPending is once per configure().
     EXPECT_FALSE(log.writeIfPending());
@@ -195,6 +221,84 @@ TEST(ValidateChromeTrace, RejectsBadPhases)
     EXPECT_FALSE(validateChromeTrace(wrap(std::move(events)),
                                      &error));
     EXPECT_NE(error.find("unsupported ph"), std::string::npos);
+}
+
+TEST(ValidateChromeTrace, AcceptsCounterEvents)
+{
+    json::Value events = json::Value::array();
+    json::Value ipc = event("C", 2, 0, 100.0, "ipc");
+    ipc.set("args", json::Value::object().set("core0", 0.5));
+    events.append(std::move(ipc));
+    events.append(event("C", 2, 0, 200.0, "ipc"));
+    std::string error;
+    EXPECT_TRUE(validateChromeTrace(wrap(std::move(events)), &error))
+        << error;
+}
+
+TEST(ValidateChromeTrace, RefusesIdsThatAreNotIntsInRange)
+{
+    const char *const docs[] = {
+        R"({"traceEvents":[{"ph":"i","pid":"x","tid":0,"ts":1,"name":"a"}]})",
+        R"({"traceEvents":[{"ph":"i","pid":1e300,"tid":0,"ts":1,"name":"a"}]})",
+        R"({"traceEvents":[{"ph":"i","pid":-3e9,"tid":0,"ts":1,"name":"a"}]})",
+        R"({"traceEvents":[{"ph":"i","pid":1.5,"tid":0,"ts":1,"name":"a"}]})",
+        R"({"traceEvents":[{"ph":"i","pid":1,"tid":[0],"ts":1,"name":"a"}]})",
+        R"({"traceEvents":[{"ph":"M","pid":1,"tid":true,"name":"a"}]})",
+    };
+    for (const char *text : docs) {
+        const auto doc = json::Value::tryParse(text);
+        ASSERT_TRUE(doc.has_value()) << text;
+        std::string error;
+        EXPECT_FALSE(validateChromeTrace(*doc, &error)) << text;
+        EXPECT_NE(error.find("integers in int range"),
+                  std::string::npos)
+            << text << ": " << error;
+    }
+}
+
+TEST(ChromeTraceMutation, EveryMutantValidatesOrIsRefused)
+{
+    // Host spans, instants and a complete event on pid 1, counters
+    // and an instant on a simulated system's pid 2, and the metadata
+    // naming both.
+    const std::string clean =
+        R"({"displayTimeUnit":"ms","traceEvents":[)"
+        R"({"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"host"}},)"
+        R"({"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"worker 0"}},)"
+        R"({"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"sim:a"}},)"
+        R"({"name":"job 0","ph":"B","pid":1,"tid":1,"ts":1.5},)"
+        R"({"name":"ckpt write","ph":"X","pid":1,"tid":1,"ts":2,"dur":3,"args":{"bytes":64}},)"
+        R"({"name":"job 0 crashed","ph":"i","pid":1,"tid":1,"ts":6,"s":"t"},)"
+        R"({"name":"job 0","ph":"E","pid":1,"tid":1,"ts":7},)"
+        R"({"name":"ipc","ph":"C","pid":2,"tid":0,"ts":100,"args":{"core0":0.5}},)"
+        R"({"name":"repartition","ph":"i","pid":2,"tid":0,"ts":2000,"s":"t","args":{"gainer":1}})"
+        R"(]})";
+    {
+        const auto doc = json::Value::tryParse(clean);
+        ASSERT_TRUE(doc.has_value());
+        std::string error;
+        ASSERT_TRUE(validateChromeTrace(*doc, &error)) << error;
+    }
+
+    std::size_t validated = 0;
+    std::size_t refused = 0;
+    forEachMutation(clean, [&](const std::string &mutant,
+                               const std::string &what) {
+        const auto doc = json::Value::tryParse(mutant);
+        if (!doc) {
+            ++refused;
+            return;
+        }
+        std::string error;
+        if (validateChromeTrace(*doc, &error)) {
+            ++validated;
+        } else {
+            ++refused;
+            EXPECT_FALSE(error.empty()) << what;
+        }
+    });
+    EXPECT_GT(validated, 0u);
+    EXPECT_GT(refused, 0u);
 }
 
 TEST(ValidateChromeTrace, RejectsCompleteWithoutDuration)

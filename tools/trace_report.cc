@@ -9,9 +9,10 @@
  *   trace_report <trace.jsonl> [plot-width]     time-series report
  *   trace_report --heatmap <trace.jsonl>        spatial cache view
  *                                               (REPRO_HEATMAP records)
- *   trace_report --export-trace <out.trace.json> <trace.jsonl>
+ *   trace_report --export-trace <out.trace.json> <trace.jsonl>...
  *                                               convert to Chrome
- *                                               trace-event JSON
+ *                                               trace-event JSON, one
+ *                                               process per file
  *   trace_report --check-trace <file.trace.json>
  *                                               validate a trace file
  *   trace_report --sweep <results.json.partial>
@@ -20,16 +21,21 @@
  *                                               every non-ok job
  *
  * Malformed or truncated trace lines (a killed writer, a torn tail)
- * are skipped and counted; the count is reported on stderr at exit
- * instead of aborting the report.
+ * and records with a field missing or mistyped are skipped and
+ * counted; the count is reported on stderr instead of aborting the
+ * report.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/json_writer.hh"
@@ -87,16 +93,57 @@ struct Trace
     std::size_t malformed = 0;
 };
 
+/** @p v when it has @p type. Every typed read below throws instead
+ *  of panicking, so parseTrace can skip and count the record. */
+const Value &
+typed(const Value &v, Value::Type type)
+{
+    if (v.type() != type)
+        throw std::runtime_error("mistyped field");
+    return v;
+}
+
+/** Member @p key of @p object, of @p type. */
+const Value &
+member(const Value &object, const char *key,
+       Value::Type type = Value::Type::Number)
+{
+    if (!object.contains(key))
+        throw std::runtime_error(std::string("missing ") + key);
+    return typed(object.at(key), type);
+}
+
+/** A count (Value::asCount) that fits T. */
+template <typename T = std::uint64_t>
+T
+count(const Value &v)
+{
+    const auto n = v.asCount();
+    if (!n || *n > std::numeric_limits<T>::max())
+        throw std::runtime_error("not a count");
+    return static_cast<T>(*n);
+}
+
+int
+integer(const Value &v)
+{
+    const double n = typed(v, Value::Type::Number).asNumber();
+    if (n != std::trunc(n) || n < std::numeric_limits<int>::min() ||
+        n > std::numeric_limits<int>::max())
+        throw std::runtime_error("not an int");
+    return static_cast<int>(n);
+}
+
 std::vector<double>
 numberArray(const Value &object, const char *key)
 {
     std::vector<double> out;
     if (!object.contains(key))
         return out;
-    const Value &arr = object.at(key);
+    const Value &arr = member(object, key, Value::Type::Array);
     out.reserve(arr.size());
     for (std::size_t i = 0; i < arr.size(); ++i)
-        out.push_back(arr.at(i).asNumber());
+        out.push_back(typed(arr.at(i), Value::Type::Number).asNumber());
     return out;
 }
 
@@ -104,53 +151,61 @@ void
 addHeatmapGrid(const Value &rows, std::vector<std::uint64_t> &grid,
                unsigned banks, unsigned buckets)
 {
+    typed(rows, Value::Type::Array);
     for (unsigned b = 0; b < banks && b < rows.size(); ++b) {
-        const Value &row = rows.at(b);
-        for (unsigned k = 0; k < buckets && k < row.size(); ++k) {
-            grid[std::size_t(b) * buckets + k] +=
-                static_cast<std::uint64_t>(row.at(k).asNumber());
-        }
+        const Value &row = typed(rows.at(b), Value::Type::Array);
+        for (unsigned k = 0; k < buckets && k < row.size(); ++k)
+            grid[std::size_t(b) * buckets + k] += count(row.at(k));
     }
 }
+
+/** Larger than any simulated L3's grid: a bigger one is malformed,
+ *  not an allocation the report would die of. */
+constexpr std::uint64_t kMaxHeatmapCells = 1u << 20;
 
 void
 parseHeatmap(const Value &record, HeatmapData &heat)
 {
-    const auto banks =
-        static_cast<unsigned>(record.at("banks").asNumber());
-    const auto buckets =
-        static_cast<unsigned>(record.at("buckets").asNumber());
+    const auto banks = count<unsigned>(member(record, "banks"));
+    const auto buckets = count<unsigned>(member(record, "buckets"));
     if (banks == 0 || buckets == 0)
         return;
-    if (heat.records == 0) {
-        heat.banks = banks;
-        heat.buckets = buckets;
-        heat.sets =
-            static_cast<unsigned>(record.at("sets").asNumber());
-        heat.access.assign(std::size_t(banks) * buckets, 0);
-        heat.miss.assign(std::size_t(banks) * buckets, 0);
-    } else if (banks != heat.banks || buckets != heat.buckets) {
+    if (std::uint64_t(banks) * buckets > kMaxHeatmapCells)
+        throw std::runtime_error("heatmap grid too large");
+    // Read the whole record before touching the totals, so a
+    // malformed one is skipped without half its grid added.
+    HeatmapData next = heat;
+    if (next.records == 0) {
+        next.banks = banks;
+        next.buckets = buckets;
+        next.sets = count<unsigned>(member(record, "sets"));
+        next.access.assign(std::size_t(banks) * buckets, 0);
+        next.miss.assign(std::size_t(banks) * buckets, 0);
+    } else if (banks != next.banks || buckets != next.buckets) {
         // A trace stitched from differently-configured runs; keep
         // the first geometry rather than mixing incompatible grids.
         return;
     }
-    ++heat.records;
-    addHeatmapGrid(record.at("access"), heat.access, banks, buckets);
-    addHeatmapGrid(record.at("miss"), heat.miss, banks, buckets);
+    ++next.records;
+    addHeatmapGrid(member(record, "access", Value::Type::Array),
+                   next.access, banks, buckets);
+    addHeatmapGrid(member(record, "miss", Value::Type::Array),
+                   next.miss, banks, buckets);
 
-    heat.occupancy.clear();
+    next.occupancy.clear();
     if (record.contains("occupancy")) {
-        const Value &occ = record.at("occupancy");
+        const Value &occ =
+            member(record, "occupancy", Value::Type::Array);
         for (std::size_t r = 0; r < occ.size(); ++r) {
             std::vector<std::uint64_t> hist;
-            const Value &row = occ.at(r);
+            const Value &row = typed(occ.at(r), Value::Type::Array);
             hist.reserve(row.size());
             for (std::size_t i = 0; i < row.size(); ++i)
-                hist.push_back(static_cast<std::uint64_t>(
-                    row.at(i).asNumber()));
-            heat.occupancy.push_back(std::move(hist));
+                hist.push_back(count(row.at(i)));
+            next.occupancy.push_back(std::move(hist));
         }
     }
+    heat = std::move(next);
 }
 
 void
@@ -177,16 +232,18 @@ parseTrace(const std::string &text, Trace &trace)
         // A record of a known type with fields missing or mistyped
         // is malformed too; classify per record, not per file.
         try {
-            const std::string &type = record->at("type").asString();
+            const std::string &type =
+                member(*record, "type", Value::Type::String).asString();
             if (type == "meta") {
                 if (record->contains("scheme"))
-                    trace.scheme = record->at("scheme").asString();
+                    trace.scheme =
+                        member(*record, "scheme", Value::Type::String)
+                            .asString();
                 if (record->contains("cores"))
-                    trace.cores = static_cast<unsigned>(
-                        record->at("cores").asNumber());
+                    trace.cores =
+                        count<unsigned>(member(*record, "cores"));
                 if (record->contains("period"))
-                    trace.period = static_cast<std::uint64_t>(
-                        record->at("period").asNumber());
+                    trace.period = count(member(*record, "period"));
             } else if (type == "sample") {
                 // Functional traces (fig3) sample by instruction
                 // count and carry no per-core series; skip what is
@@ -195,28 +252,27 @@ parseTrace(const std::string &text, Trace &trace)
                     !record->contains("cores"))
                     continue;
                 SamplePoint point;
-                point.cycle = static_cast<std::uint64_t>(
-                    record->at("cycle").asNumber());
-                const Value &cores = record->at("cores");
+                point.cycle = count(member(*record, "cycle"));
+                const Value &cores =
+                    member(*record, "cores", Value::Type::Array);
                 for (std::size_t c = 0; c < cores.size(); ++c) {
-                    const Value &entry = cores.at(c);
-                    point.ipc.push_back(entry.at("ipc").asNumber());
+                    const Value &entry =
+                        typed(cores.at(c), Value::Type::Object);
+                    point.ipc.push_back(
+                        member(entry, "ipc").asNumber());
                     if (entry.contains("quota"))
                         point.quota.push_back(
-                            entry.at("quota").asNumber());
+                            member(entry, "quota").asNumber());
                 }
                 trace.samples.push_back(std::move(point));
             } else if (type == "repartition") {
                 EpochPoint point;
-                point.cycle = static_cast<std::uint64_t>(
-                    record->at("cycle").asNumber());
-                point.epoch = static_cast<std::uint64_t>(
-                    record->at("epoch").asNumber());
-                point.gainer = static_cast<int>(
-                    record->at("gainer").asNumber());
-                point.loser = static_cast<int>(
-                    record->at("loser").asNumber());
-                point.moved = record->at("moved").asBool();
+                point.cycle = count(member(*record, "cycle"));
+                point.epoch = count(member(*record, "epoch"));
+                point.gainer = integer(member(*record, "gainer"));
+                point.loser = integer(member(*record, "loser"));
+                point.moved =
+                    member(*record, "moved", Value::Type::Bool).asBool();
                 point.quotaAfter =
                     numberArray(*record, "quota_after");
                 point.shadowHits =
@@ -232,6 +288,21 @@ parseTrace(const std::string &text, Trace &trace)
             ++trace.malformed;
         }
     }
+}
+
+/** Parse the trace at @p path, counting its skipped lines on stderr. */
+Trace
+readTrace(const std::string &path)
+{
+    Trace trace;
+    parseTrace(nuca::json::readFile(path), trace);
+    if (trace.malformed != 0) {
+        std::fprintf(stderr,
+                     "trace_report: skipped %zu malformed or "
+                     "truncated line(s) in %s\n",
+                     trace.malformed, path.c_str());
+    }
+    return trace;
 }
 
 char
@@ -434,91 +505,99 @@ printHeatmap(const Trace &trace)
 }
 
 /**
- * Convert the telemetry time series into Chrome trace-event JSON:
- * per-core IPC and quota become counter tracks, repartitions become
- * instant events — the same document shape CmpSystem exports live
- * via REPRO_PERFETTO, derived offline from a JSONL trace.
+ * Append one system's telemetry time series to @p events as Chrome
+ * trace events on process @p pid, named @p name: per-core IPC (of
+ * each sample interval) and quota become counter tracks,
+ * repartitions become instant events. Timestamps are simulated
+ * cycles.
  */
-Value
-telemetryToChromeTrace(const Trace &trace)
+void
+appendSystemTrack(const Trace &trace, int pid, const std::string &name,
+                  Value &events)
 {
-    constexpr int pid = 2; // pid 1 is the host track by convention
-    Value events = Value::array();
-
-    Value meta = Value::object();
-    meta.set("name", "process_name");
-    meta.set("ph", "M");
-    meta.set("pid", pid);
-    meta.set("tid", 0);
-    Value metaArgs = Value::object();
-    metaArgs.set("name", "sim:" + (trace.scheme.empty()
-                                       ? std::string("telemetry")
-                                       : trace.scheme));
-    meta.set("args", std::move(metaArgs));
-    events.append(std::move(meta));
+    const auto emit = [&](const char *what, const char *ph,
+                          std::uint64_t cycle, Value args) {
+        Value event = Value::object();
+        event.set("name", what);
+        event.set("ph", ph);
+        event.set("pid", pid);
+        event.set("tid", 0);
+        if (*ph != 'M')
+            event.set("ts", static_cast<double>(cycle));
+        if (*ph == 'i')
+            event.set("s", "t"); // thread-scoped instant
+        event.set("args", std::move(args));
+        events.append(std::move(event));
+    };
+    const auto perCore = [](const std::vector<double> &values) {
+        Value args = Value::object();
+        for (std::size_t c = 0; c < values.size(); ++c)
+            args.set("core" + std::to_string(c), values[c]);
+        return args;
+    };
+    emit("process_name", "M", 0, Value::object().set("name", name));
 
     // Samples and epochs are each cycle-ordered streams, but the
     // merged stream must be too (validateChromeTrace checks per-track
     // monotonicity), so walk the two in lockstep.
     std::size_t s = 0, e = 0;
-    const auto emitSample = [&](const SamplePoint &point) {
-        Value args = Value::object();
-        for (std::size_t c = 0; c < point.ipc.size(); ++c)
-            args.set("core" + std::to_string(c), point.ipc[c]);
-        Value event = Value::object();
-        event.set("name", "ipc");
-        event.set("ph", "C");
-        event.set("pid", pid);
-        event.set("tid", 0);
-        event.set("ts", static_cast<double>(point.cycle));
-        event.set("args", std::move(args));
-        events.append(std::move(event));
-
-        if (!point.quota.empty()) {
-            Value qargs = Value::object();
-            for (std::size_t c = 0; c < point.quota.size(); ++c)
-                qargs.set("core" + std::to_string(c),
-                          point.quota[c]);
-            Value qevent = Value::object();
-            qevent.set("name", "quota");
-            qevent.set("ph", "C");
-            qevent.set("pid", pid);
-            qevent.set("tid", 0);
-            qevent.set("ts", static_cast<double>(point.cycle));
-            qevent.set("args", std::move(qargs));
-            events.append(std::move(qevent));
-        }
-    };
-    const auto emitEpoch = [&](const EpochPoint &point) {
-        Value args = Value::object();
-        args.set("epoch", point.epoch);
-        args.set("gainer", point.gainer);
-        args.set("loser", point.loser);
-        args.set("moved", point.moved);
-        Value event = Value::object();
-        event.set("name", "repartition");
-        event.set("ph", "i");
-        event.set("pid", pid);
-        event.set("tid", 0);
-        event.set("ts", static_cast<double>(point.cycle));
-        event.set("s", "t");
-        event.set("args", std::move(args));
-        events.append(std::move(event));
-    };
     while (s < trace.samples.size() || e < trace.epochs.size()) {
         if (e >= trace.epochs.size() ||
             (s < trace.samples.size() &&
              trace.samples[s].cycle <= trace.epochs[e].cycle)) {
-            emitSample(trace.samples[s++]);
+            const SamplePoint &point = trace.samples[s++];
+            emit("ipc", "C", point.cycle, perCore(point.ipc));
+            if (!point.quota.empty())
+                emit("quota", "C", point.cycle, perCore(point.quota));
         } else {
-            emitEpoch(trace.epochs[e++]);
+            const EpochPoint &point = trace.epochs[e++];
+            Value args = Value::object();
+            args.set("epoch", point.epoch);
+            args.set("gainer", point.gainer);
+            args.set("loser", point.loser);
+            args.set("moved", point.moved);
+            emit("repartition", "i", point.cycle, std::move(args));
         }
     }
+}
 
+/**
+ * Convert JSONL telemetry traces into one Chrome trace-event file:
+ * each input becomes its own process, pid 2, 3, ... in argument
+ * order (pid 1 is the host track of a live REPRO_PERFETTO log),
+ * named "sim:<file name without directory and extension>" (a sweep's
+ * "out/trace.adaptive.mix0.jsonl" is "sim:trace.adaptive.mix0"). The
+ * document must validate before it is written.
+ */
+int
+exportTraces(const std::string &out,
+             const std::vector<std::string> &inputs)
+{
+    Value events = Value::array();
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        appendSystemTrack(readTrace(inputs[i]), static_cast<int>(i) + 2,
+                          "sim:" + std::filesystem::path(inputs[i])
+                                       .stem()
+                                       .string(),
+                          events);
+    }
     Value doc = Value::object();
     doc.set("traceEvents", std::move(events));
     doc.set("displayTimeUnit", "ms");
-    return doc;
+
+    std::string error;
+    if (!nuca::validateChromeTrace(doc, &error)) {
+        std::fprintf(stderr,
+                     "trace_report: exported trace failed "
+                     "validation: %s\n",
+                     error.c_str());
+        return 1;
+    }
+    nuca::json::writeFileAtomic(out, doc);
+    std::printf("trace ok: wrote %s (%zu processes, %zu events)\n",
+                out.c_str(), inputs.size(),
+                doc.at("traceEvents").size());
+    return 0;
 }
 
 /**
@@ -677,12 +756,16 @@ main(int argc, char **argv)
         return checkTraceFile(checkPath);
     if (!sweepPath.empty())
         return sweepReport(sweepPath);
+    if (!exportPath.empty() && !positional.empty())
+        return exportTraces(exportPath, positional);
 
-    if (positional.empty() || positional.size() > 2) {
+    if (!exportPath.empty() || positional.empty() ||
+        positional.size() > 2) {
         std::fprintf(stderr,
                      "usage: trace_report [--heatmap] "
-                     "[--export-trace out.trace.json] "
                      "<trace.jsonl> [plot-width]\n"
+                     "       trace_report --export-trace "
+                     "<out.trace.json> <trace.jsonl>...\n"
                      "       trace_report --check-trace "
                      "<file.trace.json>\n"
                      "       trace_report --sweep "
@@ -696,26 +779,9 @@ main(int argc, char **argv)
                                 std::atoi(positional[1].c_str())))
             : 72;
 
-    Trace trace;
-    parseTrace(nuca::json::readFile(path), trace);
+    const Trace trace = readTrace(path);
 
-    int status = 0;
-    if (!exportPath.empty()) {
-        const Value doc = telemetryToChromeTrace(trace);
-        std::string error;
-        if (!nuca::validateChromeTrace(doc, &error)) {
-            std::fprintf(stderr,
-                         "trace_report: exported trace failed "
-                         "validation: %s\n",
-                         error.c_str());
-            status = 1;
-        } else {
-            nuca::json::writeFileAtomic(exportPath, doc);
-            std::printf("trace ok: wrote %s (%zu events)\n",
-                        exportPath.c_str(),
-                        doc.at("traceEvents").size());
-        }
-    } else if (heatmapMode) {
+    if (heatmapMode) {
         std::printf("trace: %s\n", path.c_str());
         std::printf("scheme: %s, %u cores\n\n",
                     trace.scheme.empty() ? "?"
@@ -813,11 +879,5 @@ main(int argc, char **argv)
         }
     }
 
-    if (trace.malformed != 0) {
-        std::fprintf(stderr,
-                     "trace_report: skipped %zu malformed or "
-                     "truncated line(s) in %s\n",
-                     trace.malformed, path.c_str());
-    }
-    return status;
+    return 0;
 }
